@@ -156,8 +156,8 @@ func BenchmarkAblationSigma(b *testing.B) {
 
 // BenchmarkLocateWarm measures steady-state per-query latency of both
 // variants with a warm cache (the converged regime of Fig. 10). It shares
-// experiments.WarmedSystem with BenchmarkLocateParallel so the serial and
-// parallel numbers compare identically configured systems.
+// warmedSystem with BenchmarkLocateParallel so the serial and parallel
+// numbers compare identically configured systems.
 func BenchmarkLocateWarm(b *testing.B) {
 	for _, v := range []struct {
 		name    string
@@ -167,7 +167,7 @@ func BenchmarkLocateWarm(b *testing.B) {
 		{"D-LOCATER", locater.DependentVariant},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			sys, batch := warmedSystem(b, v.variant)
+			sys, batch := warmedSystem(b, v.variant, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := batch[i%len(batch)]
@@ -179,13 +179,51 @@ func BenchmarkLocateWarm(b *testing.B) {
 	}
 }
 
-// warmedSystem builds, ingests, and warms a system over the benchmark
-// workload so the measured region compares steady-state querying.
-func warmedSystem(b *testing.B, variant locater.Variant) (*locater.System, []locater.Query) {
+// warmedSystem assembles the warm benchmark system: build the DBH workload,
+// ingest it, estimate per-device deltas, and answer every sampled query once
+// so per-device models and the affinity cache are hot. mutate (when non-nil)
+// adjusts the default configuration before the system is assembled — e.g.
+// disabling the result cache to benchmark the uncached query path. It
+// returns the system plus the warmed batch queries.
+func warmedSystem(b *testing.B, variant locater.Variant, mutate func(*locater.Config)) (*locater.System, []locater.Query) {
 	b.Helper()
-	sys, batch, err := experiments.WarmedSystem(benchParams, variant)
+	ds, err := experiments.BuildDBH(benchParams)
 	if err != nil {
 		b.Fatal(err)
+	}
+	queries, err := experiments.SampleDefaultQueries(ds, benchParams, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := locater.Config{
+		Building:           ds.Building,
+		Variant:            variant,
+		EnableCache:        true,
+		HistoryDays:        14,
+		PromotionsPerRound: 8,
+		MaxTrainingGaps:    100,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	sys, err := locater.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Ingest(ds.Events); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]locater.Query, len(queries))
+	for i, q := range queries {
+		batch[i] = locater.Query{Device: q.Device, Time: q.Time}
+	}
+	for _, r := range sys.LocateBatch(batch, 0) {
+		if r.Err != nil {
+			b.Fatalf("warm-up query (%s, %v): %v", r.Query.Device, r.Query.Time, r.Err)
+		}
 	}
 	return sys, batch
 }
@@ -200,7 +238,7 @@ func warmedSystem(b *testing.B, variant locater.Variant) (*locater.System, []loc
 // to see the scaling (the acceptance gate for the concurrent engine is
 // ≥ 2× single-worker throughput on a multi-core runner).
 func BenchmarkLocateParallel(b *testing.B) {
-	sys, batch := warmedSystem(b, locater.DependentVariant)
+	sys, batch := warmedSystem(b, locater.DependentVariant, nil)
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -219,7 +257,7 @@ func BenchmarkLocateParallel(b *testing.B) {
 // batch) at a worker pool matching GOMAXPROCS versus a single worker — the
 // serialized baseline the global-mutex engine was limited to.
 func BenchmarkLocateBatch(b *testing.B) {
-	sys, batch := warmedSystem(b, locater.DependentVariant)
+	sys, batch := warmedSystem(b, locater.DependentVariant, nil)
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -292,15 +330,11 @@ func BenchmarkLocateRepeatedQueries(b *testing.B) {
 		{"uncached", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			sys, batch, err := experiments.WarmedSystemOpts(benchParams, locater.DependentVariant,
-				func(c *locater.Config) {
-					if bc.disable {
-						c.ResultCacheSize = -1
-					}
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
+			sys, batch := warmedSystem(b, locater.DependentVariant, func(c *locater.Config) {
+				if bc.disable {
+					c.ResultCacheSize = -1
+				}
+			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := batch[i%len(batch)]
@@ -325,15 +359,11 @@ func BenchmarkLocateRepeatedQueries(b *testing.B) {
 // its bound for the whole run — the bounded-memory property the ad-hoc maps
 // lacked. Allocation figures (-benchmem) show the steady state.
 func BenchmarkCachesUnderChurn(b *testing.B) {
-	sys, batch, err := experiments.WarmedSystemOpts(benchParams, locater.IndependentVariant,
-		func(c *locater.Config) {
-			c.AffinityCacheSize = 256
-			c.ResultCacheSize = 256
-			c.ModelCacheSize = 64
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys, batch := warmedSystem(b, locater.IndependentVariant, func(c *locater.Config) {
+		c.AffinityCacheSize = 256
+		c.ResultCacheSize = 256
+		c.ModelCacheSize = 64
+	})
 	aps := sys.Building().AccessPoints()
 	base := batch[0].Time
 	b.ResetTimer()

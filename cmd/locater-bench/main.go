@@ -1,9 +1,7 @@
 // Command locater-bench regenerates the paper's evaluation tables and
 // figures (Section 6) over simulated workloads and prints them in the same
-// row/series structure the paper reports. It also measures the concurrent
-// query engine: -throughput runs the same query workload through
-// System.LocateBatch at increasing worker-pool sizes and reports
-// queries/sec and the multi-core speedup over a single worker.
+// row/series structure the paper reports. Performance is measured elsewhere:
+// `go run ./benchmark` (see benchmark/README.md).
 //
 // Usage:
 //
@@ -11,60 +9,26 @@
 //	locater-bench -exp table3     # run one experiment
 //	locater-bench -list           # list experiments
 //	locater-bench -per-class 8 -days 70 -queries 500 -seed 7
-//	locater-bench -throughput -workers 8   # parallel LocateBatch scaling
-//	locater-bench -persist -persist-events 200000   # durable-store throughput
-//	locater-bench -neighbors               # occupancy-index neighbor discovery
-//	locater-bench -memory -memory-devices 1000,10000,50000   # segmented-store footprint
-//
-// The -throughput, -persist, -neighbors, and -memory modes also emit
-// machine-readable BENCH_throughput.json / BENCH_persist.json /
-// BENCH_neighbors.json / BENCH_memory.json (into -bench-out) so CI can
-// track the performance trajectory across commits.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"locater"
 	"locater/internal/experiments"
 )
 
 func main() {
 	var (
-		expName    = flag.String("exp", "", "experiment to run (default: all); see -list")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		perClass   = flag.Int("per-class", 0, "people per predictability class (default 6)")
-		days       = flag.Int("days", 0, "simulated days (default 70)")
-		queries    = flag.Int("queries", 0, "queries per experiment (default 400)")
-		seed       = flag.Int64("seed", 0, "random seed (default 1)")
-		slow       = flag.Bool("faithful", false, "verbatim Algorithm 1 (one promotion per self-training round; slower)")
-		throughput = flag.Bool("throughput", false, "measure parallel LocateBatch throughput instead of the paper tables")
-		workers    = flag.Int("workers", 0, "max worker-pool size for -throughput (default GOMAXPROCS)")
-		deadline   = flag.Duration("deadline", 0, "per-batch deadline for -throughput; shed queries are reported separately (0 = unbounded)")
-
-		neighbors = flag.Bool("neighbors", false, "measure occupancy-index neighbor discovery vs the full-scan baseline")
-
-		query = flag.Bool("query", false, "measure the fine-stage query kernel (cold/warm latency + allocs at 10/50/200 neighbors, I-FINE and D-FINE) against the pre-refactor reference, with a posterior-correctness gate")
-
-		shard = flag.Bool("shard", false, "measure the sharded cluster: 1/2/4-shard ingest + query ladder with a 1-shard-vs-System identity gate")
-
-		memory        = flag.Bool("memory", false, "measure segmented-store memory + cold/warm query latency against the plain-slice layout, with byte-identity and crash-recovery gates")
-		memoryDevices = flag.String("memory-devices", "1000,10000,50000", "comma-separated device ladder for -memory")
-
-		incr        = flag.Bool("incr", false, "measure incremental model maintenance vs recompute-on-write: interleaved ingest/query rounds with byte-identity, stats-oracle, and maintenance-cost gates")
-		incrDevices = flag.String("incr-devices", "1000,10000", "comma-separated device ladder for -incr")
-
-		persist       = flag.Bool("persist", false, "measure durable event store ingest + recovery throughput")
-		persistEvents = flag.Int("persist-events", 200000, "events for -persist")
-		persistDir    = flag.String("persist-dir", "", "WAL directory for -persist (default: a temp dir, removed afterwards)")
-		persistFsync  = flag.Bool("persist-fsync", true, "fsync (group-commit) mode for -persist")
-		benchOut      = flag.String("bench-out", ".", "directory for BENCH_*.json reports")
+		expName  = flag.String("exp", "", "experiment to run (default: all); see -list")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		perClass = flag.Int("per-class", 0, "people per predictability class (default 6)")
+		days     = flag.Int("days", 0, "simulated days (default 70)")
+		queries  = flag.Int("queries", 0, "queries per experiment (default 400)")
+		seed     = flag.Int64("seed", 0, "random seed (default 1)")
+		slow     = flag.Bool("faithful", false, "verbatim Algorithm 1 (one promotion per self-training round; slower)")
 	)
 	flag.Parse()
 
@@ -82,72 +46,6 @@ func main() {
 		Seed:     *seed,
 		Fast:     !*slow,
 	}.WithDefaults()
-
-	if *query {
-		if err := runQuery(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "query: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *shard {
-		if err := runShard(p, *workers, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *neighbors {
-		if err := runNeighbors(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "neighbors: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *memory {
-		ladder, err := parseDeviceLadder(*memoryDevices)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memory: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runMemory(ladder, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "memory: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *incr {
-		ladder, err := parseDeviceLadder(*incrDevices)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "incr: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runIncr(ladder, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "incr: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *persist {
-		if err := runPersist(*persistDir, *persistEvents, *workers, *persistFsync, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "persist: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *throughput {
-		if err := runThroughput(p, *workers, *deadline, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	drivers := experiments.All()
 	if *expName != "" {
@@ -171,170 +69,4 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %v]\n\n", d.Name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// throughputReport is the machine-readable result of -throughput, emitted
-// as BENCH_throughput.json for the CI perf-tracking pipeline.
-type throughputReport struct {
-	Name    string          `json:"name"`
-	Events  int             `json:"events"`
-	Devices int             `json:"devices"`
-	Queries int             `json:"queries"`
-	Rows    []throughputRow `json:"rows"`
-	// Caches snapshots the caching layer after the measured runs: sizes
-	// must sit at or below capacity (bounded memory), and the hit counters
-	// show how much of the served throughput the caches absorbed.
-	Caches cachesReport `json:"caches"`
-}
-
-type throughputRow struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-	// QueriesPerSec counts successfully answered queries only: queries the
-	// engine shed on deadline are accounted in DeadlineExceeded, not
-	// folded into served throughput (and hard failures abort the run).
-	QueriesPerSec    float64 `json:"queries_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	OK               int     `json:"ok"`
-	DeadlineExceeded int     `json:"deadline_exceeded"`
-}
-
-// cacheTierReport mirrors locater.CacheTierStats in the benchmark JSON.
-type cacheTierReport struct {
-	Size          int   `json:"size"`
-	Capacity      int   `json:"capacity"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-}
-
-type cachesReport struct {
-	GraphEdges   int             `json:"graph_edges"`
-	Affinity     cacheTierReport `json:"affinity"`
-	CoarseModels cacheTierReport `json:"coarse_models"`
-	Results      cacheTierReport `json:"results"`
-}
-
-func cacheTierReportOf(t locater.CacheTierStats) cacheTierReport {
-	return cacheTierReport{
-		Size:          t.Size,
-		Capacity:      t.Capacity,
-		Hits:          t.Hits,
-		Misses:        t.Misses,
-		Evictions:     t.Evictions,
-		Invalidations: t.Invalidations,
-	}
-}
-
-func cachesReportOf(cs locater.CacheStats) cachesReport {
-	return cachesReport{
-		GraphEdges:   cs.GraphEdges,
-		Affinity:     cacheTierReportOf(cs.Affinity),
-		CoarseModels: cacheTierReportOf(cs.CoarseModels),
-		Results:      cacheTierReportOf(cs.Results),
-	}
-}
-
-// runThroughput measures the concurrent query engine: the same warmed
-// workload is answered through System.LocateBatch with 1, 2, 4, ...
-// workers, and the run reports queries/sec plus the speedup over a single
-// worker (the serialized baseline). A non-zero deadline bounds every batch
-// through LocateBatchContext; queries the engine sheds on deadline are
-// reported in their own column instead of failing the measurement.
-func runThroughput(p experiments.Params, maxWorkers int, deadline time.Duration, benchOut string) error {
-	if maxWorkers < 1 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	// Build + ingest + warm through the same helper the root benchmarks
-	// use, so -throughput and `go test -bench` measure one steady state.
-	warmStart := time.Now()
-	sys, batch, err := experiments.WarmedSystem(p, locater.DependentVariant)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload: %d events, %d devices, %d queries (build+warm-up %v)\n",
-		sys.NumEvents(), sys.NumDevices(), len(batch), time.Since(warmStart).Round(time.Millisecond))
-	if deadline > 0 {
-		fmt.Printf("per-batch deadline: %v\n", deadline)
-	}
-	fmt.Printf("%-8s %12s %12s %9s %9s %9s\n", "workers", "total", "queries/sec", "speedup", "ok", "deadline")
-
-	// Pool sizes: powers of two up to maxWorkers, plus maxWorkers itself.
-	var sizes []int
-	for w := 1; w < maxWorkers; w *= 2 {
-		sizes = append(sizes, w)
-	}
-	sizes = append(sizes, maxWorkers)
-
-	rep := throughputReport{
-		Name:    "throughput",
-		Events:  sys.NumEvents(),
-		Devices: sys.NumDevices(),
-		Queries: len(batch),
-	}
-	base := 0.0
-	for _, w := range sizes {
-		elapsed, ok, deadlined, err := timeBatch(sys, batch, w, deadline)
-		if err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
-		}
-		qps := float64(ok) / elapsed.Seconds()
-		if w == 1 {
-			base = qps
-		}
-		fmt.Printf("%-8d %12v %12.0f %8.2fx %9d %9d\n",
-			w, elapsed.Round(time.Millisecond), qps, qps/base, ok, deadlined)
-		rep.Rows = append(rep.Rows, throughputRow{
-			Workers:          w,
-			Seconds:          elapsed.Seconds(),
-			QueriesPerSec:    qps,
-			Speedup:          qps / base,
-			OK:               ok,
-			DeadlineExceeded: deadlined,
-		})
-	}
-	cs := sys.CacheStats()
-	rep.Caches = cachesReportOf(cs)
-	fmt.Printf("caches: graph %d edges; affinity %d/%d (%d hits, %d misses); models %d/%d; results %d/%d (%d hits)\n",
-		cs.GraphEdges,
-		cs.Affinity.Size, cs.Affinity.Capacity, cs.Affinity.Hits, cs.Affinity.Misses,
-		cs.CoarseModels.Size, cs.CoarseModels.Capacity,
-		cs.Results.Size, cs.Results.Capacity, cs.Results.Hits)
-	return writeBenchJSON(benchOut, "BENCH_throughput.json", rep)
-}
-
-// timeBatch runs the batch a few times at the given pool size and returns
-// the fastest wall-clock time (minimum-of-3, the usual noise filter) with
-// its ok/deadline-exceeded split. Deadline shed is an expected outcome of a
-// bounded run and is reported, not conflated with errors; any other
-// per-query error still fails the measurement — a batch that errors must
-// not be reported as served throughput.
-func timeBatch(sys *locater.System, batch []locater.Query, workers int, deadline time.Duration) (best time.Duration, ok, deadlined int, err error) {
-	for rep := 0; rep < 3; rep++ {
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, deadline)
-		}
-		start := time.Now()
-		results := sys.LocateBatchContext(ctx, batch, workers)
-		d := time.Since(start)
-		cancel()
-		repOK, repDeadlined := 0, 0
-		for _, r := range results {
-			switch {
-			case r.Err == nil:
-				repOK++
-			case errors.Is(r.Err, locater.ErrDeadlineExceeded):
-				repDeadlined++
-			default:
-				return 0, 0, 0, fmt.Errorf("query (%s, %v): %w", r.Query.Device, r.Query.Time, r.Err)
-			}
-		}
-		if rep == 0 || d < best {
-			best, ok, deadlined = d, repOK, repDeadlined
-		}
-	}
-	return best, ok, deadlined, nil
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // writeBenchJSON emits the machine-readable report for the CI artifact
-// pipeline (same shape and naming convention as locater-bench's BENCH_*
-// reports).
+// pipeline.
 func writeBenchJSON(outDir, name string, v any) error {
 	if outDir == "" {
 		outDir = "."

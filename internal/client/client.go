@@ -185,7 +185,7 @@ func (c *Client) Locate(d locater.DeviceID, t time.Time) (locater.Result, error)
 // deadline_ms; a server-side expiry surfaces as locater.ErrDeadlineExceeded.
 func (c *Client) LocateContext(ctx context.Context, d locater.DeviceID, t time.Time) (locater.Result, error) {
 	path := fmt.Sprintf("/v1/locate?device=%s&time=%s",
-		url.QueryEscape(string(d)), url.QueryEscape(t.UTC().Format(time.RFC3339)))
+		url.QueryEscape(string(d)), url.QueryEscape(t.UTC().Format(time.RFC3339Nano)))
 	if dl := deadlineParam(ctx); dl != "" {
 		path += "&" + dl
 	}
@@ -223,7 +223,7 @@ func (c *Client) LocateBatchContext(ctx context.Context, queries []locater.Query
 	for i, q := range queries {
 		req.Queries[i] = srv.BatchQuery{
 			Device: string(q.Device),
-			Time:   q.Time.UTC().Format(time.RFC3339),
+			Time:   q.Time.UTC().Format(time.RFC3339Nano),
 		}
 	}
 	if dl, ok := ctx.Deadline(); ok {
@@ -356,12 +356,10 @@ func (c *Client) CacheStats() locater.CacheStats {
 		CoarseModels: tierOf(cs.CoarseModels),
 		Results:      tierOf(cs.Results),
 		Occupancy: locater.OccupancyIndexStats{
-			Enabled:       cs.Occupancy.Enabled,
-			Bucket:        time.Duration(cs.Occupancy.BucketSeconds * float64(time.Second)),
-			Buckets:       cs.Occupancy.Buckets,
-			Entries:       cs.Occupancy.Entries,
-			Lookups:       cs.Occupancy.Lookups,
-			FallbackScans: cs.Occupancy.FallbackScans,
+			Bucket:  time.Duration(cs.Occupancy.BucketSeconds * float64(time.Second)),
+			Buckets: cs.Occupancy.Buckets,
+			Entries: cs.Occupancy.Entries,
+			Lookups: cs.Occupancy.Lookups,
 		},
 	}
 }

@@ -81,10 +81,6 @@ type Options struct {
 	// past it the least recently used model is evicted (and simply
 	// retrained on that device's next query). Default 4096.
 	ModelCacheCapacity int
-	// StatsHalfLife is the event-time half-life of the decayed gap
-	// sufficient statistics maintained incrementally on ingest (stats.go).
-	// Default 7 days.
-	StatsHalfLife time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -100,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ModelCacheCapacity <= 0 {
 		o.ModelCacheCapacity = 4096
-	}
-	if o.StatsHalfLife <= 0 {
-		o.StatsHalfLife = 7 * 24 * time.Hour
 	}
 	return o
 }

@@ -10,8 +10,7 @@
 // histogram. Decay is driven by EVENT time, not wall-clock time, which makes
 // the accumulator deterministic: replaying the same events in the same
 // order produces bitwise-identical statistics — that is the batch-recompute
-// oracle (BatchDeviceStats) the property tests and `locater-bench -incr`
-// gate against.
+// oracle (BatchDeviceStats) the property tests gate against.
 //
 // The incremental path is exact only for in-order arrival. Out-of-order
 // events, δ changes (SetDelta), and crash recovery mark the device for a
@@ -35,8 +34,12 @@ import (
 // represent (~292 years lands in bucket 34).
 const GapHistBuckets = 40
 
+// statsHalfLife is the event-time half-life of the decayed gap sufficient
+// statistics.
+const statsHalfLife = 7 * 24 * time.Hour
+
 // DeviceStats are the decayed sufficient statistics of one device's gap
-// structure. All float fields decay exponentially with StatsHalfLife of
+// structure. All float fields decay exponentially with statsHalfLife of
 // event time; RawEvents is the undecayed observation count.
 type DeviceStats struct {
 	// Events is the decayed event count.
@@ -63,7 +66,7 @@ type DeviceStats struct {
 // the incremental path and the batch oracle both call it, so their only
 // possible divergence is the order of events — and out-of-order arrival
 // routes to a rebuild.
-func (s *DeviceStats) observe(tNanos int64, deltaNanos, halfLifeNanos int64, tau Thresholds) {
+func (s *DeviceStats) observe(tNanos, deltaNanos int64, tau Thresholds) {
 	if s.RawEvents == 0 {
 		s.Events = 1
 		s.RawEvents = 1
@@ -72,7 +75,7 @@ func (s *DeviceStats) observe(tNanos int64, deltaNanos, halfLifeNanos int64, tau
 	}
 	dt := tNanos - s.LastNanos
 	if dt > 0 {
-		f := math.Exp(-math.Ln2 * float64(dt) / float64(halfLifeNanos))
+		f := math.Exp(-math.Ln2 * float64(dt) / float64(statsHalfLife))
 		s.Events *= f
 		s.Gaps *= f
 		s.GapSeconds *= f
@@ -162,11 +165,11 @@ func (t *statsTable) clear() {
 	t.devices.Store(0)
 }
 
-// MaintenanceStats are the write-path model-maintenance counters
-// `locater-bench -incr` differences to measure the cost of keeping models
-// current: time spent folding ingested events into the sufficient
-// statistics, time spent (re)training per-device classifiers, and how often
-// the incremental path had to fall back to a full rebuild.
+// MaintenanceStats are the write-path model-maintenance counters, which
+// measure the cost of keeping models current: time spent folding ingested
+// events into the sufficient statistics, time spent (re)training per-device
+// classifiers, and how often the incremental path had to fall back to a full
+// rebuild.
 type MaintenanceStats struct {
 	// ObserveNanos is total time spent in ObserveIngest.
 	ObserveNanos int64 `json:"observe_nanos"`
@@ -193,7 +196,6 @@ func (l *Localizer) ObserveIngest(events []event.Event) {
 		return
 	}
 	start := time.Now()
-	halfLife := int64(l.opts.StatsHalfLife)
 	var touched map[event.DeviceID]struct{}
 	prev := event.DeviceID("")
 	for _, e := range events {
@@ -222,7 +224,7 @@ func (l *Localizer) ObserveIngest(events []event.Event) {
 			ds.needRebuild = true
 			l.outOfOrder.Add(1)
 		default:
-			ds.observe(e.Time.UnixNano(), int64(l.store.Delta(e.Device)), halfLife, l.opts.Thresholds)
+			ds.observe(e.Time.UnixNano(), int64(l.store.Delta(e.Device)), l.opts.Thresholds)
 		}
 		st.mu.Unlock()
 	}
@@ -266,13 +268,12 @@ func (l *Localizer) DeviceStatsOf(d event.DeviceID) (DeviceStats, bool) {
 // histories and within 1e-9 always.
 func (l *Localizer) BatchDeviceStats(d event.DeviceID) (DeviceStats, bool) {
 	var s DeviceStats
-	halfLife := int64(l.opts.StatsHalfLife)
 	deltaNanos := int64(l.store.Delta(d))
 	found := false
 	l.store.ScanEvents(d, time.Time{}, time.Unix(0, math.MaxInt64), func(evs []event.Event, _ time.Duration) {
 		found = found || len(evs) > 0
 		for _, e := range evs {
-			s.observe(e.Time.UnixNano(), deltaNanos, halfLife, l.opts.Thresholds)
+			s.observe(e.Time.UnixNano(), deltaNanos, l.opts.Thresholds)
 		}
 	})
 	if !found {

@@ -218,60 +218,6 @@ func SampleDefaultQueries(ds *sim.Dataset, p Params, devices []locater.DeviceID)
 	})
 }
 
-// WarmedSystem assembles the canonical warm benchmark system: build the
-// DBH workload, ingest it, estimate per-device deltas, and answer every
-// sampled query once so per-device models and the affinity cache are hot.
-// It returns the system plus the warmed batch queries. Shared by the root
-// parallel benchmarks and locater-bench -throughput so both measure the
-// same steady state.
-func WarmedSystem(p Params, variant locater.Variant) (*locater.System, []locater.Query, error) {
-	return WarmedSystemOpts(p, variant, nil)
-}
-
-// WarmedSystemOpts is WarmedSystem with a config hook: mutate (when non-nil)
-// adjusts the default configuration before the system is assembled — e.g.
-// disabling the result cache to benchmark the uncached query path.
-func WarmedSystemOpts(p Params, variant locater.Variant, mutate func(*locater.Config)) (*locater.System, []locater.Query, error) {
-	p = p.WithDefaults()
-	ds, err := BuildDBH(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	queries, err := SampleDefaultQueries(ds, p, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := locater.Config{
-		Building:           ds.Building,
-		Variant:            variant,
-		EnableCache:        true,
-		HistoryDays:        14,
-		PromotionsPerRound: 8,
-		MaxTrainingGaps:    100,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	sys, err := locater.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sys.Ingest(ds.Events); err != nil {
-		return nil, nil, err
-	}
-	sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
-	batch := make([]locater.Query, len(queries))
-	for i, q := range queries {
-		batch[i] = locater.Query{Device: q.Device, Time: q.Time}
-	}
-	for _, r := range sys.LocateBatch(batch, 0) {
-		if r.Err != nil {
-			return nil, nil, fmt.Errorf("warm-up query (%s, %v): %w", r.Query.Device, r.Query.Time, r.Err)
-		}
-	}
-	return sys, batch, nil
-}
-
 // Table is a printable experiment result in the paper's row/column shape.
 type Table struct {
 	Title  string

@@ -278,53 +278,6 @@ func countIntersecting(xs, ys []event.Event, delta time.Duration) int {
 	return count
 }
 
-// GroupAffinity computes α(D, r, t_q) per Eq. 1 for the device group D whose
-// members' conditional room distributions are given. The affinity is zero
-// when r is not an intersecting room of all members' candidate sets.
-//
-//	α(D, r, t_q) = α(D) · Π_{d∈D} P(@(d, r) | @(d, R_is))
-//
-// conds maps each device to its conditional probability of being in r given
-// it is in one of the intersecting rooms (already normalized over R_is).
-func GroupAffinity(deviceAffinity float64, conds []float64) float64 {
-	if deviceAffinity <= 0 {
-		return 0
-	}
-	p := deviceAffinity
-	for _, c := range conds {
-		if c <= 0 {
-			return 0
-		}
-		p *= c
-	}
-	return p
-}
-
-// ConditionalOverRooms normalizes a room-affinity map over the subset rooms
-// (R_is), returning P(@(d, r) | @(d, R_is)) for each r in rooms. Rooms with
-// zero total mass yield a uniform distribution.
-func ConditionalOverRooms(aff map[space.RoomID]float64, rooms []space.RoomID) map[space.RoomID]float64 {
-	out := make(map[space.RoomID]float64, len(rooms))
-	total := 0.0
-	for _, r := range rooms {
-		total += aff[r]
-	}
-	if total <= 0 {
-		if len(rooms) == 0 {
-			return out
-		}
-		u := 1.0 / float64(len(rooms))
-		for _, r := range rooms {
-			out[r] = u
-		}
-		return out
-	}
-	for _, r := range rooms {
-		out[r] = aff[r] / total
-	}
-	return out
-}
-
 // PairAffinityProvider supplies pairwise device affinities α({a, b}). The
 // fine localizer computes them from the store by default; the caching engine
 // substitutes a cached provider (affgraph.CachedAffinity).

@@ -97,7 +97,7 @@ type NeighborSource interface {
 // copies, I-FINE posteriors are maintained by running log-odds accumulators,
 // and D-FINE keeps one union-find across iterations with every
 // intra-neighbor affinity computed exactly once. Posteriors are equivalent
-// to the pre-optimization kernel preserved in reference.go (bitwise for
+// to the pre-optimization kernel preserved in reference_test.go (bitwise for
 // I-FINE; within cluster-summation reordering, ≪1e-12, for D-FINE).
 type Localizer struct {
 	opts     Options

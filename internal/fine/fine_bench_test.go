@@ -76,59 +76,50 @@ func BenchmarkLocateNoStopConditions(b *testing.B) {
 // BenchmarkNeighborSet measures candidate-neighbor discovery (D_n
 // construction) at a fixed neighborhood size while the total device count
 // in the store scales: 32 devices near t_q, the rest with history a month
-// away. With the occupancy index the cost should track the active
-// neighborhood, not the store population; the scan variant is the
-// full-store baseline.
+// away. Served from the occupancy index, the cost should track the active
+// neighborhood, not the store population.
 func BenchmarkNeighborSet(b *testing.B) {
 	for _, total := range []int{1000, 10000} {
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"indexed", true}, {"scan", false}} {
-			b.Run(fmt.Sprintf("devices=%d/%s", total, mode.name), func(b *testing.B) {
-				bld := paperBuilding(b)
-				st := store.New(0)
-				if !mode.indexed {
-					st.ConfigureOccupancy(0, false)
+		b.Run(fmt.Sprintf("devices=%d", total), func(b *testing.B) {
+			bld := paperBuilding(b)
+			st := store.New(0)
+			aff := fixedAffinity{}
+			evs := make([]event.Event, 0, total+33)
+			// The queried device plus 32 live neighbors at t_q.
+			evs = append(evs, event.Event{Device: "d1", Time: t0, AP: "wap3"})
+			for i := 0; i < 32; i++ {
+				d := event.DeviceID(fmt.Sprintf("n%03d", i))
+				aff[pair("d1", d)] = 0.1 + 0.8*float64(i%7)/7
+				evs = append(evs, event.Event{Device: d, Time: t0, AP: "wap3"})
+			}
+			// Background population: history far from t_q.
+			for i := 0; i < total; i++ {
+				evs = append(evs, event.Event{
+					Device: event.DeviceID(fmt.Sprintf("bg%06d", i)),
+					Time:   t0.Add(-30*24*time.Hour + time.Duration(i%1440)*time.Minute),
+					AP:     "wap4",
+				})
+			}
+			if _, err := st.Ingest(evs); err != nil {
+				b.Fatal(err)
+			}
+			l := New(bld, st, aff, nil, Options{UseStopConditions: true})
+			g3, _ := bld.RegionOf("wap3")
+			candidates := bld.CandidateRooms(g3)
+			priorMap := l.priorFor("d1", g3, t0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qc := acquireQueryCtx(candidates)
+				for j, r := range candidates {
+					qc.prior[j] = priorMap[r]
+					qc.lp[j] = logit(priorMap[r])
 				}
-				aff := fixedAffinity{}
-				evs := make([]event.Event, 0, total+33)
-				// The queried device plus 32 live neighbors at t_q.
-				evs = append(evs, event.Event{Device: "d1", Time: t0, AP: "wap3"})
-				for i := 0; i < 32; i++ {
-					d := event.DeviceID(fmt.Sprintf("n%03d", i))
-					aff[pair("d1", d)] = 0.1 + 0.8*float64(i%7)/7
-					evs = append(evs, event.Event{Device: d, Time: t0, AP: "wap3"})
+				if got := l.neighborSet(qc, "d1", g3, t0); len(got) != 32 {
+					b.Fatalf("neighbors = %d, want 32", len(got))
 				}
-				// Background population: history far from t_q.
-				for i := 0; i < total; i++ {
-					evs = append(evs, event.Event{
-						Device: event.DeviceID(fmt.Sprintf("bg%06d", i)),
-						Time:   t0.Add(-30*24*time.Hour + time.Duration(i%1440)*time.Minute),
-						AP:     "wap4",
-					})
-				}
-				if _, err := st.Ingest(evs); err != nil {
-					b.Fatal(err)
-				}
-				l := New(bld, st, aff, nil, Options{UseStopConditions: true})
-				g3, _ := bld.RegionOf("wap3")
-				candidates := bld.CandidateRooms(g3)
-				priorMap := l.priorFor("d1", g3, t0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					qc := acquireQueryCtx(candidates)
-					for j, r := range candidates {
-						qc.prior[j] = priorMap[r]
-						qc.lp[j] = logit(priorMap[r])
-					}
-					if got := l.neighborSet(qc, "d1", g3, t0); len(got) != 32 {
-						b.Fatalf("neighbors = %d, want 32", len(got))
-					}
-					qc.release()
-				}
-			})
-		}
+				qc.release()
+			}
+		})
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // executable oracle. The optimized kernel in fine.go (batched affinity
 // sweeps, incremental posteriors, dense room indexing, incremental D-FINE
 // clustering) must produce posteriors that match this implementation to
-// 1e-12; the equivalence property suite and `locater-bench -query`'s
-// correctness gate both diff against it. It is deliberately naive: per-pair
-// history copies, map-keyed room distributions, full per-iteration
-// re-summation, and from-scratch clustering at every step.
+// 1e-12; the equivalence property suite diffs against it. It is
+// deliberately naive: per-pair history copies, map-keyed room
+// distributions, full per-iteration re-summation, and from-scratch
+// clustering at every step.
 
 // refNeighborInfo is the map-based neighborInfo of the reference kernel.
 type refNeighborInfo struct {
@@ -31,9 +31,7 @@ type refNeighborInfo struct {
 }
 
 // ReferenceLocate answers the same query as Locate through the pre-refactor
-// reference kernel. It is exported for the equivalence tests and the
-// `locater-bench -query` correctness gate only; production callers use
-// Locate.
+// reference kernel.
 func (l *Localizer) ReferenceLocate(d event.DeviceID, g space.RegionID, tq time.Time) (Result, error) {
 	candidates := l.building.CandidateRooms(g)
 	if len(candidates) == 0 {
@@ -417,4 +415,51 @@ func top2Rooms(m map[space.RoomID]float64, rooms []space.RoomID) (space.RoomID, 
 		}
 	}
 	return ra, rb
+}
+
+// GroupAffinity computes α(D, r, t_q) per Eq. 1 for the device group D whose
+// members' conditional room distributions are given. The affinity is zero
+// when r is not an intersecting room of all members' candidate sets.
+//
+//	α(D, r, t_q) = α(D) · Π_{d∈D} P(@(d, r) | @(d, R_is))
+//
+// conds maps each device to its conditional probability of being in r given
+// it is in one of the intersecting rooms (already normalized over R_is).
+func GroupAffinity(deviceAffinity float64, conds []float64) float64 {
+	if deviceAffinity <= 0 {
+		return 0
+	}
+	p := deviceAffinity
+	for _, c := range conds {
+		if c <= 0 {
+			return 0
+		}
+		p *= c
+	}
+	return p
+}
+
+// ConditionalOverRooms normalizes a room-affinity map over the subset rooms
+// (R_is), returning P(@(d, r) | @(d, R_is)) for each r in rooms. Rooms with
+// zero total mass yield a uniform distribution.
+func ConditionalOverRooms(aff map[space.RoomID]float64, rooms []space.RoomID) map[space.RoomID]float64 {
+	out := make(map[space.RoomID]float64, len(rooms))
+	total := 0.0
+	for _, r := range rooms {
+		total += aff[r]
+	}
+	if total <= 0 {
+		if len(rooms) == 0 {
+			return out
+		}
+		u := 1.0 / float64(len(rooms))
+		for _, r := range rooms {
+			out[r] = u
+		}
+		return out
+	}
+	for _, r := range rooms {
+		out[r] = aff[r] / total
+	}
+	return out
 }

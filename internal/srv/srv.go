@@ -177,18 +177,15 @@ type CacheTierResponse struct {
 // OccupancyResponse is the JSON shape of the store's temporal
 // occupancy-index stats (neighbor discovery).
 type OccupancyResponse struct {
-	Enabled       bool    `json:"enabled"`
 	BucketSeconds float64 `json:"bucket_seconds"`
 	Buckets       int     `json:"buckets"`
 	Entries       int     `json:"entries"`
 	Lookups       int64   `json:"lookups"`
-	FallbackScans int64   `json:"fallback_scans"`
 }
 
 // SegmentsResponse is the JSON shape of the store's log-structured event
 // layout: sealed-segment shape, encoded size, and seal/page-in traffic.
 type SegmentsResponse struct {
-	Enabled        bool  `json:"enabled"`
 	MaxEvents      int   `json:"max_events"`
 	BlockEvents    int   `json:"block_events"`
 	ColdTier       bool  `json:"cold_tier"`
@@ -662,15 +659,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CoarseModels: cacheTierResponseOf(cs.CoarseModels),
 			Results:      cacheTierResponseOf(cs.Results),
 			Occupancy: OccupancyResponse{
-				Enabled:       cs.Occupancy.Enabled,
 				BucketSeconds: cs.Occupancy.Bucket.Seconds(),
 				Buckets:       cs.Occupancy.Buckets,
 				Entries:       cs.Occupancy.Entries,
 				Lookups:       cs.Occupancy.Lookups,
-				FallbackScans: cs.Occupancy.FallbackScans,
 			},
 			Segments: SegmentsResponse{
-				Enabled:            cs.Segments.Enabled,
 				MaxEvents:          cs.Segments.MaxEvents,
 				BlockEvents:        cs.Segments.BlockEvents,
 				ColdTier:           cs.Segments.ColdTier,

@@ -364,9 +364,9 @@ func TestStatsCacheTiers(t *testing.T) {
 	if resp.Persist != nil {
 		t.Errorf("persist block present on a memory-only server: %+v", resp.Persist)
 	}
-	// The occupancy index is on by default and serves neighbor discovery.
-	if !c.Occupancy.Enabled || c.Occupancy.BucketSeconds <= 0 {
-		t.Errorf("occupancy block missing or disabled: %+v", c.Occupancy)
+	// The occupancy index serves neighbor discovery.
+	if c.Occupancy.BucketSeconds <= 0 {
+		t.Errorf("occupancy block missing: %+v", c.Occupancy)
 	}
 	if c.Occupancy.Entries == 0 || c.Occupancy.Buckets == 0 {
 		t.Errorf("occupancy index empty on an ingested server: %+v", c.Occupancy)
@@ -374,13 +374,9 @@ func TestStatsCacheTiers(t *testing.T) {
 	if c.Occupancy.Lookups == 0 {
 		t.Errorf("served queries produced no occupancy lookups: %+v", c.Occupancy)
 	}
-	if c.Occupancy.FallbackScans != 0 {
-		t.Errorf("index-enabled server fell back to full scans: %+v", c.Occupancy)
-	}
-	// The segmented event layout is on by default; an in-memory server has
-	// no cold tier.
-	if !c.Segments.Enabled || c.Segments.MaxEvents <= 0 {
-		t.Errorf("segments block missing or disabled: %+v", c.Segments)
+	// An in-memory server has no cold tier.
+	if c.Segments.MaxEvents <= 0 {
+		t.Errorf("segments block missing: %+v", c.Segments)
 	}
 	if c.Segments.ColdTier {
 		t.Errorf("memory-only server reports a cold tier: %+v", c.Segments)

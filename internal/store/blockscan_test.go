@@ -8,6 +8,7 @@ import (
 
 	"locater/internal/event"
 	"locater/internal/space"
+	"locater/internal/wal"
 )
 
 // newBlockStore returns a segmented store with an intra-segment block size
@@ -23,21 +24,18 @@ func newBlockStore(t *testing.T, segMax, blockEvents int, backend SegmentBackend
 	return s
 }
 
-// TestBlockScanMatchesWholeSegmentDecode is the property test behind the
-// tentpole: for random out-of-order seal histories, every read path on a
+// TestBlockScanMatchesSliceOracle is the property test behind the block
+// index: for random out-of-order seal histories, every read path on a
 // block-indexed store (blocks of 3, index-driven skips) answers byte-for-
-// byte identically to a whole-segment store (BlockEvents=-1, the legacy
-// layout) and to a plain-slice oracle. Segments sealed from out-of-order
-// ingestion overlap in time, so block pruning must be correct across
-// overlapping segments, equal timestamps spilling over block boundaries,
-// and window edges landing inside, between, and outside blocks.
-func TestBlockScanMatchesWholeSegmentDecode(t *testing.T) {
+// byte identically to a plain-slice oracle. Segments sealed from
+// out-of-order ingestion overlap in time, so block pruning must be correct
+// across overlapping segments, equal timestamps spilling over block
+// boundaries, and window edges landing inside, between, and outside blocks.
+func TestBlockScanMatchesSliceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		block := newBlockStore(t, 16, 3, nil)
-		whole := newBlockStore(t, 16, -1, nil)
 		ora := newSliceOracle(t)
-		block.ConfigureOccupancy(0, true)
 
 		devs := []string{"d0", "d1", "d2", "d3"}
 		aps := []string{"a0", "a1", "a2"}
@@ -50,7 +48,7 @@ func TestBlockScanMatchesWholeSegmentDecode(t *testing.T) {
 				off = off.Round(10 * time.Minute)
 			}
 			e := mk(devs[rng.Intn(len(devs))], off, aps[rng.Intn(len(aps))])
-			for _, s := range []*Store{block, whole, ora} {
+			for _, s := range []*Store{block, ora} {
 				if err := s.IngestOne(e); err != nil {
 					t.Fatal(err)
 				}
@@ -70,11 +68,10 @@ func TestBlockScanMatchesWholeSegmentDecode(t *testing.T) {
 				a, b = b, a
 			}
 			gb := block.EventsBetween(d, a, b)
-			gw := whole.EventsBetween(d, a, b)
 			go_ := ora.EventsBetween(d, a, b)
-			if !eventsEqual(gb, go_) || !eventsEqual(gw, go_) {
-				t.Fatalf("seed %d: EventsBetween(%s, %v, %v): block %d, whole %d, oracle %d events",
-					seed, d, a, b, len(gb), len(gw), len(go_))
+			if !eventsEqual(gb, go_) {
+				t.Fatalf("seed %d: EventsBetween(%s, %v, %v): block %d, oracle %d events",
+					seed, d, a, b, len(gb), len(go_))
 			}
 			tq := randT()
 			be, bok := block.LastEventAtOrBefore(d, tq)
@@ -128,6 +125,69 @@ func TestBlockScanMatchesWholeSegmentDecode(t *testing.T) {
 				t.Fatalf("seed %d: device %s: Events diverges", seed, d)
 			}
 		}
+	}
+}
+
+// TestRestoredBareBlockPayloadReads keeps the reader of pre-index payloads
+// covered at store level. Sealed segments were once written as one bare
+// event block — no block index, no segment-wide dictionary — and such
+// payloads may still sit in a cold tier. One is put in the backend by hand,
+// registered through RestoreSegments, and must read back, on every path,
+// as the same events in a plain-slice store do.
+func TestRestoredBareBlockPayloadReads(t *testing.T) {
+	evs := make([]event.Event, 40)
+	for i := range evs {
+		evs[i] = mk("d", time.Duration(i)*7*time.Minute, fmt.Sprintf("a%d", i%3))
+		evs[i].ID = int64(i + 1)
+	}
+	payload := wal.EncodeEventBlock(nil, evs)
+	backend := NewMemorySegmentBackend()
+	if err := backend.Put("d", 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	s := newBlockStore(t, 16, 3, backend)
+	if err := s.RestoreSegments(map[event.DeviceID][]wal.SegmentMeta{"d": {{
+		Seq:      1,
+		Count:    len(evs),
+		MinNanos: evs[0].Time.UnixNano(),
+		MaxNanos: evs[len(evs)-1].Time.UnixNano(),
+		Bytes:    len(payload),
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	ora := newSliceOracle(t)
+	if _, err := ora.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+
+	if !eventsEqual(s.Events("d"), ora.Events("d")) {
+		t.Fatal("Events diverges from the oracle")
+	}
+	span := evs[len(evs)-1].Time.Sub(t0)
+	rng := rand.New(rand.NewSource(1))
+	randT := func() time.Time {
+		return t0.Add(time.Duration(rng.Int63n(int64(span+time.Hour))) - 30*time.Minute)
+	}
+	for i := 0; i < 100; i++ {
+		a, b := randT(), randT()
+		if b.Before(a) {
+			a, b = b, a
+		}
+		if got, want := s.EventsBetween("d", a, b), ora.EventsBetween("d", a, b); !eventsEqual(got, want) {
+			t.Fatalf("EventsBetween(%v, %v): %d events, oracle %d", a, b, len(got), len(want))
+		}
+		ge, gok := s.LastEventAtOrBefore("d", a)
+		we, wok := ora.LastEventAtOrBefore("d", a)
+		if gok != wok || ge.ID != we.ID {
+			t.Fatalf("LastEventAtOrBefore(%v) = %v/%v, oracle %v/%v", a, ge, gok, we, wok)
+		}
+		filter := []space.APID{space.APID(fmt.Sprintf("a%d", i%3))}
+		if got, want := s.ActiveDevicesAt(filter, a, b), ora.ActiveDevicesAt(filter, a, b); len(got) != len(want) {
+			t.Fatalf("ActiveDevicesAt(%v, %v, %v) = %v, oracle %v", filter, a, b, got, want)
+		}
+	}
+	if st := s.SegmentStats(); st.DecodeFailures != 0 || st.PageIns == 0 {
+		t.Fatalf("bare-block payload was not paged in cleanly: %+v", st)
 	}
 }
 

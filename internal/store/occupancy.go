@@ -8,10 +8,10 @@ import (
 	"locater/internal/space"
 )
 
-// DefaultOccupancyBucket is the default width of the temporal occupancy
-// index's time buckets. Ten minutes matches the default validity interval δ,
-// so a typical neighbor window (±1 hour) touches about a dozen buckets.
-const DefaultOccupancyBucket = 10 * time.Minute
+// occupancyBucket is the width of the temporal occupancy index's time
+// buckets. Ten minutes matches the default validity interval δ, so a
+// typical neighbor window (±1 hour) touches about a dozen buckets.
+const occupancyBucket = 10 * time.Minute
 
 // occupancyIndex is a time-bucketed inverted index over the event logs:
 // bucket → AP → set of devices with at least one event at that AP inside
@@ -21,35 +21,31 @@ const DefaultOccupancyBucket = 10 * time.Minute
 //
 // The index is derived state: it is maintained incrementally on the ingest
 // path (under the store's exclusive lock), rebuilt from the logs when
-// reconfigured or cloned, and reconstructed naturally during WAL replay and
-// snapshot restore because both go through Ingest. It is never persisted.
+// cloned or restored from a segment manifest, and reconstructed naturally
+// during WAL replay because replay goes through Ingest. It is never
+// persisted.
 //
 // Membership is insensitive to event order, so out-of-order ingestion needs
 // no special handling here; only the per-device verification of boundary
-// buckets (see activeFromIndexLocked) needs sorted logs.
+// buckets (see activeDevicesLocked) needs sorted logs.
 type occupancyIndex struct {
-	width   time.Duration
 	buckets map[int64]map[space.APID]map[event.DeviceID]struct{}
 	// entries counts distinct (bucket, AP, device) triples — the index's
 	// resident size.
 	entries int
 }
 
-func newOccupancyIndex(width time.Duration) *occupancyIndex {
-	if width <= 0 {
-		width = DefaultOccupancyBucket
-	}
+func newOccupancyIndex() *occupancyIndex {
 	return &occupancyIndex{
-		width:   width,
 		buckets: make(map[int64]map[space.APID]map[event.DeviceID]struct{}),
 	}
 }
 
 // bucketOf maps a timestamp to its bucket ordinal (floor division, so
 // pre-epoch times bucket consistently too).
-func (ix *occupancyIndex) bucketOf(t time.Time) int64 {
+func bucketOf(t time.Time) int64 {
 	n := t.UnixNano()
-	w := int64(ix.width)
+	w := int64(occupancyBucket)
 	b := n / w
 	if n < 0 && n%w != 0 {
 		b--
@@ -59,7 +55,7 @@ func (ix *occupancyIndex) bucketOf(t time.Time) int64 {
 
 // add records one event. Called with the store's exclusive lock held.
 func (ix *occupancyIndex) add(e event.Event) {
-	b := ix.bucketOf(e.Time)
+	b := bucketOf(e.Time)
 	apm, ok := ix.buckets[b]
 	if !ok {
 		apm = make(map[space.APID]map[event.DeviceID]struct{})
@@ -78,89 +74,33 @@ func (ix *occupancyIndex) add(e event.Event) {
 
 // OccupancyStats reports the temporal occupancy index's shape and traffic.
 type OccupancyStats struct {
-	// Enabled reports whether the index is maintained; when false every
-	// ActiveDevices lookup falls back to a scan over all device logs.
-	Enabled bool
-	// Bucket is the configured bucket width.
+	// Bucket is the bucket width.
 	Bucket time.Duration
 	// Buckets is the number of non-empty time buckets; Entries counts
 	// distinct (bucket, AP, device) triples.
 	Buckets, Entries int
-	// Lookups counts index-served ActiveDevices / ActiveDevicesAt calls;
-	// FallbackScans counts calls answered by the full-scan path because the
-	// index is disabled.
-	Lookups, FallbackScans int64
+	// Lookups counts ActiveDevicesAt calls.
+	Lookups int64
 }
 
 // OccupancyStats returns the occupancy index's current size and counters.
 func (s *Store) OccupancyStats() OccupancyStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := OccupancyStats{
-		Lookups:       s.occLookups.Load(),
-		FallbackScans: s.occFallbacks.Load(),
+	return OccupancyStats{
+		Bucket:  occupancyBucket,
+		Buckets: len(s.occ.buckets),
+		Entries: s.occ.entries,
+		Lookups: s.occLookups.Load(),
 	}
-	if s.occ != nil {
-		st.Enabled = true
-		st.Bucket = s.occ.width
-		st.Buckets = len(s.occ.buckets)
-		st.Entries = s.occ.entries
-	}
-	return st
 }
 
-// ConfigureOccupancy reconfigures the temporal occupancy index: a new bucket
-// width (non-positive selects DefaultOccupancyBucket) or disabling it
-// entirely (enabled=false), in which case ActiveDevices falls back to
-// scanning every device log. The index is rebuilt from the logs in one
-// pass — sealed segments are streamed block-at-a-time (decoded into a
-// reused scratch buffer, never materialized as whole logs), so a rebuild
-// over a mostly-sealed store allocates O(segment), not O(history). A
-// segment that cannot be paged in is skipped (the index under-covers and
-// boundary verification still keeps results exact for decodable devices)
-// and counted in SegmentStats.DecodeFailures. ConfigureOccupancy may be
-// called at any point, not only on an empty store.
-func (s *Store) ConfigureOccupancy(width time.Duration, enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !enabled {
-		s.occ = nil
-		return
-	}
-	ix := newOccupancyIndex(width)
-	var scratch []event.Event
-	for dev, lg := range s.logs {
-		for _, ref := range lg.segs {
-			var err error
-			scratch, err = s.decodeSegmentEvents(dev, ref, scratch[:0])
-			if err != nil {
-				continue
-			}
-			for j := range scratch {
-				ix.add(scratch[j])
-			}
-		}
-		for _, e := range lg.head {
-			ix.add(e)
-		}
-	}
-	s.occ = ix
-}
-
-// ActiveDevices returns the devices that have at least one event with
-// timestamp in [start, end], sorted. The fine-grained algorithm uses this to
-// find candidate neighbor devices that are "online" around the query time.
-func (s *Store) ActiveDevices(start, end time.Time) []event.DeviceID {
-	return s.ActiveDevicesAt(nil, start, end)
-}
-
-// ActiveDevicesAt is the region-scoped variant of ActiveDevices: it returns
-// the devices with at least one event in [start, end] at one of the given
-// APs, sorted. aps == nil means "any AP" (exactly ActiveDevices); an empty
-// non-nil slice matches nothing. Fine-grained neighbor discovery passes the
-// APs whose region overlaps the query region, so only devices seen in that
-// neighborhood are considered instead of filtering the whole campus after
-// the fact.
+// ActiveDevicesAt returns the devices with at least one event in
+// [start, end] at one of the given APs, sorted. aps == nil means "any AP";
+// an empty non-nil slice matches nothing. Fine-grained neighbor discovery
+// passes the APs whose region overlaps the query region, so only devices
+// seen in that neighborhood are considered instead of filtering the whole
+// campus after the fact.
 func (s *Store) ActiveDevicesAt(aps []space.APID, start, end time.Time) []event.DeviceID {
 	s.mu.RLock()
 	if len(s.dirty) == 0 {
@@ -181,36 +121,19 @@ func (s *Store) ActiveDevicesAt(aps []space.APID, start, end time.Time) []event.
 	return s.activeDevicesLocked(aps, start, end)
 }
 
-// activeDevicesLocked answers an active-devices lookup with a store lock
-// held and all logs sorted: from the occupancy index when enabled, else by
-// scanning every device log.
+// activeDevicesLocked answers an active-devices lookup from the occupancy
+// index, with a store lock held and all logs sorted. Devices found in an
+// interior bucket (fully inside [start, end]) are confirmed outright;
+// devices found only in the two boundary buckets — which may hold events
+// just outside the window — are verified against their sorted log, so the
+// result is exactly a brute-force scan's.
 func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []event.DeviceID {
-	if s.occ != nil {
-		s.occLookups.Add(1)
-		return s.activeFromIndexLocked(aps, start, end)
-	}
-	s.occFallbacks.Add(1)
-	var out []event.DeviceID
-	for d, lg := range s.logs {
-		if s.deviceActiveInWindowLocked(d, lg, aps, start, end) {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// activeFromIndexLocked serves a lookup from the occupancy index. Devices
-// found in an interior bucket (fully inside [start, end]) are confirmed
-// outright; devices found only in the two boundary buckets — which may hold
-// events just outside the window — are verified against their sorted log,
-// so the result is exactly the brute-force scan's.
-func (s *Store) activeFromIndexLocked(aps []space.APID, start, end time.Time) []event.DeviceID {
+	s.occLookups.Add(1)
 	if end.Before(start) {
 		return nil
 	}
 	ix := s.occ
-	bs, be := ix.bucketOf(start), ix.bucketOf(end)
+	bs, be := bucketOf(start), bucketOf(end)
 
 	confirmed := make(map[event.DeviceID]struct{})
 	candidates := make(map[event.DeviceID]struct{})

@@ -60,39 +60,28 @@ func randomWorkload(rng *rand.Rand, devices, aps, n int) []event.Event {
 // TestActiveDevicesIndexScanEquivalenceProperty is the occupancy index's
 // correctness contract: across random workloads (with out-of-order
 // ingestion), random windows, and random AP scopes, the index-served result
-// is byte-identical to the brute-force oracle and to an index-disabled
-// store's full-scan answer — including after Clone and after an index
-// rebuild via ConfigureOccupancy.
+// is byte-identical to the brute-force oracle — including after Clone.
 func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		evs := randomWorkload(rng, 40, 6, 600)
 
 		indexed := New(0)
-		scan := New(0)
-		scan.ConfigureOccupancy(0, false)
 		// Ingest in small batches so sortedness flips repeatedly.
 		for i := 0; i < len(evs); i += 37 {
 			end := i + 37
 			if end > len(evs) {
 				end = len(evs)
 			}
-			for _, s := range []*Store{indexed, scan} {
-				if _, err := s.Ingest(evs[i:end]); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := indexed.Ingest(evs[i:end]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if st := indexed.OccupancyStats(); !st.Enabled || st.Entries == 0 {
+		if st := indexed.OccupancyStats(); st.Entries == 0 {
 			t.Fatalf("seed %d: index not populated: %+v", seed, st)
-		}
-		if st := scan.OccupancyStats(); st.Enabled {
-			t.Fatalf("seed %d: disabled store reports an enabled index", seed)
 		}
 
 		clone := indexed.Clone()
-		rebuilt := indexed.Clone()
-		rebuilt.ConfigureOccupancy(3*time.Minute, true) // rebuild at another width
 
 		apSets := [][]space.APID{
 			nil,
@@ -106,18 +95,11 @@ func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 			end := start.Add(time.Duration(rng.Intn(4*3600)-60) * time.Second)
 			aps := apSets[rng.Intn(len(apSets))]
 			want := refActive(evs, aps, start, end)
-			for name, s := range map[string]*Store{
-				"indexed": indexed, "scan": scan, "clone": clone, "rebuilt": rebuilt,
-			} {
+			for name, s := range map[string]*Store{"indexed": indexed, "clone": clone} {
 				got := s.ActiveDevicesAt(aps, start, end)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d query %d (%s, aps=%v, [%v,%v]): got %v, want %v",
 						seed, q, name, aps, start, end, got, want)
-				}
-			}
-			if aps == nil {
-				if got := indexed.ActiveDevices(start, end); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d query %d: ActiveDevices diverged from oracle", seed, q)
 				}
 			}
 		}
@@ -130,7 +112,6 @@ func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 // without touching their logs.
 func TestActiveDevicesInteriorAndBoundaryBuckets(t *testing.T) {
 	s := New(0)
-	s.ConfigureOccupancy(10*time.Minute, true)
 	mustIngest := func(d event.DeviceID, at time.Time) {
 		t.Helper()
 		if err := s.IngestOne(event.Event{Device: d, AP: "ap", Time: at}); err != nil {
@@ -145,7 +126,7 @@ func TestActiveDevicesInteriorAndBoundaryBuckets(t *testing.T) {
 	mustIngest("out-far", start.Add(-2*time.Hour))         // different bucket entirely
 	mustIngest("end-boundary-out", end.Add(2*time.Minute)) // end bucket, after end
 
-	got := s.ActiveDevices(start, end)
+	got := s.ActiveDevicesAt(nil, start, end)
 	want := []event.DeviceID{"in-boundary", "interior"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ActiveDevices = %v, want %v", got, want)
@@ -173,7 +154,7 @@ func TestActiveDevicesSortsOnlyDirtyLogs(t *testing.T) {
 		t.Fatalf("dirty logs = %d, want 1", n)
 	}
 	before := s.resorts
-	got := s.ActiveDevices(t0, t0.Add(10*time.Minute))
+	got := s.ActiveDevicesAt(nil, t0, t0.Add(10*time.Minute))
 	if len(got) != 100 {
 		t.Fatalf("ActiveDevices returned %d devices, want 100", len(got))
 	}
@@ -191,12 +172,11 @@ func TestActiveDevicesSortsOnlyDirtyLogs(t *testing.T) {
 }
 
 // TestOccupancyStatsCounters checks the index's observability surface:
-// lookups, fallback scans, bucket/entry sizes, and the enabled flag across
-// ConfigureOccupancy transitions.
+// lookups and bucket/entry sizes.
 func TestOccupancyStatsCounters(t *testing.T) {
 	s := New(0)
-	if st := s.OccupancyStats(); !st.Enabled || st.Bucket != DefaultOccupancyBucket {
-		t.Fatalf("default index state: %+v", st)
+	if st := s.OccupancyStats(); st.Bucket != occupancyBucket {
+		t.Fatalf("empty index state: %+v", st)
 	}
 	for i := 0; i < 4; i++ {
 		if err := s.IngestOne(event.Event{
@@ -211,28 +191,11 @@ func TestOccupancyStatsCounters(t *testing.T) {
 	if st.Buckets != 4 || st.Entries != 4 {
 		t.Errorf("index size = %d buckets / %d entries, want 4/4", st.Buckets, st.Entries)
 	}
-	s.ActiveDevices(t0, t0.Add(time.Hour))
+	s.ActiveDevicesAt(nil, t0, t0.Add(time.Hour))
 	s.ActiveDevicesAt([]space.APID{"ap0"}, t0, t0.Add(time.Hour))
 	st = s.OccupancyStats()
-	if st.Lookups != 2 || st.FallbackScans != 0 {
-		t.Errorf("lookups/fallbacks = %d/%d, want 2/0", st.Lookups, st.FallbackScans)
-	}
-
-	s.ConfigureOccupancy(0, false)
-	s.ActiveDevices(t0, t0.Add(time.Hour))
-	st = s.OccupancyStats()
-	if st.Enabled || st.Buckets != 0 || st.Entries != 0 {
-		t.Errorf("disabled index still reports size: %+v", st)
-	}
-	if st.FallbackScans != 1 {
-		t.Errorf("fallback scans = %d, want 1", st.FallbackScans)
-	}
-
-	// Re-enabling rebuilds from the logs.
-	s.ConfigureOccupancy(30*time.Minute, true)
-	st = s.OccupancyStats()
-	if !st.Enabled || st.Bucket != 30*time.Minute || st.Entries != 4 {
-		t.Errorf("rebuilt index state: %+v", st)
+	if st.Lookups != 2 {
+		t.Errorf("lookups = %d, want 2", st.Lookups)
 	}
 }
 

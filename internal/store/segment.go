@@ -19,13 +19,12 @@ import (
 // the few-KiB range while a device with fleet-typical history still seals
 // most of its log; 64-event blocks inside each segment make the unit of
 // decode (and of cache residency) a few hundred bytes, so a point lookup
-// touches one or two blocks instead of a whole segment. The default cache
-// size is expressed in segments for compatibility and scaled to blocks at
-// configuration time.
+// touches one or two blocks instead of a whole segment. The decoded-block
+// cache holds segmentCacheSegments full segments' worth of blocks.
 const (
 	DefaultSegmentMaxEvents   = 512
-	DefaultSegmentCacheSize   = 1024
 	DefaultSegmentBlockEvents = 64
+	segmentCacheSegments      = 1024
 )
 
 // approxEventBytes is the decoded-block cache's per-event weight: the Event
@@ -60,20 +59,14 @@ func (r *segmentRef) blockIndex() *segIndex { return r.index.Load() }
 // SegmentConfig configures the store's log-structured layout.
 type SegmentConfig struct {
 	// MaxEvents is the head size at which a device's mutable head is sealed
-	// into an immutable compressed segment. 0 selects
-	// DefaultSegmentMaxEvents; a negative value disables sealing entirely
-	// (every log stays a plain slice). Values 1..2 are clamped to 2.
+	// into an immutable compressed segment. Values below 1 select
+	// DefaultSegmentMaxEvents; 1 is clamped to 2.
 	MaxEvents int
 	// BlockEvents is the intra-segment block size: sealed payloads are
 	// encoded as consecutive blocks of at most this many events, each
 	// independently decodable, with a block index in the payload trailer.
-	// 0 selects DefaultSegmentBlockEvents; a negative value selects the
-	// legacy whole-segment encoding (one block, no index trailer) — the
-	// format PR 8 wrote, kept readable and writable for compatibility.
+	// Values below 1 select DefaultSegmentBlockEvents.
 	BlockEvents int
-	// CacheSize bounds the decoded-block cache (entries = blocks).
-	// 0 selects DefaultSegmentCacheSize segments' worth of blocks.
-	CacheSize int
 	// Backend stores sealed segment payloads; nil selects the in-memory
 	// compressed tier. Pass NewDiskSegmentBackend or NewMmapSegmentBackend
 	// for a cold tier.
@@ -89,49 +82,31 @@ func (s *Store) ConfigureSegments(cfg SegmentConfig) error {
 	if s.count != 0 || len(s.logs) != 0 {
 		return errors.New("store: ConfigureSegments on a non-empty store")
 	}
-	switch {
-	case cfg.MaxEvents < 0:
-		s.segMax = 0
-	case cfg.MaxEvents == 0:
+	s.segMax = cfg.MaxEvents
+	if s.segMax < 1 {
 		s.segMax = DefaultSegmentMaxEvents
-	case cfg.MaxEvents < 2:
+	}
+	if s.segMax < 2 {
 		s.segMax = 2
-	default:
-		s.segMax = cfg.MaxEvents
 	}
-	switch {
-	case cfg.BlockEvents < 0:
-		s.segBlockEvents = -1
-	case cfg.BlockEvents == 0:
+	s.segBlockEvents = cfg.BlockEvents
+	if s.segBlockEvents < 1 {
 		s.segBlockEvents = DefaultSegmentBlockEvents
-	default:
-		s.segBlockEvents = cfg.BlockEvents
 	}
-	size := cfg.CacheSize
-	if size <= 0 {
-		size = DefaultSegmentCacheSize * blocksPerSegment(s.segMax, s.segBlockEvents)
-	}
-	s.segCache = newBlockCache(size)
+	s.segCache = newBlockCache(s.segMax, s.segBlockEvents)
 	if cfg.Backend != nil {
 		s.segBackend = cfg.Backend
 	}
 	return nil
 }
 
-// blocksPerSegment is how many decodable blocks a full segment holds under
-// the given configuration (at least 1).
-func blocksPerSegment(segMax, blockEvents int) int {
-	if segMax <= 0 || blockEvents <= 0 || blockEvents >= segMax {
-		return 1
-	}
-	return (segMax + blockEvents - 1) / blockEvents
-}
-
-// newBlockCache builds the decoded-block cache with its heap-bytes weigher
-// attached, so SegmentStats can report the decoded working set the GC
-// actually sees.
-func newBlockCache(entries int) *cache.Cache[blockKey, []event.Event] {
-	c := cache.New[blockKey, []event.Event](entries, blockKeyHash)
+// newBlockCache builds the decoded-block cache, sized to
+// segmentCacheSegments full segments under the given seal threshold and
+// block size, with its heap-bytes weigher attached so SegmentStats can
+// report the decoded working set the GC actually sees.
+func newBlockCache(segMax, blockEvents int) *cache.Cache[blockKey, []event.Event] {
+	blocksPerSegment := (segMax + blockEvents - 1) / blockEvents
+	c := cache.New[blockKey, []event.Event](segmentCacheSegments*blocksPerSegment, blockKeyHash)
 	c.SetWeigher(func(evs []event.Event) int64 { return int64(len(evs)) * approxEventBytes })
 	return c
 }
@@ -171,9 +146,9 @@ type blockKey struct {
 
 // mergedBlock is the sentinel block index caching a segment's contiguous
 // full decode. Scans that cover every block of a multi-block segment
-// assemble one and serve repeat scans from it with a single cache hit —
-// the same per-scan cost as the whole-segment layout — while point lookups
-// keep paging individual blocks. Real block indexes are always >= 0.
+// assemble one and serve repeat scans from it with a single cache hit,
+// while point lookups keep paging individual blocks. Real block indexes are
+// always >= 0.
 const mergedBlock = -1
 
 func blockKeyHash(k blockKey) uint64 {
@@ -406,17 +381,12 @@ func (s *Store) mergedRunCached(d event.DeviceID, ref *segmentRef, idx *segIndex
 	return merged, nil
 }
 
-// encodeSegmentVerified encodes evs per the configured block layout and
+// encodeSegmentVerified encodes evs at the configured block size and
 // round-trip verifies the payload — the decode re-parses the trailer and
 // re-checks every CRC, so a mis-encoded segment is caught before it reaches
 // the backend.
 func (s *Store) encodeSegmentVerified(d event.DeviceID, evs []event.Event) ([]byte, error) {
-	var payload []byte
-	if s.segBlockEvents < 0 {
-		payload = wal.EncodeEventBlock(nil, evs)
-	} else {
-		payload, _ = wal.EncodeSegment(nil, evs, s.segBlockEvents)
-	}
+	payload, _ := wal.EncodeSegment(nil, evs, s.segBlockEvents)
 	decoded, err := wal.DecodeSegment(payload, d, make([]event.Event, 0, len(evs)))
 	if err == nil && len(decoded) != len(evs) {
 		err = fmt.Errorf("store: segment round-trip decoded %d events, encoded %d", len(decoded), len(evs))
@@ -939,11 +909,9 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 // RestoreSegments registers recovered segment metadata on an empty store —
 // metadata only: no segment is decoded to restore it, which is what makes
 // recovery incremental. Per-device sequence counters resume past the
-// highest restored seq, and the occupancy index (when enabled) is rebuilt
-// by streaming the segments — the one full read, which doubles as an
-// integrity pass over the cold tier; run with occupancy disabled, restore
-// touches no segment bytes at all. Block indexes are parsed lazily on first
-// query, so restore cost stays proportional to the manifest.
+// highest restored seq, and the occupancy index is rebuilt by streaming the
+// segments — the one full read, which doubles as an integrity pass over the
+// cold tier. Block indexes are parsed lazily on first query.
 func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -979,9 +947,6 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 		s.logs[dev] = lg
 	}
 	s.segCache.Invalidate()
-	if s.occ == nil {
-		return nil
-	}
 	var scratch []event.Event
 	for dev, lg := range s.logs {
 		for _, ref := range lg.segs {
@@ -1062,9 +1027,6 @@ func (s *Store) ReclaimSegments(retained []map[event.DeviceID][]wal.SegmentMeta)
 func (s *Store) CompactRuntSegments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.segMax <= 0 {
-		return 0
-	}
 	runt := s.segMax / 4
 	if runt < 1 {
 		runt = 1
@@ -1187,10 +1149,8 @@ func (s *Store) CheckpointState() CheckpointState {
 
 // SegmentStats reports the log-structured layout's shape and traffic.
 type SegmentStats struct {
-	// Enabled reports whether heads are sealed into segments; MaxEvents is
-	// the seal threshold. BlockEvents is the intra-segment block size
-	// (negative = legacy whole-segment encoding).
-	Enabled     bool
+	// MaxEvents is the seal threshold, BlockEvents the intra-segment block
+	// size.
 	MaxEvents   int
 	BlockEvents int
 	// ColdTier reports whether sealed payloads live on disk (a persistent
@@ -1245,7 +1205,6 @@ func (s *Store) SegmentStats() SegmentStats {
 	defer s.mu.RUnlock()
 	cst := s.segCache.Stats()
 	st := SegmentStats{
-		Enabled:            s.segMax > 0,
 		MaxEvents:          s.segMax,
 		BlockEvents:        s.segBlockEvents,
 		ColdTier:           s.segBackend.Persistent(),

@@ -16,8 +16,9 @@ import (
 )
 
 // newSegmented returns a store sealing heads at max events; newSliceOracle
-// returns one with sealing disabled (plain slices), the pre-segment layout
-// every segmented read path must reproduce exactly.
+// returns one whose seal threshold no test reaches, so every log stays a
+// plain sorted slice — the answers every segmented read path must reproduce
+// exactly.
 func newSegmented(t *testing.T, max int) *Store {
 	t.Helper()
 	s := New(0)
@@ -30,7 +31,10 @@ func newSegmented(t *testing.T, max int) *Store {
 func newSliceOracle(t *testing.T) *Store {
 	t.Helper()
 	s := New(0)
-	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: -1}); err != nil {
+	// One block per segment keeps the decoded-block cache, which is sized
+	// in blocks per full segment, at its usual capacity.
+	const never = 1 << 20
+	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: never, BlockEvents: never}); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -65,8 +69,8 @@ func TestSealRegistersSegments(t *testing.T) {
 		t.Fatalf("Events returned %d events, want 11", len(want))
 	}
 	st := s.SegmentStats()
-	if !st.Enabled || st.MaxEvents != 4 {
-		t.Fatalf("stats = %+v, want enabled with MaxEvents 4", st)
+	if st.MaxEvents != 4 {
+		t.Fatalf("stats = %+v, want MaxEvents 4", st)
 	}
 	if st.Segments != 2 || st.SegmentEvents != 8 || st.HeadEvents != 3 {
 		t.Fatalf("shape = %d segments / %d sealed / %d head, want 2/8/3", st.Segments, st.SegmentEvents, st.HeadEvents)
@@ -102,7 +106,6 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	seg := newSegmented(t, 4)
 	ora := newSliceOracle(t)
-	seg.ConfigureOccupancy(0, true)
 
 	devs := []string{"d0", "d1", "d2"}
 	aps := []string{"a0", "a1", "a2", "a3"}
@@ -283,7 +286,6 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 	if err := r.ConfigureSegments(SegmentConfig{MaxEvents: 4, Backend: b2}); err != nil {
 		t.Fatal(err)
 	}
-	r.ConfigureOccupancy(0, true)
 	if err := r.RestoreSegments(st.Segments); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 	// Restored occupancy index (streamed from the cold tier) must answer
 	// like the live store's.
 	a, b := t0.Add(20*time.Minute), t0.Add(100*time.Minute)
-	gotAD, wantAD := r.ActiveDevices(a, b), s.ActiveDevices(a, b)
+	gotAD, wantAD := r.ActiveDevicesAt(nil, a, b), s.ActiveDevicesAt(nil, a, b)
 	if len(gotAD) != len(wantAD) {
 		t.Fatalf("restored ActiveDevices = %v, want %v", gotAD, wantAD)
 	}
@@ -605,9 +607,9 @@ func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
 }
 
 // TestCloneMaterializesSegments checks a clone of a segmented store is fully
-// independent and answers identically.
+// independent, answers identically, and re-seals as its source does.
 func TestCloneMaterializesSegments(t *testing.T) {
-	s := newSegmented(t, 4)
+	s := newBlockStore(t, 4, 2, nil)
 	for i := 0; i < 13; i++ {
 		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
 			t.Fatal(err)
@@ -616,6 +618,10 @@ func TestCloneMaterializesSegments(t *testing.T) {
 	c := s.Clone()
 	if !eventsEqual(c.Events("d"), s.Events("d")) {
 		t.Fatal("clone diverges from original")
+	}
+	if cs, ss := c.SegmentStats(), s.SegmentStats(); cs.MaxEvents != ss.MaxEvents || cs.BlockEvents != ss.BlockEvents {
+		t.Fatalf("clone seals at %d/%d events per segment/block, source at %d/%d",
+			cs.MaxEvents, cs.BlockEvents, ss.MaxEvents, ss.BlockEvents)
 	}
 	if err := c.IngestOne(mk("d", time.Hour, "y")); err != nil {
 		t.Fatal(err)

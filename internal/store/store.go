@@ -85,9 +85,8 @@ type Store struct {
 	// can assert the re-sort scope.
 	resorts int64
 
-	// Segmented layout (see segment.go): segMax is the seal threshold
-	// (0 = sealing disabled), segBlockEvents the intra-segment block size
-	// (negative = legacy whole-segment encoding), segBackend stores sealed
+	// Segmented layout (see segment.go): segMax is the seal threshold,
+	// segBlockEvents the intra-segment block size, segBackend stores sealed
 	// payloads, segCache bounds the decoded-block working set.
 	// segCount/segEvents/segBytes track the sealed shape; the atomics count
 	// seal, page-in, and block-index traffic (bumped under the shared lock).
@@ -114,13 +113,10 @@ type Store struct {
 	blockSkips         atomic.Int64
 	indexLoads         atomic.Int64
 
-	// occ is the temporal occupancy index serving ActiveDevices /
-	// ActiveDevicesAt; nil when disabled (see ConfigureOccupancy).
+	// occ is the temporal occupancy index serving ActiveDevicesAt.
 	occ *occupancyIndex
-	// occLookups / occFallbacks count index-served lookups and full-scan
-	// fallbacks. Atomic: bumped under the shared lock.
-	occLookups   atomic.Int64
-	occFallbacks atomic.Int64
+	// occLookups counts index lookups. Atomic: bumped under the shared lock.
+	occLookups atomic.Int64
 
 	// bounds of all ingested data.
 	minTime time.Time
@@ -156,12 +152,11 @@ func New(defaultDelta time.Duration) *Store {
 		defaultDelta:   defaultDelta,
 		nextID:         1,
 		dirty:          make(map[*deviceLog]struct{}),
-		occ:            newOccupancyIndex(DefaultOccupancyBucket),
+		occ:            newOccupancyIndex(),
 		segMax:         DefaultSegmentMaxEvents,
 		segBlockEvents: DefaultSegmentBlockEvents,
 		segBackend:     NewMemorySegmentBackend(),
-		segCache: newBlockCache(DefaultSegmentCacheSize *
-			blocksPerSegment(DefaultSegmentMaxEvents, DefaultSegmentBlockEvents)),
+		segCache:       newBlockCache(DefaultSegmentMaxEvents, DefaultSegmentBlockEvents),
 	}
 }
 
@@ -337,9 +332,7 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 			s.dirty[lg] = struct{}{}
 		}
 		lg.head = append(lg.head, e)
-		if s.occ != nil {
-			s.occ.add(e)
-		}
+		s.occ.add(e)
 		if s.count == 0 || e.Time.Before(s.minTime) {
 			s.minTime = e.Time
 		}
@@ -347,7 +340,7 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 			s.maxTime = e.Time
 		}
 		s.count++
-		if s.segMax > 0 && len(lg.head) >= s.segMax {
+		if len(lg.head) >= s.segMax {
 			s.sealLocked(e.Device, lg)
 		}
 	}
@@ -687,14 +680,7 @@ func (s *Store) Clone() *Store {
 	c := New(s.defaultDelta)
 	c.nextID = s.nextID
 	c.segMax = s.segMax
-	// The occupancy index is derived state: the clone keeps the source's
-	// configuration (width, or disabled) and rebuilds its own index while
-	// the logs are copied.
-	if s.occ == nil {
-		c.occ = nil
-	} else {
-		c.occ = newOccupancyIndex(s.occ.width)
-	}
+	c.segBlockEvents = s.segBlockEvents
 	for d, dl := range s.deltas {
 		c.deltas[d] = dl
 	}
@@ -706,9 +692,9 @@ func (s *Store) Clone() *Store {
 		}
 		c.logs[dev] = &deviceLog{head: cp, sorted: true, nextSeq: 1}
 		for _, e := range cp {
-			if c.occ != nil {
-				c.occ.add(e)
-			}
+			// The occupancy index is derived state: the clone rebuilds its
+			// own while the logs are copied.
+			c.occ.add(e)
 			if c.count == 0 || e.Time.Before(c.minTime) {
 				c.minTime = e.Time
 			}

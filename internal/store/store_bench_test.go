@@ -71,12 +71,9 @@ func BenchmarkAt(b *testing.B) {
 // over a day, plus a fixed-size active set with one extra event inside the
 // benchmark's query window — so the number of active devices stays constant
 // while the total device count scales.
-func seedActiveWindow(b *testing.B, n, active int, indexed bool) (*Store, time.Time, time.Time) {
+func seedActiveWindow(b *testing.B, n, active int) (*Store, time.Time, time.Time) {
 	b.Helper()
 	s := New(0)
-	if !indexed {
-		s.ConfigureOccupancy(0, false)
-	}
 	winStart := t0.Add(30 * 24 * time.Hour)
 	evs := make([]event.Event, 0, n+active)
 	for i := 0; i < n; i++ {
@@ -99,25 +96,20 @@ func seedActiveWindow(b *testing.B, n, active int, indexed bool) (*Store, time.T
 	return s, winStart.Add(-5 * time.Minute), winStart.Add(35 * time.Minute)
 }
 
-// BenchmarkActiveDevices contrasts the occupancy index with the full-scan
-// baseline across total device counts at a fixed active set (64 devices):
-// the indexed cost should stay near-constant while the scan grows linearly.
+// BenchmarkActiveDevices scales the total device count at a fixed active
+// set (64 devices): served from the occupancy index, the cost should stay
+// near-constant.
 func BenchmarkActiveDevices(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"indexed", true}, {"scan", false}} {
-			b.Run(fmt.Sprintf("devices=%d/%s", n, mode.name), func(b *testing.B) {
-				s, start, end := seedActiveWindow(b, n, 64, mode.indexed)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := s.ActiveDevices(start, end); len(got) != 64 {
-						b.Fatalf("active = %d, want 64", len(got))
-					}
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			s, start, end := seedActiveWindow(b, n, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := s.ActiveDevicesAt(nil, start, end); len(got) != 64 {
+					b.Fatalf("active = %d, want 64", len(got))
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -126,19 +118,14 @@ func BenchmarkActiveDevices(b *testing.B) {
 func BenchmarkActiveDevicesAt(b *testing.B) {
 	aps := []space.APID{"ap00", "ap01", "ap02", "ap03"}
 	for _, n := range []int{1000, 10000} {
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"indexed", true}, {"scan", false}} {
-			b.Run(fmt.Sprintf("devices=%d/%s", n, mode.name), func(b *testing.B) {
-				s, start, end := seedActiveWindow(b, n, 64, mode.indexed)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := s.ActiveDevicesAt(aps, start, end); len(got) == 0 {
-						b.Fatal("no active devices in scope")
-					}
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			s, start, end := seedActiveWindow(b, n, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := s.ActiveDevicesAt(aps, start, end); len(got) == 0 {
+					b.Fatal("no active devices in scope")
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -166,11 +166,11 @@ func TestActiveDevices(t *testing.T) {
 		mk("b", 30*time.Minute, "y"),
 		mk("c", 3*time.Hour, "z"),
 	})
-	got := s.ActiveDevices(t0.Add(-time.Minute), t0.Add(time.Hour))
+	got := s.ActiveDevicesAt(nil, t0.Add(-time.Minute), t0.Add(time.Hour))
 	if !reflect.DeepEqual(got, []event.DeviceID{"a", "b"}) {
 		t.Errorf("ActiveDevices = %v", got)
 	}
-	got = s.ActiveDevices(t0.Add(4*time.Hour), t0.Add(5*time.Hour))
+	got = s.ActiveDevicesAt(nil, t0.Add(4*time.Hour), t0.Add(5*time.Hour))
 	if len(got) != 0 {
 		t.Errorf("late window should be empty, got %v", got)
 	}
@@ -231,7 +231,7 @@ func TestConcurrentAccess(t *testing.T) {
 				dev := fmt.Sprintf("d%d", w)
 				s.IngestOne(mk(dev, time.Duration(i)*time.Minute, "x"))
 				s.Events(event.DeviceID(dev))
-				s.ActiveDevices(t0, t0.Add(time.Hour))
+				s.ActiveDevicesAt(nil, t0, t0.Add(time.Hour))
 				s.NumEvents()
 			}
 		}(w)
@@ -283,7 +283,7 @@ func TestConcurrentOutOfOrderReads(t *testing.T) {
 				s.EventsBetween(dev, t0, t0.Add(time.Hour))
 				s.LastEventAtOrBefore(dev, tq)
 				s.FirstEventAfter(dev, tq)
-				s.ActiveDevices(t0, t0.Add(time.Hour))
+				s.ActiveDevicesAt(nil, t0, t0.Add(time.Hour))
 			}
 		}(w)
 	}
@@ -340,7 +340,7 @@ func TestActiveDevicesProperty(t *testing.T) {
 		}
 		a := t0.Add(time.Duration(rng.Intn(10000)) * time.Second)
 		b := a.Add(time.Duration(rng.Intn(5000)) * time.Second)
-		got := s.ActiveDevices(a, b)
+		got := s.ActiveDevicesAt(nil, a, b)
 		gotSet := map[event.DeviceID]bool{}
 		for _, d := range got {
 			gotSet[d] = true

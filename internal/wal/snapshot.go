@@ -23,7 +23,7 @@ import (
 // metadata manifest — their payloads are already durable in the store's
 // segment backend, so a checkpoint ships new heads plus new manifest
 // entries instead of rewriting total history. Readers accept both formats;
-// writers emit v1 via WriteSnapshot and v2 via WriteSnapshotV2.
+// WriteSnapshotV2 writes v2, and only the tests still write v1.
 const (
 	snapMagic   = "LOCSNAP1"
 	snapMagicV2 = "LOCSNAP2"
@@ -78,29 +78,25 @@ func (e *snapEncoder) str(s string) {
 	_, e.err = io.WriteString(e.w, s)
 }
 
-// WriteSnapshot persists a checkpoint covering every record with LSN ≤ lsn,
-// then compacts. Only the two newest snapshots are kept (the older one is
-// the fallback if the newest is later found corrupt), and sealed segments
-// are deleted only once no retained snapshot needs them — compaction
-// reaches up to the OLDEST retained snapshot's LSN, so the fallback
-// snapshot always still has its tail segments on disk. The file is written
-// to a temporary name, synced, and renamed, so a crash mid-snapshot never
-// leaves a half-written snapshot under the real name.
+// WriteSnapshotV2 persists an incremental (format v2) checkpoint covering
+// every record with LSN ≤ lsn, then compacts: data's Events hold only the
+// mutable heads and Segments carries the sealed-segment manifest. The caller
+// must have made the referenced segment payloads durable
+// (store.SyncSegments) BEFORE calling this — publishing a manifest is the
+// commit point of an incremental checkpoint, and it must never point at
+// bytes a crash could lose.
+//
+// Only the two newest snapshots are kept (the older one is the fallback if
+// the newest is later found corrupt), and sealed log segments are deleted
+// only once no retained snapshot needs them — compaction reaches up to the
+// OLDEST retained snapshot's LSN, so the fallback snapshot always still has
+// its tail segments on disk. The file is written to a temporary name,
+// synced, and renamed, so a crash mid-snapshot never leaves a half-written
+// snapshot under the real name.
 //
 // The caller must guarantee that data actually reflects all records with
 // LSN ≤ lsn and no records after it (locater.System captures both under its
 // checkpoint lock).
-func (w *WAL) WriteSnapshot(lsn uint64, data *SnapshotData) error {
-	return w.publishSnapshot(lsn, data, snapMagic)
-}
-
-// WriteSnapshotV2 persists an incremental (format v2) checkpoint: data's
-// Events hold only the mutable heads and Segments carries the sealed-
-// segment manifest. The caller must have made the referenced segment
-// payloads durable (store.SyncSegments) BEFORE calling this — publishing a
-// manifest is the commit point of an incremental checkpoint, and it must
-// never point at bytes a crash could lose. Prune/compaction semantics are
-// identical to WriteSnapshot.
 func (w *WAL) WriteSnapshotV2(lsn uint64, data *SnapshotData) error {
 	return w.publishSnapshot(lsn, data, snapMagicV2)
 }

@@ -90,7 +90,11 @@ func DefaultWeights() Weights { return fine.DefaultWeights() }
 var ErrDeadlineExceeded = errors.New("locater: query deadline exceeded")
 
 // Config configures a LOCATER system. The zero value of every optional
-// field selects the paper's defaults.
+// field selects the paper's defaults. The fields choose the paper's
+// parameters, cache bounds, where sealed history lives and whether feeds
+// are cleansed; none of them selects between implementations — the store
+// has one layout, the write path one maintenance strategy and neighbor
+// discovery one path.
 type Config struct {
 	// Building is the space metadata (required).
 	Building *space.Building
@@ -140,15 +144,9 @@ type Config struct {
 	// entries (one per device pair per time bucket). Default 65536.
 	AffinityCacheSize int
 	// ResultCacheSize bounds the query result cache in entries (one per
-	// device per ResultCacheBucket). Default 16384; -1 disables result
+	// device per minute of query time). Default 16384; -1 disables result
 	// caching while keeping the affinity graph.
 	ResultCacheSize int
-	// ResultCacheBucket quantizes query times for the result cache: two
-	// queries for the same device whose times fall in the same bucket
-	// share one cached answer (unless a write intervened). Default 1
-	// minute — below the paper's 10-minute default δ, so bucketing cannot
-	// blur a validity-interval boundary by more than a minute.
-	ResultCacheBucket time.Duration
 	// ModelCacheSize bounds the coarse stage's per-device model cache.
 	// Default 4096. Effective with or without EnableCache.
 	ModelCacheSize int
@@ -160,35 +158,11 @@ type Config struct {
 	// pipeline.
 	DefaultQueryDeadline time.Duration
 
-	// OccupancyBucket is the bucket width of the store's temporal occupancy
-	// index, which serves fine-grained neighbor discovery in time
-	// proportional to the devices actually active around the query instead
-	// of a scan over every device log. Default 10 minutes. Effective with
-	// or without EnableCache.
-	OccupancyBucket time.Duration
-	// DisableOccupancyIndex turns the occupancy index off; neighbor
-	// discovery falls back to the full-scan path. The index is derived
-	// state (rebuilt from the logs, never persisted), so the knob only
-	// trades lookup cost against index memory.
-	DisableOccupancyIndex bool
-
 	// SegmentMaxEvents is the head size at which a device's mutable event
 	// log is sealed into an immutable compressed segment (dictionary-encoded
-	// APs, delta-of-delta timestamps). 0 selects the default (512); a
-	// negative value disables sealing, keeping every log a plain slice.
+	// APs, delta-of-delta timestamps, 64-event blocks behind a block
+	// index). Values below 1 select the default (512).
 	SegmentMaxEvents int
-	// SegmentBlockEvents is the intra-segment block size: sealed payloads
-	// are encoded as consecutive independently-decodable blocks of this
-	// many events plus a block index (min/max timestamp per block), so a
-	// point lookup decodes 1–2 blocks instead of the whole segment. 0
-	// selects the default (64); a negative value reverts to whole-segment
-	// encoding (one block per segment, no index) — the pre-block baseline.
-	SegmentBlockEvents int
-	// SegmentCacheSize bounds the decoded-block cache in blocks. 0 selects
-	// the default (1024 segments' worth of blocks). Sealed payloads are
-	// paged back in block-at-a-time through this cache, so the bound caps
-	// the decoded warm working set.
-	SegmentCacheSize int
 	// ColdTierDir spills sealed segments to per-device files under this
 	// directory instead of holding the compressed payloads in memory. On
 	// systems built with Open it defaults to "<dir>/segments"; with New it
@@ -220,17 +194,6 @@ type Config struct {
 	CleanseDegenerateEventsPerMinute int
 	// QuarantineCap bounds the quarantine ring in entries. Default 1024.
 	QuarantineCap int
-
-	// StatsHalfLife is the event-time half-life of the coarse stage's
-	// decayed gap sufficient statistics. Default 7 days.
-	StatsHalfLife time.Duration
-	// RecomputeOnWrite reverts the write path to full recompute-on-miss
-	// invalidation: every ingested batch invalidates the touched devices'
-	// coarse state entirely and epoch-bumps the whole pairwise-affinity
-	// cache, instead of maintaining models incrementally with scoped
-	// validation. It exists as the baseline arm of `locater-bench -incr`
-	// and as an operational escape hatch; leave it off.
-	RecomputeOnWrite bool
 }
 
 func (c Config) coarseOptions() coarse.Options {
@@ -253,7 +216,6 @@ func (c Config) coarseOptions() coarse.Options {
 		MaxPromotionsPerRound: c.PromotionsPerRound,
 		MaxTrainingGaps:       c.MaxTrainingGaps,
 		ModelCacheCapacity:    c.ModelCacheSize,
-		StatsHalfLife:         c.StatsHalfLife,
 	}
 }
 
@@ -281,8 +243,15 @@ func (c Config) fineOptions() fine.Options {
 // Config.ResultCacheSize is zero.
 const defaultResultCacheSize = 16384
 
+// resultCacheBucket quantizes query times for the result cache: two queries
+// for the same device whose times fall in the same bucket share one cached
+// answer (unless a write intervened). One minute is below the paper's
+// 10-minute default δ, so bucketing cannot blur a validity-interval
+// boundary by more than a minute.
+const resultCacheBucket = time.Minute
+
 // resultKey identifies one memoized Locate answer: a device plus the query
-// time quantized to Config.ResultCacheBucket.
+// time quantized to resultCacheBucket.
 type resultKey struct {
 	device DeviceID
 	bucket int64
@@ -355,8 +324,7 @@ type System struct {
 	// nil when caching is off. Every write path bumps its epoch (see
 	// invalidateQueryCaches), so a cached answer can never outlive the
 	// history it was computed from.
-	results      *cache.Cache[resultKey, Result]
-	resultBucket time.Duration
+	results *cache.Cache[resultKey, Result]
 
 	// Durable-mode state (nil/zero for systems built with New). persistMu
 	// coordinates appenders with Checkpoint: every mutation that reaches
@@ -385,11 +353,7 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	st := store.New(cfg.DefaultDelta)
-	segCfg := store.SegmentConfig{
-		MaxEvents:   cfg.SegmentMaxEvents,
-		BlockEvents: cfg.SegmentBlockEvents,
-		CacheSize:   cfg.SegmentCacheSize,
-	}
+	segCfg := store.SegmentConfig{MaxEvents: cfg.SegmentMaxEvents}
 	if cfg.ColdTierDir != "" {
 		open := store.NewDiskSegmentBackend
 		if cfg.ColdTierMmap {
@@ -403,9 +367,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if err := st.ConfigureSegments(segCfg); err != nil {
 		return nil, err
-	}
-	if cfg.DisableOccupancyIndex || cfg.OccupancyBucket > 0 {
-		st.ConfigureOccupancy(cfg.OccupancyBucket, !cfg.DisableOccupancyIndex)
 	}
 	s := &System{
 		cfg:      cfg,
@@ -440,10 +401,6 @@ func New(cfg Config) (*System, error) {
 			size := cfg.ResultCacheSize
 			if size == 0 {
 				size = defaultResultCacheSize
-			}
-			s.resultBucket = cfg.ResultCacheBucket
-			if s.resultBucket <= 0 {
-				s.resultBucket = time.Minute
 			}
 			s.results = cache.New[resultKey, Result](size, hashResultKey)
 		}
@@ -500,9 +457,7 @@ func (s *System) invalidateResultCache() {
 // in place, the affinity tier records the write in its per-device log
 // (scoped validation then keeps every cached affinity a recent-events write
 // provably cannot change), and only the memoized query results — whose
-// entries future events can always change — are epoch-bumped. With
-// Config.RecomputeOnWrite the legacy path runs instead: full per-device
-// coarse invalidation plus a whole-cache affinity epoch bump. Safe to call
+// entries future events can always change — are epoch-bumped. Safe to call
 // while queries are in flight. On a system built with Open the batch is
 // written ahead to the log and Ingest returns only once it is durable.
 func (s *System) Ingest(events []Event) error {
@@ -539,10 +494,10 @@ func (s *System) IngestOne(e Event) error {
 // observeWrite runs post-store model maintenance for an ingested batch.
 // On a store error the batch may be partially applied (a durability
 // Commit-stage failure has already mutated the in-memory store), so the
-// conservative legacy invalidation runs regardless of mode — stale caches
-// must not outlive the partial write.
+// touched devices' coarse state and every query cache are dropped whole —
+// stale caches must not outlive the partial write.
 func (s *System) observeWrite(events []Event, err error) {
-	if err != nil || s.cfg.RecomputeOnWrite {
+	if err != nil {
 		seen := make(map[DeviceID]struct{}, 8)
 		for _, e := range events {
 			if _, ok := seen[e.Device]; ok {
@@ -566,8 +521,7 @@ func (s *System) observeWrite(events []Event, err error) {
 // SetDelta registers a device-specific validity interval δ(d). The device's
 // coarse state is invalidated (its gap structure just changed — the
 // incremental statistics cannot express a δ change, so this is the rebuild
-// escape hatch), and the affinity tier drops the device's cached pairs
-// (scoped, unless RecomputeOnWrite forces the global epoch bump).
+// escape hatch), and the affinity tier drops the device's cached pairs.
 func (s *System) SetDelta(d DeviceID, delta time.Duration) error {
 	s.persistMu.RLock()
 	err := s.store.SetDelta(d, delta)
@@ -576,11 +530,9 @@ func (s *System) SetDelta(d DeviceID, delta time.Duration) error {
 	// failure has already applied the new δ to the in-memory store, and
 	// caches built under the old δ must not outlive it.
 	s.coarse.InvalidateDevice(d)
-	if s.cfg.RecomputeOnWrite || s.cached == nil {
-		s.invalidateQueryCaches()
-		return err
+	if s.cached != nil {
+		s.cached.InvalidateDevice(d)
 	}
-	s.cached.InvalidateDevice(d)
 	s.invalidateResultCache()
 	return err
 }
@@ -697,7 +649,7 @@ func (s *System) LocateContext(ctx context.Context, d DeviceID, t time.Time) (Re
 		}
 		return res, err
 	}
-	key := resultKey{device: d, bucket: t.UnixNano() / int64(s.resultBucket)}
+	key := resultKey{device: d, bucket: t.UnixNano() / int64(resultCacheBucket)}
 	if res, ok := s.results.Get(key); ok {
 		s.metrics.cached.observe(time.Since(start))
 		return res, nil
@@ -820,21 +772,9 @@ func tierStats(st cache.Stats) CacheTierStats {
 }
 
 // OccupancyIndexStats reports the store's temporal occupancy index: its
-// configured bucket width, resident size, and lookup traffic.
-type OccupancyIndexStats struct {
-	// Enabled reports whether the index is maintained
-	// (!Config.DisableOccupancyIndex).
-	Enabled bool
-	// Bucket is the configured bucket width (Config.OccupancyBucket).
-	Bucket time.Duration
-	// Buckets is the number of non-empty time buckets; Entries counts
-	// distinct (bucket, AP, device) index entries.
-	Buckets, Entries int
-	// Lookups counts index-served neighbor-discovery lookups;
-	// FallbackScans counts lookups answered by the full-scan path because
-	// the index is disabled.
-	Lookups, FallbackScans int64
-}
+// bucket width, resident size, and lookup traffic. See store.OccupancyStats
+// for field documentation.
+type OccupancyIndexStats = store.OccupancyStats
 
 // SegmentTierStats reports the store's log-structured event layout: sealed
 // segment counts, encoded size, and seal/page-in/decode traffic. See
@@ -860,8 +800,7 @@ type (
 // MaintenanceStats reports the write path's model-maintenance picture: what
 // keeping the coarse sufficient statistics and the affinity tier current
 // costs per ingested batch, and how often the incremental paths fell back
-// to full recomputation. `locater-bench -incr` differences these counters
-// between the incremental and recompute-on-write arms.
+// to full recomputation.
 type MaintenanceStats struct {
 	Coarse   CoarseMaintenanceStats   `json:"coarse"`
 	Affinity AffinityMaintenanceStats `json:"affinity"`
@@ -896,24 +835,6 @@ func (s *System) Quarantine(limit int) []QuarantineEntry {
 		return nil
 	}
 	return s.cleanser.Quarantine(limit)
-}
-
-// DeviceGapStats is one device's decayed gap sufficient statistics (see
-// coarse.DeviceStats).
-type DeviceGapStats = coarse.DeviceStats
-
-// GapStats returns the device's incrementally-maintained gap sufficient
-// statistics, rebuilding from the store when the incremental path gave up.
-// ok is false for unknown devices.
-func (s *System) GapStats(d DeviceID) (DeviceGapStats, bool) {
-	return s.coarse.DeviceStatsOf(d)
-}
-
-// GapStatsOracle recomputes the device's gap statistics from scratch by
-// replaying its stored history — the batch oracle the incremental path is
-// property-tested and benchmarked against.
-func (s *System) GapStatsOracle(d DeviceID) (DeviceGapStats, bool) {
-	return s.coarse.BatchDeviceStats(d)
 }
 
 // CacheStats reports every cache tier's state: the global affinity graph's
@@ -955,18 +876,10 @@ type CacheStats struct {
 func (s *System) CacheStats() CacheStats {
 	cs := CacheStats{
 		CoarseModels: tierStats(s.coarse.ModelCacheStats()),
+		Occupancy:    s.store.OccupancyStats(),
 		Segments:     s.store.SegmentStats(),
 		Cleanse:      s.CleanseStats(),
 		Maintenance:  s.MaintenanceStats(),
-	}
-	occ := s.store.OccupancyStats()
-	cs.Occupancy = OccupancyIndexStats{
-		Enabled:       occ.Enabled,
-		Bucket:        occ.Bucket,
-		Buckets:       occ.Buckets,
-		Entries:       occ.Entries,
-		Lookups:       occ.Lookups,
-		FallbackScans: occ.FallbackScans,
 	}
 	if s.graph != nil {
 		cs.Enabled = true
@@ -978,13 +891,6 @@ func (s *System) CacheStats() CacheStats {
 	}
 	return cs
 }
-
-// InvalidateSegmentCache drops the store's decoded-segment cache in O(1)
-// (epoch bump). The encoded payloads in the segment backend stay
-// authoritative and are paged back in on demand, so this only releases the
-// decoded working set — an operational control for memory pressure, and the
-// cold-query arm of the memory benchmarks.
-func (s *System) InvalidateSegmentCache() { s.store.InvalidateSegmentCache() }
 
 // Query is one localization request Q = (device, t) for LocateBatch.
 type Query struct {

@@ -11,8 +11,7 @@ import (
 // TestOccupancyIndexEquivalentAfterRecovery: the occupancy index is derived
 // state, so after a crash (no Close, no Checkpoint) the recovered system's
 // WAL replay must rebuild it to answer neighbor-discovery lookups exactly
-// like the live system — and exactly like a full-scan store with the index
-// disabled.
+// like the live system.
 func TestOccupancyIndexEquivalentAfterRecovery(t *testing.T) {
 	ds := buildDataset(t, 3)
 	dir := t.TempDir()
@@ -29,7 +28,7 @@ func TestOccupancyIndexEquivalentAfterRecovery(t *testing.T) {
 	}
 
 	liveOcc := live.CacheStats().Occupancy
-	if !liveOcc.Enabled || liveOcc.Entries == 0 {
+	if liveOcc.Entries == 0 {
 		t.Fatalf("live occupancy index not populated: %+v", liveOcc)
 	}
 
@@ -38,23 +37,18 @@ func TestOccupancyIndexEquivalentAfterRecovery(t *testing.T) {
 	defer recovered.Close()
 
 	recOcc := recovered.CacheStats().Occupancy
-	if !recOcc.Enabled || recOcc.Entries != liveOcc.Entries || recOcc.Buckets != liveOcc.Buckets {
+	if recOcc.Entries != liveOcc.Entries || recOcc.Buckets != liveOcc.Buckets {
 		t.Fatalf("recovered index shape %+v, want %+v", recOcc, liveOcc)
 	}
 
 	liveStore, recStore := live.StoreForTest(), recovered.StoreForTest()
-	scan := liveStore.Clone()
-	scan.ConfigureOccupancy(0, false)
 	aps := ds.Building.AccessPoints()
 	for i := 0; i < 24; i++ {
 		start := simStart.Add(time.Duration(i*3) * time.Hour)
 		end := start.Add(90 * time.Minute)
-		want := liveStore.ActiveDevices(start, end)
-		if got := recStore.ActiveDevices(start, end); !reflect.DeepEqual(got, want) {
+		want := liveStore.ActiveDevicesAt(nil, start, end)
+		if got := recStore.ActiveDevicesAt(nil, start, end); !reflect.DeepEqual(got, want) {
 			t.Fatalf("window %d: recovered ActiveDevices = %v, want %v", i, got, want)
-		}
-		if got := scan.ActiveDevices(start, end); !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %d: index diverged from full scan: %v vs %v", i, got, want)
 		}
 		scope := aps[:1+i%len(aps)]
 		wantAt := liveStore.ActiveDevicesAt(scope, start, end)
@@ -64,49 +58,17 @@ func TestOccupancyIndexEquivalentAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestOccupancyConfigKnobs: Config.OccupancyBucket and
-// Config.DisableOccupancyIndex reach the store and surface through
-// System.CacheStats.
-func TestOccupancyConfigKnobs(t *testing.T) {
+// TestOccupancyIndexServesQueries: the index is populated by ingest and
+// neighbor discovery goes through it, as System.CacheStats reports.
+func TestOccupancyIndexServesQueries(t *testing.T) {
 	ds := buildDataset(t, 2)
-
-	custom := newSystem(t, ds, locater.Config{
-		Building:        ds.Building,
-		OccupancyBucket: 5 * time.Minute,
-	})
-	occ := custom.CacheStats().Occupancy
-	if !occ.Enabled || occ.Bucket != 5*time.Minute {
-		t.Errorf("custom bucket not applied: %+v", occ)
-	}
-	if occ.Entries == 0 || occ.Buckets == 0 {
-		t.Errorf("index empty after ingest: %+v", occ)
-	}
-
-	disabled := newSystem(t, ds, locater.Config{
-		Building:              ds.Building,
-		DisableOccupancyIndex: true,
-	})
-	occ = disabled.CacheStats().Occupancy
-	if occ.Enabled || occ.Entries != 0 {
-		t.Fatalf("DisableOccupancyIndex ignored: %+v", occ)
-	}
-	// A query still works — discovery just takes the full-scan path, which
-	// the stats report as a fallback.
+	sys := newSystem(t, ds, locater.Config{Building: ds.Building})
 	q := sampleQueries(ds, 1)[0]
-	if _, err := disabled.Locate(q.Device, q.Time); err != nil {
+	if _, err := sys.Locate(q.Device, q.Time); err != nil {
 		t.Fatal(err)
 	}
-	if occ = disabled.CacheStats().Occupancy; occ.FallbackScans == 0 {
-		t.Errorf("fallback scan not counted: %+v", occ)
-	}
-
-	// Default path: index on, lookups counted once queries flow.
-	def := newSystem(t, ds, locater.Config{Building: ds.Building})
-	if _, err := def.Locate(q.Device, q.Time); err != nil {
-		t.Fatal(err)
-	}
-	occ = def.CacheStats().Occupancy
-	if !occ.Enabled || occ.Lookups == 0 || occ.FallbackScans != 0 {
-		t.Errorf("default index stats: %+v", occ)
+	occ := sys.CacheStats().Occupancy
+	if occ.Entries == 0 || occ.Buckets == 0 || occ.Lookups == 0 {
+		t.Errorf("index stats after ingest and a query: %+v", occ)
 	}
 }

@@ -47,8 +47,8 @@ func TestSegmentedCrashRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := live.CacheStats().Segments
-	if !segs.Enabled || !segs.ColdTier {
-		t.Fatalf("segments not enabled with a cold tier: %+v", segs)
+	if !segs.ColdTier {
+		t.Fatalf("segments not on a cold tier: %+v", segs)
 	}
 	if segs.Segments == 0 || segs.Seals == 0 {
 		t.Fatalf("workload sealed nothing: %+v", segs)
@@ -76,7 +76,7 @@ func TestSegmentedCrashRecoveryEquivalence(t *testing.T) {
 	}
 	// Cold reads: drop the decoded working set so every window pages in
 	// from the crash-surviving cold tier, not the replay's warm cache.
-	recovered.InvalidateSegmentCache()
+	recovered.StoreForTest().InvalidateSegmentCache()
 	recResults := recovered.LocateBatch(queries, 4)
 	for i := range queries {
 		if liveResults[i].Err != nil || recResults[i].Err != nil {
@@ -201,7 +201,7 @@ func TestCheckpointReclaimsDeadColdTier(t *testing.T) {
 	}
 
 	// The rewrite must be invisible to readers: cold reads post-reclaim...
-	sys.InvalidateSegmentCache()
+	sys.StoreForTest().InvalidateSegmentCache()
 	after := sys.LocateBatch(queries, 4)
 	// ...and a full recovery from the rewritten files must agree too.
 	rec, err := locater.Open(dir, cfg, popts)

@@ -223,9 +223,9 @@ func mergeTier(a, b CacheTierStats) CacheTierStats {
 // owns independent caches, so the totals are exact), the occupancy index
 // and segment tier sum their shapes and traffic, and Enabled reports
 // whether any shard runs the caching engine. The occupancy bucket width
-// and segment seal threshold are taken from the first shard with the
-// feature enabled (shards share one configuration in practice); ColdTier
-// reports whether any shard spills segments to disk.
+// and segment seal threshold are taken from the first shard (shards share
+// one configuration); ColdTier reports whether any shard spills segments
+// to disk.
 func MergeCacheStats(parts ...CacheStats) CacheStats {
 	var out CacheStats
 	for _, p := range parts {
@@ -235,17 +235,14 @@ func MergeCacheStats(parts ...CacheStats) CacheStats {
 		out.CoarseModels = mergeTier(out.CoarseModels, p.CoarseModels)
 		out.Results = mergeTier(out.Results, p.Results)
 		occ := &out.Occupancy
-		if p.Occupancy.Enabled && !occ.Enabled {
-			occ.Enabled = true
+		if occ.Bucket == 0 {
 			occ.Bucket = p.Occupancy.Bucket
 		}
 		occ.Buckets += p.Occupancy.Buckets
 		occ.Entries += p.Occupancy.Entries
 		occ.Lookups += p.Occupancy.Lookups
-		occ.FallbackScans += p.Occupancy.FallbackScans
 		seg := &out.Segments
-		if p.Segments.Enabled && !seg.Enabled {
-			seg.Enabled = true
+		if seg.MaxEvents == 0 {
 			seg.MaxEvents = p.Segments.MaxEvents
 			seg.BlockEvents = p.Segments.BlockEvents
 		}
