@@ -4,18 +4,18 @@
 // dashboards) query the cleaning engine online while connectivity events
 // stream in.
 //
-// Endpoints (versioned under /v1/; the unversioned paths remain as legacy
-// aliases):
+// Endpoints (all under /v1/):
 //
 //	GET  /v1/locate?device=MAC&time=2006-01-02T15:04:05Z → localization result
 //	POST /v1/locate/batch  body: {"queries":[{device,time}...], "workers":N}
 //	                                                     → batch results, in order
 //	POST /v1/ingest  body: JSON array of {device, time, ap} → ingest events
 //	GET  /v1/stats                                       → deployment counters
+//	GET  /v1/quarantine?limit=N                          → cleansing rejects (-cleansing)
 //	GET  /v1/healthz                                     → liveness
 //	GET  /debug/pprof/                                   → Go profiler (-pprof only)
 //
-// Errors come back as the uniform envelope {"code","message","error",
+// Errors come back as the uniform envelope {"code","message",
 // "retry_after_ms"?}; see internal/srv.ErrorEnvelope.
 //
 // With -shards N > 1 the deployment is a cluster of N independent engines
@@ -74,14 +74,12 @@ func main() {
 		mmapColdTier = flag.Bool("mmap", true, "with -data-dir: memory-map cold-tier segment files (OS-owned residency); off = portable read-at")
 		pprofFlag    = flag.Bool("pprof", false, "expose Go's runtime profiler under /debug/pprof/ (off by default; profiling data reveals internals)")
 
-		admission       = flag.Bool("admission", true, "admission control: bounded per-endpoint queues, deadline-aware 429s, batch shedding")
-		maxConcurrent   = flag.Int("max-concurrent", 0, "executing /locate slots (default 2×GOMAXPROCS)")
-		maxQueue        = flag.Int("max-queue", 0, "waiting /locate slots before 429 (default 8×GOMAXPROCS)")
+		maxConcurrent   = flag.Int("max-concurrent", 0, "executing /v1/locate slots (default 2×GOMAXPROCS)")
+		maxQueue        = flag.Int("max-queue", 0, "cap on waiting /v1/locate requests before 429 (default 8×GOMAXPROCS)")
 		defaultDeadline = flag.Duration("default-deadline", 0, "deadline applied to requests without deadline_ms (default 5s)")
 		maxDeadline     = flag.Duration("max-deadline", 0, "clamp on client-requested deadlines (default 30s)")
-		shedBatchAt     = flag.Float64("shed-batch-at", 0, "queue occupancy above which /locate/batch is shed (default 0.5)")
-		staticAdmission = flag.Bool("static-admission", false, "disable the adaptive queue bound (Little's law over the EWMA service time) and use the configured -max-queue verbatim")
-		targetQueueWait = flag.Duration("target-queue-wait", 0, "adaptive admission's target worst-case queue wait (default 2s)")
+		shedBatchAt     = flag.Float64("shed-batch-at", 0, "queue occupancy above which /v1/locate/batch is shed (default 0.5)")
+		targetQueueWait = flag.Duration("target-queue-wait", 0, "worst-case queue wait the admission queue bound aims for (default 2s)")
 
 		cleansing      = flag.Bool("cleansing", false, "ingest-time cleansing: dedupe re-associations, drop impossible transitions, flag degenerate devices; rejects land in the quarantine (GET /v1/quarantine)")
 		quarantineCap  = flag.Int("quarantine-cap", 0, "with -cleansing: quarantine ring size in entries (default 1024)")
@@ -197,12 +195,10 @@ func main() {
 	}
 
 	handler := srv.NewWithOptions(sys, srv.Options{Admission: srv.AdmissionOptions{
-		Disabled:        !*admission,
 		Locate:          srv.QueueConfig{MaxConcurrent: *maxConcurrent, MaxQueue: *maxQueue},
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,
 		ShedBatchAt:     *shedBatchAt,
-		Static:          *staticAdmission,
 		TargetQueueWait: *targetQueueWait,
 	}})
 	if *pprofFlag {

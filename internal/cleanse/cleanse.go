@@ -99,7 +99,7 @@ type Entry struct {
 	At time.Time `json:"at"`
 }
 
-// Stats are the cleansing counters surfaced in /stats. All counters are
+// Stats are the cleansing counters surfaced in /v1/stats. All counters are
 // cumulative since construction.
 type Stats struct {
 	Ingested              int64 `json:"ingested"`

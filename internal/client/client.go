@@ -1,8 +1,7 @@
 // Package client is the Go client for locater-serve's /v1 HTTP API. It
 // implements the locater.Locater service interface, so a remote deployment
-// is interchangeable with an in-process *locater.System or sharded cluster:
-// cmd/locater-query's -target mode and cmd/locater-loadgen's remote driver
-// both drive this one client instead of hand-rolling requests.
+// is interchangeable with an in-process *locater.System or sharded cluster
+// (cmd/locater-query's -target mode drives it).
 //
 // Fidelity caveats of the wire format, documented per method: localization
 // answers come back without the diagnostic counters (CoarseConfidence,
@@ -76,35 +75,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("locater: server rejected request: http %d", e.Status)
 }
 
-// Do executes one request and returns the HTTP status plus the response
-// body of failures (success bodies are drained, not kept — the load
-// harness's dispatcher only classifies errors). Error bodies are capped at
-// 4 KiB. Transport failures return err != nil with status 0.
-func (c *Client) Do(method, path string, body []byte) (int, []byte, error) {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rdr)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		_, err := io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil, err
-	}
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	return resp.StatusCode, b, nil
-}
-
 // doJSON executes one request and decodes a 2xx body into out (out == nil
 // drains it); non-2xx responses come back as *APIError decoded from the
 // envelope.
@@ -142,9 +112,6 @@ func apiErrorOf(resp *http.Response) *APIError {
 	if json.Unmarshal(b, &env) == nil {
 		apiErr.Code = env.Code
 		apiErr.Message = env.Message
-		if apiErr.Message == "" {
-			apiErr.Message = env.LegacyError
-		}
 		apiErr.RetryAfter = time.Duration(env.RetryAfterMillis) * time.Millisecond
 	}
 	return apiErr
@@ -310,106 +277,43 @@ func (c *Client) Stats() (*srv.StatsResponse, error) {
 	return &st, nil
 }
 
-// NumEvents fetches the deployment's event count via /v1/stats; it returns
-// 0 when the server is unreachable (the interface carries no error slot —
-// callers needing failure visibility use Stats).
-func (c *Client) NumEvents() int {
+// stats is Stats with a failure flattened to the zero value, for the
+// Locater accessors below, whose signatures carry no error slot — callers
+// needing failure visibility use Stats.
+func (c *Client) stats() srv.StatsResponse {
 	st, err := c.Stats()
 	if err != nil {
-		return 0
+		return srv.StatsResponse{}
 	}
-	return st.Events
+	return *st
 }
 
-// NumDevices fetches the deployment's device count via /v1/stats (0 on
-// transport failure, like NumEvents).
-func (c *Client) NumDevices() int {
-	st, err := c.Stats()
-	if err != nil {
-		return 0
-	}
-	return st.Devices
-}
+// NumEvents fetches the deployment's event count via /v1/stats (0 when the
+// server is unreachable).
+func (c *Client) NumEvents() int { return c.stats().Events }
 
-// NumQueries fetches the deployment's served-query count via /v1/stats (0
-// on transport failure, like NumEvents).
-func (c *Client) NumQueries() int {
-	st, err := c.Stats()
-	if err != nil {
-		return 0
-	}
-	return st.Queries
-}
+// NumDevices fetches the deployment's device count via /v1/stats.
+func (c *Client) NumDevices() int { return c.stats().Devices }
 
-// CacheStats fetches /v1/stats and maps the caches block back onto the
-// engine's structure (zero value on transport failure).
-func (c *Client) CacheStats() locater.CacheStats {
-	st, err := c.Stats()
-	if err != nil {
-		return locater.CacheStats{}
-	}
-	cs := st.Caches
-	return locater.CacheStats{
-		Enabled:      cs.Enabled,
-		GraphEdges:   cs.GraphEdges,
-		Affinity:     tierOf(cs.Affinity),
-		CoarseModels: tierOf(cs.CoarseModels),
-		Results:      tierOf(cs.Results),
-		Occupancy: locater.OccupancyIndexStats{
-			Bucket:  time.Duration(cs.Occupancy.BucketSeconds * float64(time.Second)),
-			Buckets: cs.Occupancy.Buckets,
-			Entries: cs.Occupancy.Entries,
-			Lookups: cs.Occupancy.Lookups,
-		},
-	}
-}
+// NumQueries fetches the deployment's served-query count via /v1/stats.
+func (c *Client) NumQueries() int { return c.stats().Queries }
 
-func tierOf(t srv.CacheTierResponse) locater.CacheTierStats {
-	return locater.CacheTierStats{
-		Size:          t.Size,
-		Capacity:      t.Capacity,
-		Hits:          t.Hits,
-		Misses:        t.Misses,
-		Evictions:     t.Evictions,
-		Invalidations: t.Invalidations,
-	}
-}
+// CacheStats fetches the caches block of /v1/stats, which is the engine's
+// own structure.
+func (c *Client) CacheStats() locater.CacheStats { return c.stats().Caches }
 
-// QueryStats fetches /v1/stats and maps the query_stats block back onto
-// the engine's structure (zero value on transport failure).
-func (c *Client) QueryStats() locater.QueryStats {
-	st, err := c.Stats()
-	if err != nil {
-		return locater.QueryStats{}
-	}
-	qs := st.QueryStats
-	return locater.QueryStats{
-		Cold:                  latencyOf(qs.Cold),
-		Cached:                latencyOf(qs.Cached),
-		NeighborsProcessedP50: qs.NeighborsProcessed.P50,
-		NeighborsProcessedP99: qs.NeighborsProcessed.P99,
-		DeadlineExceeded:      qs.DeadlineExceeded,
-	}
-}
-
-func latencyOf(l srv.LatencyResponse) locater.LatencyStats {
-	return locater.LatencyStats{
-		Count:      l.Count,
-		MeanMicros: l.MeanMicros,
-		P50Micros:  l.P50Micros,
-		P99Micros:  l.P99Micros,
-		MaxMicros:  l.MaxMicros,
-	}
-}
+// QueryStats fetches the query_stats block of /v1/stats, which is the
+// engine's own structure.
+func (c *Client) QueryStats() locater.QueryStats { return c.stats().QueryStats }
 
 // PersistStats fetches /v1/stats; ok is false when the deployment is
 // in-memory or the server is unreachable.
 func (c *Client) PersistStats() (segments int, lastLSN, durableLSN uint64, ok bool) {
-	st, err := c.Stats()
-	if err != nil || st.Persist == nil {
+	p := c.stats().Persist
+	if p == nil {
 		return 0, 0, 0, false
 	}
-	return st.Persist.Segments, st.Persist.LastLSN, st.Persist.DurableLSN, true
+	return p.Segments, p.LastLSN, p.DurableLSN, true
 }
 
 // Checkpoint is not exposed over the wire; it returns errors.ErrUnsupported

@@ -156,7 +156,6 @@ func TestRejectionCarriesRetryAfter(t *testing.T) {
 	h := &held{Locater: sys, entered: make(chan struct{}), release: make(chan struct{})}
 	c := serve(t, srv.NewWithOptions(h, srv.Options{Admission: srv.AdmissionOptions{
 		Locate: srv.QueueConfig{MaxConcurrent: 1, MaxQueue: 1},
-		Static: true,
 	}}))
 	dev := ds.People[0].Device
 	first := make(chan error, 1) // one send, never blocks the goroutine

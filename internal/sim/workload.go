@@ -11,7 +11,7 @@ import (
 )
 
 // Workload generation: turns a simulated Dataset into a deterministic,
-// rate-independent request schedule for the SLO harness (cmd/locater-loadgen).
+// rate-independent request schedule for a load generator (go run ./benchmark).
 //
 // The schedule is generated at UNIT RATE — arrival offsets assume a mean of
 // one operation per second — and the dispatcher rescales offsets by the

@@ -22,8 +22,8 @@ func workloadDataset(t *testing.T) *Dataset {
 }
 
 // TestWorkloadDeterministic: the same (dataset, spec) pair must regenerate a
-// byte-identical canonical schedule — the property the loadgen golden-file
-// test and CI's fixed-seed SLO smoke both stand on.
+// byte-identical canonical schedule — the property the benchmark's golden
+// op lists (benchmark/testdata/oplists-seed1.golden) stand on.
 func TestWorkloadDeterministic(t *testing.T) {
 	ds := workloadDataset(t)
 	spec := WorkloadSpec{

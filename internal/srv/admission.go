@@ -9,10 +9,11 @@ import (
 )
 
 // Admission control: the server's overload-degradation layer. Each request
-// class (/locate, /locate/batch, /ingest) owns one admitQueue — a bounded
-// executing-slot semaphore plus a bounded waiting queue — so overload
-// degrades into prompt, retryable rejections instead of an unbounded pile of
-// goroutines all missing their deadlines together (p99 collapse).
+// class (/v1/locate, /v1/locate/batch, /v1/ingest) owns one admitQueue — a
+// bounded executing-slot semaphore plus a bounded waiting queue — so
+// overload degrades into prompt, retryable rejections instead of an
+// unbounded pile of goroutines all missing their deadlines together (p99
+// collapse).
 //
 // Three rejection rules, checked in order when no slot is free:
 //
@@ -20,8 +21,9 @@ import (
 //     ShedBatchAt — LocateBatch degrades before single Locate, because one
 //     batch holds a slot for its whole fan-out while a Locate holds it for
 //     one query.
-//  2. Queue full: the waiting queue is bounded; requests beyond MaxQueue
-//     are rejected immediately (429 + Retry-After) rather than parked.
+//  2. Queue full: the waiting queue is bounded (see effectiveMaxQueue);
+//     requests beyond the bound are rejected immediately (429 +
+//     Retry-After) rather than parked.
 //  3. Deadline-aware: the expected wait (EWMA service time × queue depth ÷
 //     slots) is compared against the request's remaining deadline; a request
 //     that cannot plausibly be served in time is rejected up front — the
@@ -36,19 +38,16 @@ type QueueConfig struct {
 	// MaxConcurrent is the number of requests of this class executing at
 	// once; further admitted requests wait in the queue.
 	MaxConcurrent int
-	// MaxQueue is the number of requests allowed to wait for a slot;
-	// arrivals beyond it are rejected with 429 + Retry-After.
+	// MaxQueue caps the number of requests allowed to wait for a slot;
+	// arrivals beyond the bound in force (at most MaxQueue, see
+	// AdmissionOptions.TargetQueueWait) are rejected with 429 +
+	// Retry-After.
 	MaxQueue int
 }
 
-// AdmissionOptions configures the server's admission-control layer. The
-// zero value enables admission with the defaults below; set Disabled to run
-// the pre-admission behavior (unbounded concurrency, useful as the
-// comparison arm of overload experiments).
+// AdmissionOptions configures the server's admission-control layer. Zero
+// fields take the defaults below.
 type AdmissionOptions struct {
-	// Disabled turns admission control off entirely: no queues, no
-	// rejections, no default deadline.
-	Disabled bool
 	// Locate, Batch, Ingest bound the three request classes. Zero fields
 	// take the defaults (see defaultAdmission).
 	Locate, Batch, Ingest QueueConfig
@@ -59,23 +58,19 @@ type AdmissionOptions struct {
 	// ShedBatchAt is the queue-occupancy fraction (of either the batch or
 	// the locate queue) above which batch requests are shed. Default 0.5.
 	ShedBatchAt float64
-	// Static pins each class's waiting-queue bound at the configured
-	// MaxQueue (the historical GOMAXPROCS-multiple behavior). By default
-	// the bound ADAPTS to the observed EWMA service time via Little's law:
-	// the queue admits only as many waiters as the class can drain within
-	// TargetQueueWait at its current service rate, clamped to
+	// TargetQueueWait is the waiting time each class's queue bound aims
+	// for. The bound adapts to the observed EWMA service time via Little's
+	// law: the queue admits only as many waiters as the class can drain
+	// within TargetQueueWait at its current service rate, clamped to
 	// [2, MaxQueue]. Fast service → deep queue (absorb bursts); slow
 	// service → shallow queue (reject early, before waiters' deadlines rot
-	// in line). locater-serve exposes this as -static-admission.
-	Static bool
-	// TargetQueueWait is the waiting time the adaptive queue bound aims
-	// for. Default 2s. Ignored when Static.
+	// in line). Default 2s.
 	TargetQueueWait time.Duration
 }
 
 // defaultAdmission fills zero fields with the defaults: locate gets
-// 2×GOMAXPROCS executing slots and a 4× deep queue, batch keeps the
-// historical 4-slot bound, ingest is narrow (the store's ingest lock is
+// 2×GOMAXPROCS executing slots and a 4× deep queue, batch gets 4 slots,
+// ingest is narrow (the store's ingest lock is
 // exclusive, extra slots only queue inside it).
 func defaultAdmission(o AdmissionOptions) AdmissionOptions {
 	cpus := runtime.GOMAXPROCS(0)
@@ -127,9 +122,8 @@ const (
 // admitQueue is one request class's bounded executing/waiting state.
 type admitQueue struct {
 	cfg QueueConfig
-	// static pins the queue bound at cfg.MaxQueue; targetWaitNs is the
-	// adaptive bound's aim (see AdmissionOptions.Static/TargetQueueWait).
-	static       bool
+	// targetWaitNs is the queue bound's aim (see
+	// AdmissionOptions.TargetQueueWait).
 	targetWaitNs int64
 	// slots holds one token per executing request; acquiring = sending.
 	slots chan struct{}
@@ -148,46 +142,32 @@ type admitQueue struct {
 	execDeadline      atomic.Int64
 }
 
-func newAdmitQueue(cfg QueueConfig) *admitQueue {
-	return &admitQueue{cfg: cfg, slots: make(chan struct{}, cfg.MaxConcurrent)}
+func newAdmitQueue(cfg QueueConfig, targetWait time.Duration) *admitQueue {
+	return &admitQueue{
+		cfg:          cfg,
+		targetWaitNs: int64(targetWait),
+		slots:        make(chan struct{}, cfg.MaxConcurrent),
+	}
 }
 
-// configureAdaptive sets the queue's bound policy (see
-// AdmissionOptions.Static / TargetQueueWait).
-func (q *admitQueue) configureAdaptive(static bool, targetWait time.Duration) {
-	q.static = static
-	q.targetWaitNs = int64(targetWait)
-}
-
-// effectiveMaxQueue is the waiting-queue bound currently in force. In
-// static mode — and before the first service-time observation — it is the
-// configured MaxQueue. Otherwise Little's law sizes the queue to the
-// longest backlog the class can drain within TargetQueueWait at its
-// current EWMA service time (one wave of MaxConcurrent per EWMA), clamped
-// to [2, MaxQueue]: a fast class keeps its deep burst buffer, a slow one
-// rejects early instead of parking waiters whose deadlines will rot in
-// line.
+// effectiveMaxQueue is the waiting-queue bound currently in force. Before
+// the first service-time observation it is the configured MaxQueue.
+// Afterwards Little's law sizes the queue to the longest backlog the class
+// can drain within TargetQueueWait at its current EWMA service time (one
+// wave of MaxConcurrent per EWMA), clamped to [2, MaxQueue]: a fast class
+// keeps its deep burst buffer, a slow one rejects early instead of parking
+// waiters whose deadlines will rot in line.
 func (q *admitQueue) effectiveMaxQueue() int64 {
 	maxQ := int64(q.cfg.MaxQueue)
-	if q.static || q.targetWaitNs <= 0 {
-		return maxQ
-	}
 	ewma := q.ewmaNs.Load()
 	if ewma <= 0 {
 		return maxQ
 	}
-	bound := q.targetWaitNs * int64(q.cfg.MaxConcurrent) / ewma
-	if bound < 2 {
-		bound = 2
-	}
-	if bound > maxQ {
-		bound = maxQ
-	}
-	return bound
+	return min(max(q.targetWaitNs*int64(q.cfg.MaxConcurrent)/ewma, 2), maxQ)
 }
 
 // occupancy is the waiting queue's fullness in [0, 1] relative to the
-// effective (possibly adapted) bound.
+// bound in force.
 func (q *admitQueue) occupancy() float64 {
 	return float64(q.queued.Load()) / float64(q.effectiveMaxQueue())
 }
@@ -319,16 +299,14 @@ func (q *admitQueue) release(served time.Duration) {
 }
 
 // AdmissionQueueResponse is the JSON shape of one request class's admission
-// state under GET /stats.
+// state under GET /v1/stats.
 type AdmissionQueueResponse struct {
 	MaxConcurrent int `json:"max_concurrent"`
 	MaxQueue      int `json:"max_queue"`
 	// EffectiveMaxQueue is the waiting-queue bound currently in force:
-	// equal to MaxQueue in static mode, adapted to the EWMA service time
-	// otherwise (see AdmissionOptions.Static).
+	// MaxQueue until a service time has been observed, adapted to the EWMA
+	// service time afterwards (see AdmissionOptions.TargetQueueWait).
 	EffectiveMaxQueue int `json:"effective_max_queue"`
-	// Adaptive reports whether the bound adapts (i.e. !Static).
-	Adaptive bool `json:"adaptive"`
 	// InFlight / Queued are instantaneous gauges.
 	InFlight int `json:"in_flight"`
 	Queued   int `json:"queued"`
@@ -346,12 +324,11 @@ type AdmissionQueueResponse struct {
 	EWMAServiceMicros float64 `json:"ewma_service_us"`
 }
 
-// AdmissionResponse is the JSON shape of the /stats admission block.
+// AdmissionResponse is the JSON shape of the /v1/stats admission block.
 type AdmissionResponse struct {
-	Enabled bool                   `json:"enabled"`
-	Locate  AdmissionQueueResponse `json:"locate"`
-	Batch   AdmissionQueueResponse `json:"batch"`
-	Ingest  AdmissionQueueResponse `json:"ingest"`
+	Locate AdmissionQueueResponse `json:"locate"`
+	Batch  AdmissionQueueResponse `json:"batch"`
+	Ingest AdmissionQueueResponse `json:"ingest"`
 }
 
 func admissionQueueResponseOf(q *admitQueue) AdmissionQueueResponse {
@@ -359,7 +336,6 @@ func admissionQueueResponseOf(q *admitQueue) AdmissionQueueResponse {
 		MaxConcurrent:     q.cfg.MaxConcurrent,
 		MaxQueue:          q.cfg.MaxQueue,
 		EffectiveMaxQueue: int(q.effectiveMaxQueue()),
-		Adaptive:          !q.static,
 		InFlight:          len(q.slots),
 		Queued:            int(q.queued.Load()),
 		Admitted:          q.admitted.Load(),

@@ -19,17 +19,14 @@ const (
 	codeInternal         = "internal"
 )
 
-// ErrorEnvelope is the uniform JSON error body every endpoint returns, under
-// /v1/ and the legacy aliases alike: a stable machine-readable code, a
+// ErrorEnvelope is the uniform JSON error body every endpoint (and every
+// unregistered path) returns: a stable machine-readable code, a
 // human-readable message, and — on retryable rejections — the retry hint in
 // milliseconds (the Retry-After header carries the same hint in whole
 // seconds for standard HTTP clients).
 type ErrorEnvelope struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// LegacyError mirrors Message under the pre-/v1 "error" key so clients
-	// written against the unversioned API keep parsing failures.
-	LegacyError      string `json:"error"`
+	Code             string `json:"code"`
+	Message          string `json:"message"`
 	RetryAfterMillis int64  `json:"retry_after_ms,omitempty"`
 }
 
@@ -52,7 +49,7 @@ func codeForStatus(status int) string {
 // hint (retryAfter ≤ 0 omits both the header and the field).
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	w.Header().Set("Content-Type", "application/json")
-	env := ErrorEnvelope{Code: code, Message: msg, LegacyError: msg}
+	env := ErrorEnvelope{Code: code, Message: msg}
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		env.RetryAfterMillis = int64(retryAfter / time.Millisecond)

@@ -3,10 +3,12 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,7 +47,7 @@ func newTestServer(t *testing.T) (*Server, *sim.Dataset) {
 func TestHealthz(t *testing.T) {
 	s, _ := newTestServer(t)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz = %d", rec.Code)
 	}
@@ -56,7 +58,7 @@ func TestLocateEndpoint(t *testing.T) {
 	dev := ds.People[0].Device
 	tq := simStart.AddDate(0, 0, 5).Add(11 * time.Hour)
 
-	url := fmt.Sprintf("/locate?device=%s&time=%s", dev, tq.Format(time.RFC3339))
+	url := fmt.Sprintf("/v1/locate?device=%s&time=%s", dev, tq.Format(time.RFC3339))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 	if rec.Code != http.StatusOK {
@@ -81,9 +83,9 @@ func TestLocateEndpointValidation(t *testing.T) {
 		url    string
 		code   int
 	}{
-		{http.MethodPost, "/locate?device=x", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/locate", http.StatusBadRequest},
-		{http.MethodGet, "/locate?device=x&time=garbage", http.StatusBadRequest},
+		{http.MethodPost, "/v1/locate?device=x", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/locate", http.StatusBadRequest},
+		{http.MethodGet, "/v1/locate?device=x&time=garbage", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -107,7 +109,7 @@ func TestLocateBatchEndpoint(t *testing.T) {
 	}
 	body, _ := json.Marshal(req)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/locate/batch", bytes.NewReader(body)))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/locate/batch", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("locate/batch = %d: %s", rec.Code, rec.Body)
 	}
@@ -146,7 +148,7 @@ func TestLocateBatchEndpointValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(tc.method, "/locate/batch", bytes.NewReader([]byte(tc.body))))
+		s.ServeHTTP(rec, httptest.NewRequest(tc.method, "/v1/locate/batch", bytes.NewReader([]byte(tc.body))))
 		if rec.Code != tc.code {
 			t.Errorf("%s body %q = %d, want %d", tc.method, tc.body, rec.Code, tc.code)
 		}
@@ -161,7 +163,7 @@ func TestIngestEndpoint(t *testing.T) {
 		{Device: "new-device", Time: simStart.AddDate(0, 0, 6).Add(10 * time.Hour).Format(time.RFC3339), AP: string(ap)},
 	})
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
 	}
@@ -171,21 +173,23 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Errorf("ingested = %d", resp["ingested"])
 	}
 
-	// Bad payloads rejected.
+	// Bad payloads are the client's fault: 400, the last one for a body
+	// over maxRequestBody (valid JSON, so only the cap can refuse it).
 	for _, bad := range []string{
 		`not json`,
 		`[{"device":"d","time":"nope","ap":"a"}]`,
 		`[{"device":"","time":"2026-01-11 09:00:00","ap":"a"}]`,
+		`[` + strings.Repeat(" ", maxRequestBody) + `]`,
 	} {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader([]byte(bad))))
-		if rec.Code == http.StatusOK {
-			t.Errorf("payload %q accepted", bad)
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(bad)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("payload %.40q = %d, want 400", bad, rec.Code)
 		}
 	}
 	// GET not allowed.
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ingest", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/ingest", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /ingest = %d", rec.Code)
 	}
@@ -194,12 +198,12 @@ func TestIngestEndpoint(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	s, ds := newTestServer(t)
 	// One query so the counter moves.
-	url := fmt.Sprintf("/locate?device=%s&time=%s",
+	url := fmt.Sprintf("/v1/locate?device=%s&time=%s",
 		ds.People[0].Device, simStart.AddDate(0, 0, 5).Add(11*time.Hour).Format(time.RFC3339))
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, url, nil))
 
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rec.Code)
 	}
@@ -251,26 +255,56 @@ func TestIngestMissingTimeRejected(t *testing.T) {
 		{Device: "new-device", Time: "", AP: string(ap)},
 	})
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("ingest with missing time = %d, want 400", rec.Code)
 	}
-	var errResp map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &errResp); err != nil {
-		t.Fatalf("error body is not JSON: %v (%s)", err, rec.Body)
-	}
-	if errResp["error"] == "" {
-		t.Error("error body missing the error field")
+	if code := errCode(t, rec); code != codeBadRequest {
+		t.Errorf("error code = %q, want %q", code, codeBadRequest)
 	}
 	if after := mustStats(t, s).Events; after != before {
 		t.Errorf("rejected batch changed event count: %d → %d", before, after)
 	}
 }
 
+// failingIngest is an engine whose Ingest fails with a fixed error.
+type failingIngest struct {
+	locater.Locater
+	err error
+}
+
+func (f failingIngest) Ingest([]locater.Event) error { return f.err }
+
+// TestIngestErrorStatus: a batch the engine refuses as malformed is the
+// client's fault (400); a batch it could not make durable is the server's
+// (500) — a feed must retry the second and drop the first.
+func TestIngestErrorStatus(t *testing.T) {
+	body := `[{"device":"d","time":"2026-01-11 09:00:00","ap":"a"}]`
+	cases := []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{fmt.Errorf("%w: empty AP for device d", locater.ErrInvalidEvent), http.StatusBadRequest, codeBadRequest},
+		{fmt.Errorf("store: logging batch: %w", errors.New("wal: disk full")), http.StatusInternalServerError, codeInternal},
+	}
+	for _, tc := range cases {
+		s := New(failingIngest{err: tc.err})
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		if rec.Code != tc.status {
+			t.Errorf("engine error %q = %d, want %d", tc.err, rec.Code, tc.status)
+		}
+		if code := errCode(t, rec); code != tc.code {
+			t.Errorf("engine error %q: code %q, want %q", tc.err, code, tc.code)
+		}
+	}
+}
+
 func mustStats(t *testing.T, s *Server) StatsResponse {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rec.Code)
 	}
@@ -296,8 +330,8 @@ func TestWriteJSONUnencodableValue(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &errResp); err != nil {
 		t.Fatalf("body is not a single valid JSON document: %v (%s)", err, rec.Body)
 	}
-	if errResp["error"] == "" {
-		t.Error("error field empty")
+	if errResp["message"] == "" {
+		t.Error("message field empty")
 	}
 }
 
@@ -336,7 +370,7 @@ func TestWriteJSONBrokenWriter(t *testing.T) {
 // repeated query must show up as a result-cache hit.
 func TestStatsCacheTiers(t *testing.T) {
 	s, ds := newTestServer(t)
-	url := fmt.Sprintf("/locate?device=%s&time=%s",
+	url := fmt.Sprintf("/v1/locate?device=%s&time=%s",
 		ds.People[0].Device, simStart.AddDate(0, 0, 5).Add(11*time.Hour).Format(time.RFC3339))
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, url, nil))
 	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, url, nil))
@@ -356,16 +390,12 @@ func TestStatsCacheTiers(t *testing.T) {
 		c.CoarseModels.Size > c.CoarseModels.Capacity {
 		t.Errorf("a cache tier exceeds its capacity: %+v", c)
 	}
-	// Legacy flat fields mirror the affinity tier.
-	if resp.CacheHits != c.Affinity.Hits || resp.CacheMisses != c.Affinity.Misses {
-		t.Errorf("legacy fields diverge from affinity tier: %+v vs %+v", resp, c.Affinity)
-	}
 	// No WAL on this server: persist block absent.
 	if resp.Persist != nil {
 		t.Errorf("persist block present on a memory-only server: %+v", resp.Persist)
 	}
 	// The occupancy index serves neighbor discovery.
-	if c.Occupancy.BucketSeconds <= 0 {
+	if c.Occupancy.Bucket <= 0 {
 		t.Errorf("occupancy block missing: %+v", c.Occupancy)
 	}
 	if c.Occupancy.Entries == 0 || c.Occupancy.Buckets == 0 {
@@ -396,7 +426,7 @@ func TestStatsQueryStats(t *testing.T) {
 	s, ds := newTestServer(t)
 	dev := ds.People[0].Device
 	tq := simStart.AddDate(0, 0, 5).Add(11 * time.Hour)
-	url := fmt.Sprintf("/locate?device=%s&time=%s", dev, tq.Format(time.RFC3339))
+	url := fmt.Sprintf("/v1/locate?device=%s&time=%s", dev, tq.Format(time.RFC3339))
 	for i := 0; i < 3; i++ { // 1 cold + 2 result-cache hits
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
@@ -405,7 +435,7 @@ func TestStatsQueryStats(t *testing.T) {
 		}
 	}
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rec.Code)
 	}
@@ -426,8 +456,8 @@ func TestStatsQueryStats(t *testing.T) {
 	if qs.Cold.MaxMicros <= 0 || qs.Cold.MeanMicros <= 0 {
 		t.Errorf("cold mean/max not positive: %+v", qs.Cold)
 	}
-	if qs.NeighborsProcessed.P99 < qs.NeighborsProcessed.P50 {
-		t.Errorf("neighbors p99 %d < p50 %d", qs.NeighborsProcessed.P99, qs.NeighborsProcessed.P50)
+	if qs.NeighborsProcessedP99 < qs.NeighborsProcessedP50 {
+		t.Errorf("neighbors p99 %d < p50 %d", qs.NeighborsProcessedP99, qs.NeighborsProcessedP50)
 	}
 }
 

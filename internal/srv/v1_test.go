@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 	"locater/internal/sim"
 )
 
-// TestV1Aliases checks every endpoint answers identically under /v1 and the
-// legacy unversioned path.
-func TestV1Aliases(t *testing.T) {
+// TestV1Routes: every endpoint answers 200 under /v1 and its unversioned
+// twin is not a route — it answers 404 with the not_found envelope.
+func TestV1Routes(t *testing.T) {
 	s, ds := newTestServer(t)
 	dev := string(ds.People[0].Device)
 	tq := simStart.AddDate(0, 0, 5).Add(11 * time.Hour).Format(time.RFC3339)
@@ -29,28 +30,21 @@ func TestV1Aliases(t *testing.T) {
 		{http.MethodPost, "/locate/batch", batchBody},
 		{http.MethodPost, "/ingest", `[]`},
 		{http.MethodGet, "/stats", ""},
+		{http.MethodGet, "/quarantine", ""},
 		{http.MethodGet, "/healthz", ""},
 	}
 	for _, c := range cases {
-		var bodies []string
-		for _, path := range []string{c.path, "/v1" + c.path} {
-			var rdr *bytes.Reader
-			if c.body != "" {
-				rdr = bytes.NewReader([]byte(c.body))
-			} else {
-				rdr = bytes.NewReader(nil)
-			}
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest(c.method, path, rdr))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s %s = %d: %s", c.method, path, rec.Code, rec.Body)
-			}
-			bodies = append(bodies, rec.Body.String())
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(c.method, "/v1"+c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s /v1%s = %d: %s", c.method, c.path, rec.Code, rec.Body)
 		}
-		// Stats carries an uptime counter that can tick between the two
-		// requests; everything else must match byte-for-byte.
-		if c.path != "/stats" && bodies[0] != bodies[1] {
-			t.Errorf("%s: legacy and /v1 responses differ:\n%s\n%s", c.path, bodies[0], bodies[1])
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404: %s", c.method, c.path, rec.Code, rec.Body)
+		} else if code := errCode(t, rec); code != codeNotFound {
+			t.Errorf("%s %s: code %q, want %q", c.method, c.path, code, codeNotFound)
 		}
 	}
 }
@@ -76,7 +70,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"stats wrong method", http.MethodPost, "/v1/stats", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"healthz wrong method", http.MethodPost, "/v1/healthz", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"unknown path", http.MethodGet, "/v1/nope", "", http.StatusNotFound, "not_found"},
-		{"unknown legacy path", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found"},
+		{"unknown unversioned path", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found"},
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()
@@ -95,9 +89,6 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 		if env.Message == "" {
 			t.Errorf("%s: empty message", c.name)
-		}
-		if env.LegacyError != env.Message {
-			t.Errorf("%s: legacy error field %q does not mirror message %q", c.name, env.LegacyError, env.Message)
 		}
 	}
 }
@@ -243,16 +234,11 @@ func TestQuarantineEndpoint(t *testing.T) {
 		t.Errorf("stats cleanse block = %+v, want quarantined 1", st.Caches.Cleanse)
 	}
 
-	// Bad limit is a 400; the legacy alias serves too.
+	// Bad limit is a 400.
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/quarantine?limit=zero", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad limit: %d, want 400", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/quarantine", nil))
-	if rec.Code != http.StatusOK {
-		t.Errorf("legacy alias: %d, want 200", rec.Code)
 	}
 
 	// With cleansing off, the endpoint still serves — empty and disabled.

@@ -88,14 +88,14 @@ type BackendStats struct {
 	// and their total mapped size — bytes resident at the OS's discretion,
 	// invisible to the Go heap and the GC. Remaps counts re-mappings after
 	// file growth or rewrite.
-	MappedFiles int
-	MappedBytes int64
-	Remaps      int64
+	MappedFiles int   `json:"mapped_files"`
+	MappedBytes int64 `json:"resident_bytes_mmap"`
+	Remaps      int64 `json:"remaps"`
 	// Rewrites / RewriteFailures / ReclaimedBytes report cold-tier file
 	// reclamation (see ReclaimableBackend).
-	Rewrites        int64
-	RewriteFailures int64
-	ReclaimedBytes  int64
+	Rewrites        int64 `json:"rewrites"`
+	RewriteFailures int64 `json:"rewrite_failures"`
+	ReclaimedBytes  int64 `json:"reclaimed_bytes"`
 }
 
 // StatsBackend is implemented by backends that report storage-level

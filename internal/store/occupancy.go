@@ -75,12 +75,13 @@ func (ix *occupancyIndex) add(e event.Event) {
 // OccupancyStats reports the temporal occupancy index's shape and traffic.
 type OccupancyStats struct {
 	// Bucket is the bucket width.
-	Bucket time.Duration
+	Bucket time.Duration `json:"bucket_nanos"`
 	// Buckets is the number of non-empty time buckets; Entries counts
 	// distinct (bucket, AP, device) triples.
-	Buckets, Entries int
+	Buckets int `json:"buckets"`
+	Entries int `json:"entries"`
 	// Lookups counts ActiveDevicesAt calls.
-	Lookups int64
+	Lookups int64 `json:"lookups"`
 }
 
 // OccupancyStats returns the occupancy index's current size and counters.

@@ -1151,52 +1151,52 @@ func (s *Store) CheckpointState() CheckpointState {
 type SegmentStats struct {
 	// MaxEvents is the seal threshold, BlockEvents the intra-segment block
 	// size.
-	MaxEvents   int
-	BlockEvents int
+	MaxEvents   int `json:"max_events"`
+	BlockEvents int `json:"block_events"`
 	// ColdTier reports whether sealed payloads live on disk (a persistent
 	// backend) rather than in memory.
-	ColdTier bool
+	ColdTier bool `json:"cold_tier"`
 	// Segments / SegmentEvents / HeadEvents split the store's resident
 	// shape; EncodedBytes is the compressed size of all sealed payloads.
-	Segments      int
-	SegmentEvents int
-	HeadEvents    int
-	EncodedBytes  int64
+	Segments      int   `json:"segments"`
+	SegmentEvents int   `json:"segment_events"`
+	HeadEvents    int   `json:"head_events"`
+	EncodedBytes  int64 `json:"encoded_bytes"`
 	// Seals / SealFailures count seal attempts; PageIns counts block
 	// decodes from the backend (block-cache misses), CacheHits the reads
 	// served without one. DecodedBytes is the encoded bytes those decodes
 	// consumed. DecodeFailures counts refused page-ins (corrupt or missing
 	// payloads/blocks).
-	Seals          int64
-	SealFailures   int64
-	PageIns        int64
-	DecodedBytes   int64
-	CacheHits      int64
-	CacheSize      int
-	CacheCapacity  int
-	DecodeFailures int64
+	Seals          int64 `json:"seals"`
+	SealFailures   int64 `json:"seal_failures"`
+	PageIns        int64 `json:"page_ins"`
+	DecodedBytes   int64 `json:"decoded_bytes"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheSize      int   `json:"cache_size"`
+	CacheCapacity  int   `json:"cache_capacity"`
+	DecodeFailures int64 `json:"decode_failures"`
 	// CachedBytes approximates the heap bytes held by the decoded-block
 	// cache — the GC-visible decoded working set, as opposed to
 	// Backend.MappedBytes which the OS owns.
-	CachedBytes int64
+	CachedBytes int64 `json:"resident_bytes_heap"`
 	// PointLookups counts segmented point lookups (At/CurrentAP/...);
 	// LookupDecodedBytes the encoded bytes those lookups decoded (cache
 	// misses only). Their ratio is the bytes-decoded-per-point-lookup the
 	// memory benchmark gates.
-	PointLookups       int64
-	LookupDecodedBytes int64
+	PointLookups       int64 `json:"point_lookups"`
+	LookupDecodedBytes int64 `json:"lookup_decoded_bytes"`
 	// BlockSkips counts blocks pruned via the block index without being
 	// decoded; IndexLoads counts block-index trailer parses.
-	BlockSkips int64
-	IndexLoads int64
+	BlockSkips int64 `json:"block_skips"`
+	IndexLoads int64 `json:"index_loads"`
 	// Compactions counts runt-segment merges performed at checkpoint;
 	// CompactionFailures counts merges abandoned (decode or backend
 	// errors), which leave the original segments in place.
-	Compactions        int64
-	CompactionFailures int64
+	Compactions        int64 `json:"compactions"`
+	CompactionFailures int64 `json:"compaction_failures"`
 	// Backend reports storage-level stats — mmap residency and cold-tier
 	// reclamation — for backends that expose them.
-	Backend BackendStats
+	Backend BackendStats `json:"backend"`
 }
 
 // SegmentStats returns the segmented layout's current shape and counters.

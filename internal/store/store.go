@@ -17,6 +17,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -277,6 +278,11 @@ func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error
 	return nil
 }
 
+// ErrInvalidEvent is wrapped by every Ingest rejection that is the caller's
+// fault (an event without a device, an AP or a timestamp); any other Ingest
+// error is a durability failure of the backend.
+var ErrInvalidEvent = errors.New("store: invalid event")
+
 // Ingest adds a batch of events. Events with ID == 0 receive fresh sequence
 // numbers. Returns the number of events added. The whole batch is validated
 // before anything is appended, so a rejected batch leaves the store
@@ -288,13 +294,13 @@ func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error
 func (s *Store) Ingest(events []event.Event) (int, error) {
 	for _, e := range events {
 		if e.Device == "" {
-			return 0, fmt.Errorf("store: event with empty device at %v", e.Time)
+			return 0, fmt.Errorf("%w: empty device at %v", ErrInvalidEvent, e.Time)
 		}
 		if e.AP == "" {
-			return 0, fmt.Errorf("store: event with empty AP for device %s at %v", e.Device, e.Time)
+			return 0, fmt.Errorf("%w: empty AP for device %s at %v", ErrInvalidEvent, e.Device, e.Time)
 		}
 		if e.Time.IsZero() {
-			return 0, fmt.Errorf("store: event with zero timestamp for device %s", e.Device)
+			return 0, fmt.Errorf("%w: zero timestamp for device %s", ErrInvalidEvent, e.Device)
 		}
 	}
 	s.mu.Lock()

@@ -89,6 +89,12 @@ func DefaultWeights() Weights { return fine.DefaultWeights() }
 // timed-out work separately from genuine failures.
 var ErrDeadlineExceeded = errors.New("locater: query deadline exceeded")
 
+// ErrInvalidEvent is wrapped by every Ingest rejection that is the caller's
+// fault: an event without a device, an AP or a timestamp. Any other Ingest
+// error is a durability failure (the write-ahead log could not append or
+// commit the batch). See store.ErrInvalidEvent.
+var ErrInvalidEvent = store.ErrInvalidEvent
+
 // Config configures a LOCATER system. The zero value of every optional
 // field selects the paper's defaults. The fields choose the paper's
 // parameters, cache bounds, where sealed history lives and whether feeds
@@ -752,12 +758,15 @@ func (s *System) NumQueries() int { return int(s.queries.Load()) }
 type CacheTierStats struct {
 	// Size is the current number of resident entries; never exceeds
 	// Capacity.
-	Size, Capacity int
+	Size     int `json:"size"`
+	Capacity int `json:"capacity"`
 	// Hits and Misses count lookups.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts LRU removals at capacity; Invalidations counts
 	// write-triggered invalidation events (epoch bumps and per-key drops).
-	Evictions, Invalidations int64
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 func tierStats(st cache.Stats) CacheTierStats {
@@ -844,31 +853,35 @@ func (s *System) Quarantine(limit int) []QuarantineEntry {
 // are live even when EnableCache is off (the coarse stage always caches
 // trained models, and the index and segment tiers are store features);
 // Affinity and Results are zero then, and Enabled reports false.
+//
+// The JSON tags here and on the nested stats types are the wire schema of
+// GET /v1/stats ("caches"): internal/srv marshals this struct and
+// internal/client unmarshals into it.
 type CacheStats struct {
 	// Enabled reports whether the caching engine (Config.EnableCache) is on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// GraphEdges is the number of distinct edges in the global affinity
 	// graph (bounded per edge, not evicted: graph knowledge accumulates).
-	GraphEdges int
+	GraphEdges int `json:"graph_edges"`
 	// Affinity is the pairwise-affinity fallback cache (graph-served
 	// lookups count toward its Hits).
-	Affinity CacheTierStats
+	Affinity CacheTierStats `json:"affinity"`
 	// CoarseModels is the coarse stage's per-device trained-model cache.
-	CoarseModels CacheTierStats
+	CoarseModels CacheTierStats `json:"coarse_models"`
 	// Results is the whole-query result cache.
-	Results CacheTierStats
+	Results CacheTierStats `json:"results"`
 	// Occupancy is the store's temporal occupancy index (neighbor
 	// discovery).
-	Occupancy OccupancyIndexStats
+	Occupancy OccupancyIndexStats `json:"occupancy"`
 	// Segments is the store's log-structured event layout: sealed-segment
 	// shape plus the decoded-segment cache's traffic.
-	Segments SegmentTierStats
+	Segments SegmentTierStats `json:"segments"`
 	// Cleanse is the ingest-time cleansing stage's per-rule counters; zero
 	// when Config.EnableCleansing is off.
-	Cleanse CleanseStats
+	Cleanse CleanseStats `json:"cleanse"`
 	// Maintenance is the write path's model-maintenance counters (coarse
 	// sufficient statistics + affinity scoped validation).
-	Maintenance MaintenanceStats
+	Maintenance MaintenanceStats `json:"maintenance"`
 }
 
 // CacheStats reports the caching layer's per-tier sizes, bounds, and

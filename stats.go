@@ -114,27 +114,28 @@ func (h *countHist) quantile(q float64) int {
 // estimates from a power-of-two histogram (within 2× of the true value);
 // Mean and Max are exact.
 type LatencyStats struct {
-	Count      int64
-	MeanMicros float64
-	P50Micros  float64
-	P99Micros  float64
-	MaxMicros  float64
+	Count      int64   `json:"count"`
+	MeanMicros float64 `json:"mean_us"`
+	P50Micros  float64 `json:"p50_us"`
+	P99Micros  float64 `json:"p99_us"`
+	MaxMicros  float64 `json:"max_us"`
 }
 
 // QueryStats reports the query engine's service-level picture: cold
 // (computed) versus cached (result-cache hit) latency populations, and the
-// distribution of neighbors Algorithm 2 processed on cold queries.
+// distribution of neighbors Algorithm 2 processed on cold queries. The JSON
+// tags are the wire schema of GET /v1/stats ("query_stats").
 type QueryStats struct {
-	Cold   LatencyStats
-	Cached LatencyStats
+	Cold   LatencyStats `json:"cold"`
+	Cached LatencyStats `json:"cached"`
 	// NeighborsProcessedP50/P99 are upper-estimate quantiles of
 	// ProcessedNeighbors across cold queries.
-	NeighborsProcessedP50 int
-	NeighborsProcessedP99 int
+	NeighborsProcessedP50 int `json:"neighbors_processed_p50"`
+	NeighborsProcessedP99 int `json:"neighbors_processed_p99"`
 	// DeadlineExceeded counts queries that failed with ErrDeadlineExceeded:
 	// their context deadline expired before (or between) the pipeline
 	// stages. Neither latency population includes them.
-	DeadlineExceeded int64
+	DeadlineExceeded int64 `json:"deadline_exceeded"`
 }
 
 // queryMetrics is the System's recorder.
@@ -156,7 +157,7 @@ func (m *queryMetrics) snapshot() QueryStats {
 }
 
 // QueryStats returns the cold/cached latency histograms' summaries and the
-// neighbors-processed distribution. Served under GET /stats (query_stats).
+// neighbors-processed distribution. Served under GET /v1/stats (query_stats).
 func (s *System) QueryStats() QueryStats {
 	return s.metrics.snapshot()
 }
