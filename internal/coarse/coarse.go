@@ -22,7 +22,6 @@ package coarse
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,6 +115,13 @@ type Localizer struct {
 	building *space.Building
 	store    *store.Store
 
+	// regions is the building's region list, sorted (a region's ID is its
+	// AP's, and Building.Regions lists them in sorted AP order); regionIdx
+	// inverts it. Feature encoding and the region models' label space index
+	// into it.
+	regions   []space.RegionID
+	regionIdx map[space.RegionID]int
+
 	// models caches per-device trained classifiers, bounded at
 	// Options.ModelCacheCapacity (LRU eviction past that).
 	models *cache.Cache[event.DeviceID, *deviceModel]
@@ -154,10 +160,17 @@ type Result struct {
 // New creates a coarse localizer over the given building and store.
 func New(b *space.Building, st *store.Store, opts Options) *Localizer {
 	opts = opts.withDefaults()
+	regions := b.Regions()
+	regionIdx := make(map[space.RegionID]int, len(regions))
+	for i, r := range regions {
+		regionIdx[r] = i
+	}
 	return &Localizer{
-		opts:     opts,
-		building: b,
-		store:    st,
+		opts:      opts,
+		building:  b,
+		store:     st,
+		regions:   regions,
+		regionIdx: regionIdx,
 		models: cache.NewSharded[event.DeviceID, *deviceModel](
 			opts.ModelCacheCapacity, numModelShards, cache.StringHash[event.DeviceID]),
 		stats: newStatsTable(),
@@ -248,10 +261,11 @@ func (l *Localizer) openGap(d event.DeviceID, tq time.Time) (event.Gap, bool) {
 }
 
 // classifyGap runs the bootstrap heuristics and, when they are inconclusive,
-// the trained classifiers on the query gap.
+// the trained classifiers on the query gap. Each history scan runs only when
+// its answer is read: the features once the heuristics have sent the gap to
+// the model, the bootstrap region when it answers or the model falls back.
 func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, tq time.Time) (Result, error) {
 	th := l.opts.Thresholds
-	feat := l.featurize(d, g)
 
 	// Bootstrap heuristics answer directly when conclusive.
 	switch {
@@ -267,11 +281,12 @@ func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, tq time.Time) (Re
 		return Result{}, err
 	}
 
-	inside, conf := m.predictInside(feat)
+	x := l.featurize(g, l.windowCount(d, g)).Vector()
+	inside, conf := m.predictInside(x)
 	if !inside {
 		return Result{Outside: true, Confidence: conf, Gap: &g}, nil
 	}
-	region, rconf := m.predictRegion(feat, l.bootstrapRegion(d, g))
+	region, rconf := m.predictRegion(x, l.regions, func() space.RegionID { return l.bootstrapRegion(d, g) })
 	c := conf * rconf
 	return Result{Region: region, Confidence: c, Gap: &g}, nil
 }
@@ -286,7 +301,10 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	if okS && okE && gs == ge {
 		return gs
 	}
-	if r, ok := l.mostVisitedRegionInWindow(d, g); ok {
+	var r space.RegionID
+	found := false
+	l.scanHistory(d, g.Start, func(evs []event.Event) { r, found = l.mostVisitedRegion(evs, g) })
+	if found {
 		return r
 	}
 	if okS {
@@ -295,51 +313,46 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	if okE {
 		return ge
 	}
-	regions := l.building.Regions()
-	if len(regions) > 0 {
-		return regions[0]
+	if len(l.regions) > 0 {
+		return l.regions[0]
 	}
 	return ""
 }
 
-// mostVisitedRegionInWindow counts the device's historical events whose
-// time-of-day falls inside the gap's time-of-day window and returns the
-// modal region. Ties break lexicographically for determinism. The history
-// window is visited in place (store.ScanEvents) — counting retains nothing,
-// so this per-query path makes no log copy.
-func (l *Localizer) mostVisitedRegionInWindow(d event.DeviceID, g event.Gap) (space.RegionID, bool) {
+// mostVisitedRegion counts the historical events whose time of day falls
+// inside the gap's time-of-day window and returns the modal region. Ties
+// break lexicographically for determinism (l.regions is sorted). The query
+// path hands it the history window in place (scanHistory) — counting
+// retains nothing, so it makes no log copy — and training the slice it
+// already holds.
+func (l *Localizer) mostVisitedRegion(hist []event.Event, g event.Gap) (space.RegionID, bool) {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
-	counts := make(map[space.RegionID]int)
-	l.scanHistory(d, g.Start, func(evs []event.Event) {
-		for _, e := range evs {
-			s := secondOfDay(e.Time)
-			if inDayWindow(s, startSec, endSec) {
-				if region, ok := l.building.RegionOf(e.AP); ok {
-					counts[region]++
-				}
+	counts := make([]int, len(l.regions))
+	found := false
+	for _, e := range hist {
+		if inDayWindow(secondOfDay(e.Time), startSec, endSec) {
+			if region, ok := l.building.RegionOf(e.AP); ok {
+				counts[l.regionIdx[region]]++
+				found = true
 			}
 		}
-	})
-	if len(counts) == 0 {
+	}
+	if !found {
 		return "", false
 	}
-	regions := make([]space.RegionID, 0, len(counts))
-	for r := range counts {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	best := regions[0]
-	for _, r := range regions[1:] {
-		if counts[r] > counts[best] {
-			best = r
+	best := 0
+	for i, c := range counts {
+		if c > counts[best] {
+			best = i
 		}
 	}
-	return best, true
+	return l.regions[best], true
 }
 
 func secondOfDay(t time.Time) int {
-	return t.Hour()*3600 + t.Minute()*60 + t.Second()
+	h, m, s := t.Clock()
+	return h*3600 + m*60 + s
 }
 
 // inDayWindow reports whether second-of-day s lies in [start, end],

@@ -2,6 +2,7 @@ package coarse
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -357,7 +358,7 @@ func TestFeatureVector(t *testing.T) {
 		PrevEvent: event.Event{Device: "dev", Time: t0.Add(9 * time.Hour), AP: "apA"},
 		NextEvent: event.Event{Device: "dev", Time: t0.Add(12 * time.Hour), AP: "apB"},
 	}
-	f := l.featurize("dev", g)
+	f := l.featurize(g, l.windowCount("dev", g))
 	v := f.Vector()
 	if len(v) != NumFeatures {
 		t.Fatalf("vector length = %d, want %d", len(v), NumFeatures)
@@ -400,6 +401,37 @@ func TestInDayWindowWrap(t *testing.T) {
 	}
 	if !inDayWindow(12*3600, 9*3600, 17*3600) {
 		t.Error("noon should be inside 9–17")
+	}
+}
+
+// TestDaySecondsCountMatchesScan: training's binary-search ω count equals
+// the inDayWindow scan for plain and midnight-wrapping windows, including
+// events exactly on a window edge.
+func TestDaySecondsCountMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	hist := make([]event.Event, 500)
+	for i := range hist {
+		hist[i] = event.Event{Time: t0.Add(time.Duration(rng.Intn(28*86400)) * time.Second)}
+	}
+	secs := newDaySeconds(hist)
+	for i := 0; i < 2000; i++ {
+		start := t0.Add(time.Duration(rng.Intn(86400)) * time.Second)
+		g := event.Gap{Start: start, End: start.Add(time.Duration(rng.Intn(86400)) * time.Second)}
+		switch i % 3 { // an edge exactly on an event's time of day
+		case 0:
+			g.Start = hist[rng.Intn(len(hist))].Time
+		case 1:
+			g.End = hist[rng.Intn(len(hist))].Time
+		}
+		want := 0
+		for _, e := range hist {
+			if inDayWindow(secondOfDay(e.Time), secondOfDay(g.Start), secondOfDay(g.End)) {
+				want++
+			}
+		}
+		if got := secs.count(g); got != want {
+			t.Fatalf("window %s–%s: count %d, scan %d", g.Start.Format("15:04:05"), g.End.Format("15:04:05"), got, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package coarse
 
 import (
-	"time"
+	"sort"
 
 	"locater/internal/event"
 	"locater/internal/space"
@@ -40,21 +40,22 @@ func (f GapFeatures) Vector() []float64 {
 // NumFeatures is the dimensionality of GapFeatures.Vector.
 const NumFeatures = 8
 
-// featurize computes the gap's feature vector using the device's history for
-// the density term.
-func (l *Localizer) featurize(d event.DeviceID, g event.Gap) GapFeatures {
-	f := GapFeatures{
-		Gap:       g,
-		StartTime: float64(secondOfDay(g.Start)),
-		EndTime:   float64(secondOfDay(g.End)),
-		Duration:  g.Duration().Seconds(),
-		StartDay:  float64(g.Start.Weekday()),
-		EndDay:    float64(g.End.Weekday()),
+// featurize builds the gap's feature vector; count is the number of history
+// events in the gap's time-of-day window, ω's numerator. The query path
+// (windowCount) and training (daySeconds.count) count it over different
+// windows and by different means.
+func (l *Localizer) featurize(g event.Gap, count int) GapFeatures {
+	return GapFeatures{
+		Gap:         g,
+		StartTime:   float64(secondOfDay(g.Start)),
+		EndTime:     float64(secondOfDay(g.End)),
+		Duration:    g.Duration().Seconds(),
+		StartDay:    float64(g.Start.Weekday()),
+		EndDay:      float64(g.End.Weekday()),
+		StartRegion: l.regionIndexOfAP(g.PrevEvent.AP),
+		EndRegion:   l.regionIndexOfAP(g.NextEvent.AP),
+		Density:     float64(count) / float64(l.opts.HistoryDays),
 	}
-	f.StartRegion = l.regionIndexOfAP(g.PrevEvent.AP)
-	f.EndRegion = l.regionIndexOfAP(g.NextEvent.AP)
-	f.Density = l.connectionDensity(d, g)
-	return f
 }
 
 // regionIndexOfAP encodes an AP's region as its index in the sorted region
@@ -68,18 +69,16 @@ func (l *Localizer) regionIndexOfAP(ap space.APID) float64 {
 }
 
 func (l *Localizer) regionIndex(g space.RegionID) int {
-	for i, r := range l.building.Regions() {
-		if r == g {
-			return i
-		}
+	if i, ok := l.regionIdx[g]; ok {
+		return i
 	}
 	return -1
 }
 
-// connectionDensity computes ω: the average number of the device's logged
-// connectivity events per history day within the gap's time-of-day window.
-// The history is visited zero-copy (counting retains nothing).
-func (l *Localizer) connectionDensity(d event.DeviceID, g event.Gap) float64 {
+// windowCount counts the device's logged events in the N history days
+// before the gap whose time of day falls inside the gap's time-of-day
+// window. The history is visited zero-copy (counting retains nothing).
+func (l *Localizer) windowCount(d event.DeviceID, g event.Gap) int {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
 	count := 0
@@ -90,48 +89,32 @@ func (l *Localizer) connectionDensity(d event.DeviceID, g event.Gap) float64 {
 			}
 		}
 	})
-	if count == 0 {
-		return 0
-	}
-	days := l.opts.HistoryDays
-	if days == 0 {
-		days = 1
-	}
-	return float64(count) / float64(days)
+	return count
 }
 
-// windowDensity is a shared helper for training-time featurization where
-// the history slice is already materialized.
-func windowDensity(hist []event.Event, g event.Gap, historyDays int) float64 {
-	if len(hist) == 0 || historyDays <= 0 {
-		return 0
+// daySeconds is a history's event times as sorted seconds of day. Training
+// counts ω's events for every gap against one history, so it sorts once and
+// counts each gap's window by binary search — the integer an inDayWindow
+// scan of that history gives.
+type daySeconds []int
+
+func newDaySeconds(hist []event.Event) daySeconds {
+	s := make(daySeconds, len(hist))
+	for i, e := range hist {
+		s[i] = secondOfDay(e.Time)
 	}
-	startSec := secondOfDay(g.Start)
-	endSec := secondOfDay(g.End)
-	count := 0
-	for _, e := range hist {
-		if inDayWindow(secondOfDay(e.Time), startSec, endSec) {
-			count++
-		}
-	}
-	return float64(count) / float64(historyDays)
+	sort.Ints(s)
+	return s
 }
 
-// featurizeWithHistory computes features against a pre-fetched history
-// slice (used during training to avoid re-querying the store per gap).
-func (l *Localizer) featurizeWithHistory(g event.Gap, hist []event.Event) GapFeatures {
-	f := GapFeatures{
-		Gap:       g,
-		StartTime: float64(secondOfDay(g.Start)),
-		EndTime:   float64(secondOfDay(g.End)),
-		Duration:  g.Duration().Seconds(),
-		StartDay:  float64(g.Start.Weekday()),
-		EndDay:    float64(g.End.Weekday()),
+// count returns how many seconds lie in the gap's time-of-day window,
+// wrapping past midnight like inDayWindow.
+func (s daySeconds) count(g event.Gap) int {
+	start, end := secondOfDay(g.Start), secondOfDay(g.End)
+	if start <= end {
+		return sort.SearchInts(s, end+1) - sort.SearchInts(s, start)
 	}
-	f.StartRegion = l.regionIndexOfAP(g.PrevEvent.AP)
-	f.EndRegion = l.regionIndexOfAP(g.NextEvent.AP)
-	f.Density = windowDensity(hist, g, l.opts.HistoryDays)
-	return f
+	return len(s) - sort.SearchInts(s, start) + sort.SearchInts(s, end+1)
 }
 
 // gapSpansDays reports whether the gap crosses midnight. The paper assumes
@@ -142,5 +125,3 @@ func gapSpansDays(g event.Gap) bool {
 	ye, me, de := g.End.Date()
 	return ys != ye || ms != me || ds != de
 }
-
-var _ = time.Second // keep time imported for doc references

@@ -5,7 +5,6 @@ import (
 
 	"locater/internal/event"
 	"locater/internal/ml"
-	"locater/internal/space"
 )
 
 // populationModel lazily trains a building-wide model on the pooled,
@@ -27,11 +26,6 @@ func (l *Localizer) populationModel(ref time.Time) *deviceModel {
 		return l.population
 	}
 	th := l.opts.Thresholds
-	regionLabels := l.building.Regions()
-	regionIdx := make(map[space.RegionID]int, len(regionLabels))
-	for i, r := range regionLabels {
-		regionIdx[r] = i
-	}
 
 	var labeled, rLabeled []labeledGap
 	const maxDevices = 64 // bound population training cost
@@ -50,6 +44,7 @@ func (l *Localizer) populationModel(ref time.Time) *deviceModel {
 		if len(gaps) > maxGapsPerDevice {
 			gaps = gaps[len(gaps)-maxGapsPerDevice:]
 		}
+		secs := newDaySeconds(hist)
 		for _, g := range gaps {
 			// Unlike per-device training, midnight-spanning gaps stay in
 			// the population pool when they are long: overnight absences
@@ -57,31 +52,33 @@ func (l *Localizer) populationModel(ref time.Time) *deviceModel {
 			if gapSpansDays(g) && g.Duration() < th.TauHigh {
 				continue
 			}
-			f := l.featurizeWithHistory(g, hist)
 			switch {
 			case g.Duration() <= th.TauLow:
-				labeled = append(labeled, labeledGap{features: f, label: classInside})
+				x := l.featurize(g, secs.count(g)).Vector()
+				labeled = append(labeled, labeledGap{x: x, label: classInside})
 				gs, okS := l.building.RegionOf(g.PrevEvent.AP)
 				ge, okE := l.building.RegionOf(g.NextEvent.AP)
 				if okS && okE && gs == ge {
-					rLabeled = append(rLabeled, labeledGap{features: f, label: regionIdx[gs]})
+					rLabeled = append(rLabeled, labeledGap{x: x, label: l.regionIdx[gs]})
 				}
 			case g.Duration() >= th.TauHigh:
-				labeled = append(labeled, labeledGap{features: f, label: classOutside})
+				labeled = append(labeled, labeledGap{x: l.featurize(g, secs.count(g)).Vector(), label: classOutside})
 			}
+			// Gaps between the thresholds carry no bootstrap label and are
+			// not pooled, so they are not featurized.
 		}
 	}
 	if len(labeled) == 0 {
 		return nil
 	}
 
-	m := &deviceModel{trainedAt: ref, numGaps: len(labeled), regionLabels: regionLabels}
+	m := &deviceModel{trainedAt: ref, numGaps: len(labeled)}
 	clf, maj, err := l.selfTrain(labeled, nil, 2)
 	if err != nil {
 		return nil
 	}
 	m.insideModel, m.insideMajority = clf, maj
-	rclf, rmaj, err := l.selfTrain(rLabeled, nil, len(regionLabels))
+	rclf, rmaj, err := l.selfTrain(rLabeled, nil, len(l.regions))
 	if err != nil {
 		m.regionMajority = &ml.MajorityClassifier{Class: 0}
 	} else {

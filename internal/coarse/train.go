@@ -10,26 +10,26 @@ import (
 	"locater/internal/space"
 )
 
-// labeledGap pairs a featurized gap with its (possibly bootstrap-assigned)
-// class label.
+// labeledGap pairs a gap's feature vector with its (possibly
+// bootstrap-assigned) class label.
 type labeledGap struct {
-	features GapFeatures
-	label    int
+	x     []float64
+	label int
 }
 
 // deviceModel holds the two classifiers trained for one device: the
-// inside/outside model and the region model, plus the label space mapping.
+// inside/outside model and the region model. The region model's label space
+// is the Localizer's region list (l.regions).
 type deviceModel struct {
 	// insideModel classifies {0: inside, 1: outside}. nil when training
 	// degenerated to a single class; then insideMajority applies.
 	insideModel    *ml.Classifier
 	insideMajority *ml.MajorityClassifier
 
-	// regionModel classifies over regionLabels. nil when degenerate; then
-	// regionMajority applies.
+	// regionModel classifies over the building's regions. nil when
+	// degenerate; then regionMajority applies.
 	regionModel    *ml.Classifier
 	regionMajority *ml.MajorityClassifier
-	regionLabels   []space.RegionID
 
 	trainedAt time.Time
 	numGaps   int
@@ -86,29 +86,34 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 		}
 		m.insideMajority = &ml.MajorityClassifier{Class: classInside}
 		m.regionMajority = &ml.MajorityClassifier{Class: 0}
-		m.regionLabels = l.building.Regions()
 		return m, nil
 	}
 
 	th := l.opts.Thresholds
+	secs := newDaySeconds(hist)
 
 	// --- Stage 1: inside/outside -------------------------------------
 	var labeled []labeledGap
-	var unlabeled []GapFeatures
-	var insideGaps []event.Gap // bootstrap-inside gaps feed stage 2
+	var unlabeled [][]float64
+	// Bootstrap-inside gaps feed stage 2 with the features computed here.
+	type insideGap struct {
+		g event.Gap
+		x []float64
+	}
+	var insideGaps []insideGap
 	for _, g := range gaps {
 		if gapSpansDays(g) {
 			continue // paper assumes gaps do not span multiple days
 		}
-		f := l.featurizeWithHistory(g, hist)
+		x := l.featurize(g, secs.count(g)).Vector()
 		switch {
 		case g.Duration() <= th.TauLow:
-			labeled = append(labeled, labeledGap{features: f, label: classInside})
-			insideGaps = append(insideGaps, g)
+			labeled = append(labeled, labeledGap{x: x, label: classInside})
+			insideGaps = append(insideGaps, insideGap{g: g, x: x})
 		case g.Duration() >= th.TauHigh:
-			labeled = append(labeled, labeledGap{features: f, label: classOutside})
+			labeled = append(labeled, labeledGap{x: x, label: classOutside})
 		default:
-			unlabeled = append(unlabeled, f)
+			unlabeled = append(unlabeled, x)
 		}
 	}
 	insideClf, insideMaj, err := l.selfTrain(labeled, unlabeled, 2)
@@ -120,34 +125,29 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 
 	// --- Stage 2: region ----------------------------------------------
 	// Label space: the building's regions in sorted order.
-	m.regionLabels = l.building.Regions()
-	regionIdx := make(map[space.RegionID]int, len(m.regionLabels))
-	for i, r := range m.regionLabels {
-		regionIdx[r] = i
-	}
 	var rLabeled []labeledGap
-	var rUnlabeled []GapFeatures
-	for _, g := range insideGaps {
-		f := l.featurizeWithHistory(g, hist)
+	var rUnlabeled [][]float64
+	for _, ig := range insideGaps {
+		g := ig.g
 		gs, okS := l.building.RegionOf(g.PrevEvent.AP)
 		ge, okE := l.building.RegionOf(g.NextEvent.AP)
 		switch {
 		case okS && okE && gs == ge:
-			rLabeled = append(rLabeled, labeledGap{features: f, label: regionIdx[gs]})
+			rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})
 		case g.Duration() <= th.RegionTauLow:
 			// Short ambiguous gap: most-visited-region heuristic.
-			if r, ok := l.mostVisitedRegionInWindowHist(hist, g); ok {
-				rLabeled = append(rLabeled, labeledGap{features: f, label: regionIdx[r]})
+			if r, ok := l.mostVisitedRegion(hist, g); ok {
+				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[r]})
 			} else if okS {
-				rLabeled = append(rLabeled, labeledGap{features: f, label: regionIdx[gs]})
+				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})
 			}
 		case g.Duration() <= th.RegionTauHigh:
-			rUnlabeled = append(rUnlabeled, f)
+			rUnlabeled = append(rUnlabeled, ig.x)
 		default:
 			// Long inside gaps are too uncertain for region training.
 		}
 	}
-	regionClf, regionMaj, err := l.selfTrain(rLabeled, rUnlabeled, len(m.regionLabels))
+	regionClf, regionMaj, err := l.selfTrain(rLabeled, rUnlabeled, len(l.regions))
 	if err != nil {
 		return nil, fmt.Errorf("coarse: training region model for %s: %w", d, err)
 	}
@@ -156,42 +156,12 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 	return m, nil
 }
 
-// mostVisitedRegionInWindowHist is mostVisitedRegionInWindow against a
-// pre-fetched history slice.
-func (l *Localizer) mostVisitedRegionInWindowHist(hist []event.Event, g event.Gap) (space.RegionID, bool) {
-	startSec := secondOfDay(g.Start)
-	endSec := secondOfDay(g.End)
-	counts := make(map[space.RegionID]int)
-	for _, e := range hist {
-		if inDayWindow(secondOfDay(e.Time), startSec, endSec) {
-			if region, ok := l.building.RegionOf(e.AP); ok {
-				counts[region]++
-			}
-		}
-	}
-	if len(counts) == 0 {
-		return "", false
-	}
-	regions := make([]space.RegionID, 0, len(counts))
-	for r := range counts {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	best := regions[0]
-	for _, r := range regions[1:] {
-		if counts[r] > counts[best] {
-			best = r
-		}
-	}
-	return best, true
-}
-
 // selfTrain implements Algorithm 1. Starting from the bootstrap-labeled set,
 // it repeatedly trains a classifier, predicts every unlabeled gap, and
 // promotes the most confident prediction(s) (variance of the prediction
 // array) into the labeled set; it returns the classifier trained in the last
 // round. Degenerate label sets yield a majority classifier instead.
-func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled []GapFeatures, numClasses int) (*ml.Classifier, *ml.MajorityClassifier, error) {
+func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled [][]float64, numClasses int) (*ml.Classifier, *ml.MajorityClassifier, error) {
 	if len(labeled) == 0 {
 		return nil, &ml.MajorityClassifier{Class: 0}, nil
 	}
@@ -202,7 +172,7 @@ func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled []GapFeatures, num
 
 	work := make([]labeledGap, len(labeled))
 	copy(work, labeled)
-	pending := make([]GapFeatures, len(unlabeled))
+	pending := make([][]float64, len(unlabeled))
 	copy(pending, unlabeled)
 
 	var clf *ml.Classifier
@@ -222,8 +192,8 @@ func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled []GapFeatures, num
 			conf  float64
 		}
 		best := make([]scored, 0, len(pending))
-		for i, f := range pending {
-			probs, label, perr := clf.Predict(f.Vector())
+		for i, x := range pending {
+			probs, label, perr := clf.Predict(x)
 			if perr != nil {
 				return nil, nil, perr
 			}
@@ -241,13 +211,13 @@ func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled []GapFeatures, num
 		}
 		promoted := make(map[int]bool, k)
 		for _, s := range best[:k] {
-			work = append(work, labeledGap{features: pending[s.idx], label: s.label})
+			work = append(work, labeledGap{x: pending[s.idx], label: s.label})
 			promoted[s.idx] = true
 		}
 		next := pending[:0]
-		for i, f := range pending {
+		for i, x := range pending {
 			if !promoted[i] {
-				next = append(next, f)
+				next = append(next, x)
 			}
 		}
 		pending = next
@@ -265,45 +235,46 @@ func distinctLabels(gaps []labeledGap) int {
 func examplesOf(gaps []labeledGap) []ml.Example {
 	out := make([]ml.Example, len(gaps))
 	for i, g := range gaps {
-		out[i] = ml.Example{Features: g.features.Vector(), Label: g.label}
+		out[i] = ml.Example{Features: g.x, Label: g.label}
 	}
 	return out
 }
 
-// predictInside classifies a gap as inside (true) or outside (false) with a
-// confidence equal to the winning probability.
-func (m *deviceModel) predictInside(f GapFeatures) (bool, float64) {
+// predictInside classifies a gap's feature vector as inside (true) or
+// outside (false) with a confidence equal to the winning probability.
+func (m *deviceModel) predictInside(x []float64) (bool, float64) {
 	if m.insideModel == nil {
 		probs, label := m.insideMajority.Predict(2)
 		return label == classInside, probs[maxIdx(probs)]
 	}
-	probs, label, err := m.insideModel.Predict(f.Vector())
+	probs, label, err := m.insideModel.Predict(x)
 	if err != nil {
 		return true, 0.5
 	}
 	return label == classInside, probs[label]
 }
 
-// predictRegion returns the region label with its probability; fallback is
-// used when the model is degenerate and carries no information.
-func (m *deviceModel) predictRegion(f GapFeatures, fallback space.RegionID) (space.RegionID, float64) {
-	if len(m.regionLabels) == 0 {
-		return fallback, 1
+// predictRegion returns the region, one of regions (the model's label
+// space), with its probability; fallback is called for the answer when the
+// model is degenerate and carries no information, or fails.
+func (m *deviceModel) predictRegion(x []float64, regions []space.RegionID, fallback func() space.RegionID) (space.RegionID, float64) {
+	if len(regions) == 0 {
+		return fallback(), 1
 	}
 	if m.regionModel == nil {
 		if m.regionMajority != nil && m.regionMajority.Total > 0 {
-			_, label := m.regionMajority.Predict(len(m.regionLabels))
-			if label >= 0 && label < len(m.regionLabels) {
-				return m.regionLabels[label], 1
+			_, label := m.regionMajority.Predict(len(regions))
+			if label >= 0 && label < len(regions) {
+				return regions[label], 1
 			}
 		}
-		return fallback, 1
+		return fallback(), 1
 	}
-	probs, label, err := m.regionModel.Predict(f.Vector())
-	if err != nil || label < 0 || label >= len(m.regionLabels) {
-		return fallback, 0.5
+	probs, label, err := m.regionModel.Predict(x)
+	if err != nil || label < 0 || label >= len(regions) {
+		return fallback(), 0.5
 	}
-	return m.regionLabels[label], probs[label]
+	return regions[label], probs[label]
 }
 
 func maxIdx(xs []float64) int {

@@ -60,8 +60,8 @@ func (o Options) withDefaults() Options {
 type Classifier struct {
 	numClasses  int
 	numFeatures int
-	// weights[c][f], biases[c].
-	weights [][]float64
+	// weights is row-major, weights[c*numFeatures+f]; biases[c].
+	weights []float64
 	biases  []float64
 	scaler  *Scaler
 	// trainLoss records the regularized negative log-likelihood per epoch.
@@ -74,6 +74,14 @@ var ErrNoData = errors.New("ml: no training examples")
 // Train fits a softmax logistic regression on the examples. numClasses must
 // cover every label. Features are standardized internally; the scaler is
 // stored in the classifier and applied on prediction.
+//
+// Weights, gradients and standardized inputs live in flat row-major slices;
+// each example takes three passes over the classes (logits with their max,
+// exps, then the softmax division fused with the gradient), and 8-feature
+// inputs (coarse's gap features) take straight-line logit and gradient
+// bodies with the example held in registers. Every accumulator adds its
+// terms in the order of the textbook nested loops, so the model is
+// bit-identical to theirs.
 func Train(examples []Example, numClasses int, opts Options) (*Classifier, error) {
 	if len(examples) == 0 {
 		return nil, ErrNoData
@@ -96,73 +104,50 @@ func Train(examples []Example, numClasses int, opts Options) (*Classifier, error
 	opts = opts.withDefaults()
 
 	scaler := FitScaler(examples)
-	x := make([][]float64, len(examples))
+	x := make([]float64, len(examples)*nf)
 	for i, ex := range examples {
-		x[i] = scaler.Transform(ex.Features)
+		scaler.transformInto(x[i*nf:(i+1)*nf], ex.Features)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	c := &Classifier{
 		numClasses:  numClasses,
 		numFeatures: nf,
-		weights:     make([][]float64, numClasses),
+		weights:     make([]float64, numClasses*nf),
 		biases:      make([]float64, numClasses),
 		scaler:      scaler,
 	}
-	for k := 0; k < numClasses; k++ {
-		c.weights[k] = make([]float64, nf)
-		for f := 0; f < nf; f++ {
-			c.weights[k][f] = (rng.Float64() - 0.5) * 0.01
-		}
+	for i := range c.weights {
+		c.weights[i] = (rng.Float64() - 0.5) * 0.01
 	}
 
 	n := float64(len(examples))
-	probs := make([]float64, numClasses)
-	gradW := make([][]float64, numClasses)
+	z := make([]float64, numClasses)
+	gradW := make([]float64, numClasses*nf)
 	gradB := make([]float64, numClasses)
-	for k := range gradW {
-		gradW[k] = make([]float64, nf)
-	}
 	prevLoss := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		for k := 0; k < numClasses; k++ {
-			gradB[k] = 0
-			for f := 0; f < nf; f++ {
-				gradW[k][f] = 0
-			}
-		}
+		clear(gradW)
+		clear(gradB)
 		loss := 0.0
 		for i, ex := range examples {
-			c.logits(x[i], probs)
-			softmaxInPlace(probs)
-			p := probs[ex.Label]
+			xi := x[i*nf : (i+1)*nf]
+			sum := expShifted(z, c.logits(xi, z))
+			p := z[ex.Label] / sum
 			if p < 1e-15 {
 				p = 1e-15
 			}
 			loss -= math.Log(p)
-			for k := 0; k < numClasses; k++ {
-				d := probs[k]
-				if k == ex.Label {
-					d -= 1
-				}
-				gradB[k] += d
-				xi := x[i]
-				gw := gradW[k]
-				for f := 0; f < nf; f++ {
-					gw[f] += d * xi[f]
-				}
-			}
+			addGradient(gradW, gradB, z, sum, ex.Label, xi)
 		}
 		// L2 penalty and parameter update.
-		for k := 0; k < numClasses; k++ {
-			wk := c.weights[k]
-			gw := gradW[k]
-			for f := 0; f < nf; f++ {
-				loss += 0.5 * opts.L2 * wk[f] * wk[f]
-				g := gw[f]/n + opts.L2*wk[f]
-				wk[f] -= opts.LearningRate * g
-			}
-			c.biases[k] -= opts.LearningRate * gradB[k] / n
+		for i, w := range c.weights {
+			loss += 0.5 * opts.L2 * w * w
+			g := gradW[i]/n + opts.L2*w
+			c.weights[i] = w - opts.LearningRate*g
+		}
+		for k, gb := range gradB {
+			c.biases[k] -= opts.LearningRate * gb / n
 		}
 		loss /= n
 		c.trainLoss = append(c.trainLoss, loss)
@@ -174,33 +159,93 @@ func Train(examples []Example, numClasses int, opts Options) (*Classifier, error
 	return c, nil
 }
 
-// logits writes w_k·x + b_k into out (len == numClasses).
-func (c *Classifier) logits(x []float64, out []float64) {
-	for k := 0; k < c.numClasses; k++ {
-		s := c.biases[k]
-		wk := c.weights[k]
-		for f, v := range x {
-			s += wk[f] * v
+// logits writes w_k·x + b_k into out (len == numClasses), summing from the
+// bias through the features in order, and returns the largest (the first
+// one on a tie or NaN, as the textbook max scan keeps it).
+func (c *Classifier) logits(x []float64, out []float64) (max float64) {
+	nf := c.numFeatures
+	b := c.biases[:len(out)]
+	if nf == 8 {
+		x8 := (*[8]float64)(x)
+		x0, x1, x2, x3, x4, x5, x6, x7 := x8[0], x8[1], x8[2], x8[3], x8[4], x8[5], x8[6], x8[7]
+		w := c.weights[:len(out)*8]
+		for k := range out {
+			wk := (*[8]float64)(w[k*8:])
+			s := b[k] + wk[0]*x0 + wk[1]*x1 + wk[2]*x2 + wk[3]*x3 + wk[4]*x4 + wk[5]*x5 + wk[6]*x6 + wk[7]*x7
+			out[k] = s
+			if k == 0 || s > max {
+				max = s
+			}
+		}
+		return max
+	}
+	for k := range out {
+		s := b[k]
+		for f, w := range c.weights[k*nf : (k+1)*nf] {
+			s += w * x[f]
 		}
 		out[k] = s
-	}
-}
-
-func softmaxInPlace(z []float64) {
-	max := z[0]
-	for _, v := range z[1:] {
-		if v > max {
-			max = v
+		if k == 0 || s > max {
+			max = s
 		}
 	}
+	return max
+}
+
+// expShifted replaces each z[k] by exp(z[k] - max) and returns their sum.
+// The shift is exactly 0 at the maximum, whose exp is exactly 1, so that
+// call is skipped.
+func expShifted(z []float64, max float64) float64 {
 	sum := 0.0
 	for i, v := range z {
-		e := math.Exp(v - max)
+		e := 1.0
+		if d := v - max; d != 0 {
+			e = math.Exp(d)
+		}
 		z[i] = e
 		sum += e
 	}
-	for i := range z {
-		z[i] /= sum
+	return sum
+}
+
+// addGradient adds one example's logit gradient, the softmax e[k]/sum minus
+// the one-hot label: d to gradB[k] and d·x to row k of gradW. The softmax
+// division happens here rather than in a pass of its own.
+func addGradient(gradW, gradB, e []float64, sum float64, label int, x []float64) {
+	nf := len(x)
+	gradB = gradB[:len(e)]
+	if nf == 8 {
+		x8 := (*[8]float64)(x)
+		x0, x1, x2, x3, x4, x5, x6, x7 := x8[0], x8[1], x8[2], x8[3], x8[4], x8[5], x8[6], x8[7]
+		gradW = gradW[:len(e)*8]
+		for k, ek := range e {
+			d := ek / sum
+			if k == label {
+				d -= 1
+			}
+			gradB[k] += d
+			g := (*[8]float64)(gradW[k*8:])
+			g[0] += d * x0
+			g[1] += d * x1
+			g[2] += d * x2
+			g[3] += d * x3
+			g[4] += d * x4
+			g[5] += d * x5
+			g[6] += d * x6
+			g[7] += d * x7
+		}
+		return
+	}
+	for k, ek := range e {
+		d := ek / sum
+		if k == label {
+			d -= 1
+		}
+		gradB[k] += d
+		g := gradW[k*nf : (k+1)*nf]
+		for f, v := range x {
+			g[f] += d * v
+		}
 	}
 }
 
@@ -211,10 +256,13 @@ func (c *Classifier) Predict(features []float64) ([]float64, int, error) {
 	if len(features) != c.numFeatures {
 		return nil, 0, fmt.Errorf("ml: predict with %d features, want %d", len(features), c.numFeatures)
 	}
-	x := c.scaler.Transform(features)
-	probs := make([]float64, c.numClasses)
-	c.logits(x, probs)
-	softmaxInPlace(probs)
+	buf := make([]float64, c.numFeatures+c.numClasses)
+	x, probs := buf[:c.numFeatures], buf[c.numFeatures:]
+	c.scaler.transformInto(x, features)
+	sum := expShifted(probs, c.logits(x, probs))
+	for k := range probs {
+		probs[k] /= sum
+	}
 	best := 0
 	for k := 1; k < c.numClasses; k++ {
 		if probs[k] > probs[best] {
@@ -297,10 +345,10 @@ func FitScaler(examples []Example) *Scaler {
 // inputs (±Inf, ±1e308) keep the downstream logits finite.
 const transformClamp = 1e12
 
-// Transform standardizes one feature vector (allocating a new slice).
-// Non-finite and extreme values are clamped to keep predictions finite.
-func (s *Scaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
+// transformInto standardizes one feature vector into out (len(out) ==
+// len(x)). Non-finite and extreme values are clamped to keep predictions
+// finite.
+func (s *Scaler) transformInto(out, x []float64) {
 	for f, v := range x {
 		if f < len(s.Mean) {
 			v = (v - s.Mean[f]) / s.Std[f]
@@ -315,7 +363,6 @@ func (s *Scaler) Transform(x []float64) []float64 {
 		}
 		out[f] = v
 	}
-	return out
 }
 
 // MajorityClassifier is the degenerate fallback used when every training
