@@ -301,6 +301,23 @@ func (c *Cache[K, V]) Invalidate() {
 	c.invalidates.Add(1)
 }
 
+// Range calls fn with every value cached in the current epoch, holding that
+// value's shard lock; fn must not touch this cache. It neither reorders the
+// LRU lists nor counts as a lookup.
+func (c *Cache[K, V]) Range(fn func(V)) {
+	epoch := c.epoch.Load()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			if e.epoch == epoch {
+				fn(e.val)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // Epoch returns the current epoch, for use with PutAt.
 func (c *Cache[K, V]) Epoch() uint64 { return c.epoch.Load() }
 

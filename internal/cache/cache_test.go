@@ -98,6 +98,12 @@ func TestInvalidate(t *testing.T) {
 	if v, ok := c.Get("a"); !ok || v != 3 {
 		t.Fatalf("post-invalidate Get(a) = %d, %v", v, ok)
 	}
+	// Range skips the stale b still resident.
+	var seen []int
+	c.Range(func(v int) { seen = append(seen, v) })
+	if len(seen) != 1 || seen[0] != 3 {
+		t.Fatalf("Range visited %v, want [3]", seen)
+	}
 }
 
 // TestPutAtSkipsCrossEpochInsert is the invalidation-correctness race: a

@@ -21,25 +21,66 @@ func BenchmarkCoarseTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkCoarseLocateWarm answers distinct (device, minute) daytime keys
-// over the last week that fall in a gap, with every model already trained.
-func BenchmarkCoarseLocateWarm(b *testing.B) {
+// warmKey is a benchmark query with the model that answers it and the memo
+// key of its closed gap (zero for an open gap).
+type warmKey struct {
+	d   event.DeviceID
+	tq  time.Time
+	m   *deviceModel
+	gap gapKey
+}
+
+// warmKeys returns distinct (device, minute) daytime keys over the last week
+// that fall in a gap, with every model already trained.
+func warmKeys(b *testing.B) (*Localizer, []warmKey) {
 	bld, st, people := goldenStore(b)
 	l := New(bld, st, Options{MaxPromotionsPerRound: 8})
-	type key struct {
-		d  event.DeviceID
-		tq time.Time
-	}
-	var keys []key
+	var keys []warmKey
 	for m := 0; m < 460; m++ { // 37 is coprime with 600, so every minute is distinct
 		tq := goldenStart.AddDate(0, 0, 7+m%7).Add(8*time.Hour + time.Duration(m*37%600)*time.Minute)
 		for _, d := range people {
-			if _, err := l.model(d); err != nil {
+			model, err := l.model(d)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if v, _, _ := st.At(d, tq); v == nil {
-				keys = append(keys, key{d, tq})
+			v, g, _ := st.At(d, tq)
+			if v != nil {
+				continue
 			}
+			k := warmKey{d: d, tq: tq, m: model}
+			if g != nil {
+				k.gap = gapKey{g.Start.UnixNano(), g.End.UnixNano()}
+			}
+			keys = append(keys, k)
+		}
+	}
+	return l, keys
+}
+
+// BenchmarkCoarseLocateWarm answers warmKeys with each closed gap's memo
+// entry cleared first, so every gap is classified: the cost of a first ask.
+func BenchmarkCoarseLocateWarm(b *testing.B) {
+	l, keys := warmKeys(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		k.m.answersMu.Lock()
+		delete(k.m.answers, k.gap)
+		k.m.answersMu.Unlock()
+		if _, err := l.Locate(k.d, k.tq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoarseLocateRepeat answers warmKeys again after one pass has
+// remembered every closed gap: the cost of a repeat ask.
+func BenchmarkCoarseLocateRepeat(b *testing.B) {
+	l, keys := warmKeys(b)
+	for _, k := range keys {
+		if _, err := l.Locate(k.d, k.tq); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()

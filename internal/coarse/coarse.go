@@ -139,6 +139,10 @@ type Localizer struct {
 	trains       atomic.Int64
 	rebuilds     atomic.Int64
 	outOfOrder   atomic.Int64
+
+	// answerHits / answerMisses count answerGap's memo lookups.
+	answerHits   atomic.Int64
+	answerMisses atomic.Int64
 }
 
 // Result is the coarse-level answer for a query.
@@ -211,7 +215,15 @@ func (l *Localizer) ModelCacheStats() cache.Stats {
 // device's last event (the real-time case: the gap has not closed yet) is
 // classified as an *open gap* using the elapsed duration since the last
 // validity. A query before the device's first event is reported outside.
+//
+// A closed gap's answer depends on the device's model and its history, never
+// on t_q, so a device whose model is cached answers each closed gap once and
+// keeps the answer in that model (see answerGap).
 func (l *Localizer) Locate(d event.DeviceID, tq time.Time) (Result, error) {
+	// Look the model up before reading the gap: a write to d lands in the
+	// store before it drops d's model, so a model cached now outlives no
+	// write the gap read below could have missed.
+	m, _ := l.models.Peek(d)
 	v, g, err := l.store.At(d, tq)
 	if err != nil {
 		return Result{}, fmt.Errorf("coarse: locating %s: %w", d, err)
@@ -225,12 +237,96 @@ func (l *Localizer) Locate(d event.DeviceID, tq time.Time) (Result, error) {
 	}
 	if g == nil {
 		if og, ok := l.openGap(d, tq); ok {
-			return l.classifyGap(d, og, tq)
+			return l.classifyGap(d, og, nil)
 		}
 		// No events at or before t_q: the device is offline.
 		return Result{Outside: true, Confidence: 1}, nil
 	}
-	return l.classifyGap(d, *g, tq)
+	if m == nil {
+		// First touch: classify without training a model the heuristics
+		// may not need.
+		return l.classifyGap(d, *g, nil)
+	}
+	return l.answerGap(d, *g, m)
+}
+
+// maxGapAnswers caps the closed-gap answers one device's model keeps; a full
+// model answers further gaps without remembering them. A warm query loop
+// touches tens of gaps per device, so the cap only bounds the worst case
+// (about 64 KiB per model).
+const maxGapAnswers = 1024
+
+// gapKey identifies a closed gap within one model's lifetime: every write
+// that could move a gap drops the model first.
+type gapKey struct{ start, end int64 }
+
+// gapAnswer is a classifyGap result without its gap: region indexes
+// l.regions, and is -1 for the empty region of an outside answer (every
+// region an answer names is one of l.regions).
+type gapAnswer struct {
+	outside bool
+	region  int32
+	conf    float64
+}
+
+// result expands the answer for gap g. g is a parameter, not answerGap's
+// own, so only a hit moves a copy of it to the heap.
+func (a gapAnswer) result(regions []space.RegionID, g event.Gap) Result {
+	res := Result{Outside: a.outside, Confidence: a.conf, Gap: &g}
+	if a.region >= 0 {
+		res.Region = regions[a.region]
+	}
+	return res
+}
+
+// answerGap answers closed gap g from m's memo, classifying it with m and
+// remembering the answer on the first ask. Everything the answer reads — g,
+// m, d's history before g.Start and δ(d) — is fixed for as long as m stays
+// cached (ingest for d, SetDelta, EstimateDeltas and eviction all drop m), so
+// the memo needs no invalidation of its own and its answers are the ones
+// classifyGap would give.
+func (l *Localizer) answerGap(d event.DeviceID, g event.Gap, m *deviceModel) (Result, error) {
+	k := gapKey{g.Start.UnixNano(), g.End.UnixNano()}
+	m.answersMu.Lock()
+	a, ok := m.answers[k]
+	m.answersMu.Unlock()
+	if ok {
+		l.answerHits.Add(1)
+		return a.result(l.regions, g), nil
+	}
+	l.answerMisses.Add(1)
+	res, err := l.classifyGap(d, g, m)
+	if err != nil {
+		return res, err
+	}
+	a = gapAnswer{outside: res.Outside, region: int32(l.regionIndex(res.Region)), conf: res.Confidence}
+	m.answersMu.Lock()
+	if m.answers == nil {
+		m.answers = make(map[gapKey]gapAnswer)
+	}
+	if len(m.answers) < maxGapAnswers {
+		m.answers[k] = a
+	}
+	m.answersMu.Unlock()
+	return res, nil
+}
+
+// GapAnswerStats reports the closed-gap answers kept in the cached models:
+// Size counts the answers in current models, Capacity bounds it, and Hits
+// and Misses count answerGap lookups. Nothing is evicted: an answer goes
+// with its model.
+func (l *Localizer) GapAnswerStats() cache.Stats {
+	st := cache.Stats{
+		Capacity: maxGapAnswers * l.models.Capacity(),
+		Hits:     l.answerHits.Load(),
+		Misses:   l.answerMisses.Load(),
+	}
+	l.models.Range(func(m *deviceModel) {
+		m.answersMu.Lock()
+		st.Size += len(m.answers)
+		m.answersMu.Unlock()
+	})
+	return st
 }
 
 // openGap synthesizes the unclosed gap between the device's last event and
@@ -261,10 +357,11 @@ func (l *Localizer) openGap(d event.DeviceID, tq time.Time) (event.Gap, bool) {
 }
 
 // classifyGap runs the bootstrap heuristics and, when they are inconclusive,
-// the trained classifiers on the query gap. Each history scan runs only when
-// its answer is read: the features once the heuristics have sent the gap to
-// the model, the bootstrap region when it answers or the model falls back.
-func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, tq time.Time) (Result, error) {
+// the classifiers of m — or, when m is nil, of the device's model, trained on
+// demand — on gap g. Each history scan runs only when its answer is read: the
+// features once the heuristics have sent the gap to the model, the bootstrap
+// region when it answers or the model falls back.
+func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, m *deviceModel) (Result, error) {
 	th := l.opts.Thresholds
 
 	// Bootstrap heuristics answer directly when conclusive.
@@ -276,9 +373,11 @@ func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, tq time.Time) (Re
 		return Result{Outside: true, Confidence: 1, Gap: &g}, nil
 	}
 
-	m, err := l.model(d)
-	if err != nil {
-		return Result{}, err
+	if m == nil {
+		var err error
+		if m, err = l.model(d); err != nil {
+			return Result{}, err
+		}
 	}
 
 	x := l.featurize(g, l.windowCount(d, g)).Vector()

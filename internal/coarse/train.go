@@ -3,6 +3,7 @@ package coarse
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"locater/internal/event"
@@ -33,6 +34,12 @@ type deviceModel struct {
 
 	trainedAt time.Time
 	numGaps   int
+
+	// answers memoizes the device's closed-gap answers (Localizer.answerGap),
+	// at most maxGapAnswers of them. The classifiers above never change; the
+	// memo grows under answersMu.
+	answersMu sync.Mutex
+	answers   map[gapKey]gapAnswer
 }
 
 const (
@@ -43,8 +50,8 @@ const (
 // model returns (training on demand) the device's classifiers. The model
 // cache's shard lock stays held across training (cache.GetOrCompute) so
 // concurrent queries for the same device train exactly once; devices hashed
-// to other shards proceed in parallel. Trained models are immutable, so the
-// returned *deviceModel is safe to use after the shard lock is released —
+// to other shards proceed in parallel. Trained classifiers are immutable, so
+// the returned *deviceModel is safe to use after the shard lock is released —
 // even after the entry is later evicted or invalidated.
 func (l *Localizer) model(d event.DeviceID) (*deviceModel, error) {
 	return l.models.GetOrCompute(d, func() (*deviceModel, error) {
@@ -82,7 +89,13 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 		// devices") — use the population model trained on every device's
 		// bootstrap-labeled gaps.
 		if pm := l.populationModel(maxT); pm != nil {
-			return pm, nil
+			// Share the classifiers, not the answers: those read this
+			// device's history.
+			return &deviceModel{
+				insideModel: pm.insideModel, insideMajority: pm.insideMajority,
+				regionModel: pm.regionModel, regionMajority: pm.regionMajority,
+				trainedAt: pm.trainedAt, numGaps: pm.numGaps,
+			}, nil
 		}
 		m.insideMajority = &ml.MajorityClassifier{Class: classInside}
 		m.regionMajority = &ml.MajorityClassifier{Class: 0}

@@ -306,11 +306,14 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 	s.mu.Lock()
 	// Assign IDs on a copy first: the batch must reach the write-ahead log
 	// exactly as acknowledged, and a failed log append must leave both the
-	// event logs and the nextID counter untouched.
+	// event logs and the nextID counter untouched. Times are kept in UTC,
+	// the zone log and segment decoding return: an answer reads the wall
+	// clock of stored times, so it must not change across a restart.
 	batch := make([]event.Event, len(events))
 	copy(batch, events)
 	nid := s.nextID
 	for i := range batch {
+		batch[i].Time = batch[i].Time.UTC()
 		if batch[i].ID == 0 {
 			batch[i].ID = nid
 		}

@@ -635,6 +635,10 @@ func (s *System) Locate(d DeviceID, t time.Time) (Result, error) {
 // Config.DefaultQueryDeadline, when set, bounds calls whose context carries
 // no deadline of its own.
 func (s *System) LocateContext(ctx context.Context, d DeviceID, t time.Time) (Result, error) {
+	// Answers read t's wall clock (an open gap's features, preferred-room
+	// windows) while the result cache keys t by instant; stored times are
+	// UTC, so the query time is too.
+	t = t.UTC()
 	if dl := s.cfg.DefaultQueryDeadline; dl > 0 {
 		if _, ok := ctx.Deadline(); !ok {
 			var cancel context.CancelFunc
@@ -730,7 +734,7 @@ func (s *System) locate(ctx context.Context, d DeviceID, t time.Time) (Result, e
 
 // LocateCoarse runs only the coarse stage (building/region granularity).
 func (s *System) LocateCoarse(d DeviceID, t time.Time) (outside bool, region RegionID, err error) {
-	cres, err := s.coarse.Locate(d, t)
+	cres, err := s.coarse.Locate(d, t.UTC())
 	if err != nil {
 		return false, "", err
 	}
@@ -848,10 +852,11 @@ func (s *System) Quarantine(limit int) []QuarantineEntry {
 
 // CacheStats reports every cache tier's state: the global affinity graph's
 // edge count, the pairwise-affinity fallback cache, the coarse per-device
-// model cache, and the query result cache, plus the store's occupancy
-// index and segmented event layout. CoarseModels, Occupancy, and Segments
-// are live even when EnableCache is off (the coarse stage always caches
-// trained models, and the index and segment tiers are store features);
+// model cache and the closed-gap answers its models keep, and the query
+// result cache, plus the store's occupancy index and segmented event layout.
+// The coarse tiers, Occupancy, and Segments are live even when EnableCache
+// is off (the coarse stage always caches trained models, and the index and
+// segment tiers are store features);
 // Affinity and Results are zero then, and Enabled reports false.
 //
 // The JSON tags here and on the nested stats types are the wire schema of
@@ -866,8 +871,14 @@ type CacheStats struct {
 	// Affinity is the pairwise-affinity fallback cache (graph-served
 	// lookups count toward its Hits).
 	Affinity CacheTierStats `json:"affinity"`
-	// CoarseModels is the coarse stage's per-device trained-model cache.
+	// CoarseModels is the coarse stage's per-device trained-model cache. Its
+	// Hits and Misses count only lookups that needed a model.
 	CoarseModels CacheTierStats `json:"coarse_models"`
+	// CoarseGapAnswers is the closed-gap answers the cached coarse models
+	// keep: Size answers are resident, and Hits/Misses count the closed-gap
+	// queries a cached model answered from memory or classified. The answers
+	// leave with their model, so Evictions and Invalidations stay zero.
+	CoarseGapAnswers CacheTierStats `json:"coarse_gap_answers"`
 	// Results is the whole-query result cache.
 	Results CacheTierStats `json:"results"`
 	// Occupancy is the store's temporal occupancy index (neighbor
@@ -888,11 +899,12 @@ type CacheStats struct {
 // hit/miss/eviction/invalidation counters.
 func (s *System) CacheStats() CacheStats {
 	cs := CacheStats{
-		CoarseModels: tierStats(s.coarse.ModelCacheStats()),
-		Occupancy:    s.store.OccupancyStats(),
-		Segments:     s.store.SegmentStats(),
-		Cleanse:      s.CleanseStats(),
-		Maintenance:  s.MaintenanceStats(),
+		CoarseModels:     tierStats(s.coarse.ModelCacheStats()),
+		CoarseGapAnswers: tierStats(s.coarse.GapAnswerStats()),
+		Occupancy:        s.store.OccupancyStats(),
+		Segments:         s.store.SegmentStats(),
+		Cleanse:          s.CleanseStats(),
+		Maintenance:      s.MaintenanceStats(),
 	}
 	if s.graph != nil {
 		cs.Enabled = true

@@ -318,3 +318,59 @@ func sampleQueries(ds *sim.Dataset, n int) []locater.Query {
 	}
 	return queries
 }
+
+// TestNonUTCIngestSurvivesRestart: answers read the wall clock of stored
+// times (ω's time-of-day window, the day-of-week features), and log and
+// segment decoding return UTC. Events ingested in another zone must
+// therefore be answered as if they were UTC both before and after a
+// restart; a store that kept the caller's zone answered differently once
+// recovery handed it the same instants in UTC.
+func TestNonUTCIngestSurvivesRestart(t *testing.T) {
+	ds := buildDataset(t, 14)
+	for _, zone := range []*time.Location{time.UTC, time.FixedZone("UTC-8", -8*3600)} {
+		t.Run(zone.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			live := openSystem(t, ds, dir, locater.PersistOptions{})
+			events := make([]locater.Event, len(ds.Events))
+			for i, e := range ds.Events {
+				e.Time = e.Time.In(zone)
+				events[i] = e
+			}
+			if err := live.Ingest(events); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			queries := sampleQueries(ds, 120)
+			before := make([]locater.Result, len(queries))
+			for i, q := range queries {
+				res, err := live.Locate(q.Device, q.Time.In(zone))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[i] = res
+			}
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			recovered := openSystem(t, ds, dir, locater.PersistOptions{})
+			defer recovered.Close()
+			differ := 0
+			for i, q := range queries {
+				res, err := recovered.Locate(q.Device, q.Time)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != before[i] {
+					differ++
+					t.Logf("query %d (%s, %v): before %+v, after %+v", i, q.Device, q.Time, before[i], res)
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d of %d answers changed across the restart", differ, len(queries))
+			}
+		})
+	}
+}

@@ -234,6 +234,7 @@ func MergeCacheStats(parts ...CacheStats) CacheStats {
 		out.GraphEdges += p.GraphEdges
 		out.Affinity = mergeTier(out.Affinity, p.Affinity)
 		out.CoarseModels = mergeTier(out.CoarseModels, p.CoarseModels)
+		out.CoarseGapAnswers = mergeTier(out.CoarseGapAnswers, p.CoarseGapAnswers)
 		out.Results = mergeTier(out.Results, p.Results)
 		occ := &out.Occupancy
 		if occ.Bucket == 0 {
