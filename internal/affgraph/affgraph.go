@@ -11,6 +11,11 @@
 // contained the edge. At query time the vector is collapsed into a single
 // weight with a normalized Gaussian kernel centred at the query time, so
 // affinities observed near t_q dominate.
+//
+// Graph times are wall-clock instants kept as Unix nanoseconds: they must
+// fit in int64 nanoseconds (years 1678–2262), and a query time and an
+// observation must lie within 292 years of each other, so their difference
+// fits in a time.Duration.
 package affgraph
 
 import (
@@ -31,17 +36,28 @@ type WeightedEdge struct {
 	Time   time.Time
 }
 
+// observation is one WeightedEdge as the graph stores it: the instant as
+// Unix nanoseconds instead of a time.Time, so an edge vector is 16 bytes
+// per entry and holds no pointer for the GC to scan.
+type observation struct {
+	nanos  int64
+	weight float64
+}
+
 // Graph is the global affinity graph. It is safe for concurrent use.
 type Graph struct {
 	mu sync.RWMutex
 
 	// edges[a][b] = observations, stored symmetrically (a < b).
-	edges map[event.DeviceID]map[event.DeviceID][]WeightedEdge
+	edges map[event.DeviceID]map[event.DeviceID][]observation
 
 	// sigma of the Gaussian kernel used to collapse edge vectors.
 	sigma time.Duration
+	// horizon is underflowHorizon(sigma): an observation further than this
+	// from t_q adds exactly +0 to the collapse, which therefore skips it.
+	horizon time.Duration
 	// maxObservations bounds the per-edge vector; oldest entries are
-	// dropped first. 0 = unbounded.
+	// dropped first. Negative = unbounded (New turns 0 into 64).
 	maxObservations int
 
 	numEdges   int
@@ -58,7 +74,8 @@ type Options struct {
 	// Sigma is the standard deviation of the Gaussian time kernel.
 	// Default 1 hour (the paper uses a normalized normal with µ = t_q).
 	Sigma time.Duration
-	// MaxObservationsPerEdge caps each edge's vector. Default 64.
+	// MaxObservationsPerEdge caps each edge's vector: 0 selects the default
+	// 64, a negative value leaves the vector unbounded.
 	MaxObservationsPerEdge int
 }
 
@@ -71,10 +88,29 @@ func New(opts Options) *Graph {
 		opts.MaxObservationsPerEdge = 64
 	}
 	return &Graph{
-		edges:           make(map[event.DeviceID]map[event.DeviceID][]WeightedEdge),
+		edges:           make(map[event.DeviceID]map[event.DeviceID][]observation),
 		sigma:           opts.Sigma,
+		horizon:         underflowHorizon(opts.Sigma),
 		maxObservations: opts.MaxObservationsPerEdge,
 	}
+}
+
+// expUnderflow is an exponent below math.Exp's underflow threshold
+// (≈ −745.13, where e^x falls under half the smallest subnormal): math.Exp
+// returns +0 for it and every smaller argument. The gap between the two
+// absorbs the few ulps of rounding in computing dt.
+const expUnderflow = -746
+
+// underflowHorizon returns the largest |t_q − t| whose kernel term
+// exp(−½(Δ/σ)²) may be nonzero: every Δ beyond it has −½(Δ/σ)² < −746, so
+// math.Exp returns +0. It saturates at math.MaxInt64 when σ is so large
+// (over about 7.6 years) that no time.Duration reaches the threshold.
+func underflowHorizon(sigma time.Duration) time.Duration {
+	h := math.Sqrt(-2*expUnderflow) * float64(sigma)
+	if h >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(h)
 }
 
 func orderPair(a, b event.DeviceID) (event.DeviceID, event.DeviceID) {
@@ -87,6 +123,7 @@ func orderPair(a, b event.DeviceID) (event.DeviceID, event.DeviceID) {
 // Merge folds a local affinity graph into the global one: V̂g = Vg ∪ Vl,
 // Êg = Eg ∪ El, appending (weight, t_q) to each touched edge's vector.
 func (g *Graph) Merge(edges []Edge, tq time.Time) {
+	tqN := tq.UnixNano()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, e := range edges {
@@ -96,13 +133,13 @@ func (g *Graph) Merge(edges []Edge, tq time.Time) {
 		}
 		m, ok := g.edges[a]
 		if !ok {
-			m = make(map[event.DeviceID][]WeightedEdge)
+			m = make(map[event.DeviceID][]observation)
 			g.edges[a] = m
 		}
 		if _, existed := m[b]; !existed {
 			g.numEdges++
 		}
-		v := append(m[b], WeightedEdge{Weight: e.Weight, Time: tq})
+		v := append(m[b], observation{nanos: tqN, weight: e.Weight})
 		if g.maxObservations > 0 && len(v) > g.maxObservations {
 			v = v[len(v)-g.maxObservations:]
 		}
@@ -126,10 +163,15 @@ func (g *Graph) Weight(a, b event.DeviceID, tq time.Time) float64 {
 	a, b = orderPair(a, b)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.weightLocked(a, b, tq)
+	return g.weightLocked(a, b, tq.UnixNano())
 }
 
-func (g *Graph) weightLocked(a, b event.DeviceID, tq time.Time) float64 {
+// weightLocked collapses one edge vector at t_q (Unix nanos). Terms further
+// than the underflow horizon from t_q are skipped: math.Exp would return +0
+// for them, and adding +0 (times a finite weight) leaves num and den as they
+// were, so the kept terms sum in the same order to the same bits, and the
+// plain-average fallback triggers exactly when it would with every term.
+func (g *Graph) weightLocked(a, b event.DeviceID, tqN int64) float64 {
 	m, ok := g.edges[a]
 	if !ok {
 		return 0
@@ -139,11 +181,16 @@ func (g *Graph) weightLocked(a, b event.DeviceID, tq time.Time) float64 {
 		return 0
 	}
 	sigma := g.sigma.Seconds()
+	h := g.horizon
 	num, den := 0.0, 0.0
 	for _, o := range obs {
-		dt := tq.Sub(o.Time).Seconds() / sigma
+		d := time.Duration(tqN - o.nanos)
+		if d > h || d < -h {
+			continue
+		}
+		dt := d.Seconds() / sigma
 		l := math.Exp(-0.5 * dt * dt)
-		num += l * o.Weight
+		num += l * o.weight
 		den += l
 	}
 	if den <= 1e-300 {
@@ -151,7 +198,7 @@ func (g *Graph) weightLocked(a, b event.DeviceID, tq time.Time) float64 {
 		// stale knowledge still orders neighbors.
 		sum := 0.0
 		for _, o := range obs {
-			sum += o.Weight
+			sum += o.weight
 		}
 		return sum / float64(len(obs))
 	}
@@ -168,11 +215,12 @@ func (g *Graph) WeightsBatch(d event.DeviceID, cands []event.DeviceID, tq time.T
 		out = make([]float64, len(cands))
 	}
 	out = out[:len(cands)]
+	tqN := tq.UnixNano()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for i, n := range cands {
 		a, b := orderPair(d, n)
-		out[i] = g.weightLocked(a, b, tq)
+		out[i] = g.weightLocked(a, b, tqN)
 	}
 	return out
 }
@@ -187,11 +235,12 @@ func (g *Graph) OrderNeighbors(d event.DeviceID, neighbors []event.DeviceID, tq 
 		weight float64
 		pos    int
 	}
+	tqN := tq.UnixNano()
 	g.mu.RLock()
 	ss := make([]scored, len(neighbors))
 	for i, n := range neighbors {
 		a, b := orderPair(d, n)
-		ss[i] = scored{dev: n, weight: g.weightLocked(a, b, tq), pos: i}
+		ss[i] = scored{dev: n, weight: g.weightLocked(a, b, tqN), pos: i}
 	}
 	g.mu.RUnlock()
 	sort.Slice(ss, func(i, j int) bool {
@@ -230,7 +279,8 @@ func (g *Graph) NumDevices() int {
 	return len(seen)
 }
 
-// Observations returns a copy of the raw edge vector (diagnostics).
+// Observations returns a copy of the raw edge vector (diagnostics), with
+// times in UTC.
 func (g *Graph) Observations(a, b event.DeviceID) []WeightedEdge {
 	a, b = orderPair(a, b)
 	g.mu.RLock()
@@ -241,7 +291,9 @@ func (g *Graph) Observations(a, b event.DeviceID) []WeightedEdge {
 	}
 	obs := m[b]
 	out := make([]WeightedEdge, len(obs))
-	copy(out, obs)
+	for i, o := range obs {
+		out[i] = WeightedEdge{Weight: o.weight, Time: time.Unix(0, o.nanos).UTC()}
+	}
 	return out
 }
 
@@ -418,7 +470,7 @@ func (c *CachedAffinity) PairAffinity(a, b event.DeviceID, ref time.Time) float6
 		return w
 	}
 	x, y := orderPair(a, b)
-	key := pairKey{a: x, b: y, bucket: ref.Unix() / int64(c.BucketSize.Seconds())}
+	key := pairKey{a: x, b: y, bucket: c.bucketOf(ref)}
 	bucketEnd := c.bucketEndNanos(key.bucket)
 	for {
 		if e, ok := c.fallbackCache.Get(key); ok {
@@ -474,9 +526,16 @@ func (c *CachedAffinity) PairAffinity(a, b event.DeviceID, ref time.Time) float6
 	}
 }
 
+// bucketOf returns the fallback-cache bucket of a reference time. It counts
+// in nanoseconds, so a BucketSize under a second or with a fractional second
+// keeps its exact width.
+func (c *CachedAffinity) bucketOf(ref time.Time) int64 {
+	return ref.UnixNano() / int64(c.BucketSize)
+}
+
 // bucketEndNanos returns the exclusive end of a cache bucket in Unix nanos.
 func (c *CachedAffinity) bucketEndNanos(bucket int64) int64 {
-	return (bucket + 1) * int64(c.BucketSize.Seconds()) * int64(time.Second)
+	return (bucket + 1) * int64(c.BucketSize)
 }
 
 // seqsOf reads the pair devices' current write sequence numbers.
@@ -621,7 +680,7 @@ func (c *CachedAffinity) leadFallback(a, b event.DeviceID, ref time.Time, key pa
 // to its own caller but never cached.
 func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.DeviceID, ref time.Time, out []float64) []float64 {
 	out = c.Graph.WeightsBatch(d, cands, ref, out)
-	bucket := ref.Unix() / int64(c.BucketSize.Seconds())
+	bucket := c.bucketOf(ref)
 	bucketEnd := c.bucketEndNanos(bucket)
 
 	// Resolve graph hits and cached fallback answers; collect the misses.

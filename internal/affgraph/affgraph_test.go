@@ -189,6 +189,37 @@ func TestCachedAffinityFallbackAndBucket(t *testing.T) {
 	}
 }
 
+// TestCachedAffinityBucketWidth: a bucket under a second, or with a
+// fractional second, keeps its exact width on both entry points, and whole-
+// hour keys and bucket ends are the Unix-second ones.
+func TestCachedAffinityBucketWidth(t *testing.T) {
+	for _, bucket := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond} {
+		fb := &fixedFallback{value: 0.7}
+		c := NewCachedAffinity(New(Options{}), fb, bucket, 0)
+		// t0 is a whole hour, so it starts a bucket of either width.
+		c.PairAffinity("x", "y", t0)
+		c.BatchPairAffinity("x", []event.DeviceID{"y"}, t0.Add(bucket-time.Millisecond), nil)
+		if fb.calls != 1 {
+			t.Errorf("bucket %v: fallback ran %d times inside one bucket, want 1", bucket, fb.calls)
+		}
+		c.PairAffinity("x", "y", t0.Add(bucket))
+		if fb.calls != 2 {
+			t.Errorf("bucket %v: fallback ran %d times across the split, want 2", bucket, fb.calls)
+		}
+	}
+
+	c := NewCachedAffinity(New(Options{}), &fixedFallback{}, time.Hour, 0)
+	for _, ref := range []time.Time{t0, t0.Add(59*time.Minute + 59*time.Second + 999*time.Millisecond), t0.Add(time.Hour), time.Unix(0, 0)} {
+		want := ref.Unix() / 3600
+		if got := c.bucketOf(ref); got != want {
+			t.Errorf("1h bucket of %v = %d, want %d", ref, got, want)
+		}
+		if got, want := c.bucketEndNanos(want), (want+1)*3600*int64(time.Second); got != want {
+			t.Errorf("1h bucket end = %d, want %d", got, want)
+		}
+	}
+}
+
 // Property: collapsed weight is always within [min, max] of the stored
 // observations (or their plain average when stale).
 func TestCollapseBoundedProperty(t *testing.T) {
