@@ -1,5 +1,5 @@
 // Command locater-serve exposes a LOCATER deployment — a single system or a
-// sharded cluster — as an HTTP JSON service: the deployment mode of the
+// multi-building cluster — as an HTTP JSON service: the deployment mode of the
 // paper's prototype, where applications (HVAC control, occupancy
 // dashboards) query the cleaning engine online while connectivity events
 // stream in.
@@ -18,12 +18,13 @@
 // Errors come back as the uniform envelope {"code","message",
 // "retry_after_ms"?}; see internal/srv.ErrorEnvelope.
 //
-// With -shards N > 1 the deployment is a cluster of N independent engines
-// behind a router: -shard-by device hashes one building's devices across
-// the shards (parallel ingest), -shard-by building gives each shard its own
-// building (-building then takes a comma-separated list of metadata files,
-// one per shard). Each shard persists to its own shard-NNN subdirectory
-// under -data-dir and recovers independently on startup.
+// -building takes one metadata file or a comma-separated list. One building
+// runs a single system; two or more run a cluster with one independent
+// engine per building behind a router that sends each event to the shard of
+// its access point's building and homes each device on the shard where it
+// was first seen. The buildings' access-point sets must be disjoint. Each
+// shard persists to its own shard-NNN subdirectory under -data-dir and
+// recovers independently on startup.
 //
 // With -data-dir the deployment is durable: every acknowledged ingest is
 // written ahead to a segmented log under the directory before the HTTP
@@ -36,8 +37,7 @@
 //
 //	locater-serve -events data/dbh-events.csv -building data/dbh-building.json -addr :8080
 //	locater-serve -building data/dbh-building.json -data-dir /var/lib/locater -fsync -snapshot-interval 5m
-//	locater-serve -building data/dbh-building.json -shards 4 -data-dir /var/lib/locater
-//	locater-serve -shard-by building -building b1.json,b2.json -addr :8080
+//	locater-serve -building b1.json,b2.json -data-dir /var/lib/locater
 package main
 
 import (
@@ -63,10 +63,8 @@ import (
 func main() {
 	var (
 		eventsPath   = flag.String("events", "", "connectivity CSV to preload (optional; skipped when -data-dir already holds events)")
-		buildingPath = flag.String("building", "", "building metadata JSON (required); with -shard-by building, a comma-separated list, one per shard")
+		buildingPath = flag.String("building", "", "building metadata JSON (required); a comma-separated list serves one shard per building")
 		addr         = flag.String("addr", ":8080", "listen address")
-		shards       = flag.Int("shards", 1, "number of independent engine shards (1 = single system)")
-		shardBy      = flag.String("shard-by", cluster.ByDevice, "shard routing policy: device (hash one building's devices) | building (one building per shard)")
 		variant      = flag.String("variant", "dependent", "independent | dependent")
 		dataDir      = flag.String("data-dir", "", "directory for the durable event store (WAL + snapshots); empty = in-memory only")
 		fsync        = flag.Bool("fsync", true, "with -data-dir: fsync acknowledged writes (group commit); off = flush to OS only")
@@ -81,12 +79,7 @@ func main() {
 		shedBatchAt     = flag.Float64("shed-batch-at", 0, "queue occupancy above which /v1/locate/batch is shed (default 0.5)")
 		targetQueueWait = flag.Duration("target-queue-wait", 0, "worst-case queue wait the admission queue bound aims for (default 2s)")
 
-		cleansing      = flag.Bool("cleansing", false, "ingest-time cleansing: dedupe re-associations, drop impossible transitions, flag degenerate devices; rejects land in the quarantine (GET /v1/quarantine)")
-		quarantineCap  = flag.Int("quarantine-cap", 0, "with -cleansing: quarantine ring size in entries (default 1024)")
-		reassocWindow  = flag.Duration("cleanse-reassoc-window", 0, "with -cleansing: same-AP re-association dedupe window (default 10s)")
-		flapWindow     = flag.Duration("cleanse-flap-window", 0, "with -cleansing: A→B→A oscillation window (default 30s)")
-		minTransit     = flag.Duration("cleanse-min-transit", 0, "with -cleansing: minimum time between non-adjacent APs (default 1s)")
-		degenEventsMin = flag.Int("cleanse-degenerate-rate", 0, "with -cleansing: sustained events/minute above which a device is flagged degenerate (default 120)")
+		cleansing = flag.Bool("cleansing", false, "ingest-time cleansing: dedupe re-associations, drop impossible transitions, flag degenerate devices; rejects land in the quarantine (GET /v1/quarantine)")
 	)
 	flag.Parse()
 
@@ -107,28 +100,17 @@ func main() {
 		}
 		buildings = append(buildings, b)
 	}
-	building := buildings[0]
-	if *shardBy != cluster.ByBuilding && len(buildings) > 1 {
-		log.Fatalf("multiple -building files need -shard-by building")
-	}
 
 	v := locater.DependentVariant
 	if *variant == "independent" {
 		v = locater.IndependentVariant
 	}
 	cfg := locater.Config{
-		Building:           building,
 		Variant:            v,
 		EnableCache:        true,
 		PromotionsPerRound: 8,
 		ColdTierMmap:       *mmapColdTier,
-
-		EnableCleansing:                  *cleansing,
-		QuarantineCap:                    *quarantineCap,
-		CleanseReassocWindow:             *reassocWindow,
-		CleanseFlapWindow:                *flapWindow,
-		CleanseMinTransit:                *minTransit,
-		CleanseDegenerateEventsPerMinute: *degenEventsMin,
+		EnableCleansing:    *cleansing,
 	}
 	if *cleansing {
 		fmt.Println("ingest-time cleansing enabled; quarantine at /v1/quarantine")
@@ -137,29 +119,7 @@ func main() {
 		Fsync:            *fsync,
 		SnapshotInterval: *snapInterval,
 	}
-
-	// A single device-sharded "cluster" of one is exactly a bare System, so
-	// only assemble the router when it routes. ByBuilding always goes
-	// through the cluster (even with one building, for the uniform layout).
-	var sys locater.Locater
-	var err error
-	clustered := *shards > 1 || *shardBy == cluster.ByBuilding
-	switch {
-	case clustered:
-		copts := cluster.Options{Shards: *shards, ShardBy: *shardBy}
-		if *shardBy == cluster.ByBuilding {
-			copts.Buildings = buildings
-		}
-		if *dataDir != "" {
-			sys, err = cluster.Open(*dataDir, cfg, popts, copts)
-		} else {
-			sys, err = cluster.New(cfg, copts)
-		}
-	case *dataDir != "":
-		sys, err = locater.Open(*dataDir, cfg, popts)
-	default:
-		sys, err = locater.New(cfg)
-	}
+	sys, err := openDeployment(buildings, cfg, *dataDir, popts)
 	if err != nil {
 		log.Fatalf("assembling LOCATER: %v", err)
 	}
@@ -168,8 +128,8 @@ func main() {
 			fmt.Printf("recovered %d events for %d devices from %s\n", n, sys.NumDevices(), *dataDir)
 		}
 	}
-	if sh, ok := sys.(locater.Sharded); ok {
-		fmt.Printf("sharded deployment: %d shards, routed by %s\n", sh.NumShards(), sh.ShardPolicy())
+	if len(buildings) > 1 {
+		fmt.Printf("serving %d buildings, one shard each\n", len(buildings))
 	}
 
 	// Preload the CSV only into an empty store: with -data-dir, a restart
@@ -215,7 +175,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("LOCATER serving %s on %s\n", building.Name(), *addr)
+		fmt.Printf("LOCATER serving %s on %s\n", buildings[0].Name(), *addr)
 		errCh <- server.ListenAndServe()
 	}()
 
@@ -235,4 +195,29 @@ func main() {
 	if err := sys.Close(); err != nil {
 		log.Fatalf("checkpointing event store: %v", err)
 	}
+}
+
+// openDeployment assembles the engine for the buildings: a bare System for
+// one, a cluster with one shard per building for more. With dataDir set the
+// engine is durable and recovers what dataDir holds. cfg.Building is
+// ignored: each engine serves its own building.
+func openDeployment(buildings []*locater.Building, cfg locater.Config, dataDir string, popts locater.PersistOptions) (locater.Locater, error) {
+	var sys locater.Locater
+	var err error
+	copts := cluster.Options{Buildings: buildings}
+	cfg.Building = buildings[0]
+	switch {
+	case len(buildings) > 1 && dataDir != "":
+		sys, err = cluster.Open(dataDir, cfg, popts, copts)
+	case len(buildings) > 1:
+		sys, err = cluster.New(cfg, copts)
+	case dataDir != "":
+		sys, err = locater.Open(dataDir, cfg, popts)
+	default:
+		sys, err = locater.New(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sys, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -12,61 +11,10 @@ import (
 	"time"
 
 	"locater"
-	"locater/internal/cluster"
 	"locater/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
-
-// gapStatsMaxErr compares every device's incrementally-maintained gap
-// sufficient statistics against the batch-recompute oracle, returning the
-// worst relative error across all fields. The incremental path and the
-// oracle fold events through the same observe function, so any divergence
-// beyond float noise is an ordering or bookkeeping bug.
-func gapStatsMaxErr(t *testing.T, sys *locater.System, devices []locater.DeviceID) float64 {
-	t.Helper()
-	relErr := func(a, b float64) float64 {
-		d := math.Abs(a - b)
-		if m := math.Max(math.Abs(a), math.Abs(b)); m > 1 {
-			d /= m
-		}
-		return d
-	}
-	worst := 0.0
-	for _, dev := range devices {
-		inc, ok1 := sys.GapStats(dev)
-		bat, ok2 := sys.GapStatsOracle(dev)
-		if ok1 != ok2 {
-			t.Fatalf("device %s: incremental ok=%v, oracle ok=%v", dev, ok1, ok2)
-		}
-		if !ok1 {
-			continue
-		}
-		if inc.LastNanos != bat.LastNanos {
-			t.Fatalf("device %s: LastNanos %d vs oracle %d", dev, inc.LastNanos, bat.LastNanos)
-		}
-		if inc.RawEvents != bat.RawEvents {
-			t.Fatalf("device %s: RawEvents %d vs oracle %d", dev, inc.RawEvents, bat.RawEvents)
-		}
-		worst = math.Max(worst, relErr(inc.Events, bat.Events))
-		worst = math.Max(worst, relErr(inc.Gaps, bat.Gaps))
-		worst = math.Max(worst, relErr(inc.GapSeconds, bat.GapSeconds))
-		worst = math.Max(worst, relErr(inc.Inside, bat.Inside))
-		worst = math.Max(worst, relErr(inc.Outside, bat.Outside))
-		for i := range inc.Hist {
-			worst = math.Max(worst, relErr(inc.Hist[i], bat.Hist[i]))
-		}
-	}
-	return worst
-}
-
-func dsDevices(ds *sim.Dataset) []locater.DeviceID {
-	devs := make([]locater.DeviceID, len(ds.People))
-	for i, p := range ds.People {
-		devs[i] = p.Device
-	}
-	return devs
-}
 
 // interleaving replays ds.Events against a system in a random interleaving
 // of ingest batches (some deliberately shuffled out of order), per-device
@@ -99,9 +47,8 @@ func (iv *interleaving) run(t *testing.T, sys locater.Locater, upTo int) []locat
 		batch := make([]locater.Event, n)
 		copy(batch, ds.Events[iv.next:iv.next+n])
 		iv.next += n
-		// A third of the batches arrive shuffled: out-of-order within the
-		// batch and straddling earlier batches' time ranges is exactly what
-		// routes devices onto the rebuild escape hatch.
+		// A third of the batches arrive shuffled: out of order within the
+		// batch and straddling earlier batches' time ranges.
 		if rng.Intn(3) == 0 {
 			rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
 		}
@@ -133,27 +80,6 @@ func (iv *interleaving) run(t *testing.T, sys locater.Locater, upTo int) []locat
 		}
 	}
 	return results
-}
-
-// driveInterleaved runs the whole interleaving against one system.
-func driveInterleaved(t *testing.T, sys locater.Locater, ds *sim.Dataset, seed int64, queryEvery int) []locater.Result {
-	t.Helper()
-	return newInterleaving(ds, seed, queryEvery).run(t, sys, len(ds.Events))
-}
-
-// TestIncrementalStatsMatchOracleUnderInterleaving is the tentpole's core
-// property: after any interleaving of in-order ingest, out-of-order ingest,
-// invalidation, and queries, the incremental gap statistics equal a batch
-// recompute from the store within 1e-9.
-func TestIncrementalStatsMatchOracleUnderInterleaving(t *testing.T) {
-	ds := buildDataset(t, 5)
-	for _, seed := range []int64{1, 7, 42} {
-		sys := newEmptySystem(t, ds, locater.Config{EnableCache: true})
-		driveInterleaved(t, sys, ds, seed, 6)
-		if err := gapStatsMaxErr(t, sys, dsDevices(ds)); err > 1e-9 {
-			t.Fatalf("seed %d: incremental stats diverge from oracle by %g", seed, err)
-		}
-	}
 }
 
 // interleavedGolden holds the answers of the seed-3 and seed-19
@@ -209,9 +135,9 @@ func checkInterleavedGolden(t *testing.T, got []byte) {
 
 // TestInterleavedAnswersGolden drives the write path through the
 // interleaved workload and requires the recorded answers byte for byte:
-// incremental maintenance, scoped SetDelta invalidation and out-of-order
-// rebuilds must be invisible to every query. Regenerate with -update after
-// an intentional change to the answers.
+// model invalidation on ingest, scoped SetDelta invalidation and
+// out-of-order arrival must be invisible to every query. Regenerate with
+// -update after an intentional change to the answers.
 func TestInterleavedAnswersGolden(t *testing.T) {
 	ds := buildDataset(t, 5)
 	var buf bytes.Buffer
@@ -258,89 +184,6 @@ func TestInterleavedAnswersGoldenAcrossCrash(t *testing.T) {
 	checkInterleavedGolden(t, buf.Bytes())
 }
 
-// TestIncrementalStatsSurviveCrashRecovery checkpoints mid-stream, keeps
-// ingesting, crashes (reopen without Close), and requires the recovered
-// system's incremental statistics to match its own batch oracle AND the
-// dead system's: recovery replays the WAL through the same observe path.
-func TestIncrementalStatsSurviveCrashRecovery(t *testing.T) {
-	ds := buildDataset(t, 5)
-	dir := t.TempDir()
-	cfg := locater.Config{
-		Building:           ds.Building,
-		EnableCache:        true,
-		HistoryDays:        14,
-		PromotionsPerRound: 8,
-		MaxTrainingGaps:    100,
-	}
-	popts := locater.PersistOptions{Fsync: true}
-	live, err := locater.Open(dir, cfg, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveInterleaved(t, live, ds, 11, 0)
-	if err := live.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Tail after the only checkpoint: recovered state stitches the
-	// snapshot with a WAL replay.
-	tail := make([]locater.Event, 0, 64)
-	for i, p := range ds.People {
-		tail = append(tail, locater.Event{
-			Device: p.Device,
-			Time:   simStart.Add(120*time.Hour + time.Duration(i)*time.Minute),
-			AP:     ds.Events[0].AP,
-		})
-	}
-	if err := live.Ingest(tail); err != nil {
-		t.Fatal(err)
-	}
-	devs := dsDevices(ds)
-	if err := gapStatsMaxErr(t, live, devs); err > 1e-9 {
-		t.Fatalf("live stats diverge from oracle by %g", err)
-	}
-
-	rec, err := locater.Open(dir, cfg, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if err := gapStatsMaxErr(t, rec, devs); err > 1e-9 {
-		t.Fatalf("recovered stats diverge from oracle by %g", err)
-	}
-	for _, d := range devs {
-		a, ok1 := live.GapStats(d)
-		b, ok2 := rec.GapStats(d)
-		if ok1 != ok2 || a != b {
-			t.Fatalf("device %s: recovered stats differ from live (ok %v/%v)", d, ok1, ok2)
-		}
-	}
-}
-
-// TestIncrementalStatsAcrossCluster routes an interleaved workload through
-// a sharded deployment and checks every shard's incremental statistics
-// against that shard's own oracle: routing must not perturb maintenance.
-func TestIncrementalStatsAcrossCluster(t *testing.T) {
-	ds := buildDataset(t, 5)
-	cfg := locater.Config{
-		Building:           ds.Building,
-		EnableCache:        true,
-		HistoryDays:        14,
-		PromotionsPerRound: 8,
-		MaxTrainingGaps:    100,
-	}
-	cl, err := cluster.New(cfg, cluster.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	driveInterleaved(t, cl, ds, 23, 6)
-	for i := 0; i < cl.NumShards(); i++ {
-		if err := gapStatsMaxErr(t, cl.Shard(i), dsDevices(ds)); err > 1e-9 {
-			t.Fatalf("shard %d: incremental stats diverge from oracle by %g", i, err)
-		}
-	}
-}
-
 // newEmptySystem builds a System over ds.Building without ingesting
 // anything (the interleaving driver owns ingest).
 func newEmptySystem(t testing.TB, ds *sim.Dataset, cfg locater.Config) *locater.System {
@@ -354,39 +197,4 @@ func newEmptySystem(t testing.TB, ds *sim.Dataset, cfg locater.Config) *locater.
 		t.Fatal(err)
 	}
 	return sys
-}
-
-// FuzzIncrementalMaintenance lets the fuzzer pick the interleaving: the
-// seed selects batch boundaries, shuffles, and invalidations; the property
-// is always stats-equal-oracle. `go test -fuzz=FuzzIncrementalMaintenance`
-// explores; the seed corpus keeps the target exercised on every plain run.
-func FuzzIncrementalMaintenance(f *testing.F) {
-	sc, err := sim.DBH(2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ds, err := sim.Generate(sc.Config(simStart, 3, 5))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(int64(1))
-	f.Add(int64(1 << 40))
-	f.Add(int64(-7))
-	f.Fuzz(func(t *testing.T, seed int64) {
-		cfg := locater.Config{
-			Building:           ds.Building,
-			EnableCache:        true,
-			HistoryDays:        14,
-			PromotionsPerRound: 8,
-			MaxTrainingGaps:    50,
-		}
-		sys, err := locater.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveInterleaved(t, sys, ds, seed, 10)
-		if errv := gapStatsMaxErr(t, sys, dsDevices(ds)); errv > 1e-9 {
-			t.Fatalf("seed %d: incremental stats diverge from oracle by %g", seed, errv)
-		}
-	})
 }

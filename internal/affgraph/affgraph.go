@@ -349,11 +349,6 @@ type CachedAffinity struct {
 	wmu    sync.RWMutex
 	writes map[event.DeviceID]*devWrites
 
-	// cooccur incrementally accumulates co-occurrence edge statistics from
-	// ingested events (cooccur.go). Observability only — never consulted
-	// when answering queries.
-	cooccur *CoOccur
-
 	graphHits     atomic.Int64
 	fallbackNanos atomic.Int64
 	scopedKept    atomic.Int64
@@ -427,7 +422,6 @@ func NewCachedAffinity(g *Graph, fallback interface {
 		fallbackCache: cache.New[pairKey, affEntry](capacity, hashPairKey),
 		inflight:      make(map[pairKey]*inflightAffinity),
 		writes:        make(map[event.DeviceID]*devWrites),
-		cooccur:       NewCoOccur(CoOccurConfig{}),
 	}
 }
 
@@ -599,8 +593,8 @@ func devWritesValid(dw *devWrites, seq uint64, bucketEnd int64) (valid, survived
 
 // ObserveIngest records a successfully-ingested batch in the per-device
 // write log (one sequenced record per touched device, carrying the batch's
-// minimum event time for that device) and feeds the co-occurrence
-// accumulator. Call it AFTER the store applied the batch.
+// minimum event time for that device). Call it AFTER the store applied the
+// batch.
 func (c *CachedAffinity) ObserveIngest(events []event.Event) {
 	if len(events) == 0 {
 		return
@@ -617,9 +611,6 @@ func (c *CachedAffinity) ObserveIngest(events []event.Event) {
 		c.recordWriteLocked(d, mn)
 	}
 	c.wmu.Unlock()
-	if c.cooccur != nil {
-		c.cooccur.Observe(events)
-	}
 }
 
 // InvalidateDevice invalidates every cached affinity involving the device
@@ -851,8 +842,7 @@ func (c *CachedAffinity) Stats() cache.Stats {
 
 // MaintenanceStats are the affinity tier's incremental-maintenance counters:
 // time spent in fallback recomputes (the cost scoped validation avoids),
-// entries proven valid across writes vs rejected, the write-log size, and
-// the co-occurrence accumulator's state.
+// entries proven valid across writes vs rejected, and the write-log size.
 type MaintenanceStats struct {
 	// FallbackNanos is total time spent computing fallback affinities —
 	// the recompute cost the write path induces on queries.
@@ -864,29 +854,17 @@ type MaintenanceStats struct {
 	ScopedStale int64 `json:"scoped_stale"`
 	// TrackedDevices is the number of devices with a live write log.
 	TrackedDevices int64 `json:"tracked_devices"`
-	// CoOccur* snapshot the ingest-time co-occurrence accumulator.
-	CoOccurPairs        int64 `json:"cooccur_pairs"`
-	CoOccurObservations int64 `json:"cooccur_observations"`
-	CoOccurDropped      int64 `json:"cooccur_dropped"`
 }
 
-// MaintenanceStats snapshots the scoped-validation and co-occurrence
-// counters.
+// MaintenanceStats snapshots the scoped-validation counters.
 func (c *CachedAffinity) MaintenanceStats() MaintenanceStats {
 	c.wmu.RLock()
 	tracked := int64(len(c.writes))
 	c.wmu.RUnlock()
-	ms := MaintenanceStats{
+	return MaintenanceStats{
 		FallbackNanos:  c.fallbackNanos.Load(),
 		ScopedKept:     c.scopedKept.Load(),
 		ScopedStale:    c.scopedStale.Load(),
 		TrackedDevices: tracked,
 	}
-	if c.cooccur != nil {
-		cs := c.cooccur.Stats()
-		ms.CoOccurPairs = cs.Pairs
-		ms.CoOccurObservations = cs.Observations
-		ms.CoOccurDropped = cs.Dropped
-	}
-	return ms
 }

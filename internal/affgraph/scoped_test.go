@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"locater/internal/event"
-	"locater/internal/space"
 )
 
 // --- scoped write validation -------------------------------------------
@@ -202,110 +201,5 @@ func TestScopedValidationConcurrent(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		<-done
-	}
-}
-
-// --- co-occurrence accumulator -----------------------------------------
-
-func TestCoOccurWindowAndWeight(t *testing.T) {
-	co := NewCoOccur(CoOccurConfig{Window: 5 * time.Minute})
-	co.Observe([]event.Event{
-		{Device: "a", Time: t0, AP: "ap1"},
-		{Device: "b", Time: t0.Add(2 * time.Minute), AP: "ap1"},  // within window → bump
-		{Device: "c", Time: t0.Add(30 * time.Minute), AP: "ap1"}, // outside window
-		{Device: "d", Time: t0.Add(31 * time.Minute), AP: "ap2"}, // other AP
-	})
-	if w, _ := co.Weight("a", "b"); w != 1 {
-		t.Fatalf("weight(a,b) = %v, want 1", w)
-	}
-	if w, _ := co.Weight("a", "c"); w != 0 {
-		t.Fatalf("weight(a,c) = %v, want 0", w)
-	}
-	if w, _ := co.Weight("c", "d"); w != 0 {
-		t.Fatalf("weight(c,d) = %v, want 0 (different AP)", w)
-	}
-	st := co.Stats()
-	if st.Pairs != 1 || st.Observations != 1 || st.Dropped != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestCoOccurDecayIsEventTimeDriven(t *testing.T) {
-	cfg := CoOccurConfig{Window: 5 * time.Minute, HalfLife: time.Hour}
-	co := NewCoOccur(cfg)
-	co.Observe([]event.Event{
-		{Device: "a", Time: t0, AP: "ap1"},
-		{Device: "b", Time: t0.Add(time.Minute), AP: "ap1"},
-	})
-	// One half-life later the old bump has decayed to 0.5 before the new
-	// bump lands: weight ≈ 1.5.
-	co.Observe([]event.Event{
-		{Device: "a", Time: t0.Add(time.Hour), AP: "ap1"},
-		{Device: "b", Time: t0.Add(time.Hour + time.Minute), AP: "ap1"},
-	})
-	w, _ := co.Weight("a", "b")
-	if w < 1.49 || w > 1.51 {
-		t.Fatalf("decayed weight = %v, want ≈1.5", w)
-	}
-}
-
-// Oracle: replaying the same events through a fresh accumulator reproduces
-// the incremental weights exactly — the same determinism contract the
-// coarse sufficient statistics have.
-func TestCoOccurReplayOracle(t *testing.T) {
-	cfg := CoOccurConfig{Window: 10 * time.Minute, HalfLife: 6 * time.Hour}
-	rng := rand.New(rand.NewSource(7))
-	var all []event.Event
-	cur := t0
-	for i := 0; i < 500; i++ {
-		cur = cur.Add(time.Duration(rng.Intn(8)) * time.Minute)
-		all = append(all, event.Event{
-			Device: event.DeviceID(fmt.Sprintf("dev-%d", rng.Intn(8))),
-			Time:   cur,
-			AP:     []space.APID{"ap1", "ap2", "ap3"}[rng.Intn(3)],
-		})
-	}
-
-	incr := NewCoOccur(cfg)
-	for i := 0; i < len(all); i += 17 { // uneven batches
-		end := i + 17
-		if end > len(all) {
-			end = len(all)
-		}
-		incr.Observe(all[i:end])
-	}
-	oracle := NewCoOccur(cfg)
-	oracle.Observe(all)
-
-	if is, os := incr.Stats(), oracle.Stats(); is != os {
-		t.Fatalf("stats diverge: incr %+v oracle %+v", is, os)
-	}
-	for i := 0; i < 8; i++ {
-		for j := i + 1; j < 8; j++ {
-			a := event.DeviceID(fmt.Sprintf("dev-%d", i))
-			b := event.DeviceID(fmt.Sprintf("dev-%d", j))
-			wi, ti := incr.Weight(a, b)
-			wo, to := oracle.Weight(a, b)
-			if wi != wo || ti != to {
-				t.Fatalf("pair (%s,%s): incr (%v,%d) oracle (%v,%d)", a, b, wi, ti, wo, to)
-			}
-		}
-	}
-}
-
-func TestCoOccurBoundedPairs(t *testing.T) {
-	co := NewCoOccur(CoOccurConfig{Window: time.Hour, MaxPairs: 2})
-	co.Observe([]event.Event{
-		{Device: "a", Time: t0, AP: "ap1"},
-		{Device: "b", Time: t0.Add(time.Minute), AP: "ap1"},
-		{Device: "c", Time: t0.Add(2 * time.Minute), AP: "ap1"},
-		{Device: "d", Time: t0.Add(3 * time.Minute), AP: "ap1"},
-	})
-	st := co.Stats()
-	if st.Pairs != 2 {
-		t.Fatalf("pairs = %d, want 2 (bounded)", st.Pairs)
-	}
-	if st.Dropped == 0 {
-		t.Fatalf("stats %+v, want dropped>0", st)
 	}
 }

@@ -1,25 +1,15 @@
-// Package cluster shards a LOCATER deployment across N independent System
-// engines behind one router, turning the single-building prototype into a
-// campus/fleet-scale service. Each shard owns its own event store, WAL
-// directory, cache tiers, and occupancy index, so shards never contend on a
-// lock: ingest fans out to the owning shards in parallel (the store's
-// exclusive ingest lock is per-shard, which is what unlocks multi-core
-// ingest), queries route to the single owning shard, and batch queries are
+// Package cluster serves several buildings from one deployment: one
+// independent System shard per building behind one router. Each shard owns
+// its own event store, WAL directory, cache tiers, and occupancy index, so
+// shards never contend on a lock: ingest fans out to the owning shards in
+// parallel, queries route to the single owning shard, and batch queries are
 // split by shard, answered concurrently, and re-merged in input order.
 //
-// Two routing policies exist:
-//
-//   - ByDevice hashes the device ID across N shards of one shared building.
-//     Throughput-oriented: co-location history is partitioned with the
-//     devices, so the fine stage's neighbor evidence becomes shard-local (a
-//     neighbor hashed to another shard is invisible). A 1-shard cluster is
-//     byte-identical to a bare System; multi-shard answers are a documented
-//     approximation that trades neighbor completeness for parallelism.
-//   - ByBuilding gives each shard its own building. Routing is exact, not
-//     approximate: devices and their neighbors live in the same building,
-//     so per-shard answers equal a per-building System's. Events route by
-//     the access point's building; a device is homed to the shard where it
-//     was first seen and stays there.
+// Routing is exact: devices and their neighbors live in the same building,
+// so per-shard answers equal a per-building System's. An event routes by its
+// access point's building; a device is homed to the shard where it was first
+// seen and stays there. A device first seen at an access point no building
+// lists is homed by a hash of its ID.
 //
 // The Cluster implements the locater.Locater service interface, so the HTTP
 // layer, benchmarks, and load harness drive a cluster exactly as they drive
@@ -27,6 +17,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -38,67 +29,27 @@ import (
 	"time"
 
 	"locater"
-
-	"context"
-)
-
-// Routing policy names (Options.ShardBy).
-const (
-	// ByDevice partitions one building's devices across shards by a hash
-	// of the device ID.
-	ByDevice = "device"
-	// ByBuilding gives each shard one building; events route by AP,
-	// devices are homed to the shard where they were first seen.
-	ByBuilding = "building"
+	"locater/internal/store"
 )
 
 // Options configures the router.
 type Options struct {
-	// Shards is the shard count for ByDevice routing (≥ 1). Ignored for
-	// ByBuilding, where len(Buildings) decides.
-	Shards int
-	// ShardBy selects the routing policy: ByDevice (default) or
-	// ByBuilding.
-	ShardBy string
-	// Buildings are the per-shard buildings for ByBuilding routing, one
-	// per shard. Unused for ByDevice (every shard shares Config.Building).
+	// Buildings are the per-shard buildings, one per shard (at least one).
+	// Their access-point sets must be disjoint. Each shard runs the
+	// cluster's Config with Building set to its own.
 	Buildings []*locater.Building
 }
 
-func (o Options) normalized(cfg locater.Config) (Options, error) {
-	if o.ShardBy == "" {
-		o.ShardBy = ByDevice
-	}
-	switch o.ShardBy {
-	case ByDevice:
-		if o.Shards < 1 {
-			o.Shards = 1
-		}
-		if cfg.Building == nil {
-			return o, fmt.Errorf("cluster: ByDevice routing needs Config.Building")
-		}
-	case ByBuilding:
-		if len(o.Buildings) == 0 {
-			return o, fmt.Errorf("cluster: ByBuilding routing needs Options.Buildings")
-		}
-		o.Shards = len(o.Buildings)
-	default:
-		return o, fmt.Errorf("cluster: unknown routing policy %q (want %q or %q)", o.ShardBy, ByDevice, ByBuilding)
-	}
-	return o, nil
-}
-
-// Cluster is N independent System shards behind a router. Safe for
+// Cluster is one System shard per building behind a router. Safe for
 // concurrent use: routing state is read-mostly (the device→shard home map
 // only grows, under its own RWMutex), and everything else delegates to the
 // shards, which synchronize themselves.
 type Cluster struct {
-	opts   Options
 	shards []*locater.System
 
-	// apShard routes ingest events by access point (ByBuilding only).
+	// apShard routes ingest events by access point.
 	apShard map[locater.APID]int
-	// mu guards home, the device→shard registry (ByBuilding only).
+	// mu guards home, the device→shard registry.
 	mu   sync.RWMutex
 	home map[locater.DeviceID]int
 }
@@ -111,9 +62,8 @@ var (
 	_ locater.Quarantiner = (*Cluster)(nil)
 )
 
-// New assembles an in-memory cluster: opts.Shards (or len(opts.Buildings))
-// independent systems built from cfg. For ByDevice every shard shares
-// cfg.Building; for ByBuilding shard i serves opts.Buildings[i].
+// New assembles an in-memory cluster: one System built from cfg per
+// building, shard i serving opts.Buildings[i].
 func New(cfg locater.Config, opts Options) (*Cluster, error) {
 	return assemble(cfg, opts, func(i int, shardCfg locater.Config) (*locater.System, error) {
 		return locater.New(shardCfg)
@@ -123,8 +73,8 @@ func New(cfg locater.Config, opts Options) (*Cluster, error) {
 // Open assembles a durable cluster rooted at dir: shard i logs to the
 // subdirectory shard-<i> and recovers it independently on startup, so a
 // restarted cluster answers exactly as the one that was shut down or
-// killed. The ByBuilding device→shard registry is rebuilt from the
-// recovered shards' device sets.
+// killed. The device→shard registry is rebuilt from the recovered shards'
+// device sets.
 func Open(dir string, cfg locater.Config, popts locater.PersistOptions, opts Options) (*Cluster, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: creating data dir: %w", err)
@@ -135,14 +85,12 @@ func Open(dir string, cfg locater.Config, popts locater.PersistOptions, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.ShardBy == ByBuilding {
-		// Recovered devices re-home to the shard that persisted them;
-		// conflicts (a device recovered on two shards) keep the lowest
-		// index, matching first-seen-wins at ingest time.
-		for i := len(c.shards) - 1; i >= 0; i-- {
-			for _, d := range c.shards[i].Devices() {
-				c.home[d] = i
-			}
+	// Recovered devices re-home to the shard that persisted them; conflicts
+	// (a device recovered on two shards) keep the lowest index, matching
+	// first-seen-wins at ingest time.
+	for i := len(c.shards) - 1; i >= 0; i-- {
+		for _, d := range c.shards[i].Devices() {
+			c.home[d] = i
 		}
 	}
 	return c, nil
@@ -154,17 +102,29 @@ func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
+// assemble checks the buildings' access points are disjoint, then builds
+// one shard per building, closing the ones already built if a later one
+// fails.
 func assemble(cfg locater.Config, opts Options, build func(int, locater.Config) (*locater.System, error)) (*Cluster, error) {
-	opts, err := opts.normalized(cfg)
-	if err != nil {
-		return nil, err
+	if len(opts.Buildings) == 0 {
+		return nil, fmt.Errorf("cluster: Options.Buildings is empty")
 	}
-	c := &Cluster{opts: opts, shards: make([]*locater.System, opts.Shards)}
+	c := &Cluster{
+		shards:  make([]*locater.System, len(opts.Buildings)),
+		apShard: make(map[locater.APID]int),
+		home:    make(map[locater.DeviceID]int),
+	}
+	for i, b := range opts.Buildings {
+		for _, ap := range b.AccessPoints() {
+			if owner, dup := c.apShard[ap]; dup {
+				return nil, fmt.Errorf("cluster: access point %s appears in buildings %d and %d (AP sets must be disjoint)", ap, owner, i)
+			}
+			c.apShard[ap] = i
+		}
+	}
 	for i := range c.shards {
 		shardCfg := cfg
-		if opts.ShardBy == ByBuilding {
-			shardCfg.Building = opts.Buildings[i]
-		}
+		shardCfg.Building = opts.Buildings[i]
 		// An explicit cold-tier directory fans out per shard: shards own
 		// disjoint device sets, and sealed-segment files must not collide.
 		// (Left empty, each durable shard defaults to <shardDir>/segments.)
@@ -180,48 +140,46 @@ func assemble(cfg locater.Config, opts Options, build func(int, locater.Config) 
 		}
 		c.shards[i] = sys
 	}
-	if opts.ShardBy == ByBuilding {
-		c.apShard = make(map[locater.APID]int)
-		c.home = make(map[locater.DeviceID]int)
-		for i, b := range opts.Buildings {
-			for _, ap := range b.AccessPoints() {
-				if owner, dup := c.apShard[ap]; dup {
-					for _, built := range c.shards {
-						built.Close()
-					}
-					return nil, fmt.Errorf("cluster: access point %s appears in buildings %d and %d (AP sets must be disjoint)", ap, owner, i)
-				}
-				c.apShard[ap] = i
-			}
-		}
-	}
 	return c, nil
 }
 
-// hashShard is FNV-1a over the device ID, reduced mod the shard count.
+// hashShard is FNV-1a over the device ID, reduced mod the shard count: the
+// home of a device first seen at an access point no building lists.
 func (c *Cluster) hashShard(d locater.DeviceID) int {
 	h := fnv.New64a()
 	h.Write([]byte(d))
 	return int(h.Sum64() % uint64(len(c.shards)))
 }
 
-// shardOf resolves the shard owning a device's queries and writes. ByDevice
-// hashes; ByBuilding consults the home registry, falling back to the hash
-// for devices never ingested (any shard answers their queries with the same
-// "unknown device" outcome).
+// shardOf resolves the shard owning a device's queries and writes: its
+// home, or the hash for devices never ingested (any shard answers their
+// queries with the same "unknown device" outcome).
 func (c *Cluster) shardOf(d locater.DeviceID) int {
 	if len(c.shards) == 1 {
 		return 0
 	}
-	if c.opts.ShardBy == ByBuilding {
-		c.mu.RLock()
-		i, ok := c.home[d]
-		c.mu.RUnlock()
-		if ok {
-			return i
-		}
+	c.mu.RLock()
+	i, ok := c.home[d]
+	c.mu.RUnlock()
+	if ok {
+		return i
 	}
 	return c.hashShard(d)
+}
+
+// homeLocked returns the shard event e routes to, homing its device there
+// if e is the device's first event: the event's AP decides the building, and
+// every later event or query for that device routes to the same shard
+// regardless of AP. Callers hold mu exclusively.
+func (c *Cluster) homeLocked(e locater.Event) int {
+	i, ok := c.home[e.Device]
+	if !ok {
+		if i, ok = c.apShard[e.AP]; !ok {
+			i = c.hashShard(e.Device)
+		}
+		c.home[e.Device] = i
+	}
+	return i
 }
 
 // Shard exposes shard i's engine (tests and benchmarks reconcile merged
@@ -230,9 +188,6 @@ func (c *Cluster) Shard(i int) *locater.System { return c.shards[i] }
 
 // NumShards implements locater.Sharded.
 func (c *Cluster) NumShards() int { return len(c.shards) }
-
-// ShardPolicy implements locater.Sharded.
-func (c *Cluster) ShardPolicy() string { return c.opts.ShardBy }
 
 // ShardInfos implements locater.Sharded: per-shard counters, index-ordered.
 func (c *Cluster) ShardInfos() []locater.ShardInfo {
@@ -254,43 +209,29 @@ func (c *Cluster) ShardInfos() []locater.ShardInfo {
 }
 
 // route partitions events into per-shard batches, preserving each shard's
-// relative event order. ByBuilding also homes first-seen devices: the
-// event's AP decides the building, and every later event or query for that
-// device routes to the same shard regardless of AP.
+// relative event order and homing first-seen devices (homeLocked).
 func (c *Cluster) route(events []locater.Event) [][]locater.Event {
 	parts := make([][]locater.Event, len(c.shards))
-	if c.opts.ShardBy != ByBuilding {
-		for _, e := range events {
-			i := c.hashShard(e.Device)
-			parts[i] = append(parts[i], e)
-		}
-		return parts
-	}
 	c.mu.Lock()
 	for _, e := range events {
-		i, ok := c.home[e.Device]
-		if !ok {
-			if byAP, known := c.apShard[e.AP]; known {
-				i = byAP
-			} else {
-				i = c.hashShard(e.Device)
-			}
-			c.home[e.Device] = i
-		}
+		i := c.homeLocked(e)
 		parts[i] = append(parts[i], e)
 	}
 	c.mu.Unlock()
 	return parts
 }
 
-// Ingest routes the batch and ingests every shard's part concurrently. The
-// per-shard stores synchronize independently, so an N-shard ingest uses up
-// to N cores where a single System serializes on one store lock. Per-shard
-// errors are joined; a failing shard does not abort the others (matching
-// System.Ingest's all-or-nothing semantics per shard, not per cluster).
+// Ingest validates the whole batch, routes it, and ingests every shard's
+// part concurrently. As with System.Ingest, a batch holding an invalid event
+// is rejected whole (ErrInvalidEvent) before any shard stores an event or
+// any device is homed. Past validation, per-shard errors are durability
+// failures; they are joined, and a failing shard does not abort the others.
 func (c *Cluster) Ingest(events []locater.Event) error {
 	if len(c.shards) == 1 {
 		return c.shards[0].Ingest(events)
+	}
+	if err := store.ValidateEvents(events); err != nil {
+		return err
 	}
 	parts := c.route(events)
 	errs := make([]error, len(c.shards))
@@ -311,18 +252,19 @@ func (c *Cluster) Ingest(events []locater.Event) error {
 	return errors.Join(errs...)
 }
 
-// IngestOne routes a single streamed event to its owning shard.
+// IngestOne validates a single streamed event and routes it to its owning
+// shard.
 func (c *Cluster) IngestOne(e locater.Event) error {
-	if c.opts.ShardBy == ByBuilding {
-		// Route through the batch path so first-seen homing applies.
-		parts := c.route([]locater.Event{e})
-		for i, part := range parts {
-			if len(part) > 0 {
-				return c.shards[i].IngestOne(e)
-			}
-		}
+	if len(c.shards) == 1 {
+		return c.shards[0].IngestOne(e)
 	}
-	return c.shards[c.shardOf(e.Device)].IngestOne(e)
+	if err := store.ValidateEvents([]locater.Event{e}); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	i := c.homeLocked(e)
+	c.mu.Unlock()
+	return c.shards[i].IngestOne(e)
 }
 
 // SetDelta registers a device-specific validity interval on the owning
@@ -426,9 +368,8 @@ func (c *Cluster) LocateBatchContext(ctx context.Context, queries []locater.Quer
 	return out
 }
 
-// Building returns the first shard's building (ByDevice clusters share one
-// building across all shards; ByBuilding callers should consult ShardInfos
-// for the full list).
+// Building returns the first shard's building (callers should consult
+// ShardInfos for the full list).
 func (c *Cluster) Building() *locater.Building { return c.shards[0].Building() }
 
 // NumEvents sums ingested events across shards.

@@ -2,7 +2,9 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,14 +28,21 @@ func buildDataset(t testing.TB, perClass, days int, seed int64) *sim.Dataset {
 	return ds
 }
 
-func testConfig(b *locater.Building) locater.Config {
+// testConfig is every shard's configuration; the cluster sets Building.
+func testConfig() locater.Config {
 	return locater.Config{
-		Building:           b,
 		EnableCache:        true,
 		HistoryDays:        14,
 		PromotionsPerRound: 8,
 		MaxTrainingGaps:    100,
 	}
+}
+
+// systemConfig is testConfig for a bare System over b.
+func systemConfig(b *locater.Building) locater.Config {
+	cfg := testConfig()
+	cfg.Building = b
+	return cfg
 }
 
 // ingestChunks streams events in batches, the shape a live deployment has.
@@ -59,19 +68,27 @@ func estimate(t testing.TB, sys locater.Locater) {
 }
 
 // sampleQueries picks deterministic daytime query points interleaved across
-// devices, so consecutive queries route to different shards.
-func sampleQueries(ds *sim.Dataset, n int) []locater.Query {
+// devices, so consecutive queries route to different shards when the
+// devices alternate buildings.
+func sampleQueries(devices []locater.DeviceID, n int) []locater.Query {
 	queries := make([]locater.Query, 0, n)
 	for i := 0; len(queries) < n; i++ {
-		p := ds.People[i%len(ds.People)]
 		hour := 9 + (i*3)%9
 		day := 1 + i%4
 		queries = append(queries, locater.Query{
-			Device: p.Device,
+			Device: devices[i%len(devices)],
 			Time:   simStart.Add(time.Duration(day*24+hour) * time.Hour),
 		})
 	}
 	return queries
+}
+
+func devicesOf(ds *sim.Dataset) []locater.DeviceID {
+	devs := make([]locater.DeviceID, len(ds.People))
+	for i, p := range ds.People {
+		devs[i] = p.Device
+	}
+	return devs
 }
 
 // TestSingleShardClusterIdenticalToSystem is the strict correctness gate: a
@@ -81,11 +98,11 @@ func sampleQueries(ds *sim.Dataset, n int) []locater.Query {
 func TestSingleShardClusterIdenticalToSystem(t *testing.T) {
 	ds := buildDataset(t, 2, 7, 77)
 
-	sys, err := locater.New(testConfig(ds.Building))
+	sys, err := locater.New(systemConfig(ds.Building))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.New(testConfig(ds.Building), cluster.Options{Shards: 1})
+	c, err := cluster.New(testConfig(), cluster.Options{Buildings: []*locater.Building{ds.Building}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +120,7 @@ func TestSingleShardClusterIdenticalToSystem(t *testing.T) {
 	// which perturbs posteriors of later queries in the same batch. The
 	// byte-identity contract is defined over the deterministic serial
 	// execution.
-	queries := sampleQueries(ds, 60)
+	queries := sampleQueries(devicesOf(ds), 60)
 	want := sys.LocateBatch(queries, 1)
 	got := c.LocateBatch(queries, 1)
 	for i := range queries {
@@ -125,20 +142,109 @@ func TestSingleShardClusterIdenticalToSystem(t *testing.T) {
 	}
 }
 
+// buildingScenario is a compact deterministic scenario over its own
+// building (name-prefixed AP and room IDs keep two buildings' AP sets
+// disjoint).
+func buildingScenario(t testing.TB, name string, seed int64) *sim.Dataset {
+	t.Helper()
+	b, err := sim.GridBuilding(name, 24, 4, 8, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sim.Scenario{
+		Name:     name,
+		Building: b,
+		Profiles: []sim.Profile{{
+			Name: "staff", Count: 5, HasOffice: true, BaseStay: 0.7,
+			PresenceProb: 0.9,
+			ArrivalMean:  9 * time.Hour, ArrivalStd: 30 * time.Minute,
+			DepartureMean: 17 * time.Hour, DepartureStd: 30 * time.Minute,
+			AttendProb: 0.8, MidDayExitProb: 0.4,
+			EmitPeriod: 10 * time.Minute, EmitProb: 0.7,
+			SilenceProb: 0.05,
+		}},
+	}
+	ds, err := sim.Generate(sc.Config(simStart, 5, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// prefixDevices clones events under namespaced device IDs, so two
+// independently generated datasets cannot collide on a device.
+func prefixDevices(events []locater.Event, prefix string) []locater.Event {
+	out := make([]locater.Event, len(events))
+	for i, e := range events {
+		e.Device = locater.DeviceID(prefix + string(e.Device))
+		out[i] = e
+	}
+	return out
+}
+
+// campus is one buildingScenario per name, served together: shard i is
+// building names[i].
+type campus struct {
+	buildings []*locater.Building
+	// events holds every building's events under "<name>:"-prefixed device
+	// IDs, interleaved in 128-event runs.
+	events []locater.Event
+	// devices lists the prefixed device IDs, alternating buildings (every
+	// buildingScenario has the same head count).
+	devices []locater.DeviceID
+}
+
+func newCampus(t testing.TB, names ...string) campus {
+	t.Helper()
+	var c campus
+	var streams [][]locater.Event
+	var people [][]locater.DeviceID
+	for i, name := range names {
+		ds := buildingScenario(t, name, int64(3+i))
+		prefix := name + ":"
+		c.buildings = append(c.buildings, ds.Building)
+		streams = append(streams, prefixDevices(ds.Events, prefix))
+		devs := devicesOf(ds)
+		for j, d := range devs {
+			devs[j] = locater.DeviceID(prefix + string(d))
+		}
+		people = append(people, devs)
+	}
+	total := 0
+	for _, ev := range streams {
+		total += len(ev)
+	}
+	for i := 0; len(c.events) < total; i += 128 {
+		for _, ev := range streams {
+			if i < len(ev) {
+				c.events = append(c.events, ev[i:min(i+128, len(ev))]...)
+			}
+		}
+	}
+	for i := 0; i < len(people[0]); i++ {
+		for _, devs := range people {
+			c.devices = append(c.devices, devs[i])
+		}
+	}
+	return c
+}
+
+func (c campus) options() cluster.Options { return cluster.Options{Buildings: c.buildings} }
+
 // TestBatchSplitMergePreservesOrder drives a batch through a 4-shard router
 // and checks the answers come back in input order, each slot matching what
 // the owning shard answers for that query alone.
 func TestBatchSplitMergePreservesOrder(t *testing.T) {
-	ds := buildDataset(t, 2, 7, 77)
-	c, err := cluster.New(testConfig(ds.Building), cluster.Options{Shards: 4})
+	cp := newCampus(t, "alpha", "beta", "gamma", "delta")
+	c, err := cluster.New(testConfig(), cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ingestChunks(t, c, ds.Events)
+	ingestChunks(t, c, cp.events)
 	estimate(t, c)
 
-	queries := sampleQueries(ds, 48)
+	queries := sampleQueries(cp.devices, 48)
 	out := c.LocateBatch(queries, 3)
 	if len(out) != len(queries) {
 		t.Fatalf("batch returned %d results for %d queries", len(out), len(queries))
@@ -166,17 +272,17 @@ func TestBatchSplitMergePreservesOrder(t *testing.T) {
 // their input slots across the shard split: a canceled context fails every
 // query individually, with the Query field still identifying the slot.
 func TestBatchPerQueryErrors(t *testing.T) {
-	ds := buildDataset(t, 2, 5, 11)
-	c, err := cluster.New(testConfig(ds.Building), cluster.Options{Shards: 2})
+	cp := newCampus(t, "alpha", "beta")
+	c, err := cluster.New(testConfig(), cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ingestChunks(t, c, ds.Events)
+	ingestChunks(t, c, cp.events)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	queries := sampleQueries(ds, 16)
+	queries := sampleQueries(cp.devices, 16)
 	out := c.LocateBatchContext(ctx, queries, 2)
 	if len(out) != len(queries) {
 		t.Fatalf("batch returned %d results for %d queries", len(out), len(queries))
@@ -191,24 +297,66 @@ func TestBatchPerQueryErrors(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsInvalidBatchWhole: a batch holding one invalid event is
+// refused whole, as System.Ingest refuses it — no shard stores any of it
+// and no device in it is homed, so a corrected retry routes as if the bad
+// batch never arrived.
+func TestIngestRejectsInvalidBatchWhole(t *testing.T) {
+	cp := newCampus(t, "alpha", "beta")
+	c, err := cluster.New(testConfig(), cp.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	apA := cp.buildings[0].AccessPoints()[0]
+	apB := cp.buildings[1].AccessPoints()[0]
+	at := simStart.Add(30 * time.Hour)
+
+	bad := []locater.Event{
+		{Device: "a:1", Time: at, AP: apA},
+		{Device: "b:1", AP: apB}, // zero time
+	}
+	if err := c.Ingest(bad); !errors.Is(err, locater.ErrInvalidEvent) {
+		t.Fatalf("Ingest = %v, want ErrInvalidEvent", err)
+	}
+	if err := c.IngestOne(bad[1]); !errors.Is(err, locater.ErrInvalidEvent) {
+		t.Fatalf("IngestOne = %v, want ErrInvalidEvent", err)
+	}
+	if n := c.NumEvents(); n != 0 {
+		t.Fatalf("rejected batch left %d events", n)
+	}
+
+	// Unhomed devices route by AP, so each lands in the other's building.
+	if err := c.Ingest([]locater.Event{
+		{Device: "a:1", Time: at, AP: apB},
+		{Device: "b:1", Time: at, AP: apA},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]locater.DeviceID{{"b:1"}, {"a:1"}} {
+		if got := c.Shard(i).Devices(); !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d devices %v, want %v (a rejected batch homed a device)", i, got, want)
+		}
+	}
+}
+
 // TestClusterRecoveryEquivalence is the sharded variant of the WAL crash
 // test: a 2-shard durable cluster abandoned without Close (the crash) must
 // recover every acknowledged event from its per-shard logs and answer the
 // same queries identically.
 func TestClusterRecoveryEquivalence(t *testing.T) {
-	ds := buildDataset(t, 2, 6, 42)
+	cp := newCampus(t, "alpha", "beta")
 	dir := t.TempDir()
 	popts := locater.PersistOptions{Fsync: true}
-	copts := cluster.Options{Shards: 2}
 
-	live, err := cluster.Open(dir, testConfig(ds.Building), popts, copts)
+	live, err := cluster.Open(dir, testConfig(), popts, cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestChunks(t, live, ds.Events)
+	ingestChunks(t, live, cp.events)
 	estimate(t, live)
 	// Serialized batches: see TestSingleShardClusterIdenticalToSystem.
-	queries := sampleQueries(ds, 40)
+	queries := sampleQueries(cp.devices, 40)
 	liveRes := live.LocateBatch(queries, 1)
 
 	// Each shard logs to its own subdirectory.
@@ -219,7 +367,7 @@ func TestClusterRecoveryEquivalence(t *testing.T) {
 	}
 
 	// Crash: no Close, no Checkpoint — recovery from the WAL tails alone.
-	rec, err := cluster.Open(dir, testConfig(ds.Building), popts, copts)
+	rec, err := cluster.Open(dir, testConfig(), popts, cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,15 +412,15 @@ func TestClusterRecoveryEquivalence(t *testing.T) {
 // TestMergedStatsReconcile checks every merged counter against the shards
 // summed directly: the coordinator must not invent or lose any accounting.
 func TestMergedStatsReconcile(t *testing.T) {
-	ds := buildDataset(t, 2, 6, 7)
-	c, err := cluster.New(testConfig(ds.Building), cluster.Options{Shards: 2})
+	cp := newCampus(t, "alpha", "beta")
+	c, err := cluster.New(testConfig(), cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ingestChunks(t, c, ds.Events)
+	ingestChunks(t, c, cp.events)
 	estimate(t, c)
-	queries := sampleQueries(ds, 40)
+	queries := sampleQueries(cp.devices, 40)
 	c.LocateBatch(queries, 4)
 	c.LocateBatch(queries, 4) // second pass exercises the result caches
 
@@ -282,8 +430,8 @@ func TestMergedStatsReconcile(t *testing.T) {
 		devices += si.Devices
 		served += si.Queries
 	}
-	if got := c.NumEvents(); got != events || events != len(ds.Events) {
-		t.Errorf("NumEvents = %d, shard sum = %d, ingested = %d", got, events, len(ds.Events))
+	if got := c.NumEvents(); got != events || events != len(cp.events) {
+		t.Errorf("NumEvents = %d, shard sum = %d, ingested = %d", got, events, len(cp.events))
 	}
 	if got := c.NumDevices(); got != devices {
 		t.Errorf("NumDevices = %d, shard sum = %d", got, devices)
@@ -327,58 +475,17 @@ func TestMergedStatsReconcile(t *testing.T) {
 	}
 }
 
-// buildingScenario is a compact deterministic scenario over its own
-// building, for ByBuilding routing tests (name-prefixed AP and room IDs
-// keep two buildings' AP sets disjoint).
-func buildingScenario(t testing.TB, name string, seed int64) *sim.Dataset {
-	t.Helper()
-	b, err := sim.GridBuilding(name, 24, 4, 8, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := sim.Scenario{
-		Name:     name,
-		Building: b,
-		Profiles: []sim.Profile{{
-			Name: "staff", Count: 5, HasOffice: true, BaseStay: 0.7,
-			PresenceProb: 0.9,
-			ArrivalMean:  9 * time.Hour, ArrivalStd: 30 * time.Minute,
-			DepartureMean: 17 * time.Hour, DepartureStd: 30 * time.Minute,
-			AttendProb: 0.8, MidDayExitProb: 0.4,
-			EmitPeriod: 10 * time.Minute, EmitProb: 0.7,
-			SilenceProb: 0.05,
-		}},
-	}
-	ds, err := sim.Generate(sc.Config(simStart, 5, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
-}
-
-// prefixDevices clones events under namespaced device IDs, so two
-// independently generated datasets cannot collide on a device.
-func prefixDevices(events []locater.Event, prefix string) []locater.Event {
-	out := make([]locater.Event, len(events))
-	for i, e := range events {
-		e.Device = locater.DeviceID(prefix + string(e.Device))
-		out[i] = e
-	}
-	return out
-}
-
-// TestBuildingModeRoutesByAccessPoint checks exact ByBuilding routing:
-// events land on the shard owning their AP's building, and every query is
-// answered identically to a per-building System (building sharding is not
-// an approximation — co-located devices share a shard).
+// TestBuildingModeRoutesByAccessPoint checks exact building routing: events
+// land on the shard owning their AP's building, and every query is answered
+// identically to a per-building System (building sharding is not an
+// approximation — co-located devices share a shard).
 func TestBuildingModeRoutesByAccessPoint(t *testing.T) {
 	dsA := buildingScenario(t, "alpha", 3)
 	dsB := buildingScenario(t, "beta", 4)
 	evA := prefixDevices(dsA.Events, "a:")
 	evB := prefixDevices(dsB.Events, "b:")
 
-	c, err := cluster.New(testConfig(dsA.Building), cluster.Options{
-		ShardBy:   cluster.ByBuilding,
+	c, err := cluster.New(testConfig(), cluster.Options{
 		Buildings: []*locater.Building{dsA.Building, dsB.Building},
 	})
 	if err != nil {
@@ -410,11 +517,11 @@ func TestBuildingModeRoutesByAccessPoint(t *testing.T) {
 	}
 
 	// Reference: one System per building over the same streams.
-	sysA, err := locater.New(testConfig(dsA.Building))
+	sysA, err := locater.New(systemConfig(dsA.Building))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysB, err := locater.New(testConfig(dsB.Building))
+	sysB, err := locater.New(systemConfig(dsB.Building))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +555,10 @@ func TestBuildingModeRoutesByAccessPoint(t *testing.T) {
 	}
 }
 
-// TestBuildingModeRecoveryRebuildsHomes crashes a durable ByBuilding
-// cluster and checks the reopened router still sends a recovered device's
-// queries to the shard that persisted it (the device→shard registry is
-// rebuilt from the shards' recovered device sets, not lost with the
-// process).
+// TestBuildingModeRecoveryRebuildsHomes crashes a durable cluster and
+// checks the reopened router still sends a recovered device's queries to
+// the shard that persisted it (the device→shard registry is rebuilt from
+// the shards' recovered device sets, not lost with the process).
 func TestBuildingModeRecoveryRebuildsHomes(t *testing.T) {
 	dsA := buildingScenario(t, "alpha", 3)
 	dsB := buildingScenario(t, "beta", 4)
@@ -461,11 +567,10 @@ func TestBuildingModeRecoveryRebuildsHomes(t *testing.T) {
 	dir := t.TempDir()
 	popts := locater.PersistOptions{Fsync: true}
 	copts := cluster.Options{
-		ShardBy:   cluster.ByBuilding,
 		Buildings: []*locater.Building{dsA.Building, dsB.Building},
 	}
 
-	live, err := cluster.Open(dir, testConfig(dsA.Building), popts, copts)
+	live, err := cluster.Open(dir, testConfig(), popts, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +578,7 @@ func TestBuildingModeRecoveryRebuildsHomes(t *testing.T) {
 	ingestChunks(t, live, evB)
 
 	// Crash without Close; reopen and query a beta device.
-	rec, err := cluster.Open(dir, testConfig(dsA.Building), popts, copts)
+	rec, err := cluster.Open(dir, testConfig(), popts, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,10 +598,10 @@ func TestBuildingModeRecoveryRebuildsHomes(t *testing.T) {
 // and the cluster presents them as one merged, newest-first quarantine with
 // summed counters.
 func TestClusterQuarantineMerge(t *testing.T) {
-	ds := buildDataset(t, 1, 2, 21)
-	cfg := testConfig(ds.Building)
+	cp := newCampus(t, "alpha", "beta")
+	cfg := testConfig()
 	cfg.EnableCleansing = true
-	cl, err := cluster.New(cfg, cluster.Options{Shards: 2})
+	cl, err := cluster.New(cfg, cp.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,15 +609,21 @@ func TestClusterQuarantineMerge(t *testing.T) {
 	if !cl.CleansingEnabled() {
 		t.Fatal("cluster with cleansing-enabled shards reports CleansingEnabled()=false")
 	}
-	ingestChunks(t, cl, ds.Events)
+	ingestChunks(t, cl, cp.events)
 
-	// Append, per device, a fresh event followed by its exact duplicate:
-	// the duplicate is quarantined on whichever shard owns the device.
-	base := simStart.Add(72 * time.Hour)
-	ap := ds.Events[0].AP
-	nDev := len(ds.People)
-	for i, p := range ds.People {
-		e := locater.Event{Device: p.Device, Time: base.Add(time.Duration(i) * time.Minute), AP: ap}
+	// Append, per device, a fresh event at an AP of its own building
+	// followed by its exact duplicate: the duplicate is quarantined on the
+	// shard that owns the device.
+	homeAP := make(map[locater.DeviceID]locater.APID)
+	for _, e := range cp.events {
+		if _, ok := homeAP[e.Device]; !ok {
+			homeAP[e.Device] = e.AP
+		}
+	}
+	base := simStart.Add(120 * time.Hour)
+	nDev := len(cp.devices)
+	for i, d := range cp.devices {
+		e := locater.Event{Device: d, Time: base.Add(time.Duration(i) * time.Minute), AP: homeAP[d]}
 		if err := cl.Ingest([]locater.Event{e, e}); err != nil {
 			t.Fatal(err)
 		}
@@ -522,12 +633,12 @@ func TestClusterQuarantineMerge(t *testing.T) {
 	if st.Duplicates != int64(nDev) || st.Quarantined != int64(nDev) {
 		t.Fatalf("merged cleanse stats %+v, want %d duplicates quarantined", st, nDev)
 	}
-	if st.Ingested != int64(len(ds.Events)+2*nDev) {
-		t.Fatalf("merged Ingested=%d, want %d", st.Ingested, len(ds.Events)+2*nDev)
+	if st.Ingested != int64(len(cp.events)+2*nDev) {
+		t.Fatalf("merged Ingested=%d, want %d", st.Ingested, len(cp.events)+2*nDev)
 	}
 
 	// Per-shard rings must reconcile with the merged view, and more than
-	// one shard must have contributed (devices hash across both).
+	// one shard must have contributed (each building has devices).
 	contributing := 0
 	perShard := 0
 	for i := 0; i < cl.NumShards(); i++ {

@@ -131,14 +131,9 @@ type Localizer struct {
 	popMu      sync.Mutex
 	population *deviceModel
 
-	// stats holds the incrementally-maintained per-device gap sufficient
-	// statistics (stats.go), with the write-path maintenance counters.
-	stats        *statsTable
-	observeNanos atomic.Int64
-	trainNanos   atomic.Int64
-	trains       atomic.Int64
-	rebuilds     atomic.Int64
-	outOfOrder   atomic.Int64
+	// trainNanos / trains time the per-device model training.
+	trainNanos atomic.Int64
+	trains     atomic.Int64
 
 	// answerHits / answerMisses count answerGap's memo lookups.
 	answerHits   atomic.Int64
@@ -177,29 +172,54 @@ func New(b *space.Building, st *store.Store, opts Options) *Localizer {
 		regionIdx: regionIdx,
 		models: cache.NewSharded[event.DeviceID, *deviceModel](
 			opts.ModelCacheCapacity, numModelShards, cache.StringHash[event.DeviceID]),
-		stats: newStatsTable(),
 	}
 }
 
-// InvalidateDevice is the full per-device escape hatch: it drops the cached
-// model AND marks the device's incremental gap statistics for a from-store
-// rebuild. The ingest hot path no longer calls it — ObserveIngest maintains
-// the statistics in place — so it remains for the cases incremental updates
-// cannot cover: δ changes (SetDelta) and explicit operator resets.
-func (l *Localizer) InvalidateDevice(d event.DeviceID) {
-	l.models.Delete(d)
-	l.stats.markRebuild(d)
+// ObserveIngest drops the cached models of the devices an ingested batch
+// touched: a model is trained from its device's full history, so it cannot
+// survive a write to it. Call it AFTER the store applied the batch (or
+// failed part-way through it), so a query that retrains reads the new
+// events.
+func (l *Localizer) ObserveIngest(events []event.Event) {
+	prev := event.DeviceID("")
+	for _, e := range events {
+		if e.Device != prev {
+			prev = e.Device
+			l.models.Delete(e.Device)
+		}
+	}
 }
 
-// InvalidateAll drops every cached model (an O(1) epoch bump), the
-// population model, and every incremental statistic (each device rebuilds
-// lazily from the store).
+// InvalidateDevice drops the device's cached model, for writes other than
+// ingest: δ changes (SetDelta).
+func (l *Localizer) InvalidateDevice(d event.DeviceID) {
+	l.models.Delete(d)
+}
+
+// InvalidateAll drops every cached model (an O(1) epoch bump) and the
+// population model.
 func (l *Localizer) InvalidateAll() {
 	l.models.Invalidate()
 	l.popMu.Lock()
 	l.population = nil
 	l.popMu.Unlock()
-	l.stats.clear()
+}
+
+// MaintenanceStats are the write-path model-maintenance counters: the time
+// spent (re)training per-device classifiers after writes dropped them.
+type MaintenanceStats struct {
+	// TrainNanos / Trains time the per-device classifier training that
+	// train-on-miss performs after an invalidation.
+	TrainNanos int64 `json:"train_nanos"`
+	Trains     int64 `json:"trains"`
+}
+
+// MaintenanceStats snapshots the write-path maintenance counters.
+func (l *Localizer) MaintenanceStats() MaintenanceStats {
+	return MaintenanceStats{
+		TrainNanos: l.trainNanos.Load(),
+		Trains:     l.trains.Load(),
+	}
 }
 
 // ModelCacheStats reports the model cache's size, capacity, and counters.

@@ -282,6 +282,31 @@ func TestModelCaching(t *testing.T) {
 	}
 }
 
+func TestObserveIngestInvalidatesModels(t *testing.T) {
+	b := testBuilding(t)
+	st := store.New(0)
+	seedHistory(t, st, "dev-model", 30)
+	l := newLocalizer(t, b, st)
+	// Train via a gap query, then ingest: the cached model must drop.
+	if _, err := l.Locate("dev-model", t0.AddDate(0, 0, 29).Add(12*time.Hour+20*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l.cachedModel("dev-model"); !ok {
+		t.Fatal("model not cached after query")
+	}
+	evs := []event.Event{{Device: "dev-model", Time: t0.AddDate(0, 0, 30), AP: "apA"}}
+	if _, err := st.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	l.ObserveIngest(evs)
+	if _, ok := l.cachedModel("dev-model"); ok {
+		t.Fatal("model survived ObserveIngest")
+	}
+	if ms := l.MaintenanceStats(); ms.Trains == 0 || ms.TrainNanos <= 0 {
+		t.Fatalf("maintenance %+v, want training accounted", ms)
+	}
+}
+
 // TestConcurrentModelCache drives Locate (lazy shard-locked training)
 // against per-device and global invalidation from many goroutines across
 // many devices — the sharded cache's contention surface (run under -race

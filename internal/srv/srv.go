@@ -171,7 +171,6 @@ type ShardResponse struct {
 // ClusterResponse is the topology block served when the engine is sharded.
 type ClusterResponse struct {
 	Shards   int             `json:"shards"`
-	ShardBy  string          `json:"shard_by"`
 	PerShard []ShardResponse `json:"per_shard"`
 }
 
@@ -454,7 +453,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Building = b.Name()
 	}
 	if sh, ok := s.sys.(locater.Sharded); ok {
-		cluster := &ClusterResponse{Shards: sh.NumShards(), ShardBy: sh.ShardPolicy()}
+		cluster := &ClusterResponse{Shards: sh.NumShards()}
 		for _, si := range sh.ShardInfos() {
 			sr := ShardResponse{
 				Index:    si.Index,

@@ -3,6 +3,7 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -93,29 +94,38 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestStatsClusterBlock serves a 2-shard cluster and checks /v1/stats
+// TestStatsClusterBlock serves a 2-building cluster and checks /v1/stats
 // publishes the topology with per-shard counters that reconcile with the
 // merged top-level figures.
 func TestStatsClusterBlock(t *testing.T) {
-	sc, err := sim.DBH(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := sim.Generate(sc.Config(simStart, 7, 99))
-	if err != nil {
-		t.Fatal(err)
+	var buildings []*locater.Building
+	var events []locater.Event
+	for i, scenario := range []func(int) (sim.Scenario, error){sim.Office, sim.University} {
+		sc, err := scenario(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := sim.Generate(sc.Config(simStart, 3, 99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildings = append(buildings, ds.Building)
+		// Both datasets number their devices alike: namespace them.
+		for _, e := range ds.Events {
+			e.Device = locater.DeviceID(fmt.Sprintf("%d:%s", i, e.Device))
+			events = append(events, e)
+		}
 	}
 	c, err := cluster.New(locater.Config{
-		Building:           ds.Building,
 		EnableCache:        true,
 		HistoryDays:        7,
 		PromotionsPerRound: 8,
-	}, cluster.Options{Shards: 2})
+	}, cluster.Options{Buildings: buildings})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ingest(ds.Events); err != nil {
+	if err := c.Ingest(events); err != nil {
 		t.Fatal(err)
 	}
 	s := New(c)
@@ -132,22 +142,25 @@ func TestStatsClusterBlock(t *testing.T) {
 	if st.Cluster == nil {
 		t.Fatal("sharded deployment published no cluster block")
 	}
-	if st.Cluster.Shards != 2 || st.Cluster.ShardBy != cluster.ByDevice {
-		t.Errorf("cluster block = %d shards by %q", st.Cluster.Shards, st.Cluster.ShardBy)
+	if st.Cluster.Shards != 2 {
+		t.Errorf("cluster block = %d shards", st.Cluster.Shards)
 	}
 	if len(st.Cluster.PerShard) != 2 {
 		t.Fatalf("per_shard has %d entries", len(st.Cluster.PerShard))
 	}
-	var events, devices int
-	for _, sh := range st.Cluster.PerShard {
-		events += sh.Events
-		devices += sh.Devices
+	var sumEvents, sumDevices int
+	for i, sh := range st.Cluster.PerShard {
+		if sh.Building != buildings[i].Name() {
+			t.Errorf("shard %d serves %q, want %q", i, sh.Building, buildings[i].Name())
+		}
+		sumEvents += sh.Events
+		sumDevices += sh.Devices
 	}
-	if events != st.Events || events != len(ds.Events) {
-		t.Errorf("per-shard events sum %d, top-level %d, ingested %d", events, st.Events, len(ds.Events))
+	if sumEvents != st.Events || sumEvents != len(events) {
+		t.Errorf("per-shard events sum %d, top-level %d, ingested %d", sumEvents, st.Events, len(events))
 	}
-	if devices != st.Devices {
-		t.Errorf("per-shard devices sum %d, top-level %d", devices, st.Devices)
+	if sumDevices != st.Devices {
+		t.Errorf("per-shard devices sum %d, top-level %d", sumDevices, st.Devices)
 	}
 
 	// A bare System must NOT publish the block.

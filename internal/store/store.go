@@ -283,6 +283,26 @@ func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error
 // error is a durability failure of the backend.
 var ErrInvalidEvent = errors.New("store: invalid event")
 
+// ValidateEvents returns an ErrInvalidEvent error for the first event
+// without a device, an AP or a timestamp, and nil when every event has all
+// three. Ingest runs it on the whole batch before applying anything; a
+// router that splits a batch runs it before routing, so a rejected batch
+// reaches no store.
+func ValidateEvents(events []event.Event) error {
+	for _, e := range events {
+		if e.Device == "" {
+			return fmt.Errorf("%w: empty device at %v", ErrInvalidEvent, e.Time)
+		}
+		if e.AP == "" {
+			return fmt.Errorf("%w: empty AP for device %s at %v", ErrInvalidEvent, e.Device, e.Time)
+		}
+		if e.Time.IsZero() {
+			return fmt.Errorf("%w: zero timestamp for device %s", ErrInvalidEvent, e.Device)
+		}
+	}
+	return nil
+}
+
 // Ingest adds a batch of events. Events with ID == 0 receive fresh sequence
 // numbers. Returns the number of events added. The whole batch is validated
 // before anything is appended, so a rejected batch leaves the store
@@ -292,16 +312,8 @@ var ErrInvalidEvent = errors.New("store: invalid event")
 // that reach the seal threshold are compressed into immutable segments on
 // the spot.
 func (s *Store) Ingest(events []event.Event) (int, error) {
-	for _, e := range events {
-		if e.Device == "" {
-			return 0, fmt.Errorf("%w: empty device at %v", ErrInvalidEvent, e.Time)
-		}
-		if e.AP == "" {
-			return 0, fmt.Errorf("%w: empty AP for device %s at %v", ErrInvalidEvent, e.Device, e.Time)
-		}
-		if e.Time.IsZero() {
-			return 0, fmt.Errorf("%w: zero timestamp for device %s", ErrInvalidEvent, e.Device)
-		}
+	if err := ValidateEvents(events); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	// Assign IDs on a copy first: the batch must reach the write-ahead log

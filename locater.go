@@ -186,20 +186,11 @@ type Config struct {
 	// dropped, and degenerate devices flagged BEFORE events reach the store
 	// (and, on durable systems, before they reach the write-ahead log, so
 	// replay never re-cleanses). Rejected events land in a bounded
-	// quarantine ring inspectable via Quarantine / GET /v1/quarantine.
-	// Default off: with cleansing disabled the pipeline's answers are
-	// byte-identical to raw ingestion.
+	// quarantine ring inspectable via Quarantine / GET /v1/quarantine. The
+	// rules run with internal/cleanse's defaults. Default off: with
+	// cleansing disabled the pipeline's answers are byte-identical to raw
+	// ingestion.
 	EnableCleansing bool
-	// CleanseReassocWindow / CleanseFlapWindow / CleanseMinTransit /
-	// CleanseDegenerateEventsPerMinute tune the cleansing rules (see
-	// internal/cleanse.Config; zero values select the defaults of 10s, 30s,
-	// 1s, and 120 events/min).
-	CleanseReassocWindow             time.Duration
-	CleanseFlapWindow                time.Duration
-	CleanseMinTransit                time.Duration
-	CleanseDegenerateEventsPerMinute int
-	// QuarantineCap bounds the quarantine ring in entries. Default 1024.
-	QuarantineCap int
 }
 
 func (c Config) coarseOptions() coarse.Options {
@@ -222,16 +213,6 @@ func (c Config) coarseOptions() coarse.Options {
 		MaxPromotionsPerRound: c.PromotionsPerRound,
 		MaxTrainingGaps:       c.MaxTrainingGaps,
 		ModelCacheCapacity:    c.ModelCacheSize,
-	}
-}
-
-func (c Config) cleanseConfig() cleanse.Config {
-	return cleanse.Config{
-		ReassocWindow:             c.CleanseReassocWindow,
-		FlapWindow:                c.CleanseFlapWindow,
-		MinTransit:                c.CleanseMinTransit,
-		DegenerateEventsPerMinute: c.CleanseDegenerateEventsPerMinute,
-		QuarantineCap:             c.QuarantineCap,
 	}
 }
 
@@ -381,7 +362,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.coarse = coarse.New(cfg.Building, st, cfg.coarseOptions())
 	if cfg.EnableCleansing {
-		s.cleanser = cleanse.New(cfg.Building, cfg.cleanseConfig())
+		s.cleanser = cleanse.New(cfg.Building, cleanse.Config{})
 		// After recovery the cleanser's per-device state is empty (the WAL
 		// holds only cleansed events, so replay skips the stage); seed each
 		// device's rule state lazily from its newest stored event.
@@ -458,9 +439,8 @@ func (s *System) invalidateResultCache() {
 // batch passes the cleansing stage first, so the store — and, on durable
 // systems, the write-ahead log — only ever hold cleansed events.
 //
-// After the store applies the batch, the model layer is maintained
-// INCREMENTALLY: the touched devices' gap sufficient statistics are updated
-// in place, the affinity tier records the write in its per-device log
+// After the store applies the batch, the touched devices' coarse models are
+// dropped, the affinity tier records the write in its per-device log
 // (scoped validation then keeps every cached affinity a recent-events write
 // provably cannot change), and only the memoized query results — whose
 // entries future events can always change — are epoch-bumped. Safe to call
@@ -497,25 +477,17 @@ func (s *System) IngestOne(e Event) error {
 	return err
 }
 
-// observeWrite runs post-store model maintenance for an ingested batch.
-// On a store error the batch may be partially applied (a durability
-// Commit-stage failure has already mutated the in-memory store), so the
-// touched devices' coarse state and every query cache are dropped whole —
-// stale caches must not outlive the partial write.
+// observeWrite runs post-store model maintenance for an ingested batch: the
+// touched devices' coarse models are dropped either way. On a store error
+// the batch may be partially applied (a durability Commit-stage failure has
+// already mutated the in-memory store), so every query cache is dropped
+// whole — stale caches must not outlive the partial write.
 func (s *System) observeWrite(events []Event, err error) {
+	s.coarse.ObserveIngest(events)
 	if err != nil {
-		seen := make(map[DeviceID]struct{}, 8)
-		for _, e := range events {
-			if _, ok := seen[e.Device]; ok {
-				continue
-			}
-			seen[e.Device] = struct{}{}
-			s.coarse.InvalidateDevice(e.Device)
-		}
 		s.invalidateQueryCaches()
 		return
 	}
-	s.coarse.ObserveIngest(events)
 	if s.cached != nil {
 		s.cached.ObserveIngest(events)
 	}
@@ -525,9 +497,8 @@ func (s *System) observeWrite(events []Event, err error) {
 }
 
 // SetDelta registers a device-specific validity interval δ(d). The device's
-// coarse state is invalidated (its gap structure just changed — the
-// incremental statistics cannot express a δ change, so this is the rebuild
-// escape hatch), and the affinity tier drops the device's cached pairs.
+// coarse model is dropped (its gap structure just changed), and the affinity
+// tier drops the device's cached pairs.
 func (s *System) SetDelta(d DeviceID, delta time.Duration) error {
 	s.persistMu.RLock()
 	err := s.store.SetDelta(d, delta)
@@ -810,10 +781,9 @@ type (
 	AffinityMaintenanceStats = affgraph.MaintenanceStats
 )
 
-// MaintenanceStats reports the write path's model-maintenance picture: what
-// keeping the coarse sufficient statistics and the affinity tier current
-// costs per ingested batch, and how often the incremental paths fell back
-// to full recomputation.
+// MaintenanceStats reports the write path's model-maintenance picture: the
+// coarse retraining writes cause, and how well the affinity tier's scoped
+// validation keeps cached affinities across writes.
 type MaintenanceStats struct {
 	Coarse   CoarseMaintenanceStats   `json:"coarse"`
 	Affinity AffinityMaintenanceStats `json:"affinity"`
@@ -891,7 +861,7 @@ type CacheStats struct {
 	// when Config.EnableCleansing is off.
 	Cleanse CleanseStats `json:"cleanse"`
 	// Maintenance is the write path's model-maintenance counters (coarse
-	// sufficient statistics + affinity scoped validation).
+	// training + affinity scoped validation).
 	Maintenance MaintenanceStats `json:"maintenance"`
 }
 

@@ -85,8 +85,6 @@ type ShardInfo struct {
 type Sharded interface {
 	// NumShards is the number of independent System shards.
 	NumShards() int
-	// ShardPolicy names the routing policy ("device" or "building").
-	ShardPolicy() string
 	// ShardInfos reports per-shard counters, index-ordered.
 	ShardInfos() []ShardInfo
 }

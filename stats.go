@@ -285,20 +285,13 @@ func MergeCacheStats(parts ...CacheStats) CacheStats {
 		cl.Quarantined += p.Cleanse.Quarantined
 		cl.QuarantineEvicted += p.Cleanse.QuarantineEvicted
 		mc := &out.Maintenance.Coarse
-		mc.ObserveNanos += p.Maintenance.Coarse.ObserveNanos
 		mc.TrainNanos += p.Maintenance.Coarse.TrainNanos
 		mc.Trains += p.Maintenance.Coarse.Trains
-		mc.Rebuilds += p.Maintenance.Coarse.Rebuilds
-		mc.OutOfOrder += p.Maintenance.Coarse.OutOfOrder
-		mc.StatsDevices += p.Maintenance.Coarse.StatsDevices
 		ma := &out.Maintenance.Affinity
 		ma.FallbackNanos += p.Maintenance.Affinity.FallbackNanos
 		ma.ScopedKept += p.Maintenance.Affinity.ScopedKept
 		ma.ScopedStale += p.Maintenance.Affinity.ScopedStale
 		ma.TrackedDevices += p.Maintenance.Affinity.TrackedDevices
-		ma.CoOccurPairs += p.Maintenance.Affinity.CoOccurPairs
-		ma.CoOccurObservations += p.Maintenance.Affinity.CoOccurObservations
-		ma.CoOccurDropped += p.Maintenance.Affinity.CoOccurDropped
 	}
 	return out
 }
