@@ -112,46 +112,6 @@ func BenchmarkAblationPromotion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSigma measures query latency and neighbor-processing
-// effort under different Gaussian kernel widths in the caching engine.
-func BenchmarkAblationSigma(b *testing.B) {
-	ds, err := experiments.BuildDBH(benchParams)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries, err := experiments.SampleDefaultQueries(ds, benchParams, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sigma := range []time.Duration{15 * time.Minute, time.Hour, 6 * time.Hour} {
-		b.Run(sigma.String(), func(b *testing.B) {
-			sys, err := locater.New(locater.Config{
-				Building:           ds.Building,
-				Variant:            locater.DependentVariant,
-				EnableCache:        true,
-				CacheSigma:         sigma,
-				HistoryDays:        14,
-				PromotionsPerRound: 8,
-				MaxTrainingGaps:    100,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.Ingest(ds.Events); err != nil {
-				b.Fatal(err)
-			}
-			sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				if _, err := sys.Locate(q.Device, q.Time); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- micro-benchmarks of the hot paths -------------------------------------
 
 // BenchmarkLocateWarm measures steady-state per-query latency of both
@@ -167,7 +127,7 @@ func BenchmarkLocateWarm(b *testing.B) {
 		{"D-LOCATER", locater.DependentVariant},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			sys, batch := warmedSystem(b, v.variant, nil)
+			sys, batch := warmedSystem(b, v.variant)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := batch[i%len(batch)]
@@ -181,11 +141,9 @@ func BenchmarkLocateWarm(b *testing.B) {
 
 // warmedSystem assembles the warm benchmark system: build the DBH workload,
 // ingest it, estimate per-device deltas, and answer every sampled query once
-// so per-device models and the affinity cache are hot. mutate (when non-nil)
-// adjusts the default configuration before the system is assembled — e.g.
-// disabling the result cache to benchmark the uncached query path. It
-// returns the system plus the warmed batch queries.
-func warmedSystem(b *testing.B, variant locater.Variant, mutate func(*locater.Config)) (*locater.System, []locater.Query) {
+// so per-device models and the affinity cache are hot. It returns the
+// system plus the warmed batch queries.
+func warmedSystem(b *testing.B, variant locater.Variant) (*locater.System, []locater.Query) {
 	b.Helper()
 	ds, err := experiments.BuildDBH(benchParams)
 	if err != nil {
@@ -202,9 +160,6 @@ func warmedSystem(b *testing.B, variant locater.Variant, mutate func(*locater.Co
 		HistoryDays:        14,
 		PromotionsPerRound: 8,
 		MaxTrainingGaps:    100,
-	}
-	if mutate != nil {
-		mutate(&cfg)
 	}
 	sys, err := locater.New(cfg)
 	if err != nil {
@@ -238,7 +193,7 @@ func warmedSystem(b *testing.B, variant locater.Variant, mutate func(*locater.Co
 // to see the scaling (the acceptance gate for the concurrent engine is
 // ≥ 2× single-worker throughput on a multi-core runner).
 func BenchmarkLocateParallel(b *testing.B) {
-	sys, batch := warmedSystem(b, locater.DependentVariant, nil)
+	sys, batch := warmedSystem(b, locater.DependentVariant)
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -257,7 +212,7 @@ func BenchmarkLocateParallel(b *testing.B) {
 // batch) at a worker pool matching GOMAXPROCS versus a single worker — the
 // serialized baseline the global-mutex engine was limited to.
 func BenchmarkLocateBatch(b *testing.B) {
-	sys, batch := warmedSystem(b, locater.DependentVariant, nil)
+	sys, batch := warmedSystem(b, locater.DependentVariant)
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -316,54 +271,12 @@ func BenchmarkScorePrecision(b *testing.B) {
 	}
 }
 
-// BenchmarkLocateRepeatedQueries measures the result cache's repeated-query
-// speedup: the same warmed workload replayed with the result cache on
-// (default) versus disabled (ResultCacheSize = -1). Repeats within a time
-// bucket skip both cleaning stages on the cached run, so its ns/op should
-// sit orders of magnitude below the uncached run's.
-func BenchmarkLocateRepeatedQueries(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"result-cache", false},
-		{"uncached", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			sys, batch := warmedSystem(b, locater.DependentVariant, func(c *locater.Config) {
-				if bc.disable {
-					c.ResultCacheSize = -1
-				}
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := batch[i%len(batch)]
-				if _, err := sys.Locate(q.Device, q.Time); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if !bc.disable {
-				st := sys.CacheStats().Results
-				if st.Size > st.Capacity {
-					b.Fatalf("result cache size %d exceeds capacity %d", st.Size, st.Capacity)
-				}
-				b.ReportMetric(float64(st.Hits), "result-hits")
-			}
-		})
-	}
-}
-
 // BenchmarkCachesUnderChurn interleaves streaming ingest (ever-new devices,
 // a 24h-style churn) with queries and asserts every cache tier stays within
 // its bound for the whole run — the bounded-memory property the ad-hoc maps
 // lacked. Allocation figures (-benchmem) show the steady state.
 func BenchmarkCachesUnderChurn(b *testing.B) {
-	sys, batch := warmedSystem(b, locater.IndependentVariant, func(c *locater.Config) {
-		c.AffinityCacheSize = 256
-		c.ResultCacheSize = 256
-		c.ModelCacheSize = 64
-	})
+	sys, batch := warmedSystem(b, locater.IndependentVariant)
 	aps := sys.Building().AccessPoints()
 	base := batch[0].Time
 	b.ResetTimer()

@@ -87,6 +87,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	v := locater.DependentVariant
+	switch *variant {
+	case "dependent":
+	case "independent":
+		v = locater.IndependentVariant
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -variant %q (want independent or dependent)\n", *variant)
+		os.Exit(2)
+	}
 	var buildings []*locater.Building
 	for _, p := range strings.Split(*buildingPath, ",") {
 		bf, err := os.Open(strings.TrimSpace(p))
@@ -101,10 +110,6 @@ func main() {
 		buildings = append(buildings, b)
 	}
 
-	v := locater.DependentVariant
-	if *variant == "independent" {
-		v = locater.IndependentVariant
-	}
 	cfg := locater.Config{
 		Variant:            v,
 		EnableCache:        true,

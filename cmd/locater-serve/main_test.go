@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,35 @@ import (
 	"locater/internal/cluster"
 	"locater/internal/sim"
 )
+
+// runMainEnv makes the test binary run main instead of the tests, so the
+// flag tests drive the real command line without building a separate
+// binary.
+const runMainEnv = "LOCATER_SERVE_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnknownVariantExits2: a -variant other than independent or dependent
+// is a usage error (exit 2) before anything is loaded or served, not a
+// silent dependent deployment.
+func TestUnknownVariantExits2(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-building", filepath.Join(t.TempDir(), "missing.json"), "-variant", "indepedent")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown -variant "indepedent"`) {
+		t.Fatalf("output does not name the bad variant:\n%s", out)
+	}
+}
 
 func testBuilding(t *testing.T, name string) *locater.Building {
 	t.Helper()

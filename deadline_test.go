@@ -89,25 +89,3 @@ func TestLocateBatchContextDeadline(t *testing.T) {
 		}
 	}
 }
-
-// TestDefaultQueryDeadline: a System-level DefaultQueryDeadline bounds calls
-// whose context carries no deadline; a generous default leaves queries
-// untouched, and an explicit context deadline wins over the default.
-func TestDefaultQueryDeadline(t *testing.T) {
-	ds := buildDataset(t, 3)
-	sys := newSystem(t, ds, locater.Config{DefaultQueryDeadline: time.Minute})
-	dev := ds.People[0].Device
-	tq := simStart.AddDate(0, 0, 2).Add(11 * time.Hour)
-
-	if _, err := sys.Locate(dev, tq); err != nil {
-		t.Fatalf("generous default deadline broke Locate: %v", err)
-	}
-
-	// An explicit (already expired) context deadline is respected even
-	// though the default is generous.
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := sys.LocateContext(expired, dev, tq); !errors.Is(err, locater.ErrDeadlineExceeded) {
-		t.Fatalf("explicit deadline ignored: err = %v", err)
-	}
-}

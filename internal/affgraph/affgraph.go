@@ -450,74 +450,12 @@ func hashPairKey(k pairKey) uint64 {
 	return h
 }
 
-// PairAffinity implements fine.PairAffinityProvider.
-//
-// Accounting: a lookup served by the global graph counts as a hit (tracked
-// separately and folded into Stats), a cached fallback answer counts as a
-// hit, and everything that reaches the fallback — the singleflight leader
-// and every waiter that shares its computation — counts as a miss. Waiters
-// also share the leader's error path: if the leader's fallback panicked,
-// they retry instead of consuming an uncomputed zero.
+// PairAffinity implements fine.PairAffinityProvider: one pair answered
+// through BatchPairAffinity, whose accounting, singleflight and
+// invalidation semantics it shares.
 func (c *CachedAffinity) PairAffinity(a, b event.DeviceID, ref time.Time) float64 {
-	if w := c.Graph.Weight(a, b, ref); w > 0 {
-		c.graphHits.Add(1)
-		return w
-	}
-	x, y := orderPair(a, b)
-	key := pairKey{a: x, b: y, bucket: c.bucketOf(ref)}
-	bucketEnd := c.bucketEndNanos(key.bucket)
-	for {
-		if e, ok := c.fallbackCache.Get(key); ok {
-			if valid, survived := c.entryScopedValid(e, key, bucketEnd); valid {
-				if survived {
-					c.scopedKept.Add(1)
-				}
-				return e.val
-			}
-			// A write since the entry was computed may have changed the
-			// pair's history inside this bucket: drop and recompute.
-			c.scopedStale.Add(1)
-			c.fallbackCache.Delete(key)
-		}
-		// Miss (already counted by Get): join an in-flight computation
-		// for this key if one exists, otherwise claim it.
-		c.mu.Lock()
-		if e, ok := c.fallbackCache.Peek(key); ok {
-			// Filled between Get and Lock; Peek keeps the counters
-			// honest (the miss above stands, no phantom second lookup).
-			if valid, survived := c.entryScopedValid(e, key, bucketEnd); valid {
-				c.mu.Unlock()
-				if survived {
-					c.scopedKept.Add(1)
-				}
-				return e.val
-			}
-			c.scopedStale.Add(1)
-			c.fallbackCache.Delete(key)
-		}
-		if call, ok := c.inflight[key]; ok {
-			// If the epoch moved since the leader captured call.epoch,
-			// the in-flight computation reads pre-write history this
-			// query (which began after the write) must not see.
-			joinEpoch := c.fallbackCache.Epoch()
-			c.mu.Unlock()
-			<-call.done
-			if call.ok && call.epoch == joinEpoch &&
-				c.seqsStillValid(call.seqA, call.seqB, key, bucketEnd) {
-				return call.val
-			}
-			// Leader panicked, or its computation predates a write that
-			// happened before this query joined: retry, possibly
-			// becoming leader (the leader deletes its inflight entry
-			// before closing done, so the retry never re-joins it).
-			continue
-		}
-		sa, sb := c.seqsOf(x, y)
-		call := &inflightAffinity{done: make(chan struct{}), epoch: c.fallbackCache.Epoch(), seqA: sa, seqB: sb}
-		c.inflight[key] = call
-		c.mu.Unlock()
-		return c.leadFallback(a, b, ref, key, call)
-	}
+	var out [1]float64
+	return c.BatchPairAffinity(a, []event.DeviceID{b}, ref, out[:0])[0]
 }
 
 // bucketOf returns the fallback-cache bucket of a reference time. It counts
@@ -632,30 +570,6 @@ func (c *CachedAffinity) recordWriteLocked(d event.DeviceID, minNanos int64) {
 	dw.ring[dw.seq%writeRingSize] = writeRec{seq: dw.seq, minNanos: minNanos}
 }
 
-// leadFallback runs the fallback as the singleflight leader and publishes
-// the result. The publish happens in a defer so a panicking fallback
-// (recovered by callers like net/http) can never leave waiters blocked on
-// done forever; only a successful computation is cached, and only if no
-// invalidation landed while it ran (call.epoch was captured before).
-func (c *CachedAffinity) leadFallback(a, b event.DeviceID, ref time.Time, key pairKey, call *inflightAffinity) (v float64) {
-	computed := false
-	defer func() {
-		c.mu.Lock()
-		if computed {
-			c.fallbackCache.PutAt(key, affEntry{val: v, seqA: call.seqA, seqB: call.seqB}, call.epoch)
-		}
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		call.val, call.ok = v, computed
-		close(call.done)
-	}()
-	start := time.Now()
-	v = c.Fallback.PairAffinity(a, b, ref)
-	c.fallbackNanos.Add(time.Since(start).Nanoseconds())
-	computed = true
-	return v
-}
-
 // BatchPairAffinity answers α({d, c}) for every candidate c in one pass —
 // the fine stage's batched sweep entry point (fine.BatchPairAffinityProvider).
 // The graph is consulted once for all pairs under a single shared lock;
@@ -664,11 +578,15 @@ func (c *CachedAffinity) leadFallback(a, b event.DeviceID, ref time.Time, key pa
 // interface) instead of a per-pair copy each, which is where a cold query
 // with N neighbors used to pay 2N history copies.
 //
-// Accounting and invalidation semantics match PairAffinity exactly: graph
-// answers count as hits, everything that reaches the fallback counts as a
-// miss, concurrent misses for the same key share one computation
-// (singleflight), and a computation that predates an epoch bump is returned
-// to its own caller but never cached.
+// Accounting: a lookup served by the global graph counts as a hit (tracked
+// separately and folded into Stats), a cached fallback answer counts as a
+// hit, and everything that reaches the fallback — the singleflight leader
+// and every waiter that shares its computation — counts as a miss.
+// Concurrent misses for the same key share one computation (singleflight);
+// waiters also share the leader's error path: if the leader's fallback
+// panicked, they retry instead of consuming an uncomputed zero. A
+// computation that predates an epoch bump is returned to its own caller but
+// never cached.
 func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.DeviceID, ref time.Time, out []float64) []float64 {
 	out = c.Graph.WeightsBatch(d, cands, ref, out)
 	bucket := c.bucketOf(ref)
@@ -768,9 +686,8 @@ func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.Devic
 			}
 		}
 		// The foreign leader panicked or its computation predates a write
-		// observed before this query joined: re-resolve through the full
-		// single-pair path (which retries until it leads or reads a fresh
-		// value).
+		// observed before this query joined: re-resolve the pair (which
+		// retries until it leads or reads a fresh value).
 		out[j.pos] = c.PairAffinity(d, cands[j.pos], ref)
 	}
 	return out
@@ -778,8 +695,8 @@ func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.Devic
 
 // leadBatchFallback computes the claimed keys' affinities in one batched
 // fallback sweep and publishes them. Publication happens in a defer, so a
-// panicking fallback can never leave waiters blocked; as in leadFallback,
-// only successful computations are cached, and only at the epoch captured
+// panicking fallback can never leave waiters blocked; only successful
+// computations are cached, and only at the epoch captured
 // when the key was claimed. done is the completion channel every claimed
 // key's inflight entry shares — closed exactly once, after all values are
 // written.

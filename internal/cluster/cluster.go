@@ -125,12 +125,6 @@ func assemble(cfg locater.Config, opts Options, build func(int, locater.Config) 
 	for i := range c.shards {
 		shardCfg := cfg
 		shardCfg.Building = opts.Buildings[i]
-		// An explicit cold-tier directory fans out per shard: shards own
-		// disjoint device sets, and sealed-segment files must not collide.
-		// (Left empty, each durable shard defaults to <shardDir>/segments.)
-		if shardCfg.ColdTierDir != "" {
-			shardCfg.ColdTierDir = filepath.Join(shardCfg.ColdTierDir, fmt.Sprintf("shard-%03d", i))
-		}
 		sys, err := build(i, shardCfg)
 		if err != nil {
 			for _, built := range c.shards[:i] {

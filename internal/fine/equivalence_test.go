@@ -157,14 +157,9 @@ func randomScene(t *testing.T, rng *rand.Rand) scene {
 	if rng.Float64() < 0.5 {
 		variant = Dependent
 	}
-	maxNeighbors := 0
-	if rng.Float64() < 0.4 {
-		maxNeighbors = 1 + rng.Intn(5)
-	}
 	opts := Options{
 		Variant:           variant,
 		UseStopConditions: rng.Float64() < 0.5,
-		MaxNeighbors:      maxNeighbors,
 		MinPairAffinity:   []float64{0, 0, 0.1}[rng.Intn(3)],
 	}
 	g, _ := bld.RegionOf(aps[rng.Intn(nAPs)].ID)
@@ -231,10 +226,9 @@ func diffResults(t *testing.T, seed int64, got, want Result) {
 }
 
 // TestKernelMatchesReference fuzzes randomized scenes across I-FINE/D-FINE,
-// stop conditions on/off, MaxNeighbors caps, store-backed and scripted
-// affinity providers, orderers, labels, and time preferences, and checks the
-// optimized kernel's answers against the preserved pre-refactor reference to
-// 1e-12.
+// stop conditions on/off, store-backed and scripted affinity providers,
+// orderers, labels, and time preferences, and checks the optimized kernel's
+// answers against the preserved pre-refactor reference to 1e-12.
 func TestKernelMatchesReference(t *testing.T) {
 	trials := 300
 	if testing.Short() {

@@ -47,8 +47,6 @@ type Options struct {
 	// HistoryWindow bounds the history used for device affinities.
 	// Default 8 weeks.
 	HistoryWindow time.Duration
-	// MaxNeighbors caps the neighbor set size (0 = unlimited).
-	MaxNeighbors int
 	// NeighborWindow is how far around t_q to look for neighbor-device
 	// events. Devices in gaps have no event within ±δ of t_q, so this must
 	// exceed the typical validity interval; default 1 hour.
@@ -232,17 +230,8 @@ func (l *Localizer) Locate(d event.DeviceID, g space.RegionID, tq time.Time) (Re
 	}
 
 	neighbors := l.neighborSet(qc, d, g, tq)
-	total := len(neighbors)
 	if l.orderer != nil {
 		neighbors = l.reorder(qc, d, neighbors, tq)
-	}
-	// MaxNeighbors truncates only after the affinity reorder, so the cap
-	// keeps the highest-affinity candidates. (The pre-fix code broke out of
-	// the discovery loop in sorted-ID order, handing the orderer an
-	// arbitrary ID-prefix in which the top-affinity neighbors might not
-	// even appear.)
-	if max := l.opts.MaxNeighbors; max > 0 && len(neighbors) > max {
-		neighbors = neighbors[:max]
 	}
 
 	var res Result
@@ -252,9 +241,8 @@ func (l *Localizer) Locate(d event.DeviceID, g space.RegionID, tq time.Time) (Re
 	default:
 		res = l.locateIndependent(qc, neighbors)
 	}
-	// TotalNeighbors reports the full neighbor set D_n found, before any
-	// MaxNeighbors truncation.
-	res.TotalNeighbors = total
+	// TotalNeighbors reports the full neighbor set D_n found.
+	res.TotalNeighbors = len(neighbors)
 
 	// Local affinity graph edges: w = Σ_r α({d_a, d_b}, r, t_q) / |R(g_x)|.
 	for i := 0; i < res.ProcessedNeighbors && i < len(neighbors); i++ {
@@ -356,8 +344,6 @@ func (l *Localizer) neighborSet(qc *queryCtx, d event.DeviceID, g space.RegionID
 		if !positive {
 			continue
 		}
-		// No MaxNeighbors break here: the full filtered set is returned so
-		// the cap can be applied after the affinity reorder in Locate.
 		out = append(out, n)
 	}
 	qc.neighbors = out

@@ -155,31 +155,6 @@ func TestNeighborFilteredByZeroAffinity(t *testing.T) {
 	}
 }
 
-func TestMaxNeighborsCap(t *testing.T) {
-	b := paperBuilding(t)
-	conns := map[event.DeviceID]space.APID{"d1": "wap3"}
-	aff := fixedAffinity{}
-	for _, d := range []event.DeviceID{"n1", "n2", "n3", "n4"} {
-		conns[d] = "wap3"
-		aff[pair("d1", d)] = 0.5
-	}
-	st := setupScene(t, b, conns)
-	l := New(b, st, aff, nil, Options{MaxNeighbors: 2})
-	g3, _ := b.RegionOf("wap3")
-	res, err := l.Locate("d1", g3, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// TotalNeighbors reports the full discovered set; the cap bounds only
-	// how many neighbors Algorithm 2 may process.
-	if res.TotalNeighbors != 4 {
-		t.Errorf("TotalNeighbors = %d, want full pre-truncation count 4", res.TotalNeighbors)
-	}
-	if res.ProcessedNeighbors > 2 {
-		t.Errorf("neighbor cap violated: processed %d > 2", res.ProcessedNeighbors)
-	}
-}
-
 func TestVariantString(t *testing.T) {
 	if Independent.String() != "I-FINE" || Dependent.String() != "D-FINE" {
 		t.Errorf("variant names: %s / %s", Independent, Dependent)

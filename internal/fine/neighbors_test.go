@@ -1,66 +1,12 @@
 package fine
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"locater/internal/event"
 	"locater/internal/space"
 )
-
-// affinityOrderer orders neighbors by descending scripted affinity to the
-// queried device — the same contract the caching engine's global affinity
-// graph implements.
-type affinityOrderer struct{ aff fixedAffinity }
-
-func (o affinityOrderer) OrderNeighbors(d event.DeviceID, ns []event.DeviceID, _ time.Time) []event.DeviceID {
-	out := make([]event.DeviceID, len(ns))
-	copy(out, ns)
-	sort.SliceStable(out, func(i, j int) bool {
-		return o.aff[pair(d, out[i])] > o.aff[pair(d, out[j])]
-	})
-	return out
-}
-
-// TestMaxNeighborsKeepsTopAffinityNeighbor is the truncation-order
-// regression test: the highest-affinity neighbor carries the
-// lexicographically-LARGEST device ID, so the pre-fix code — which broke
-// out of discovery at MaxNeighbors while iterating devices in sorted-ID
-// order — dropped it before the affinity reorder ever ran. The cap must
-// apply after the reorder, keeping the top-affinity candidates.
-func TestMaxNeighborsKeepsTopAffinityNeighbor(t *testing.T) {
-	b := paperBuilding(t)
-	conns := map[event.DeviceID]space.APID{"d1": "wap3"}
-	aff := fixedAffinity{}
-	// Nine weak neighbors with small IDs…
-	for _, d := range []event.DeviceID{"a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9"} {
-		conns[d] = "wap3"
-		aff[pair("d1", d)] = 0.1
-	}
-	// …and the strongest neighbor with the largest ID.
-	conns["zz-strong"] = "wap3"
-	aff[pair("d1", "zz-strong")] = 0.9
-
-	st := setupScene(t, b, conns)
-	l := New(b, st, aff, affinityOrderer{aff}, Options{MaxNeighbors: 2, UseStopConditions: false})
-	g3, _ := b.RegionOf("wap3")
-	res, err := l.Locate("d1", g3, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalNeighbors != 10 {
-		t.Errorf("TotalNeighbors = %d, want the full pre-truncation set of 10", res.TotalNeighbors)
-	}
-	if res.ProcessedNeighbors != 2 {
-		t.Fatalf("ProcessedNeighbors = %d, want the MaxNeighbors cap of 2", res.ProcessedNeighbors)
-	}
-	// The processed set (visible through the local-graph edges) must start
-	// with the top-affinity neighbor, not an ID-order prefix.
-	if len(res.LocalGraph) == 0 || res.LocalGraph[0].To != "zz-strong" {
-		t.Errorf("top-affinity neighbor dropped by truncation: local graph = %+v", res.LocalGraph)
-	}
-}
 
 // TestNeighborDiscoveryIsRegionScoped: discovery must ask the store only
 // for devices seen at APs whose region overlaps the query region, and a

@@ -40,12 +40,8 @@ func (l *Localizer) ReferenceLocate(d event.DeviceID, g space.RegionID, tq time.
 	prior := l.priorFor(d, g, tq)
 
 	neighbors := l.refNeighborSet(d, g, tq, prior)
-	total := len(neighbors)
 	if l.orderer != nil {
 		neighbors = l.refReorder(d, neighbors, tq)
-	}
-	if max := l.opts.MaxNeighbors; max > 0 && len(neighbors) > max {
-		neighbors = neighbors[:max]
 	}
 
 	var res Result
@@ -55,7 +51,7 @@ func (l *Localizer) ReferenceLocate(d event.DeviceID, g space.RegionID, tq time.
 	default:
 		res = l.refLocateIndependent(candidates, prior, neighbors)
 	}
-	res.TotalNeighbors = total
+	res.TotalNeighbors = len(neighbors)
 
 	for i := 0; i < res.ProcessedNeighbors && i < len(neighbors); i++ {
 		n := neighbors[i]

@@ -56,5 +56,7 @@ func FuzzBatchBody(f *testing.F) {
 		`{"queries":[{"device":"d","time":"garbage"}]}`,
 		`{"queries":[{"device":"d","time":"2026-01-07T11:00:00Z"}],"workers":-1,"deadline_ms":-5}`,
 		`{"queries":[{"device":"d","time":""},{"device":"e","time":"2026-01-07 11:00:00"}],"workers":99}`,
+		`{"queries":[{"device":"d","time":"2026-01-07T11:00:00Z"}],"deadline_ms":9300000000000}`,
+		`{"queries":[{"device":"d","time":"2026-01-07T11:00:00Z"}],"deadline_ms":-1}`,
 	)
 }

@@ -122,7 +122,7 @@ type BatchLocateRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// DeadlineMillis is the whole-batch deadline in milliseconds; the
 	// deadline_ms query parameter, when present, wins. 0 means the
-	// server default.
+	// server default; a negative value is refused with 400.
 	DeadlineMillis int `json:"deadline_ms,omitempty"`
 }
 
@@ -192,29 +192,37 @@ type StatsResponse struct {
 	Building     string             `json:"building"`
 }
 
-// parseDeadline reads the per-request deadline_ms query parameter. Zero
-// means "no client deadline" (the admission default, if any, applies).
-func parseDeadline(r *http.Request) (time.Duration, error) {
-	v := r.URL.Query().Get("deadline_ms")
-	if v == "" {
-		return 0, nil
+// clientDeadline reads the request's deadline_ms: the query parameter when
+// present, else bodyMillis (the batch body's field; 0 on other endpoints).
+// Zero means "no client deadline" (the admission default applies). A
+// negative value from either source, or a query parameter that is not a
+// positive integer, is the client's error. Values past MaxDeadline clamp to
+// it before conversion, so a huge deadline_ms cannot overflow to a negative
+// duration.
+func (s *Server) clientDeadline(r *http.Request, bodyMillis int64) (time.Duration, error) {
+	if bodyMillis < 0 {
+		return 0, fmt.Errorf("bad deadline_ms %d (want a positive integer)", bodyMillis)
 	}
-	ms, err := strconv.Atoi(v)
-	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("bad deadline_ms %q (want a positive integer)", v)
+	ms := bodyMillis
+	if v := r.URL.Query().Get("deadline_ms"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n <= 0 {
+			return 0, fmt.Errorf("bad deadline_ms %q (want a positive integer)", v)
+		}
+		ms = n
+	}
+	if limit := s.admission.MaxDeadline; ms > int64(limit/time.Millisecond) {
+		return limit, nil
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // requestContext derives the request's working context: the client deadline
-// (deadline_ms) clamped to MaxDeadline, or the admission DefaultDeadline
-// when the client set none.
+// (see clientDeadline), or the admission DefaultDeadline clamped to
+// MaxDeadline when the client set none.
 func (s *Server) requestContext(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
 	if deadline <= 0 {
-		deadline = s.admission.DefaultDeadline
-	}
-	if deadline > s.admission.MaxDeadline {
-		deadline = s.admission.MaxDeadline
+		deadline = min(s.admission.DefaultDeadline, s.admission.MaxDeadline)
 	}
 	return context.WithTimeout(r.Context(), deadline)
 }
@@ -264,7 +272,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	deadline, err := parseDeadline(r)
+	deadline, err := s.clientDeadline(r, 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -338,13 +346,10 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries[i] = locater.Query{Device: locater.DeviceID(q.Device), Time: tq}
 	}
-	deadline, err := parseDeadline(r)
+	deadline, err := s.clientDeadline(r, int64(in.DeadlineMillis))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if deadline <= 0 && in.DeadlineMillis > 0 {
-		deadline = time.Duration(in.DeadlineMillis) * time.Millisecond
 	}
 	ctx, cancel := s.requestContext(r, deadline)
 	defer cancel()
@@ -406,7 +411,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			AP:     locater.APID(e.AP),
 		})
 	}
-	deadline, err := parseDeadline(r)
+	deadline, err := s.clientDeadline(r, 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -2,6 +2,7 @@ package srv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -298,6 +299,88 @@ func TestIngestErrorStatus(t *testing.T) {
 		if code := errCode(t, rec); code != tc.code {
 			t.Errorf("engine error %q: code %q, want %q", tc.err, code, tc.code)
 		}
+	}
+}
+
+// deadlineRecorder is an engine that answers every query as outside and
+// records how long the request context had left when the query arrived.
+type deadlineRecorder struct {
+	locater.Locater
+	left time.Duration
+}
+
+func (d *deadlineRecorder) record(ctx context.Context) {
+	if dl, ok := ctx.Deadline(); ok {
+		d.left = time.Until(dl)
+	}
+}
+
+func (d *deadlineRecorder) LocateContext(ctx context.Context, _ locater.DeviceID, _ time.Time) (locater.Result, error) {
+	d.record(ctx)
+	return locater.Result{Outside: true}, nil
+}
+
+func (d *deadlineRecorder) LocateBatchContext(ctx context.Context, qs []locater.Query, _ int) []locater.BatchResult {
+	d.record(ctx)
+	out := make([]locater.BatchResult, len(qs))
+	for i, q := range qs {
+		out[i] = locater.BatchResult{Query: q, Result: locater.Result{Outside: true}}
+	}
+	return out
+}
+
+// TestClientDeadline: deadline_ms from the query string and from the batch
+// body reach the engine as the same context deadline. Zero takes the 5 s
+// default, values past MaxDeadline (30 s) clamp to it however large they
+// are, and a negative value from either source is a 400.
+func TestClientDeadline(t *testing.T) {
+	const (
+		locate = "/v1/locate?device=d&time=2026-01-07T11:00:00Z"
+		batch  = "/v1/locate/batch"
+		query  = `{"queries":[{"device":"d","time":"2026-01-07T11:00:00Z"}]`
+	)
+	cases := []struct {
+		name, path, body string
+		status           int
+		want             time.Duration
+	}{
+		{"locate default", locate, "", http.StatusOK, 5 * time.Second},
+		{"locate 1.5s", locate + "&deadline_ms=1500", "", http.StatusOK, 1500 * time.Millisecond},
+		{"locate overflowing", locate + "&deadline_ms=9300000000000", "", http.StatusOK, 30 * time.Second},
+		{"locate max int64", locate + "&deadline_ms=9223372036854775807", "", http.StatusOK, 30 * time.Second},
+		{"locate negative", locate + "&deadline_ms=-5", "", http.StatusBadRequest, 0},
+		{"locate zero", locate + "&deadline_ms=0", "", http.StatusBadRequest, 0},
+		{"batch default", batch, query + `}`, http.StatusOK, 5 * time.Second},
+		{"batch body 2.5s", batch, query + `,"deadline_ms":2500}`, http.StatusOK, 2500 * time.Millisecond},
+		{"batch body overflowing", batch, query + `,"deadline_ms":9300000000000}`, http.StatusOK, 30 * time.Second},
+		{"batch body negative", batch, query + `,"deadline_ms":-5}`, http.StatusBadRequest, 0},
+		{"batch query wins", batch + "?deadline_ms=1000", query + `,"deadline_ms":20000}`, http.StatusOK, time.Second},
+		{"batch query overflowing", batch + "?deadline_ms=9300000000000", query + `}`, http.StatusOK, 30 * time.Second},
+		{"batch negative body under query", batch + "?deadline_ms=1000", query + `,"deadline_ms":-5}`, http.StatusBadRequest, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &deadlineRecorder{}
+			s := New(eng)
+			method := http.MethodGet
+			if tc.body != "" {
+				method = http.MethodPost
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(method, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			if tc.status != http.StatusOK {
+				if code := errCode(t, rec); code != codeBadRequest {
+					t.Fatalf("code %q, want %q", code, codeBadRequest)
+				}
+				return
+			}
+			if eng.left > tc.want || eng.left < tc.want-time.Second {
+				t.Fatalf("engine saw %v left on the context, want about %v", eng.left, tc.want)
+			}
+		})
 	}
 }
 

@@ -191,7 +191,7 @@ func (b *memSegmentBackend) Close() error     { return nil }
 
 // segFileMagic leads every segment file. The format is append-only: after
 // the magic come records of [seq u64 LE][payload length u32 LE][payload],
-// where the payload is a wal.EncodeEventBlock block (CRC trailer included).
+// where the payload is a wal.EncodeSegment block-indexed segment.
 // A crash can leave a torn final record; the scan on first open truncates
 // it, exactly like the WAL's torn-record handling. A duplicate seq — crash
 // recovery re-sealing an unmanifested head — appends a second record; the

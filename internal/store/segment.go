@@ -34,9 +34,7 @@ const (
 const approxEventBytes = 64
 
 // segIndex is a segment's parsed trailer state: the block index plus the
-// segment-wide AP dictionary the blocks decode against. dict is nil for
-// legacy whole-segment payloads, whose synthesized single block is
-// self-contained.
+// segment-wide AP dictionary the blocks decode against.
 type segIndex struct {
 	metas []wal.BlockMeta
 	dict  []space.APID
@@ -180,27 +178,18 @@ func (s *Store) viewPayload(d event.DeviceID, seq uint64, fn func(payload []byte
 
 // blocksFor returns a segment's block index, parsing the payload trailer on
 // first use (touching only the payload's final bytes — its final pages when
-// memory-mapped). Legacy payloads without an index get a synthesized
-// single-block entry covering the whole payload, so every read path is
-// uniformly block-granular. The parsed index is published atomically on the
-// shared ref; concurrent first readers may parse twice, idempotently.
+// memory-mapped). A payload without an index is in a retired format and is
+// refused (wal.ErrRetiredFormat). The parsed index is published atomically
+// on the shared ref; concurrent first readers may parse twice, idempotently.
 func (s *Store) blocksFor(d event.DeviceID, ref *segmentRef) (*segIndex, error) {
 	if idx := ref.blockIndex(); idx != nil {
 		return idx, nil
 	}
 	var idx segIndex
 	err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
-		ms, dict, indexed, err := wal.ParseSegmentIndex(payload)
+		ms, dict, err := wal.ParseSegmentIndex(payload)
 		if err != nil {
 			return err
-		}
-		if !indexed {
-			ms = []wal.BlockMeta{{
-				Off: 0, Len: len(payload),
-				Count:    ref.meta.Count,
-				MinNanos: ref.meta.MinNanos,
-				MaxNanos: ref.meta.MaxNanos,
-			}}
 		}
 		idx = segIndex{metas: ms, dict: dict}
 		return nil
@@ -214,15 +203,12 @@ func (s *Store) blocksFor(d event.DeviceID, ref *segmentRef) (*segIndex, error) 
 	return &idx, nil
 }
 
-// decodeBlockAt decodes block bi against the segment's dictionary (or as a
-// self-contained legacy block when dict is nil), appending to dst.
+// decodeBlockAt decodes block bi against the segment's dictionary, appending
+// to dst.
 func decodeBlockAt(payload []byte, d event.DeviceID, idx *segIndex, bi int, dst []event.Event) ([]event.Event, error) {
 	bm := idx.metas[bi]
 	if bm.Off < 0 || bm.Len < 0 || bm.Off+bm.Len > len(payload) {
 		return dst, fmt.Errorf("store: block %d outside payload", bi)
-	}
-	if idx.dict == nil {
-		return wal.DecodeEventBlock(payload[bm.Off:bm.Off+bm.Len], d, dst)
 	}
 	return wal.DecodeIndexedBlock(payload[bm.Off:bm.Off+bm.Len], d, idx.dict, bm.MinNanos, dst)
 }

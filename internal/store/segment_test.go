@@ -487,7 +487,7 @@ func TestCorruptSegmentRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip the first byte of the last record's payload — inside the block's
-	// CRC-covered data, for the legacy and block-indexed formats alike.
+	// CRC-covered data.
 	rec1 := len(segFileMagic)
 	n1 := int(binary.LittleEndian.Uint32(raw[rec1+8 : rec1+12]))
 	p2 := rec1 + segRecHdrLen + n1 + segRecHdrLen

@@ -653,8 +653,8 @@ func (s *Store) AdvanceNextID(n int64) {
 // SnapshotState is the store's complete durable state in fully materialized
 // form: the ID counter, the per-device validity intervals, and the
 // per-device event logs (each sorted by time). It shares nothing with the
-// live store. Incremental checkpoints use CheckpointState instead; this
-// remains the full-export form (format-v1 snapshots, tests, tooling).
+// live store. Checkpoints use CheckpointState instead; only tests read
+// this full-export form.
 type SnapshotState struct {
 	NextID int64
 	Deltas map[event.DeviceID]time.Duration

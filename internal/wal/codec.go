@@ -16,6 +16,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -143,29 +144,6 @@ func (d *decoder) str() string {
 
 func (d *decoder) remaining() int { return len(d.b) - d.off }
 
-// --- Columnar event-block codec ---------------------------------------------
-//
-// A block is the encoded payload of one sealed event segment: a single
-// device's sorted run of events in compressed columnar form. WiFi
-// connectivity logs are highly redundant — a device re-associates with a
-// handful of APs and timestamps are near-monotone with regular spacing — so
-// the block dictionary-encodes AP IDs (a uvarint index into a per-block AP
-// table) and stores timestamps as delta-of-delta varints (the first is
-// absolute nanoseconds, the second a delta, the rest deltas of deltas, which
-// are near zero for periodic beacons). Event IDs are delta varints. The
-// device ID is not stored: segments are keyed by device, so the caller
-// supplies it at decode time.
-//
-// Layout:
-//
-//	uvarint count
-//	uvarint nAPs, then nAPs length-prefixed AP strings (first-appearance order)
-//	per event: uvarint apIndex, varint ddTime, varint deltaID
-//	4-byte LE CRC-32C over everything above
-//
-// The trailing CRC is verified before any field is parsed, so a corrupted
-// segment file is refused at page-in rather than yielding garbage events.
-
 // SegmentMeta describes one sealed, immutable event segment without decoding
 // it: enough for the store to prune segment page-ins by time window and for
 // the snapshot manifest to restore a device's segment list after a restart.
@@ -182,109 +160,16 @@ type SegmentMeta struct {
 	Bytes int
 }
 
-// EncodeEventBlock appends the columnar block encoding of evs to dst and
-// returns the extended slice. evs must be non-empty and sorted; all events
-// must belong to the same device (the device is not encoded).
-func EncodeEventBlock(dst []byte, evs []event.Event) []byte {
-	start := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	apIdx := make(map[space.APID]uint64, 8)
-	order := make([]space.APID, 0, 8)
-	for i := range evs {
-		if _, ok := apIdx[evs[i].AP]; !ok {
-			apIdx[evs[i].AP] = uint64(len(order))
-			order = append(order, evs[i].AP)
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(order)))
-	for _, ap := range order {
-		dst = appendString(dst, string(ap))
-	}
-	var prevT, prevDelta, prevID int64
-	for i := range evs {
-		dst = binary.AppendUvarint(dst, apIdx[evs[i].AP])
-		t := evs[i].Time.UnixNano()
-		if i == 0 {
-			dst = binary.AppendVarint(dst, t)
-			dst = binary.AppendVarint(dst, evs[i].ID)
-		} else {
-			d := t - prevT
-			dst = binary.AppendVarint(dst, d-prevDelta)
-			dst = binary.AppendVarint(dst, evs[i].ID-prevID)
-			prevDelta = d
-		}
-		prevT = t
-		prevID = evs[i].ID
-	}
-	crc := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
-// DecodeEventBlock verifies the block's CRC, decodes its events for device
-// dev, appends them to dst, and returns the extended slice. The CRC is
-// checked before any field is parsed; on any error dst is returned with only
-// fully decoded events appended and must be discarded by the caller.
-func DecodeEventBlock(block []byte, dev event.DeviceID, dst []event.Event) ([]event.Event, error) {
-	if len(block) < 4 {
-		return dst, fmt.Errorf("wal: event block too short (%d bytes)", len(block))
-	}
-	body := block[:len(block)-4]
-	want := binary.LittleEndian.Uint32(block[len(block)-4:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return dst, fmt.Errorf("wal: event block CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	d := &decoder{b: body}
-	count := d.uvarint()
-	nAPs := d.uvarint()
-	if d.err != nil {
-		return dst, d.err
-	}
-	if nAPs > count || count > uint64(len(body)) {
-		return dst, fmt.Errorf("wal: event block header implausible (count %d, aps %d, body %d bytes)", count, nAPs, len(body))
-	}
-	aps := make([]space.APID, nAPs)
-	for i := range aps {
-		aps[i] = space.APID(d.str())
-	}
-	var prevT, prevDelta, prevID int64
-	for i := uint64(0); i < count; i++ {
-		ai := d.uvarint()
-		dd := d.varint()
-		di := d.varint()
-		if d.err != nil {
-			return dst, d.err
-		}
-		if ai >= nAPs {
-			return dst, fmt.Errorf("wal: event block AP index %d out of range (%d APs)", ai, nAPs)
-		}
-		var t, id int64
-		if i == 0 {
-			t, id = dd, di
-		} else {
-			prevDelta += dd
-			t = prevT + prevDelta
-			id = prevID + di
-		}
-		prevT, prevID = t, id
-		dst = append(dst, event.Event{
-			ID:     id,
-			Device: dev,
-			Time:   time.Unix(0, t).UTC(),
-			AP:     aps[ai],
-		})
-	}
-	if d.remaining() != 0 {
-		return dst, fmt.Errorf("wal: %d trailing bytes after event block", d.remaining())
-	}
-	return dst, nil
-}
-
 // --- Block-indexed segment payloads ------------------------------------------
 //
-// A sealed segment used to be encoded as ONE event block, so any read — a
-// two-event point lookup included — decoded the whole thing. The
-// block-indexed layout splits the segment into consecutive dictionary-
-// relative blocks and appends an indexed trailer describing them:
+// A sealed segment is one device's sorted run of events in compressed
+// columnar form. WiFi connectivity logs are highly redundant — a device
+// re-associates with a handful of APs and timestamps are near-monotone with
+// regular spacing — so the payload dictionary-encodes AP IDs and stores
+// timestamps as delta-of-delta varints, which are near zero for periodic
+// beacons. The device ID is not stored: segments are keyed by device, so the
+// caller supplies it at decode time. The payload is a run of consecutive
+// dictionary-relative blocks followed by a trailer that indexes them:
 //
 //	block[0] block[1] ... block[k-1]
 //	trailer body:
@@ -318,14 +203,20 @@ func DecodeEventBlock(block []byte, dev event.DeviceID, dst []event.Event) ([]ev
 // trailer costs ~10 bytes per block. Readers parse the trailer once —
 // touching only the payload's final pages when it is memory-mapped — then
 // decode exactly the blocks a query needs, binary-searching the per-block
-// time bounds to skip the rest. Each block still verifies its own CRC
-// before any field is parsed, so a truncated or bit-flipped mapping is
-// refused block-by-block and a decoder can never over-read the payload
-// slice it was handed.
+// time bounds to skip the rest. Each block verifies its own CRC before any
+// field is parsed, so a truncated or bit-flipped mapping is refused
+// block-by-block and a decoder can never over-read the payload slice it was
+// handed.
 //
-// Payloads without the trailer magic are the legacy single-block format and
-// remain fully readable: ParseSegmentIndex reports them as unindexed and
-// the caller treats the whole payload as one block.
+// A payload without the trailer magic is the retired un-indexed format (one
+// self-contained block for the whole segment). It is refused with an error
+// wrapping ErrRetiredFormat rather than decoded.
+
+// ErrRetiredFormat is wrapped by the error for a file in an on-disk format
+// this version no longer reads: a format-v1 ("LOCSNAP1") snapshot or an
+// un-indexed segment payload. Builds up to and including commit a8b970d
+// read both.
+var ErrRetiredFormat = errors.New("retired on-disk format, last read by commit a8b970d")
 
 // segIndexMagic terminates every block-indexed segment payload.
 const segIndexMagic = "LSIX"
@@ -505,38 +396,34 @@ func DecodeIndexedBlock(block []byte, dev event.DeviceID, dict []space.APID, min
 }
 
 // ParseSegmentIndex parses a segment payload's block index and segment
-// dictionary. indexed reports whether the payload carries them: a payload
-// without the trailer magic is the legacy single-block format
-// (indexed=false, nil metas, nil dict, nil error) and the caller decodes it
-// as one self-contained block covering the whole payload. A payload that
-// carries the magic but whose trailer fails validation is corrupt — the
-// error is returned and nothing is decoded (the legacy interpretation
-// would fail its whole-payload CRC anyway, so corruption is refused rather
-// than misread). The returned metas reference only byte ranges inside the
-// blocks region, so decoding through them can never over-read the payload.
-func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, indexed bool, err error) {
+// dictionary. A payload without the trailer magic is the retired un-indexed
+// format and is refused with an error wrapping ErrRetiredFormat; a payload
+// whose trailer fails validation is corrupt. Either way nothing is decoded.
+// The returned metas reference only byte ranges inside the blocks region,
+// so decoding through them can never over-read the payload.
+func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, err error) {
 	n := len(payload)
 	if n < segIndexFooterLen || string(payload[n-4:]) != segIndexMagic {
-		return nil, nil, false, nil
+		return nil, nil, fmt.Errorf("wal: segment payload has no block index: %w", ErrRetiredFormat)
 	}
 	trailerLen := int(binary.LittleEndian.Uint32(payload[n-8 : n-4]))
 	if trailerLen < 5 || trailerLen > n-segIndexFooterLen {
-		return nil, nil, true, fmt.Errorf("wal: segment index trailer length %d out of range (payload %d bytes)", trailerLen, n)
+		return nil, nil, fmt.Errorf("wal: segment index trailer length %d out of range (payload %d bytes)", trailerLen, n)
 	}
 	trailer := payload[n-segIndexFooterLen-trailerLen : n-segIndexFooterLen]
 	body := trailer[:len(trailer)-4]
 	want := binary.LittleEndian.Uint32(trailer[len(trailer)-4:])
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, nil, true, fmt.Errorf("wal: segment index CRC mismatch (got %08x, want %08x)", got, want)
+		return nil, nil, fmt.Errorf("wal: segment index CRC mismatch (got %08x, want %08x)", got, want)
 	}
 	blocksLen := n - segIndexFooterLen - trailerLen
 	d := &decoder{b: body}
 	k := d.uvarint()
 	if d.err != nil {
-		return nil, nil, true, d.err
+		return nil, nil, d.err
 	}
 	if k == 0 || k > uint64(len(body)) {
-		return nil, nil, true, fmt.Errorf("wal: segment index block count %d implausible (trailer %d bytes)", k, len(body))
+		return nil, nil, fmt.Errorf("wal: segment index block count %d implausible (trailer %d bytes)", k, len(body))
 	}
 	metas = make([]BlockMeta, 0, k)
 	off := 0
@@ -547,19 +434,19 @@ func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, in
 		count := d.uvarint()
 		dmin := d.varint()
 		if d.err != nil {
-			return nil, nil, true, d.err
+			return nil, nil, d.err
 		}
 		if blen < 5 || blen > uint64(blocksLen-off) {
-			return nil, nil, true, fmt.Errorf("wal: segment index block %d length %d out of range", i, blen)
+			return nil, nil, fmt.Errorf("wal: segment index block %d length %d out of range", i, blen)
 		}
 		if count == 0 || count > blen {
-			return nil, nil, true, fmt.Errorf("wal: segment index block %d count %d implausible (%d bytes)", i, count, blen)
+			return nil, nil, fmt.Errorf("wal: segment index block %d count %d implausible (%d bytes)", i, count, blen)
 		}
 		min := prevMin + dmin
 		if i == 0 {
 			min = dmin
 		} else if dmin < 0 {
-			return nil, nil, true, fmt.Errorf("wal: segment index block %d out of order (min delta %d)", i, dmin)
+			return nil, nil, fmt.Errorf("wal: segment index block %d out of order (min delta %d)", i, dmin)
 		}
 		metas = append(metas, BlockMeta{Off: off, Len: int(blen), Count: int(count), MinNanos: min})
 		off += int(blen)
@@ -571,10 +458,10 @@ func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, in
 	// span is encoded.
 	lastSpan := d.varint()
 	if d.err != nil {
-		return nil, nil, true, d.err
+		return nil, nil, d.err
 	}
 	if lastSpan < 0 {
-		return nil, nil, true, fmt.Errorf("wal: segment index final block has max before min")
+		return nil, nil, fmt.Errorf("wal: segment index final block has max before min")
 	}
 	for i := range metas[:len(metas)-1] {
 		metas[i].MaxNanos = metas[i+1].MinNanos
@@ -582,37 +469,33 @@ func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, in
 	metas[len(metas)-1].MaxNanos = metas[len(metas)-1].MinNanos + lastSpan
 	nAPs := d.uvarint()
 	if d.err != nil {
-		return nil, nil, true, d.err
+		return nil, nil, d.err
 	}
 	if nAPs == 0 || nAPs > total {
-		return nil, nil, true, fmt.Errorf("wal: segment dictionary has %d APs for %d events", nAPs, total)
+		return nil, nil, fmt.Errorf("wal: segment dictionary has %d APs for %d events", nAPs, total)
 	}
 	dict = make([]space.APID, nAPs)
 	for i := range dict {
 		dict[i] = space.APID(d.str())
 	}
 	if d.err != nil {
-		return nil, nil, true, d.err
+		return nil, nil, d.err
 	}
 	if d.remaining() != 0 {
-		return nil, nil, true, fmt.Errorf("wal: %d trailing bytes in segment index", d.remaining())
+		return nil, nil, fmt.Errorf("wal: %d trailing bytes in segment index", d.remaining())
 	}
 	if off != blocksLen {
-		return nil, nil, true, fmt.Errorf("wal: segment index covers %d block bytes, payload has %d", off, blocksLen)
+		return nil, nil, fmt.Errorf("wal: segment index covers %d block bytes, payload has %d", off, blocksLen)
 	}
-	return metas, dict, true, nil
+	return metas, dict, nil
 }
 
-// DecodeSegment decodes a full segment payload — block-indexed or legacy
-// single-block — appending the events to dst. Each block's CRC is verified
-// before its fields are parsed.
+// DecodeSegment decodes a full segment payload, appending the events to
+// dst. Each block's CRC is verified before its fields are parsed.
 func DecodeSegment(payload []byte, dev event.DeviceID, dst []event.Event) ([]event.Event, error) {
-	metas, dict, indexed, err := ParseSegmentIndex(payload)
+	metas, dict, err := ParseSegmentIndex(payload)
 	if err != nil {
 		return dst, err
-	}
-	if !indexed {
-		return DecodeEventBlock(payload, dev, dst)
 	}
 	for _, m := range metas {
 		dst, err = DecodeIndexedBlock(payload[m.Off:m.Off+m.Len], dev, dict, m.MinNanos, dst)

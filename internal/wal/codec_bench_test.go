@@ -28,24 +28,24 @@ func benchBlockEvents(n int) []event.Event {
 	return evs
 }
 
-func BenchmarkEncodeEventBlock(b *testing.B) {
+func BenchmarkEncodeSegment(b *testing.B) {
 	evs := benchBlockEvents(32)
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = EncodeEventBlock(buf[:0], evs)
+		buf, _ = EncodeSegment(buf[:0], evs, 0)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
-func BenchmarkDecodeEventBlock(b *testing.B) {
+func BenchmarkDecodeSegment(b *testing.B) {
 	evs := benchBlockEvents(32)
-	block := EncodeEventBlock(nil, evs)
+	payload, _ := EncodeSegment(nil, evs, 0)
 	dst := make([]event.Event, 0, len(evs))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = DecodeEventBlock(block, "bench-dev", dst[:0])
+		dst, err = DecodeSegment(payload, "bench-dev", dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,9 +40,9 @@ func TestEncodeSegmentRoundTrip(t *testing.T) {
 			// The returned index and the parsed one must agree exactly
 			// (modulo the trailer: EncodeSegment's Len excludes it only for
 			// the region covered — both describe the same block ranges).
-			parsed, dict, indexed, err := ParseSegmentIndex(payload)
-			if err != nil || !indexed {
-				t.Fatalf("n=%d be=%d: ParseSegmentIndex = (%v, %v)", n, blockEvents, indexed, err)
+			parsed, dict, err := ParseSegmentIndex(payload)
+			if err != nil {
+				t.Fatalf("n=%d be=%d: ParseSegmentIndex: %v", n, blockEvents, err)
 			}
 			if len(dict) == 0 || len(dict) > 3 {
 				t.Fatalf("n=%d be=%d: segment dictionary has %d APs", n, blockEvents, len(dict))
@@ -98,29 +100,32 @@ func TestEncodeSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentStillReadable pins the v2 compatibility contract: a bare
-// EncodeEventBlock payload (no index trailer) parses as unindexed and
-// decodes through DecodeSegment unchanged.
-func TestLegacySegmentStillReadable(t *testing.T) {
-	evs := segEvents(40, 7)
-	payload := EncodeEventBlock(nil, evs)
-	metas, dict, indexed, err := ParseSegmentIndex(payload)
-	if err != nil || indexed || metas != nil || dict != nil {
-		t.Fatalf("legacy payload: ParseSegmentIndex = (%v, %v, %v, %v), want unindexed", metas, dict, indexed, err)
+// TestBareBlockSegmentRefused: a payload without the index trailer — the
+// retired un-indexed format, one self-contained block per segment — is
+// refused with ErrRetiredFormat by both the index parser and the full
+// decoder, never decoded and never reported as plain corruption.
+func TestBareBlockSegmentRefused(t *testing.T) {
+	payload, metas := EncodeSegment(nil, segEvents(40, 7), 0)
+	// The blocks region of a one-block segment is the shape a bare-block
+	// payload had: a count-led block with its own CRC and no trailer.
+	bare := payload[:metas[0].Len]
+	if _, _, err := ParseSegmentIndex(bare); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("ParseSegmentIndex(bare block) = %v, want ErrRetiredFormat", err)
 	}
-	got, err := DecodeSegment(payload, "dev-a", nil)
-	if err != nil {
-		t.Fatalf("legacy payload: DecodeSegment: %v", err)
+	got, err := DecodeSegment(bare, "dev-a", nil)
+	if !errors.Is(err, ErrRetiredFormat) || len(got) != 0 {
+		t.Fatalf("DecodeSegment(bare block) = %d events, %v; want ErrRetiredFormat", len(got), err)
 	}
-	sameEvents(t, got, evs)
+	if !strings.Contains(err.Error(), "a8b970d") {
+		t.Fatalf("refusal %q does not name the last version that reads the format", err)
+	}
 }
 
 // TestSegmentRefusesEveryByteFlip flips every single byte of a
 // block-indexed payload and requires DecodeSegment to refuse it: block
 // corruption fails the block CRC, trailer corruption fails the index CRC or
-// its validation, and magic corruption demotes the payload to the legacy
-// interpretation whose whole-payload CRC then fails. Nothing may panic and
-// nothing may decode silently.
+// its validation, and magic corruption makes the payload un-indexed, which
+// is refused. Nothing may panic and nothing may decode silently.
 func TestSegmentRefusesEveryByteFlip(t *testing.T) {
 	evs := segEvents(48, 3)
 	payload, _ := EncodeSegment(nil, evs, 8)
@@ -135,27 +140,14 @@ func TestSegmentRefusesEveryByteFlip(t *testing.T) {
 }
 
 // TestSegmentRefusesTruncation truncates the payload at every length — a
-// torn cold-tier write can persist any prefix. Almost every truncation must
-// be refused; the one structural exception is a prefix that IS exactly the
-// first block, which is byte-identical to a valid legacy single-block
-// payload and so decodes to a strict prefix of the events (the store's
-// count-vs-manifest check catches that case one layer up). Silently
-// decoding anything else is a failure.
+// torn cold-tier write can persist any prefix. Every truncation loses the
+// trailer's magic, so every one must be refused.
 func TestSegmentRefusesTruncation(t *testing.T) {
 	evs := segEvents(32, 11)
 	payload, _ := EncodeSegment(nil, evs, 8)
 	for n := 0; n < len(payload); n++ {
-		got, err := DecodeSegment(payload[:n], "dev-a", nil)
-		if err != nil {
-			continue
-		}
-		if len(got) >= len(evs) {
+		if got, err := DecodeSegment(payload[:n], "dev-a", nil); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded %d events without error", n, len(payload), len(got))
-		}
-		for i := range got {
-			if got[i].ID != evs[i].ID || !got[i].Time.Equal(evs[i].Time) || got[i].AP != evs[i].AP {
-				t.Fatalf("truncation to %d decoded non-prefix event %d", n, i)
-			}
 		}
 	}
 }
@@ -170,7 +162,7 @@ func TestParseSegmentIndexHostileCounts(t *testing.T) {
 	mut := append([]byte(nil), payload...)
 	mut[len(mut)-8] = 0xff
 	mut[len(mut)-7] = 0xff
-	if _, _, _, err := ParseSegmentIndex(mut); err == nil {
+	if _, _, err := ParseSegmentIndex(mut); err == nil {
 		t.Fatal("oversized trailer length accepted")
 	}
 	// A tiny fabricated trailer claiming 2^60 blocks.
@@ -178,7 +170,7 @@ func TestParseSegmentIndexHostileCounts(t *testing.T) {
 	hostile = append(hostile, []byte{0, 0, 0, 0}...) // bogus CRC, will be refused
 	hostile = append(hostile, byte(len(hostile)), 0, 0, 0)
 	hostile = append(hostile, segIndexMagic...)
-	if _, _, _, err := ParseSegmentIndex(hostile); err == nil {
+	if _, _, err := ParseSegmentIndex(hostile); err == nil {
 		t.Fatal("hostile block count accepted")
 	}
 }
@@ -187,11 +179,11 @@ func FuzzParseSegmentIndex(f *testing.F) {
 	evs := segEvents(32, 1)
 	indexed, _ := EncodeSegment(nil, evs, 8)
 	f.Add(indexed)
-	f.Add(EncodeEventBlock(nil, evs))
+	f.Add(indexed[:len(indexed)-segIndexFooterLen])
 	f.Add([]byte(segIndexMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		metas, dict, ok, err := ParseSegmentIndex(data)
-		if err != nil || !ok {
+		metas, dict, err := ParseSegmentIndex(data)
+		if err != nil {
 			return
 		}
 		if len(dict) == 0 {
@@ -214,40 +206,42 @@ func FuzzDecodeSegment(f *testing.F) {
 	evs := segEvents(24, 2)
 	indexed, _ := EncodeSegment(nil, evs, 6)
 	f.Add(indexed)
-	f.Add(EncodeEventBlock(nil, evs[:4]))
+	f.Add(indexed[:len(indexed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-read, whatever the bytes claim.
 		_, _ = DecodeSegment(data, "dev-a", nil)
 	})
 }
 
-// TestDecodeEventBlockHostileHeaders hand-crafts blocks whose CRC is valid
-// but whose contents lie: implausible counts, AP indexes out of range,
-// truncated varint streams, and trailing garbage. Each must be refused with
-// an error — a valid checksum over hostile bytes is not a licence to decode.
+// TestDecodeEventBlockHostileHeaders hand-crafts event blocks whose CRC is
+// valid but whose contents lie: implausible counts, AP indexes out of the
+// segment dictionary, truncated varint streams, and trailing garbage. Each
+// must be refused with an error — a valid checksum over hostile bytes is
+// not a licence to decode.
 func TestDecodeEventBlockHostileHeaders(t *testing.T) {
 	seal := func(body []byte) []byte {
 		crc := crc32.Checksum(body, castagnoli)
 		return binary.LittleEndian.AppendUint32(body, crc)
 	}
+	payload, metas := EncodeSegment(nil, segEvents(2, 3), 0)
+	block := payload[:metas[0].Len]
+	_, dict, err := ParseSegmentIndex(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeIndexedBlock(block, "dev-a", dict, 0, nil); err != nil {
+		t.Fatalf("untouched block refused: %v", err)
+	}
 	cases := map[string][]byte{
-		"count exceeds body":   seal(binary.AppendUvarint(binary.AppendUvarint(nil, 1<<40), 1)),
-		"more APs than events": seal(binary.AppendUvarint(binary.AppendUvarint(nil, 2), 3)),
-		"truncated varints": seal(append(
-			// count=3, one AP "a", then only one complete event record.
-			appendString(binary.AppendUvarint(binary.AppendUvarint(nil, 3), 1), "a"),
-			0, 2, 2)),
-		"ap index out of range": seal(append(
-			appendString(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1), "a"),
-			7, 2, 2)),
-		"trailing bytes": seal(append(EncodeEventBlock(nil, segEvents(2, 3))[:0:0],
-			append(func() []byte {
-				b := EncodeEventBlock(nil, segEvents(2, 3))
-				return b[:len(b)-4]
-			}(), 0xEE)...)),
+		"zero count":         seal(binary.AppendUvarint(nil, 0)),
+		"count exceeds body": seal(binary.AppendUvarint(nil, 1<<40)),
+		// count=3, then only one complete event record.
+		"truncated varints":     seal(append(binary.AppendUvarint(nil, 3), 0, 0, 2)),
+		"ap index out of range": seal(append(binary.AppendUvarint(nil, 1), 7, 0, 2)),
+		"trailing bytes":        seal(append(append([]byte(nil), block[:len(block)-4]...), 0xEE)),
 	}
 	for name, block := range cases {
-		if _, err := DecodeEventBlock(block, "dev-a", nil); err == nil {
+		if _, err := DecodeIndexedBlock(block, "dev-a", dict, 0, nil); err == nil {
 			t.Errorf("%s: hostile block decoded without error", name)
 		}
 	}

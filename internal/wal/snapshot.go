@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,16 +18,16 @@ import (
 	"locater/internal/space"
 )
 
-// Snapshot format magics. V1 ("LOCSNAP1") is the original full-state form:
-// every event of every device inlined. V2 ("LOCSNAP2") is the incremental
-// form: only the mutable heads are inlined, and sealed segments appear as a
-// metadata manifest — their payloads are already durable in the store's
-// segment backend, so a checkpoint ships new heads plus new manifest
-// entries instead of rewriting total history. Readers accept both formats;
-// WriteSnapshotV2 writes v2, and only the tests still write v1.
+// snapMagic leads every snapshot file: format v2, the incremental form. Only
+// the mutable heads are inlined, and sealed segments appear as a metadata
+// manifest — their payloads are already durable in the store's segment
+// backend, so a checkpoint ships new heads plus new manifest entries instead
+// of rewriting total history. A file that starts with the retired format-v1
+// magic (every event of every device inlined) is refused with an error
+// wrapping ErrRetiredFormat.
 const (
-	snapMagic   = "LOCSNAP1"
-	snapMagicV2 = "LOCSNAP2"
+	snapMagic        = "LOCSNAP2"
+	retiredSnapMagic = "LOCSNAP1"
 )
 
 // SnapshotData is the state captured by a checkpoint: everything recovery
@@ -36,12 +37,11 @@ type SnapshotData struct {
 	NextID int64
 	// Deltas are the per-device validity intervals δ(d).
 	Deltas map[event.DeviceID]time.Duration
-	// Events are the per-device event logs, each sorted by time: full logs
-	// in a v1 snapshot, just the mutable heads in a v2 snapshot.
+	// Events are the per-device mutable heads, each sorted by time.
 	Events map[event.DeviceID][]event.Event
-	// Segments is the per-device sealed-segment manifest (v2 only; ignored
-	// by the v1 writer). The referenced payloads must be durable in the
-	// segment backend before the snapshot is published.
+	// Segments is the per-device sealed-segment manifest. The referenced
+	// payloads must be durable in the segment backend before the snapshot is
+	// published.
 	Segments map[event.DeviceID][]SegmentMeta
 	// Labels are the crowd-sourced room-label counts.
 	Labels map[event.DeviceID]map[space.RoomID]int
@@ -98,16 +98,12 @@ func (e *snapEncoder) str(s string) {
 // LSN ≤ lsn and no records after it (locater.System captures both under its
 // checkpoint lock).
 func (w *WAL) WriteSnapshotV2(lsn uint64, data *SnapshotData) error {
-	return w.publishSnapshot(lsn, data, snapMagicV2)
-}
-
-func (w *WAL) publishSnapshot(lsn uint64, data *SnapshotData, magic string) error {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
 
 	path := filepath.Join(w.dir, fmt.Sprintf("%s%020d%s", snapPrefix, lsn, snapSuffix))
 	tmp := path + ".tmp"
-	if err := writeSnapshotFile(tmp, lsn, data, magic); err != nil {
+	if err := writeSnapshotFile(tmp, lsn, data); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -124,7 +120,7 @@ func (w *WAL) publishSnapshot(lsn uint64, data *SnapshotData, magic string) erro
 	return nil
 }
 
-func writeSnapshotFile(path string, lsn uint64, data *SnapshotData, magic string) error {
+func writeSnapshotFile(path string, lsn uint64, data *SnapshotData) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: creating snapshot: %w", err)
@@ -132,7 +128,7 @@ func writeSnapshotFile(path string, lsn uint64, data *SnapshotData, magic string
 	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<20)
 
-	if _, err := io.WriteString(bw, magic); err != nil {
+	if _, err := io.WriteString(bw, snapMagic); err != nil {
 		return fmt.Errorf("wal: writing snapshot: %w", err)
 	}
 	// The CRC covers everything after the magic: the LSN and the body.
@@ -167,24 +163,18 @@ func writeSnapshotFile(path string, lsn uint64, data *SnapshotData, magic string
 		}
 	}
 
-	// The sealed-segment manifest sits between events and labels, only in
-	// format v2: v1 keeps its original byte layout so pre-v2 snapshots stay
-	// readable (and v1 files written by this version stay readable by
-	// pre-v2 code).
-	if magic == snapMagicV2 {
-		segDevs := sortedKeys(data.Segments)
-		enc.uvarint(uint64(len(segDevs)))
-		for _, d := range segDevs {
-			metas := data.Segments[d]
-			enc.str(string(d))
-			enc.uvarint(uint64(len(metas)))
-			for _, m := range metas {
-				enc.uvarint(m.Seq)
-				enc.uvarint(uint64(m.Count))
-				enc.varint(m.MinNanos)
-				enc.varint(m.MaxNanos)
-				enc.uvarint(uint64(m.Bytes))
-			}
+	segDevs := sortedKeys(data.Segments)
+	enc.uvarint(uint64(len(segDevs)))
+	for _, d := range segDevs {
+		metas := data.Segments[d]
+		enc.str(string(d))
+		enc.uvarint(uint64(len(metas)))
+		for _, m := range metas {
+			enc.uvarint(m.Seq)
+			enc.uvarint(uint64(m.Count))
+			enc.varint(m.MinNanos)
+			enc.varint(m.MaxNanos)
+			enc.uvarint(uint64(m.Bytes))
 		}
 	}
 
@@ -271,8 +261,7 @@ func (w *WAL) pruneSnapshots(newest string, newestLSN uint64) uint64 {
 }
 
 // RetainedSegmentManifests parses every retained snapshot file and returns
-// their sealed-segment manifests (nil entries for v1 snapshots, which carry
-// none). The union of these manifests plus the store's current refs is the
+// their sealed-segment manifests. The union of these manifests plus the store's current refs is the
 // cold tier's live set: a (device, seq) referenced by NO retained snapshot
 // and no current ref can never be needed by recovery again, so checkpoint
 // uses this to reclaim dead cold-tier records. Unreadable snapshots are
@@ -291,9 +280,7 @@ func (w *WAL) RetainedSegmentManifests() ([]map[event.DeviceID][]SegmentMeta, er
 		if _, err := readSnapshotFile(sn.path, &rec); err != nil {
 			continue
 		}
-		if rec.Segments != nil {
-			manifests = append(manifests, rec.Segments)
-		}
+		manifests = append(manifests, rec.Segments)
 	}
 	return manifests, nil
 }
@@ -328,8 +315,10 @@ func listSnapshots(dir string) ([]snapshotInfo, error) {
 // loadNewestSnapshot loads the newest parseable snapshot into rec and
 // returns its LSN. Corrupt snapshots fall back to the next older one (the
 // segment-continuity check in Open catches a fallback that reaches past
-// compacted segments). With snapshots present but none readable, recovery
-// fails loudly instead of silently starting empty.
+// compacted segments). A snapshot in a retired format stops recovery with
+// its error: it is not corrupt, and skipping it would silently recover older
+// state. With snapshots present but none readable, recovery fails loudly
+// instead of silently starting empty.
 func loadNewestSnapshot(dir string, rec *Recovered) (uint64, error) {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
@@ -338,6 +327,9 @@ func loadNewestSnapshot(dir string, rec *Recovered) (uint64, error) {
 	var lastErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
 		lsn, err := readSnapshotFile(snaps[i].path, rec)
+		if errors.Is(err, ErrRetiredFormat) {
+			return 0, err
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -363,8 +355,11 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	if len(data) < len(snapMagic)+8+4 {
 		return 0, fmt.Errorf("wal: snapshot %s: bad header", filepath.Base(path))
 	}
-	magic := string(data[:len(snapMagic)])
-	if magic != snapMagic && magic != snapMagicV2 {
+	switch string(data[:len(snapMagic)]) {
+	case snapMagic:
+	case retiredSnapMagic:
+		return 0, fmt.Errorf("wal: snapshot %s is format v1: %w", filepath.Base(path), ErrRetiredFormat)
+	default:
 		return 0, fmt.Errorf("wal: snapshot %s: bad header", filepath.Base(path))
 	}
 	body := data[len(snapMagic) : len(data)-4]
@@ -383,7 +378,7 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	rec.Events = nil
 	rec.Deltas = make(map[event.DeviceID]time.Duration)
 	rec.Labels = make(map[event.DeviceID]map[space.RoomID]int)
-	rec.Segments = nil
+	rec.Segments = make(map[event.DeviceID][]SegmentMeta)
 
 	nDeltas := d.uvarint()
 	for i := uint64(0); i < nDeltas && d.err == nil; i++ {
@@ -409,25 +404,22 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 		}
 	}
 
-	if magic == snapMagicV2 {
-		rec.Segments = make(map[event.DeviceID][]SegmentMeta)
-		nSegDevs := d.uvarint()
-		for i := uint64(0); i < nSegDevs && d.err == nil; i++ {
-			dev := event.DeviceID(d.str())
-			nSegs := d.uvarint()
-			metas := make([]SegmentMeta, 0, nSegs)
-			for j := uint64(0); j < nSegs && d.err == nil; j++ {
-				metas = append(metas, SegmentMeta{
-					Seq:      d.uvarint(),
-					Count:    int(d.uvarint()),
-					MinNanos: d.varint(),
-					MaxNanos: d.varint(),
-					Bytes:    int(d.uvarint()),
-				})
-			}
-			if d.err == nil {
-				rec.Segments[dev] = metas
-			}
+	nSegDevs := d.uvarint()
+	for i := uint64(0); i < nSegDevs && d.err == nil; i++ {
+		dev := event.DeviceID(d.str())
+		nSegs := d.uvarint()
+		metas := make([]SegmentMeta, 0, nSegs)
+		for j := uint64(0); j < nSegs && d.err == nil; j++ {
+			metas = append(metas, SegmentMeta{
+				Seq:      d.uvarint(),
+				Count:    int(d.uvarint()),
+				MinNanos: d.varint(),
+				MaxNanos: d.varint(),
+				Bytes:    int(d.uvarint()),
+			})
+		}
+		if d.err == nil {
+			rec.Segments[dev] = metas
 		}
 	}
 

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,40 +76,65 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillReadable is the read-compat satellite: a v1 snapshot
-// (full logs, no manifest) written by a pre-segment build must recover on
-// the current one, with a nil manifest so the store replays everything
-// through ingest.
-func TestSnapshotV1StillReadable(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := mustOpen(t, dir, Options{})
-	var evs []event.Event
-	for i := 0; i < 10; i++ {
-		e := mkEvent(int64(i+1), "aa", time.Duration(i)*time.Minute, "ap1")
-		evs = append(evs, e)
-		if err := w.AppendEvents([]event.Event{e}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := w.WriteSnapshot(w.LastLSN(), &SnapshotData{
-		NextID: 11,
-		Events: map[event.DeviceID][]event.Event{"aa": evs},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, rec := mustOpen(t, dir, Options{})
-	defer w2.Close()
-	sameEvents(t, rec.Events, evs)
-	if rec.Segments != nil {
-		t.Errorf("v1 snapshot recovered a segment manifest: %v", rec.Segments)
-	}
-	if rec.NextID != 11 {
-		t.Errorf("NextID = %d, want 11", rec.NextID)
+// TestSnapshotV1Refused: a format-v1 snapshot is refused with
+// ErrRetiredFormat, both as the newest snapshot and as the fallback behind
+// a corrupt newest one. Recovery must neither start from an older snapshot
+// past it nor treat it as corrupt.
+func TestSnapshotV1Refused(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		v1, broken int // snapshot indexes (oldest first); -1 = none
+	}{
+		{"newest is v1", 1, -1},
+		{"fallback is v1", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _ := mustOpen(t, dir, Options{})
+			for i := 1; i <= 2; i++ {
+				if err := w.AppendEvents([]event.Event{mkEvent(int64(i), "aa", time.Duration(i)*time.Minute, "ap1")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.WriteSnapshotV2(w.LastLSN(), &SnapshotData{NextID: int64(i + 1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := listSnapshots(dir)
+			if err != nil || len(snaps) != 2 {
+				t.Fatalf("want 2 snapshots, got %d (%v)", len(snaps), err)
+			}
+			// The CRC covers only what follows the magic, so a retagged file
+			// is a well-formed v1 header over an intact body.
+			data, err := os.ReadFile(snaps[tc.v1].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data, retiredSnapMagic)
+			if err := os.WriteFile(snaps[tc.v1].path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.broken >= 0 {
+				data, err := os.ReadFile(snaps[tc.broken].path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-1] ^= 0xff
+				if err := os.WriteFile(snaps[tc.broken].path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w2, _, err := Open(dir, Options{})
+			if err == nil {
+				w2.Close()
+				t.Fatal("Open recovered past a format-v1 snapshot")
+			}
+			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "a8b970d") {
+				t.Fatalf("Open error = %v, want ErrRetiredFormat naming the last reading version", err)
+			}
+		})
 	}
 }
 

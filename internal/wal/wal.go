@@ -110,8 +110,8 @@ type Recovered struct {
 	Deltas map[event.DeviceID]time.Duration
 	// Labels are the crowd-sourced room-label counts.
 	Labels map[event.DeviceID]map[space.RoomID]int
-	// Segments is the sealed-segment manifest from a format-v2 incremental
-	// snapshot (nil for v1 snapshots or none): per-device metadata for the
+	// Segments is the sealed-segment manifest from the snapshot (nil when
+	// there is none): per-device metadata for the
 	// segments whose payloads live in the store's segment backend. Events
 	// then holds only the mutable heads plus the WAL tail — recovery
 	// registers the manifest without re-decoding any sealed segment.

@@ -323,7 +323,7 @@ func TestSnapshotReplayAndCompaction(t *testing.T) {
 	// Snapshot at the current position, then append a tail.
 	lsn := w.LastLSN()
 	evMap := map[event.DeviceID][]event.Event{"aa": want}
-	err := w.WriteSnapshot(lsn, &SnapshotData{
+	err := w.WriteSnapshotV2(lsn, &SnapshotData{
 		NextID: 61,
 		Deltas: map[event.DeviceID]time.Duration{"aa": 4 * time.Minute},
 		Events: evMap,
@@ -371,14 +371,14 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	if err := w.AppendEvents(evs); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot(1, &SnapshotData{NextID: 2, Events: map[event.DeviceID][]event.Event{"aa": evs}}); err != nil {
+	if err := w.WriteSnapshotV2(1, &SnapshotData{NextID: 2, Events: map[event.DeviceID][]event.Event{"aa": evs}}); err != nil {
 		t.Fatal(err)
 	}
 	more := []event.Event{mkEvent(2, "bb", time.Minute, "ap2")}
 	if err := w.AppendEvents(more); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot(2, &SnapshotData{
+	if err := w.WriteSnapshotV2(2, &SnapshotData{
 		NextID: 3,
 		Events: map[event.DeviceID][]event.Event{"aa": evs, "bb": more},
 	}); err != nil {
@@ -427,7 +427,7 @@ func TestFallbackSnapshotSurvivesCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.WriteSnapshot(w.LastLSN(), &SnapshotData{
+	if err := w.WriteSnapshotV2(w.LastLSN(), &SnapshotData{
 		NextID: 11,
 		Events: map[event.DeviceID][]event.Event{"aa": first},
 	}); err != nil {
@@ -443,7 +443,7 @@ func TestFallbackSnapshotSurvivesCompaction(t *testing.T) {
 		}
 	}
 	all := map[event.DeviceID][]event.Event{"aa": first, "bb": second}
-	if err := w.WriteSnapshot(w.LastLSN(), &SnapshotData{NextID: 26, Events: all}); err != nil {
+	if err := w.WriteSnapshotV2(w.LastLSN(), &SnapshotData{NextID: 26, Events: all}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -477,7 +477,7 @@ func TestAllSnapshotsCorruptFailsLoudly(t *testing.T) {
 	if err := w.AppendEvents([]event.Event{mkEvent(1, "aa", 0, "ap1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot(1, &SnapshotData{NextID: 2}); err != nil {
+	if err := w.WriteSnapshotV2(1, &SnapshotData{NextID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -97,17 +97,17 @@ var ErrInvalidEvent = store.ErrInvalidEvent
 
 // Config configures a LOCATER system. The zero value of every optional
 // field selects the paper's defaults. The fields choose the paper's
-// parameters, cache bounds, where sealed history lives and whether feeds
-// are cleansed; none of them selects between implementations — the store
-// has one layout, the write path one maintenance strategy and neighbor
-// discovery one path.
+// parameters (the I/D variant, room-affinity weights, the N-day history, the
+// τ thresholds), whether the caching engine runs, how the cold tier is read
+// and whether feeds are cleansed; none of them selects between
+// implementations. Everything else is a constant: δ defaults to 10 minutes
+// per device (SetDelta and EstimateDeltas change it), the region-level τ
+// thresholds are 20 and 40 minutes, the cache tiers hold 65536 affinities,
+// 16384 results and 4096 coarse models, and the graph kernel's σ is one
+// hour.
 type Config struct {
 	// Building is the space metadata (required).
 	Building *space.Building
-
-	// DefaultDelta is the fallback validity interval δ per event.
-	// Default 10 minutes.
-	DefaultDelta time.Duration
 
 	// Variant selects I-LOCATER or D-LOCATER. Default independent.
 	Variant Variant
@@ -120,10 +120,8 @@ type Config struct {
 	// Default 56 (8 weeks).
 	HistoryDays int
 	// TauLow/TauHigh are the inside/outside bootstrap thresholds
-	// (defaults 20 and 180 minutes; Fig. 7). RegionTauLow/RegionTauHigh
-	// are the region-level analogues (defaults 20 and 40 minutes).
-	TauLow, TauHigh             time.Duration
-	RegionTauLow, RegionTauHigh time.Duration
+	// (defaults 20 and 180 minutes; Fig. 7).
+	TauLow, TauHigh time.Duration
 	// PromotionsPerRound is how many unlabeled gaps each self-training
 	// round promotes; 1 reproduces Algorithm 1 exactly. Default 1.
 	PromotionsPerRound int
@@ -134,8 +132,6 @@ type Config struct {
 	// HistoryWindow bounds the history scanned for device affinities.
 	// Default 8 weeks.
 	HistoryWindow time.Duration
-	// MaxNeighbors caps Algorithm 2's neighbor set (0 = unlimited).
-	MaxNeighbors int
 
 	// EnableCache turns on the caching engine: the global affinity graph,
 	// the bounded pairwise-affinity fallback cache, and the query result
@@ -143,42 +139,14 @@ type Config struct {
 	// SetDelta, EstimateDeltas, AddRoomLabel, …) is visible to the very
 	// next query.
 	EnableCache bool
-	// CacheSigma is the Gaussian kernel width for collapsing timestamped
-	// affinity observations. Default 1 hour.
-	CacheSigma time.Duration
-	// AffinityCacheSize bounds the pairwise-affinity fallback cache in
-	// entries (one per device pair per time bucket). Default 65536.
-	AffinityCacheSize int
-	// ResultCacheSize bounds the query result cache in entries (one per
-	// device per minute of query time). Default 16384; -1 disables result
-	// caching while keeping the affinity graph.
-	ResultCacheSize int
-	// ModelCacheSize bounds the coarse stage's per-device model cache.
-	// Default 4096. Effective with or without EnableCache.
-	ModelCacheSize int
 
-	// DefaultQueryDeadline bounds every Locate/LocateBatch call whose
-	// context carries no deadline of its own. Zero (the default) leaves
-	// such calls unbounded. Calls that exceed the deadline fail with
-	// ErrDeadlineExceeded, checked at the stage boundaries of the query
-	// pipeline.
-	DefaultQueryDeadline time.Duration
-
-	// SegmentMaxEvents is the head size at which a device's mutable event
-	// log is sealed into an immutable compressed segment (dictionary-encoded
-	// APs, delta-of-delta timestamps, 64-event blocks behind a block
-	// index). Values below 1 select the default (512).
-	SegmentMaxEvents int
-	// ColdTierDir spills sealed segments to per-device files under this
-	// directory instead of holding the compressed payloads in memory. On
-	// systems built with Open it defaults to "<dir>/segments"; with New it
-	// defaults to the in-memory compressed tier.
-	ColdTierDir string
 	// ColdTierMmap memory-maps the cold tier's segment files so block
 	// decodes read borrowed mapped bytes instead of copying through read
 	// syscalls, and residency is owned by the OS page cache rather than the
-	// Go heap. Effective only with ColdTierDir set, on platforms with mmap
-	// support (elsewhere the portable read-at path is used transparently).
+	// Go heap. Effective only on systems built with Open (whose sealed
+	// segments live in files under "<dir>/segments"), on platforms with
+	// mmap support (elsewhere the portable read-at path is used
+	// transparently).
 	ColdTierMmap bool
 
 	// EnableCleansing turns on the ingest-time cleansing stage: oscillating
@@ -201,18 +169,11 @@ func (c Config) coarseOptions() coarse.Options {
 	if c.TauHigh > 0 {
 		th.TauHigh = c.TauHigh
 	}
-	if c.RegionTauLow > 0 {
-		th.RegionTauLow = c.RegionTauLow
-	}
-	if c.RegionTauHigh > 0 {
-		th.RegionTauHigh = c.RegionTauHigh
-	}
 	return coarse.Options{
 		Thresholds:            th,
 		HistoryDays:           c.HistoryDays,
 		MaxPromotionsPerRound: c.PromotionsPerRound,
 		MaxTrainingGaps:       c.MaxTrainingGaps,
-		ModelCacheCapacity:    c.ModelCacheSize,
 	}
 }
 
@@ -222,13 +183,12 @@ func (c Config) fineOptions() fine.Options {
 		Variant:           c.Variant,
 		UseStopConditions: !c.DisableStopConditions,
 		HistoryWindow:     c.HistoryWindow,
-		MaxNeighbors:      c.MaxNeighbors,
 	}
 }
 
-// defaultResultCacheSize bounds the query result cache when
-// Config.ResultCacheSize is zero.
-const defaultResultCacheSize = 16384
+// resultCacheSize bounds the query result cache in entries (one per device
+// per minute of query time).
+const resultCacheSize = 16384
 
 // resultCacheBucket quantizes query times for the result cache: two queries
 // for the same device whose times fall in the same bucket share one cached
@@ -294,7 +254,6 @@ type Result struct {
 // write lock, which every query that produced local edges takes briefly to
 // merge them. See ARCHITECTURE.md for the full concurrency model.
 type System struct {
-	cfg      Config
 	building *space.Building
 	store    *store.Store
 	coarse   *coarse.Localizer
@@ -339,24 +298,8 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	st := store.New(cfg.DefaultDelta)
-	segCfg := store.SegmentConfig{MaxEvents: cfg.SegmentMaxEvents}
-	if cfg.ColdTierDir != "" {
-		open := store.NewDiskSegmentBackend
-		if cfg.ColdTierMmap {
-			open = store.NewMmapSegmentBackend
-		}
-		backend, err := open(cfg.ColdTierDir)
-		if err != nil {
-			return nil, fmt.Errorf("locater: opening cold tier: %w", err)
-		}
-		segCfg.Backend = backend
-	}
-	if err := st.ConfigureSegments(segCfg); err != nil {
-		return nil, err
-	}
+	st := store.New(0)
 	s := &System{
-		cfg:      cfg,
 		building: cfg.Building,
 		store:    st,
 	}
@@ -375,22 +318,16 @@ func New(cfg Config) (*System, error) {
 	var provider fine.PairAffinityProvider
 	var orderer fine.NeighborOrderer
 	if cfg.EnableCache {
-		s.graph = affgraph.New(affgraph.Options{Sigma: cfg.CacheSigma})
+		s.graph = affgraph.New(affgraph.Options{})
 		window := fineOpts.HistoryWindow
 		if window <= 0 {
 			window = 8 * 7 * 24 * time.Hour
 		}
 		base := fine.NewStoreAffinity(st, window)
-		s.cached = affgraph.NewCachedAffinity(s.graph, base, time.Hour, cfg.AffinityCacheSize)
+		s.cached = affgraph.NewCachedAffinity(s.graph, base, time.Hour, 0)
 		provider = s.cached
 		orderer = s.graph
-		if cfg.ResultCacheSize >= 0 {
-			size := cfg.ResultCacheSize
-			if size == 0 {
-				size = defaultResultCacheSize
-			}
-			s.results = cache.New[resultKey, Result](size, hashResultKey)
-		}
+		s.results = cache.New[resultKey, Result](resultCacheSize, hashResultKey)
 	}
 	s.fine = fine.New(cfg.Building, st, provider, orderer, fineOpts)
 	// The label store is attached up front (an empty store is a no-op for
@@ -603,20 +540,11 @@ func (s *System) Locate(d DeviceID, t time.Time) (Result, error) {
 // running to completion. The deadline is checked at the stage boundaries of
 // the pipeline — on entry, and between the coarse and fine stages — so an
 // expired query stops before its most expensive work, not after.
-// Config.DefaultQueryDeadline, when set, bounds calls whose context carries
-// no deadline of its own.
 func (s *System) LocateContext(ctx context.Context, d DeviceID, t time.Time) (Result, error) {
 	// Answers read t's wall clock (an open gap's features, preferred-room
 	// windows) while the result cache keys t by instant; stored times are
 	// UTC, so the query time is too.
 	t = t.UTC()
-	if dl := s.cfg.DefaultQueryDeadline; dl > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, dl)
-			defer cancel()
-		}
-	}
 	s.queries.Add(1)
 	start := time.Now()
 	if err := s.ctxErr(ctx); err != nil {

@@ -286,16 +286,13 @@ func TestLocateAfterIngestNotStale(t *testing.T) {
 
 // TestCachesBoundedUnderChurn replays a 24h churn workload — streaming
 // ingest of ever-new devices interleaved with queries — and asserts every
-// cache tier stays within its configured bound (the pre-fix affinity cache
-// grew one entry per device pair per time bucket, forever).
+// cache tier stays within its bound (the pre-fix affinity cache grew one
+// entry per device pair per time bucket, forever). The per-tier tests in
+// internal/cache, internal/affgraph and internal/coarse check the same
+// bound at capacities the workload overflows.
 func TestCachesBoundedUnderChurn(t *testing.T) {
 	ds := buildDataset(t, 7)
-	sys := newSystem(t, ds, locater.Config{
-		EnableCache:       true,
-		AffinityCacheSize: 64,
-		ResultCacheSize:   64,
-		ModelCacheSize:    32,
-	})
+	sys := newSystem(t, ds, locater.Config{EnableCache: true})
 	aps := ds.Building.AccessPoints()
 	day := simStart.AddDate(0, 0, 7)
 	for hour := 0; hour < 24; hour++ {
@@ -351,7 +348,7 @@ func TestStreamingIngest(t *testing.T) {
 
 func TestSetDeltaAndDefaults(t *testing.T) {
 	ds := buildDataset(t, 2)
-	sys, err := locater.New(locater.Config{Building: ds.Building, DefaultDelta: 5 * time.Minute})
+	sys, err := locater.New(locater.Config{Building: ds.Building})
 	if err != nil {
 		t.Fatal(err)
 	}

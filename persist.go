@@ -21,61 +21,69 @@ type PersistOptions struct {
 	Fsync bool
 	// SnapshotInterval is how often a background checkpoint runs
 	// (snapshot + log compaction). Zero disables automatic checkpoints;
-	// call Checkpoint explicitly.
+	// call Checkpoint explicitly. Background checkpoint errors are logged
+	// and retried at the next tick; a persistent failure (e.g. a full disk)
+	// means the log grows uncompacted.
 	SnapshotInterval time.Duration
-	// SegmentSize is the write-ahead log's segment rotation threshold in
-	// bytes (default 64 MiB).
-	SegmentSize int64
-	// OnCheckpointError receives errors from the background snapshot loop
-	// (they are retried at the next tick, but a persistent failure — e.g.
-	// a full disk — means the log grows uncompacted). Nil logs them via
-	// the standard logger.
-	OnCheckpointError func(error)
 }
 
 // Open assembles a System like New and attaches a durable event store
 // rooted at dir: an append-only write-ahead log plus periodic snapshots
-// (see internal/wal), with sealed event segments spilled to a cold tier
-// under "<dir>/segments" (Config.ColdTierDir overrides the location). If
-// dir holds a previous run's state, Open recovers it — the newest valid
-// snapshot plus the log tail, truncating a torn final record — before
-// serving, so a restarted system answers exactly as the one that was shut
-// down or killed. Recovery is incremental: sealed segments named by the
-// snapshot manifest are registered by metadata alone and paged in lazily;
-// only the mutable heads and the log tail are replayed event-by-event.
+// (see internal/wal), with sealed event segments spilled to a cold tier of
+// per-device files under "<dir>/segments" (memory-mapped with
+// Config.ColdTierMmap). If dir holds a previous run's state, Open recovers
+// it — the newest valid snapshot plus the log tail, truncating a torn final
+// record — before serving, so a restarted system answers exactly as the one
+// that was shut down or killed. Recovery is incremental: sealed segments
+// named by the snapshot manifest are registered by metadata alone and paged
+// in lazily; only the mutable heads and the log tail are replayed
+// event-by-event. A snapshot or segment payload in a retired on-disk format
+// fails Open with an error wrapping wal.ErrRetiredFormat.
 //
 // The caller must Close the returned system to checkpoint and release the
 // log; after Close the directory can be reopened.
 func Open(dir string, cfg Config, popts PersistOptions) (*System, error) {
-	if cfg.ColdTierDir == "" {
-		cfg.ColdTierDir = filepath.Join(dir, "segments")
-	}
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, rec, err := wal.Open(dir, wal.Options{Fsync: popts.Fsync, SegmentSize: popts.SegmentSize})
+	openBackend := store.NewDiskSegmentBackend
+	if cfg.ColdTierMmap {
+		openBackend = store.NewMmapSegmentBackend
+	}
+	backend, err := openBackend(filepath.Join(dir, "segments"))
 	if err != nil {
+		return nil, fmt.Errorf("locater: opening cold tier: %w", err)
+	}
+	if err := s.store.ConfigureSegments(store.SegmentConfig{Backend: backend}); err != nil {
+		backend.Close()
+		return nil, err
+	}
+	w, rec, err := wal.Open(dir, wal.Options{Fsync: popts.Fsync})
+	if err != nil {
+		s.store.CloseSegments()
 		return nil, fmt.Errorf("locater: opening event store: %w", err)
+	}
+	fail := func(what string, err error) (*System, error) {
+		w.Close()
+		s.store.CloseSegments()
+		return nil, fmt.Errorf("locater: %s: %w", what, err)
 	}
 	// Restore the recovered state before attaching the backend, so replayed
 	// mutations are not re-logged. Segment metadata goes first (it requires
 	// an empty store), then deltas, then the head events and log tail, which
 	// replay through Ingest and may re-seal past the restored segments.
 	if err := s.store.RestoreSegments(rec.Segments); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("locater: restoring segments: %w", err)
+		return fail("restoring segments", err)
 	}
 	for d, delta := range rec.Deltas {
 		if err := s.store.SetDelta(d, delta); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("locater: restoring deltas: %w", err)
+			return fail("restoring deltas", err)
 		}
 	}
 	if len(rec.Events) > 0 {
 		if _, err := s.store.Ingest(rec.Events); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("locater: replaying events: %w", err)
+			return fail("replaying events", err)
 		}
 	}
 	s.store.AdvanceNextID(rec.NextID)
@@ -84,21 +92,17 @@ func Open(dir string, cfg Config, popts PersistOptions) (*System, error) {
 	s.wal = w
 
 	if popts.SnapshotInterval > 0 {
-		onErr := popts.OnCheckpointError
-		if onErr == nil {
-			onErr = func(err error) { log.Printf("locater: background checkpoint: %v", err) }
-		}
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(popts.SnapshotInterval, onErr)
+		go s.snapshotLoop(popts.SnapshotInterval)
 	}
 	return s, nil
 }
 
-// snapshotLoop checkpoints on a timer until Close. Errors are reported to
-// onErr and retried at the next tick; Close runs a final checkpoint whose
-// error is surfaced to the caller directly.
-func (s *System) snapshotLoop(interval time.Duration, onErr func(error)) {
+// snapshotLoop checkpoints on a timer until Close. Errors are logged and
+// retried at the next tick; Close runs a final checkpoint whose error is
+// surfaced to the caller directly.
+func (s *System) snapshotLoop(interval time.Duration) {
 	defer close(s.snapDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -106,7 +110,7 @@ func (s *System) snapshotLoop(interval time.Duration, onErr func(error)) {
 		select {
 		case <-t.C:
 			if err := s.Checkpoint(); err != nil {
-				onErr(err)
+				log.Printf("locater: background checkpoint: %v", err)
 			}
 		case <-s.snapStop:
 			return

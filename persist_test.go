@@ -1,13 +1,17 @@
 package locater_test
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"locater"
 	"locater/internal/sim"
+	"locater/internal/wal"
 )
 
 // openSystem builds a durable system over dir with the shared test workload
@@ -274,6 +278,37 @@ func TestCloseCheckpointsAndReopens(t *testing.T) {
 	defer recovered.Close()
 	if got := recovered.NumEvents(); got != want {
 		t.Fatalf("recovered %d events, want %d", got, want)
+	}
+}
+
+// TestOpenRefusesRetiredSnapshot: a data directory whose snapshot is in the
+// retired format v1 fails Open with wal.ErrRetiredFormat rather than
+// recovering from the log alone as if the snapshot were corrupt.
+func TestOpenRefusesRetiredSnapshot(t *testing.T) {
+	ds := buildDataset(t, 2)
+	dir := t.TempDir()
+	sys := openSystem(t, ds, dir, locater.PersistOptions{})
+	if err := sys.Ingest(ds.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want one snapshot, got %v (%v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "LOCSNAP1")
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = locater.Open(dir, locater.Config{Building: ds.Building}, locater.PersistOptions{})
+	if !errors.Is(err, wal.ErrRetiredFormat) {
+		t.Fatalf("Open over a format-v1 snapshot = %v, want wal.ErrRetiredFormat", err)
 	}
 }
 

@@ -3,11 +3,31 @@ package locater_test
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
 	"locater"
+	"locater/internal/sim"
 )
+
+// sealingDataset is buildDataset(t, 6) plus one device that reports every
+// five minutes over the whole span, rotating across three access points:
+// about 1,700 extra events, so the store seals segments at its 512-event
+// threshold in each half of the feed.
+func sealingDataset(t testing.TB) *sim.Dataset {
+	t.Helper()
+	ds := buildDataset(t, 6)
+	aps := ds.Building.AccessPoints()
+	events := append([]locater.Event(nil), ds.Events...)
+	for at := simStart; at.Before(simStart.AddDate(0, 0, 6)); at = at.Add(5 * time.Minute) {
+		events = append(events, locater.Event{Device: "dense-reporter", Time: at, AP: aps[len(events)%3]})
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
+	dense := *ds
+	dense.Events = events
+	return &dense
+}
 
 // TestSegmentedCrashRecoveryEquivalence is the tentpole's end-to-end
 // durability check: checkpoint (manifest #1), keep ingesting past many seal
@@ -17,14 +37,13 @@ import (
 // already sealed, producing duplicate (device, seq) cold-tier records that
 // resolve last-wins, and every Locate answer must match the live system's.
 func TestSegmentedCrashRecoveryEquivalence(t *testing.T) {
-	ds := buildDataset(t, 6)
+	ds := sealingDataset(t)
 	dir := t.TempDir()
 	cfg := locater.Config{
 		Building:           ds.Building,
 		HistoryDays:        14,
 		PromotionsPerRound: 8,
 		MaxTrainingGaps:    100,
-		SegmentMaxEvents:   16,
 	}
 	popts := locater.PersistOptions{Fsync: true}
 
@@ -96,15 +115,14 @@ func TestSegmentedCrashRecoveryEquivalence(t *testing.T) {
 // TestIncrementalCheckpointSkipsSealedHistory pins the "incremental" in
 // incremental snapshots: a second checkpoint after a small tail of new
 // events must not grow with total history — its snapshot file stays far
-// smaller than the v1 full-log snapshot would be, because sealed segments
+// smaller than one inlining every event would be, because sealed segments
 // ride along as manifest entries, not re-encoded events.
 func TestIncrementalCheckpointSkipsSealedHistory(t *testing.T) {
-	ds := buildDataset(t, 6)
+	ds := sealingDataset(t)
 	dir := t.TempDir()
 	cfg := locater.Config{
-		Building:         ds.Building,
-		HistoryDays:      14,
-		SegmentMaxEvents: 16,
+		Building:    ds.Building,
+		HistoryDays: 14,
 	}
 	sys, err := locater.Open(dir, cfg, locater.PersistOptions{})
 	if err != nil {
@@ -131,8 +149,7 @@ func TestIncrementalCheckpointSkipsSealedHistory(t *testing.T) {
 	if segs.SegmentEvents == 0 {
 		t.Fatal("nothing sealed; size check is meaningless")
 	}
-	// A v1 snapshot re-encodes every event (~25-40 bytes each in the snap
-	// codec). The incremental one carries only heads + manifest: budget a
+	// Inlining every event would cost ~25-40 bytes each in the snap codec. The incremental one carries only heads + manifest: budget a
 	// generous 12 bytes per sealed event to stay robust across codecs while
 	// still failing loudly if segments ever get re-inlined.
 	if limit := int64(segs.SegmentEvents)*12 + 64*1024; snapBytes > limit {
@@ -148,14 +165,13 @@ func TestIncrementalCheckpointSkipsSealedHistory(t *testing.T) {
 // those files down to the live set, and every Locate answer must survive the
 // rewrite, both against the warm process and across one more recovery.
 func TestCheckpointReclaimsDeadColdTier(t *testing.T) {
-	ds := buildDataset(t, 6)
+	ds := sealingDataset(t)
 	dir := t.TempDir()
 	cfg := locater.Config{
 		Building:           ds.Building,
 		HistoryDays:        14,
 		PromotionsPerRound: 8,
 		MaxTrainingGaps:    100,
-		SegmentMaxEvents:   16,
 		ColdTierMmap:       true,
 	}
 	popts := locater.PersistOptions{Fsync: false}
