@@ -41,21 +41,18 @@ type Coarse struct {
 // the connected AP's; inside a gap shorter than one hour the region is the
 // last known one; otherwise the device is outside.
 func (c *Coarse) Locate(d event.DeviceID, tq time.Time) (CoarseResult, error) {
-	v, g, err := c.Store.At(d, tq)
+	v, g, where, err := c.Store.At(d, tq)
 	if err != nil {
 		return CoarseResult{}, fmt.Errorf("baseline: coarse locate %s: %w", d, err)
 	}
-	if v != nil {
+	if where == event.InValidity {
 		region, ok := c.Building.RegionOf(v.Event.AP)
 		if !ok {
 			return CoarseResult{}, fmt.Errorf("baseline: unknown AP %s", v.Event.AP)
 		}
 		return CoarseResult{Region: region}, nil
 	}
-	if g == nil {
-		return CoarseResult{Outside: true}, nil
-	}
-	if g.Duration() >= OutsideThreshold {
+	if where == event.Unknown || g.Duration() >= OutsideThreshold {
 		return CoarseResult{Outside: true}, nil
 	}
 	region, ok := c.Building.RegionOf(g.PrevEvent.AP)

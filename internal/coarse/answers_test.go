@@ -50,14 +50,15 @@ func sameAnswer(got, want Result) bool {
 // device's model, trained on demand.
 func classifyAt(t testing.TB, l *Localizer, q gapQuery) Result {
 	t.Helper()
-	_, g, err := l.store.At(q.d, q.tq)
-	if err != nil || g == nil {
+	_, g, w, err := l.store.At(q.d, q.tq)
+	if err != nil || w != event.InGap {
 		t.Fatalf("(%s, %v) is not in a closed gap: %v", q.d, q.tq, err)
 	}
-	res, err := l.classifyGap(q.d, *g, nil)
+	res, err := l.classifyGap(q.d, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.Gap = &g
 	return res
 }
 
@@ -311,7 +312,7 @@ func TestGapAnswersFollowWrites(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			if _, g, _ := st.At(q.d, q.tq); g == nil {
+			if _, _, w, _ := st.At(q.d, q.tq); w != event.InGap {
 				continue // the new δ closed this gap
 			}
 			got, err := l.Locate(q.d, q.tq)
@@ -461,7 +462,7 @@ func TestGapAnswersConcurrentWithIngest(t *testing.T) {
 
 	ref := New(b, st, opts)
 	for _, q := range queries {
-		if _, g, _ := st.At(q.d, q.tq); g == nil {
+		if _, _, w, _ := st.At(q.d, q.tq); w != event.InGap {
 			continue
 		}
 		got, err := l.Locate(q.d, q.tq)

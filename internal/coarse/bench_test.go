@@ -43,12 +43,12 @@ func warmKeys(b *testing.B) (*Localizer, []warmKey) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			v, g, _ := st.At(d, tq)
-			if v != nil {
+			_, g, w, _ := st.At(d, tq)
+			if w == event.InValidity {
 				continue
 			}
 			k := warmKey{d: d, tq: tq, m: model}
-			if g != nil {
+			if w == event.InGap {
 				k.gap = gapKey{g.Start.UnixNano(), g.End.UnixNano()}
 			}
 			keys = append(keys, k)

@@ -240,34 +240,65 @@ func (l *Localizer) ModelCacheStats() cache.Stats {
 // on t_q, so a device whose model is cached answers each closed gap once and
 // keeps the answer in that model (see answerGap).
 func (l *Localizer) Locate(d event.DeviceID, tq time.Time) (Result, error) {
+	res, g, repaired, err := l.locate(d, tq)
+	if err != nil {
+		return Result{}, err
+	}
+	if repaired {
+		gap := g // a copy, so only a gap answer moves it to the heap
+		res.Gap = &gap
+	}
+	return res, nil
+}
+
+// Region answers (d, t_q) as far as a neighbor's location needs: the region
+// when the device is inside, ok false when it is outside or the query fails.
+// It shares Locate's path but leaves the enclosing gap on the stack, so a
+// validity hit or a closed gap answered from the model's memo allocates
+// nothing. LOCATER resolves every candidate neighbor in a gap through it.
+func (l *Localizer) Region(d event.DeviceID, tq time.Time) (space.RegionID, bool) {
+	res, _, _, err := l.locate(d, tq)
+	if err != nil || res.Outside {
+		return "", false
+	}
+	return res.Region, true
+}
+
+// locate is Locate with the enclosing gap returned beside the answer instead
+// of in it; the bool reports whether the query needed one.
+func (l *Localizer) locate(d event.DeviceID, tq time.Time) (Result, event.Gap, bool, error) {
 	// Look the model up before reading the gap: a write to d lands in the
 	// store before it drops d's model, so a model cached now outlives no
 	// write the gap read below could have missed.
 	m, _ := l.models.Peek(d)
-	v, g, err := l.store.At(d, tq)
+	v, g, where, err := l.store.At(d, tq)
 	if err != nil {
-		return Result{}, fmt.Errorf("coarse: locating %s: %w", d, err)
+		return Result{}, g, false, fmt.Errorf("coarse: locating %s: %w", d, err)
 	}
-	if v != nil {
+	switch where {
+	case event.InValidity:
 		region, ok := l.building.RegionOf(v.Event.AP)
 		if !ok {
-			return Result{}, fmt.Errorf("coarse: event references unknown AP %s", v.Event.AP)
+			return Result{}, g, false, fmt.Errorf("coarse: event references unknown AP %s", v.Event.AP)
 		}
-		return Result{Region: region, FromValidity: true, Confidence: 1}, nil
-	}
-	if g == nil {
-		if og, ok := l.openGap(d, tq); ok {
-			return l.classifyGap(d, og, nil)
+		return Result{Region: region, FromValidity: true, Confidence: 1}, g, false, nil
+	case event.Unknown:
+		og, ok := l.openGap(d, tq)
+		if !ok {
+			// No events at or before t_q: the device is offline.
+			return Result{Outside: true, Confidence: 1}, g, false, nil
 		}
-		// No events at or before t_q: the device is offline.
-		return Result{Outside: true, Confidence: 1}, nil
+		res, err := l.classifyGap(d, og, nil)
+		return res, og, true, err
 	}
 	if m == nil {
 		// First touch: classify without training a model the heuristics
 		// may not need.
-		return l.classifyGap(d, *g, nil)
+		res, err := l.classifyGap(d, g, nil)
+		return res, g, true, err
 	}
-	return l.answerGap(d, *g, m)
+	res, err := l.answerGap(d, g, m)
+	return res, g, true, err
 }
 
 // maxGapAnswers caps the closed-gap answers one device's model keeps; a full
@@ -289,10 +320,9 @@ type gapAnswer struct {
 	conf    float64
 }
 
-// result expands the answer for gap g. g is a parameter, not answerGap's
-// own, so only a hit moves a copy of it to the heap.
-func (a gapAnswer) result(regions []space.RegionID, g event.Gap) Result {
-	res := Result{Outside: a.outside, Confidence: a.conf, Gap: &g}
+// result expands the answer; like classifyGap's, it leaves Gap nil.
+func (a gapAnswer) result(regions []space.RegionID) Result {
+	res := Result{Outside: a.outside, Confidence: a.conf}
 	if a.region >= 0 {
 		res.Region = regions[a.region]
 	}
@@ -312,7 +342,7 @@ func (l *Localizer) answerGap(d event.DeviceID, g event.Gap, m *deviceModel) (Re
 	m.answersMu.Unlock()
 	if ok {
 		l.answerHits.Add(1)
-		return a.result(l.regions, g), nil
+		return a.result(l.regions), nil
 	}
 	l.answerMisses.Add(1)
 	res, err := l.classifyGap(d, g, m)
@@ -380,7 +410,8 @@ func (l *Localizer) openGap(d event.DeviceID, tq time.Time) (event.Gap, bool) {
 // the classifiers of m — or, when m is nil, of the device's model, trained on
 // demand — on gap g. Each history scan runs only when its answer is read: the
 // features once the heuristics have sent the gap to the model, the bootstrap
-// region when it answers or the model falls back.
+// region when it answers or the model falls back. The result's Gap is left
+// nil (Locate attaches g), so g stays off the heap.
 func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, m *deviceModel) (Result, error) {
 	th := l.opts.Thresholds
 
@@ -388,9 +419,9 @@ func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, m *deviceModel) (
 	switch {
 	case g.Duration() <= th.TauLow:
 		region := l.bootstrapRegion(d, g)
-		return Result{Region: region, Confidence: 1, Gap: &g}, nil
+		return Result{Region: region, Confidence: 1}, nil
 	case g.Duration() >= th.TauHigh:
-		return Result{Outside: true, Confidence: 1, Gap: &g}, nil
+		return Result{Outside: true, Confidence: 1}, nil
 	}
 
 	if m == nil {
@@ -403,11 +434,11 @@ func (l *Localizer) classifyGap(d event.DeviceID, g event.Gap, m *deviceModel) (
 	x := l.featurize(g, l.windowCount(d, g)).Vector()
 	inside, conf := m.predictInside(x)
 	if !inside {
-		return Result{Outside: true, Confidence: conf, Gap: &g}, nil
+		return Result{Outside: true, Confidence: conf}, nil
 	}
 	region, rconf := m.predictRegion(x, l.regions, func() space.RegionID { return l.bootstrapRegion(d, g) })
 	c := conf * rconf
-	return Result{Region: region, Confidence: c, Gap: &g}, nil
+	return Result{Region: region, Confidence: c}, nil
 }
 
 // bootstrapRegion applies the paper's region heuristic for inside gaps:

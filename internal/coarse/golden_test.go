@@ -118,19 +118,19 @@ func describeClassifier(clf *ml.Classifier, maj *ml.MajorityClassifier) string {
 
 // goldenArm names the classifyGap arm that answers (d, tq).
 func goldenArm(t testing.TB, l *Localizer, d event.DeviceID, tq time.Time) string {
-	v, g, err := l.store.At(d, tq)
+	_, g, w, err := l.store.At(d, tq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != nil {
+	switch w {
+	case event.InValidity:
 		return "validity"
-	}
-	if g == nil {
+	case event.Unknown:
 		og, ok := l.openGap(d, tq)
 		if !ok {
 			return "offline"
 		}
-		g = &og
+		g = og
 	}
 	th := l.opts.Thresholds
 	switch {

@@ -7,8 +7,11 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"locater/internal/space"
@@ -40,18 +43,26 @@ func (e Event) String() string {
 
 // Before reports whether e is ordered before f by (Time, ID, Device).
 func (e Event) Before(f Event) bool {
-	if !e.Time.Equal(f.Time) {
-		return e.Time.Before(f.Time)
-	}
-	if e.ID != f.ID {
-		return e.ID < f.ID
-	}
-	return e.Device < f.Device
+	return e.Compare(f) < 0
 }
 
-// SortEvents orders events by (Time, ID, Device) in place.
+// Compare orders e and f by (Time, ID, Device): negative when e comes
+// first, positive when f does, zero when all three agree.
+func (e Event) Compare(f Event) int {
+	if c := e.Time.Compare(f.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(e.ID, f.ID); c != 0 {
+		return c
+	}
+	return strings.Compare(string(e.Device), string(f.Device))
+}
+
+// SortEvents orders events by (Time, ID, Device) in place. slices.SortFunc
+// runs the same pattern-defeating quicksort as sort.Slice, so the order is
+// the same, without sort.Slice's reflect swapper: it allocates nothing.
 func SortEvents(events []Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].Before(events[j]) })
+	slices.SortFunc(events, Event.Compare)
 }
 
 // Validity is the validity interval of a single event: the period during
@@ -179,36 +190,47 @@ func (tl *Timeline) Gaps() []Gap {
 	return out
 }
 
-// At classifies the query time t against the timeline. Exactly one of the
-// returned pointers is non-nil when the timeline has events around t:
+// Where says where a query time falls on a timeline (see Timeline.At).
+type Where uint8
+
+const (
+	// Unknown: the timeline is empty, or t precedes the first event's
+	// validity or follows the last event's.
+	Unknown Where = iota
+	// InValidity: t lies inside an event's validity interval.
+	InValidity
+	// InGap: t lies inside a gap.
+	InGap
+)
+
+// At classifies the query time t against the timeline, returning by value
+// (so a lookup allocates nothing) the validity interval or the gap that
+// holds t, and which of the two it is:
 //
-//   - a *Validity when t lies inside some event's validity interval (the
+//   - InValidity when t lies inside some event's validity interval (the
 //     device's coarse location is then the region of that event's AP);
-//   - a *Gap when t falls inside a gap (missing value to repair).
+//   - InGap when t falls inside a gap (missing value to repair);
+//   - Unknown when t precedes the first event's validity or follows the
+//     last event's validity — the log carries no information there, and the
+//     caller decides how to treat the device (LOCATER treats it as outside).
 //
-// Both are nil when t precedes the first event's validity or follows the
-// last event's validity — the log carries no information there, and the
-// caller decides how to treat the device (LOCATER treats it as outside).
-func (tl *Timeline) At(t time.Time) (*Validity, *Gap) {
+// The result that does not hold is the zero value.
+func (tl *Timeline) At(t time.Time) (Validity, Gap, Where) {
 	n := len(tl.Events)
 	if n == 0 {
-		return nil, nil
+		return Validity{}, Gap{}, Unknown
 	}
-	// Find the first event with Time > t.
+	// Find the first event with Time > t. The validity of either that event
+	// or the last one at or before t may contain t.
 	idx := sort.Search(n, func(i int) bool { return tl.Events[i].Time.After(t) })
-	// Candidate events: idx-1 (last event at or before t) and idx (first
-	// event after t). The validity of either may contain t.
-	vals := []int{}
 	if idx > 0 {
-		vals = append(vals, idx-1)
+		if v := tl.validityAt(idx - 1); v.Contains(t) {
+			return v, Gap{}, InValidity
+		}
 	}
 	if idx < n {
-		vals = append(vals, idx)
-	}
-	for _, i := range vals {
-		v := tl.validityAt(i)
-		if v.Contains(t) {
-			return &v, nil
+		if v := tl.validityAt(idx); v.Contains(t) {
+			return v, Gap{}, InValidity
 		}
 	}
 	// Not inside any validity: check the enclosing gap if one exists.
@@ -219,17 +241,17 @@ func (tl *Timeline) At(t time.Time) (*Validity, *Gap) {
 		if start.Before(end) {
 			g := Gap{Device: tl.Device, Start: start, End: end, PrevEvent: e0, NextEvent: e1}
 			if g.Contains(t) || t.Equal(g.Start) || t.Equal(g.End) {
-				return nil, &g
+				return Validity{}, g, InGap
 			}
 		}
 	}
-	return nil, nil
+	return Validity{}, Gap{}, Unknown
 }
 
 // APAt returns the AP of the event whose validity interval contains t, if
-// any. It answers the same question as At(t) restricted to the validity case
-// but allocates nothing — this is the per-neighbor "online" test the fine
-// stage issues for every candidate device of every query.
+// any: At(t) restricted to the validity case. It is the per-neighbor
+// "online" test the fine stage issues for every candidate device of every
+// query.
 func (tl *Timeline) APAt(t time.Time) (space.APID, bool) {
 	n := len(tl.Events)
 	if n == 0 {

@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,6 +25,32 @@ func TestSortEvents(t *testing.T) {
 	SortEvents(evs)
 	if evs[0].ID != 1 || evs[1].ID != 3 || evs[2].ID != 2 {
 		t.Errorf("sort order wrong: %v", evs)
+	}
+}
+
+// TestSortEventsMatchesSortSlice: SortEvents leaves events in exactly the
+// order sort.Slice with Before gives, ties included (events that agree on
+// (Time, ID, Device) but not on AP).
+func TestSortEventsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		evs := make([]Event, 1+rng.Intn(200))
+		for i := range evs {
+			evs[i] = Event{
+				ID:     int64(rng.Intn(4)),
+				Device: DeviceID(string(rune('a' + rng.Intn(2)))),
+				Time:   t0.Add(time.Duration(rng.Intn(8)) * time.Minute),
+				AP:     space.APID(string(rune('p' + rng.Intn(8)))),
+			}
+		}
+		want := append([]Event(nil), evs...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Before(want[j]) })
+		SortEvents(evs)
+		for i := range evs {
+			if evs[i] != want[i] {
+				t.Fatalf("trial %d: position %d is %v, sort.Slice gives %v", trial, i, evs[i], want[i])
+			}
+		}
 	}
 }
 
@@ -115,35 +142,33 @@ func TestAtClassification(t *testing.T) {
 	}
 
 	// Inside e0's validity.
-	v, g := tl.At(t0.Add(5 * time.Minute))
-	if v == nil || g != nil {
-		t.Fatalf("t=5m: want validity, got v=%v g=%v", v, g)
+	v, g, w := tl.At(t0.Add(5 * time.Minute))
+	if w != InValidity {
+		t.Fatalf("t=5m: want validity, got %d: v=%v g=%v", w, v, g)
 	}
 	if v.Event.AP != "a" {
 		t.Errorf("t=5m AP = %s", v.Event.AP)
 	}
 	// Left edge of e0's validity (closed interval).
-	if v, _ := tl.At(t0.Add(-10 * time.Minute)); v == nil {
+	if _, _, w := tl.At(t0.Add(-10 * time.Minute)); w != InValidity {
 		t.Error("t=-10m should be inside validity (closed)")
 	}
 	// Inside the gap.
-	v, g = tl.At(t0.Add(50 * time.Minute))
-	if g == nil || v != nil {
-		t.Fatalf("t=50m: want gap, got v=%v g=%v", v, g)
+	v, g, w = tl.At(t0.Add(50 * time.Minute))
+	if w != InGap || g.PrevEvent.AP != "a" || g.NextEvent.AP != "b" {
+		t.Fatalf("t=50m: want the a→b gap, got %d: v=%v g=%v", w, v, g)
 	}
 	// Inside e1's validity.
-	v, _ = tl.At(t0.Add(95 * time.Minute))
-	if v == nil || v.Event.AP != "b" {
-		t.Fatalf("t=95m: want validity of b, got %v", v)
+	v, _, w = tl.At(t0.Add(95 * time.Minute))
+	if w != InValidity || v.Event.AP != "b" {
+		t.Fatalf("t=95m: want validity of b, got %d: %v", w, v)
 	}
 	// Before all data.
-	v, g = tl.At(t0.Add(-time.Hour))
-	if v != nil || g != nil {
+	if _, _, w := tl.At(t0.Add(-time.Hour)); w != Unknown {
 		t.Error("t=-1h should be unknown")
 	}
 	// After all data.
-	v, g = tl.At(t0.Add(5 * time.Hour))
-	if v != nil || g != nil {
+	if _, _, w := tl.At(t0.Add(5 * time.Hour)); w != Unknown {
 		t.Error("t=+5h should be unknown")
 	}
 }
@@ -153,7 +178,7 @@ func TestAtEmptyTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, g := tl.At(t0); v != nil || g != nil {
+	if _, _, w := tl.At(t0); w != Unknown {
 		t.Error("empty timeline should classify nothing")
 	}
 }
@@ -269,7 +294,7 @@ func TestAtAgreesWithScanProperty(t *testing.T) {
 		span := tl.Events[len(tl.Events)-1].Time.Sub(tl.Events[0].Time) + 2*tl.Delta
 		for trial := 0; trial < 50; trial++ {
 			tq := tl.Events[0].Time.Add(-tl.Delta + time.Duration(rng.Int63n(int64(span)+1)))
-			v, g := tl.At(tq)
+			_, _, w := tl.At(tq)
 			inVal := false
 			for _, val := range vals {
 				if val.Contains(tq) {
@@ -284,17 +309,14 @@ func TestAtAgreesWithScanProperty(t *testing.T) {
 					break
 				}
 			}
-			if inVal && v == nil {
-				return false
-			}
-			if !inVal && v != nil {
+			if inVal != (w == InValidity) {
 				return false
 			}
 			// Gaps only reported when not inside a validity.
-			if v == nil && inGap && g == nil {
+			if !inVal && inGap && w != InGap {
 				return false
 			}
-			if g != nil && !inGap {
+			if w == InGap && !inGap {
 				return false
 			}
 		}
@@ -349,12 +371,12 @@ func TestAPAtMatchesAt(t *testing.T) {
 	}
 	for m := -30; m <= 200; m++ {
 		probe := base.Add(time.Duration(m) * time.Minute)
-		v, _ := tl.At(probe)
+		v, _, w := tl.At(probe)
 		ap, ok := tl.APAt(probe)
-		if (v != nil) != ok {
-			t.Fatalf("t=%v: At validity=%v, APAt ok=%v", probe, v != nil, ok)
+		if (w == InValidity) != ok {
+			t.Fatalf("t=%v: At validity=%v, APAt ok=%v", probe, w == InValidity, ok)
 		}
-		if v != nil && v.Event.AP != ap {
+		if ok && v.Event.AP != ap {
 			t.Errorf("t=%v: AP %s vs %s", probe, v.Event.AP, ap)
 		}
 	}

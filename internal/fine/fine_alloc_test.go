@@ -1,0 +1,78 @@
+//go:build !race
+
+package fine
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"locater/internal/event"
+	"locater/internal/space"
+	"locater/internal/store"
+)
+
+// The allocation gates run without -race, which instruments allocations.
+
+// maxLocateAllocs bounds one warm Locate on TestLocateAllocs' scene: the
+// queried device's room-affinity prior, the answer's posterior map and local
+// graph, and neighbor discovery's result. Resolving the candidates, online
+// or in a gap, allocates nothing.
+const maxLocateAllocs = 14
+
+// TestLocateAllocs pins the allocations of a warm fine-stage query over a
+// segmented store: twelve neighbors with sealed history, half online at t_q
+// (from the head, after a sealed segment) and half in a gap handed to the
+// coarse resolver.
+func TestLocateAllocs(t *testing.T) {
+	b := paperBuilding(t)
+	st := store.New(0)
+	if err := st.ConfigureSegments(store.SegmentConfig{MaxEvents: 4, BlockEvents: 2}); err != nil {
+		t.Fatal(err)
+	}
+	aff := fixedAffinity{}
+	var evs []event.Event
+	for k := 8; k >= 0; k-- {
+		evs = append(evs, event.Event{Device: "d1", Time: t0.Add(-time.Duration(k) * time.Hour), AP: "wap3"})
+	}
+	for i := 0; i < 12; i++ {
+		d := event.DeviceID(fmt.Sprintf("n%02d", i))
+		aff[pair("d1", d)] = 0.1 + 0.8*float64(i%7)/7
+		for k := 8; k >= 1; k-- {
+			evs = append(evs, event.Event{Device: d, Time: t0.Add(-time.Duration(k)*time.Hour + time.Duration(i)*time.Minute), AP: "wap3"})
+		}
+		if i%2 == 0 {
+			evs = append(evs, event.Event{Device: d, Time: t0, AP: "wap3"})
+		} else {
+			// A gap around t0 (δ is 10 minutes).
+			evs = append(evs,
+				event.Event{Device: d, Time: t0.Add(-30 * time.Minute), AP: "wap3"},
+				event.Event{Device: d, Time: t0.Add(30 * time.Minute), AP: "wap3"})
+		}
+	}
+	if _, err := st.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	l := New(b, st, aff, nil, Options{UseStopConditions: true})
+	g3, _ := b.RegionOf("wap3")
+	resolved := 0
+	l.SetCoarseResolver(func(event.DeviceID, time.Time) (space.RegionID, bool) {
+		resolved++
+		return g3, true
+	})
+	res, err := l.Locate("d1", g3, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalNeighbors != 12 || resolved != 6 {
+		t.Fatalf("scene has %d neighbors, %d resolved by the coarse stage; want 12 and 6", res.TotalNeighbors, resolved)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := l.Locate("d1", g3, t0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > maxLocateAllocs {
+		t.Errorf("Locate allocates %v times per call, want at most %d", n, maxLocateAllocs)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"time"
@@ -192,19 +193,20 @@ type StatsResponse struct {
 	Building     string             `json:"building"`
 }
 
-// clientDeadline reads the request's deadline_ms: the query parameter when
-// present, else bodyMillis (the batch body's field; 0 on other endpoints).
+// clientDeadline reads the request's deadline_ms: the parameter in query
+// (the request's parsed query string) when present, else bodyMillis (the
+// batch body's field; 0 on other endpoints).
 // Zero means "no client deadline" (the admission default applies). A
 // negative value from either source, or a query parameter that is not a
 // positive integer, is the client's error. Values past MaxDeadline clamp to
 // it before conversion, so a huge deadline_ms cannot overflow to a negative
 // duration.
-func (s *Server) clientDeadline(r *http.Request, bodyMillis int64) (time.Duration, error) {
+func (s *Server) clientDeadline(query url.Values, bodyMillis int64) (time.Duration, error) {
 	if bodyMillis < 0 {
 		return 0, fmt.Errorf("bad deadline_ms %d (want a positive integer)", bodyMillis)
 	}
 	ms := bodyMillis
-	if v := r.URL.Query().Get("deadline_ms"); v != "" {
+	if v := query.Get("deadline_ms"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n <= 0 {
 			return 0, fmt.Errorf("bad deadline_ms %q (want a positive integer)", v)
@@ -262,17 +264,19 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	device := r.URL.Query().Get("device")
+	// r.URL.Query parses the whole query string on every call: parse once.
+	query := r.URL.Query()
+	device := query.Get("device")
 	if device == "" {
 		httpError(w, http.StatusBadRequest, "missing device parameter")
 		return
 	}
-	tq, err := parseTimeOrNow(r.URL.Query().Get("time"))
+	tq, err := parseTimeOrNow(query.Get("time"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	deadline, err := s.clientDeadline(r, 0)
+	deadline, err := s.clientDeadline(query, 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -346,7 +350,7 @@ func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries[i] = locater.Query{Device: locater.DeviceID(q.Device), Time: tq}
 	}
-	deadline, err := s.clientDeadline(r, int64(in.DeadlineMillis))
+	deadline, err := s.clientDeadline(r.URL.Query(), int64(in.DeadlineMillis))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -411,7 +415,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			AP:     locater.APID(e.AP),
 		})
 	}
-	deadline, err := s.clientDeadline(r, 0)
+	deadline, err := s.clientDeadline(r.URL.Query(), 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -85,12 +85,12 @@ func TestBlockScanMatchesSliceOracle(t *testing.T) {
 			if bok != ook || (bok && be.ID != oe.ID) {
 				t.Fatalf("seed %d: FirstEventAfter(%s, %v) = %v/%v, oracle %v/%v", seed, d, tq, be, bok, oe, ook)
 			}
-			bv, bg, berr := block.At(d, tq)
-			ov, og, oerr := ora.At(d, tq)
-			if (berr == nil) != (oerr == nil) || (bv == nil) != (ov == nil) || (bg == nil) != (og == nil) {
+			bv, _, bw, berr := block.At(d, tq)
+			ov, _, ow, oerr := ora.At(d, tq)
+			if (berr == nil) != (oerr == nil) || bw != ow {
 				t.Fatalf("seed %d: At(%s, %v) shape diverges from oracle", seed, d, tq)
 			}
-			if bv != nil && (bv.Event.ID != ov.Event.ID || !bv.Start.Equal(ov.Start) || !bv.End.Equal(ov.End)) {
+			if bw == event.InValidity && (bv.Event.ID != ov.Event.ID || !bv.Start.Equal(ov.Start) || !bv.End.Equal(ov.End)) {
 				t.Fatalf("seed %d: At(%s, %v) validity diverges", seed, d, tq)
 			}
 		}

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"locater/internal/event"
@@ -14,10 +17,15 @@ import (
 const occupancyBucket = 10 * time.Minute
 
 // occupancyIndex is a time-bucketed inverted index over the event logs:
-// bucket → AP → set of devices with at least one event at that AP inside
-// the bucket. It serves ActiveDevices / ActiveDevicesAt in time proportional
-// to the devices actually active in the window instead of a scan over every
-// device log in the store.
+// bucket → AP → the devices with at least one event at that AP inside the
+// bucket. It serves ActiveDevicesAt in time proportional to the devices
+// actually active in the window instead of a scan over every device log in
+// the store.
+//
+// Devices appear by ordinal (deviceLog.ord, dense per store): each
+// (bucket, AP) cell is a sorted slice of ordinals, a few bytes per entry, and
+// a lookup unions the cells it touches through a mark array indexed by
+// ordinal (occScratch) instead of building sets.
 //
 // The index is derived state: it is maintained incrementally on the ingest
 // path (under the store's exclusive lock), rebuilt from the logs when
@@ -29,7 +37,7 @@ const occupancyBucket = 10 * time.Minute
 // no special handling here; only the per-device verification of boundary
 // buckets (see activeDevicesLocked) needs sorted logs.
 type occupancyIndex struct {
-	buckets map[int64]map[space.APID]map[event.DeviceID]struct{}
+	buckets map[int64]map[space.APID][]int32
 	// entries counts distinct (bucket, AP, device) triples — the index's
 	// resident size.
 	entries int
@@ -37,7 +45,7 @@ type occupancyIndex struct {
 
 func newOccupancyIndex() *occupancyIndex {
 	return &occupancyIndex{
-		buckets: make(map[int64]map[space.APID]map[event.DeviceID]struct{}),
+		buckets: make(map[int64]map[space.APID][]int32),
 	}
 }
 
@@ -53,21 +61,19 @@ func bucketOf(t time.Time) int64 {
 	return b
 }
 
-// add records one event. Called with the store's exclusive lock held.
-func (ix *occupancyIndex) add(e event.Event) {
+// add records event e of the device with ordinal ord. Called with the
+// store's exclusive lock held.
+func (ix *occupancyIndex) add(e event.Event, ord int32) {
 	b := bucketOf(e.Time)
 	apm, ok := ix.buckets[b]
 	if !ok {
-		apm = make(map[space.APID]map[event.DeviceID]struct{})
+		apm = make(map[space.APID][]int32)
 		ix.buckets[b] = apm
 	}
-	devs, ok := apm[e.AP]
-	if !ok {
-		devs = make(map[event.DeviceID]struct{})
-		apm[e.AP] = devs
-	}
-	if _, ok := devs[e.Device]; !ok {
-		devs[e.Device] = struct{}{}
+	// Ordinals follow first ingest, so a new member usually goes last.
+	devs := apm[e.AP]
+	if i, found := slices.BinarySearch(devs, ord); !found {
+		apm[e.AP] = slices.Insert(devs, i, ord)
 		ix.entries++
 	}
 }
@@ -122,6 +128,46 @@ func (s *Store) ActiveDevicesAt(aps []space.APID, start, end time.Time) []event.
 	return s.activeDevicesLocked(aps, start, end)
 }
 
+// occScratch is one lookup's working state, pooled so that a lookup
+// allocates only its result: a mark per device ordinal and the ordinals the
+// lookup touched. Marks are stamped relative to the lookup's generation gen —
+// below gen untouched, gen seen only in a boundary bucket, gen+1 confirmed —
+// so the array is never cleared between lookups.
+type occScratch struct {
+	mark    []uint32
+	gen     uint32
+	touched []int32
+}
+
+var occScratchPool = sync.Pool{New: func() any { return new(occScratch) }}
+
+// begin starts a lookup over n device ordinals.
+func (sc *occScratch) begin(n int) {
+	if sc.gen >= math.MaxUint32-2 {
+		clear(sc.mark)
+		sc.gen = 0
+	}
+	sc.gen += 2
+	if len(sc.mark) < n {
+		sc.mark = append(sc.mark, make([]uint32, n-len(sc.mark))...)
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// markAll raises each ordinal in devs to stamp st (sc.gen or sc.gen+1),
+// recording the ordinals touched for the first time.
+func (sc *occScratch) markAll(devs []int32, st uint32) {
+	for _, o := range devs {
+		switch m := sc.mark[o]; {
+		case m < sc.gen:
+			sc.mark[o] = st
+			sc.touched = append(sc.touched, o)
+		case m < st:
+			sc.mark[o] = st
+		}
+	}
+}
+
 // activeDevicesLocked answers an active-devices lookup from the occupancy
 // index, with a store lock held and all logs sorted. Devices found in an
 // interior bucket (fully inside [start, end]) are confirmed outright;
@@ -136,33 +182,26 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 	ix := s.occ
 	bs, be := bucketOf(start), bucketOf(end)
 
-	confirmed := make(map[event.DeviceID]struct{})
-	candidates := make(map[event.DeviceID]struct{})
+	sc := occScratchPool.Get().(*occScratch)
+	defer occScratchPool.Put(sc)
+	sc.begin(len(s.byOrd))
 	collect := func(b int64) {
 		apm, ok := ix.buckets[b]
 		if !ok {
 			return
 		}
-		boundary := b == bs || b == be
-		addAll := func(devs map[event.DeviceID]struct{}) {
-			for d := range devs {
-				if boundary {
-					candidates[d] = struct{}{}
-				} else {
-					confirmed[d] = struct{}{}
-				}
-			}
+		st := sc.gen + 1
+		if b == bs || b == be {
+			st = sc.gen
 		}
 		if aps == nil {
 			for _, devs := range apm {
-				addAll(devs)
+				sc.markAll(devs, st)
 			}
 			return
 		}
 		for _, ap := range aps {
-			if devs, ok := apm[ap]; ok {
-				addAll(devs)
-			}
+			sc.markAll(apm[ap], st)
 		}
 	}
 	// A window much wider than the ingested history would walk mostly-empty
@@ -179,26 +218,23 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 		}
 	}
 
-	for d := range candidates {
-		if _, ok := confirmed[d]; ok {
+	// Keep the confirmed ordinals, verifying the boundary-only ones.
+	n := 0
+	for _, o := range sc.touched {
+		if sc.mark[o] == sc.gen && !s.deviceActiveInWindowLocked(s.byOrd[o], aps, start, end) {
 			continue
 		}
-		lg, ok := s.logs[d]
-		if !ok {
-			continue
-		}
-		if s.deviceActiveInWindowLocked(d, lg, aps, start, end) {
-			confirmed[d] = struct{}{}
-		}
+		sc.touched[n] = o
+		n++
 	}
-	if len(confirmed) == 0 {
+	if n == 0 {
 		return nil
 	}
-	out := make([]event.DeviceID, 0, len(confirmed))
-	for d := range confirmed {
-		out = append(out, d)
+	out := make([]event.DeviceID, n)
+	for i, o := range sc.touched[:n] {
+		out[i] = s.byOrd[o].dev
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -208,9 +244,11 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 // disjoint from the window are skipped outright, and with no AP filter a
 // segment endpoint inside the window confirms activity without decoding.
 // Only boundary-straddling segments (or any overlap under an AP filter) are
-// paged in, through the bounded cache. Caller holds a store lock; the head
-// is sorted.
-func (s *Store) deviceActiveInWindowLocked(d event.DeviceID, lg *deviceLog, aps []space.APID, start, end time.Time) bool {
+// paged in, through the bounded cache. An unreadable segment or block reads
+// as holding no event, counted in SegmentStats.LookupErrors. Caller holds a
+// store lock; the head is sorted.
+func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, aps []space.APID, start, end time.Time) bool {
+	d := lg.dev
 	if windowHasAP(lg.head, aps, start, end) {
 		return true
 	}
@@ -230,6 +268,7 @@ func (s *Store) deviceActiveInWindowLocked(d event.DeviceID, lg *deviceLog, aps 
 		}
 		idx, err := s.blocksFor(d, ref)
 		if err != nil {
+			s.lookupErrors.Add(1)
 			continue
 		}
 		blocks := idx.metas
@@ -247,6 +286,7 @@ func (s *Store) deviceActiveInWindowLocked(d event.DeviceID, lg *deviceLog, aps 
 			}
 			evs, err := s.blockEventsCached(d, ref, idx, bi, nil)
 			if err != nil {
+				s.lookupErrors.Add(1)
 				continue
 			}
 			if windowHasAP(evs, aps, start, end) {

@@ -60,28 +60,55 @@ func randomWorkload(rng *rand.Rand, devices, aps, n int) []event.Event {
 // TestActiveDevicesIndexScanEquivalenceProperty is the occupancy index's
 // correctness contract: across random workloads (with out-of-order
 // ingestion), random windows, and random AP scopes, the index-served result
-// is byte-identical to the brute-force oracle — including after Clone.
+// is byte-identical to the brute-force oracle — on a store whose logs stay in
+// their heads, on its Clone, on a store sealing four-event segments (so
+// boundary devices are confirmed from sealed blocks), and on that store
+// rebuilt through CheckpointState and RestoreSegments. The oracle reads the
+// raw events, so a device-numbering bug every store shared would still fail.
 func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
+	blocksRead := false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		evs := randomWorkload(rng, 40, 6, 600)
 
-		indexed := New(0)
+		sealedCfg := SegmentConfig{MaxEvents: 4, BlockEvents: 2, Backend: NewMemorySegmentBackend()}
+		indexed, sealed := New(0), New(0)
+		if err := sealed.ConfigureSegments(sealedCfg); err != nil {
+			t.Fatal(err)
+		}
 		// Ingest in small batches so sortedness flips repeatedly.
 		for i := 0; i < len(evs); i += 37 {
-			end := i + 37
-			if end > len(evs) {
-				end = len(evs)
-			}
-			if _, err := indexed.Ingest(evs[i:end]); err != nil {
-				t.Fatal(err)
+			end := min(i+37, len(evs))
+			for _, s := range []*Store{indexed, sealed} {
+				if _, err := s.Ingest(evs[i:end]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if st := indexed.OccupancyStats(); st.Entries == 0 {
 			t.Fatalf("seed %d: index not populated: %+v", seed, st)
 		}
+		if st := sealed.SegmentStats(); st.Segments == 0 {
+			t.Fatalf("seed %d: nothing sealed", seed)
+		}
 
-		clone := indexed.Clone()
+		cp := sealed.CheckpointState()
+		restored := New(0)
+		if err := restored.ConfigureSegments(sealedCfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.RestoreSegments(cp.Segments); err != nil {
+			t.Fatal(err)
+		}
+		for _, head := range cp.Heads {
+			if _, err := restored.Ingest(head); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stores := []struct {
+			name string
+			s    *Store
+		}{{"indexed", indexed}, {"clone", indexed.Clone()}, {"sealed", sealed}, {"restored", restored}}
 
 		apSets := [][]space.APID{
 			nil,
@@ -95,14 +122,18 @@ func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 			end := start.Add(time.Duration(rng.Intn(4*3600)-60) * time.Second)
 			aps := apSets[rng.Intn(len(apSets))]
 			want := refActive(evs, aps, start, end)
-			for name, s := range map[string]*Store{"indexed": indexed, "clone": clone} {
-				got := s.ActiveDevicesAt(aps, start, end)
+			for _, st := range stores {
+				got := st.s.ActiveDevicesAt(aps, start, end)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d query %d (%s, aps=%v, [%v,%v]): got %v, want %v",
-						seed, q, name, aps, start, end, got, want)
+						seed, q, st.name, aps, start, end, got, want)
 				}
 			}
 		}
+		blocksRead = blocksRead || (sealed.SegmentStats().PageIns > 0 && restored.SegmentStats().PageIns > 0)
+	}
+	if !blocksRead {
+		t.Fatal("no seed confirmed a device from a sealed block in both segmented stores")
 	}
 }
 

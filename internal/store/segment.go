@@ -523,10 +523,10 @@ func eventsSorted(evs []event.Event) bool {
 // results of an outer scan — each get their own buffer. decoded accrues the
 // encoded bytes a point lookup actually decoded (cache misses only).
 type scanBuf struct {
-	evs     []event.Event
-	idx     []int
-	runs    [][]event.Event
-	decoded int64
+	evs           []event.Event
+	before, after []int // neighborhoodLocked's segment visit orders
+	runs          [][]event.Event
+	decoded       int64
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -710,41 +710,45 @@ func appendNeighborhood(buf []event.Event, evs []event.Event, t time.Time) []eve
 	return append(buf, evs[lo:hi]...)
 }
 
-// leqStats returns how many events in buf have Time ≤ t (as nanos) and the
+// leqStats returns how many events in srcs have Time ≤ t (as nanos) and the
 // second-largest such time (math.MinInt64 when fewer than two).
-func leqStats(buf []event.Event, tN int64) (int, int64) {
+func leqStats(tN int64, srcs ...[]event.Event) (int, int64) {
 	n := 0
 	max1, max2 := int64(math.MinInt64), int64(math.MinInt64)
-	for i := range buf {
-		en := buf[i].Time.UnixNano()
-		if en > tN {
-			continue
-		}
-		n++
-		if en >= max1 {
-			max2, max1 = max1, en
-		} else if en > max2 {
-			max2 = en
+	for _, buf := range srcs {
+		for i := range buf {
+			en := buf[i].Time.UnixNano()
+			if en > tN {
+				continue
+			}
+			n++
+			if en >= max1 {
+				max2, max1 = max1, en
+			} else if en > max2 {
+				max2 = en
+			}
 		}
 	}
 	return n, max2
 }
 
-// gtStats returns how many events in buf have Time > t (as nanos) and the
+// gtStats returns how many events in srcs have Time > t (as nanos) and the
 // second-smallest such time (math.MaxInt64 when fewer than two).
-func gtStats(buf []event.Event, tN int64) (int, int64) {
+func gtStats(tN int64, srcs ...[]event.Event) (int, int64) {
 	n := 0
 	min1, min2 := int64(math.MaxInt64), int64(math.MaxInt64)
-	for i := range buf {
-		en := buf[i].Time.UnixNano()
-		if en <= tN {
-			continue
-		}
-		n++
-		if en <= min1 {
-			min2, min1 = min1, en
-		} else if en < min2 {
-			min2 = en
+	for _, buf := range srcs {
+		for i := range buf {
+			en := buf[i].Time.UnixNano()
+			if en <= tN {
+				continue
+			}
+			n++
+			if en <= min1 {
+				min2, min1 = min1, en
+			} else if en < min2 {
+				min2 = en
+			}
 		}
 	}
 	return n, min2
@@ -824,15 +828,19 @@ func (s *Store) appendSegNeighborhood(d event.DeviceID, ref *segmentRef, t time.
 // entirely before (after) t are visited in decreasing-max (increasing-min)
 // order and decoding stops as soon as the next segment provably cannot
 // displace the two best candidates already found (ties keep decoding, so
-// equal-time events still tie-break by ID). Caller holds a store lock and
-// has sorted the head.
+// equal-time events still tie-break by ID). The head's neighbors go in
+// last: when the head is newer than every segment, as in-order ingestion
+// leaves it, the neighborhood is then already in event order and is not
+// sorted again. Caller holds a store lock and has sorted the head.
 func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Event, error) {
 	s.pointLookups.Add(1)
 	bp.decoded = 0
 	defer func() { s.lookupDecodedBytes.Add(bp.decoded) }()
-	buf := appendNeighborhood(bp.evs[:0], lg.head, t)
+	var hb [4]event.Event // two events on each side of t at most
+	head := appendNeighborhood(hb[:0], lg.head, t)
+	buf := bp.evs[:0]
 	tN := clampedNanos(t)
-	before, after := bp.idx[:0], make([]int, 0)
+	before, after := bp.before[:0], bp.after[:0]
 	for i := range lg.segs {
 		m := &lg.segs[i].meta
 		switch {
@@ -856,39 +864,40 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			var err error
 			buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
 			if err != nil {
-				bp.evs, bp.idx = buf, before
+				bp.evs, bp.before, bp.after = buf, before, after
 				return nil, err
 			}
 		}
 	}
 	for _, i := range before {
-		n, second := leqStats(buf, tN)
+		n, second := leqStats(tN, buf, head)
 		if n >= 2 && lg.segs[i].meta.MaxNanos < second {
 			break
 		}
 		var err error
 		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
 		if err != nil {
-			bp.evs, bp.idx = buf, before
+			bp.evs, bp.before, bp.after = buf, before, after
 			return nil, err
 		}
 	}
 	for _, i := range after {
-		n, second := gtStats(buf, tN)
+		n, second := gtStats(tN, buf, head)
 		if n >= 2 && lg.segs[i].meta.MinNanos > second {
 			break
 		}
 		var err error
 		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
 		if err != nil {
-			bp.evs, bp.idx = buf, before
+			bp.evs, bp.before, bp.after = buf, before, after
 			return nil, err
 		}
 	}
+	buf = append(buf, head...)
 	if !eventsSorted(buf) {
 		event.SortEvents(buf)
 	}
-	bp.evs, bp.idx = buf, before
+	bp.evs, bp.before, bp.after = buf, before, after
 	return buf, nil
 }
 
@@ -911,7 +920,7 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 		sorted := make([]wal.SegmentMeta, len(metas))
 		copy(sorted, metas)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-		lg := &deviceLog{sorted: true, nextSeq: 1}
+		lg := s.newLogLocked(dev)
 		for _, m := range sorted {
 			lg.segs = append(lg.segs, &segmentRef{meta: m})
 			if m.Seq >= lg.nextSeq {
@@ -930,7 +939,6 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 			}
 			s.count += m.Count
 		}
-		s.logs[dev] = lg
 	}
 	s.segCache.Invalidate()
 	var scratch []event.Event
@@ -942,7 +950,7 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 				return fmt.Errorf("store: restoring segment %d for device %s: %w", ref.meta.Seq, dev, err)
 			}
 			for j := range scratch {
-				s.occ.add(scratch[j])
+				s.occ.add(scratch[j], lg.ord)
 			}
 		}
 	}
@@ -1161,6 +1169,11 @@ type SegmentStats struct {
 	CacheSize      int   `json:"cache_size"`
 	CacheCapacity  int   `json:"cache_capacity"`
 	DecodeFailures int64 `json:"decode_failures"`
+	// LookupErrors counts lookups that met an unreadable segment or block
+	// and answered as if it held no events: CurrentAP (offline),
+	// LastEventAtOrBefore and FirstEventAfter (none), and neighbor
+	// discovery's window check (inactive). At returns the error instead.
+	LookupErrors int64 `json:"lookup_errors"`
 	// CachedBytes approximates the heap bytes held by the decoded-block
 	// cache — the GC-visible decoded working set, as opposed to
 	// Backend.MappedBytes which the OS owns.
@@ -1207,6 +1220,7 @@ func (s *Store) SegmentStats() SegmentStats {
 		CacheCapacity:      cst.Capacity,
 		CachedBytes:        cst.Weight,
 		DecodeFailures:     s.decodeFails.Load(),
+		LookupErrors:       s.lookupErrors.Load(),
 		PointLookups:       s.pointLookups.Load(),
 		LookupDecodedBytes: s.lookupDecodedBytes.Load(),
 		BlockSkips:         s.blockSkips.Load(),

@@ -145,18 +145,18 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 			t.Fatalf("EventsBetween(%s, %v, %v) = %d events, oracle %d", d, a, b, len(got), len(want))
 		}
 		tq := randT()
-		sv, sg, serr := seg.At(d, tq)
-		ov, og, oerr := ora.At(d, tq)
+		sv, sg, sw, serr := seg.At(d, tq)
+		ov, og, ow, oerr := ora.At(d, tq)
 		if (serr == nil) != (oerr == nil) {
 			t.Fatalf("At(%s, %v) err = %v, oracle %v", d, tq, serr, oerr)
 		}
-		if (sv == nil) != (ov == nil) || (sg == nil) != (og == nil) {
-			t.Fatalf("At(%s, %v) = (%v, %v), oracle (%v, %v)", d, tq, sv, sg, ov, og)
+		if sw != ow {
+			t.Fatalf("At(%s, %v) = (%v, %v, %d), oracle (%v, %v, %d)", d, tq, sv, sg, sw, ov, og, ow)
 		}
-		if sv != nil && (sv.Event.ID != ov.Event.ID || !sv.Start.Equal(ov.Start) || !sv.End.Equal(ov.End)) {
+		if sw == event.InValidity && (sv.Event.ID != ov.Event.ID || !sv.Start.Equal(ov.Start) || !sv.End.Equal(ov.End)) {
 			t.Fatalf("At(%s, %v) validity = %+v, oracle %+v", d, tq, sv, ov)
 		}
-		if sg != nil && (sg.PrevEvent.ID != og.PrevEvent.ID || sg.NextEvent.ID != og.NextEvent.ID ||
+		if sw == event.InGap && (sg.PrevEvent.ID != og.PrevEvent.ID || sg.NextEvent.ID != og.NextEvent.ID ||
 			!sg.Start.Equal(og.Start) || !sg.End.Equal(og.End)) {
 			t.Fatalf("At(%s, %v) gap = %+v, oracle %+v", d, tq, sg, og)
 		}
@@ -460,10 +460,12 @@ func TestDiskBackendTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCorruptSegmentRefused flips one byte of a cold-tier payload and checks
-// every read path refuses the segment — errors or empty results plus a
-// DecodeFailures bump — rather than serving corrupt events.
-func TestCorruptSegmentRefused(t *testing.T) {
+// corruptSecondSegment returns a store whose device d has eight events a
+// minute apart sealed as two four-event segments in a disk cold tier, with
+// one byte of the second segment's payload flipped — inside its block's
+// CRC-covered data — and no decoded block cached.
+func corruptSecondSegment(t *testing.T) *Store {
+	t.Helper()
 	dir := t.TempDir()
 	b, err := NewDiskSegmentBackend(dir)
 	if err != nil {
@@ -486,8 +488,6 @@ func TestCorruptSegmentRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the first byte of the last record's payload — inside the block's
-	// CRC-covered data.
 	rec1 := len(segFileMagic)
 	n1 := int(binary.LittleEndian.Uint32(raw[rec1+8 : rec1+12]))
 	p2 := rec1 + segRecHdrLen + n1 + segRecHdrLen
@@ -496,14 +496,21 @@ func TestCorruptSegmentRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.InvalidateSegmentCache() // drop the pre-warmed decodes: force page-ins
+	return s
+}
 
+// TestCorruptSegmentRefused flips one byte of a cold-tier payload and checks
+// every read path refuses the segment — errors or empty results plus a
+// DecodeFailures bump — rather than serving corrupt events.
+func TestCorruptSegmentRefused(t *testing.T) {
+	s := corruptSecondSegment(t)
 	if evs := s.Events("d"); evs != nil {
 		t.Fatalf("Events served %d events from a corrupt log, want nil", len(evs))
 	}
 	if evs := s.EventsBetween("d", t0.Add(4*time.Minute), t0.Add(7*time.Minute)); len(evs) != 0 {
 		t.Fatalf("EventsBetween served %d events from a corrupt segment", len(evs))
 	}
-	if _, _, err := s.At("d", t0.Add(5*time.Minute)); err == nil {
+	if _, _, _, err := s.At("d", t0.Add(5*time.Minute)); err == nil {
 		t.Fatal("At over a corrupt segment should error")
 	}
 	if st := s.SegmentStats(); st.DecodeFailures == 0 {
@@ -512,6 +519,31 @@ func TestCorruptSegmentRefused(t *testing.T) {
 	// The intact first segment still serves.
 	if evs := s.EventsBetween("d", t0, t0.Add(2*time.Minute)); len(evs) != 3 {
 		t.Fatalf("intact segment window = %d events, want 3", len(evs))
+	}
+}
+
+// TestSwallowedLookupErrorsCounted: the lookups that answer around an
+// unreadable block instead of failing keep their answer — neighbor
+// discovery reads the device as inactive, CurrentAP as offline — and count
+// each refusal in SegmentStats.LookupErrors.
+func TestSwallowedLookupErrorsCounted(t *testing.T) {
+	s := corruptSecondSegment(t)
+	if n := s.SegmentStats().LookupErrors; n != 0 {
+		t.Fatalf("lookup errors = %d before any lookup", n)
+	}
+	// [4m30s, 6m] lies inside one boundary bucket, so the AP-scoped lookup
+	// must read the corrupt block to confirm d.
+	if got := s.ActiveDevicesAt([]space.APID{"x"}, t0.Add(4*time.Minute+30*time.Second), t0.Add(6*time.Minute)); got != nil {
+		t.Fatalf("ActiveDevicesAt over a corrupt block = %v, want none", got)
+	}
+	if n := s.SegmentStats().LookupErrors; n != 1 {
+		t.Fatalf("lookup errors = %d after the neighbor lookup, want 1", n)
+	}
+	if ap, ok := s.CurrentAP("d", t0.Add(5*time.Minute)); ok {
+		t.Fatalf("CurrentAP over a corrupt block = %s, want offline", ap)
+	}
+	if n := s.SegmentStats().LookupErrors; n != 2 {
+		t.Fatalf("lookup errors = %d after CurrentAP, want 2", n)
 	}
 }
 

@@ -69,6 +69,9 @@ type Store struct {
 	backend Backend
 
 	logs map[event.DeviceID]*deviceLog
+	// byOrd lists the logs by ordinal (deviceLog.ord): the occupancy index
+	// names devices by their position here.
+	byOrd []*deviceLog
 
 	// deltas holds per-device validity intervals; defaultDelta applies to
 	// devices not present.
@@ -113,6 +116,9 @@ type Store struct {
 	lookupDecodedBytes atomic.Int64
 	blockSkips         atomic.Int64
 	indexLoads         atomic.Int64
+	// lookupErrors counts lookups that answered around an unreadable
+	// segment or block (see SegmentStats.LookupErrors).
+	lookupErrors atomic.Int64
 
 	// occ is the temporal occupancy index serving ActiveDevicesAt.
 	occ *occupancyIndex
@@ -131,6 +137,11 @@ type Store struct {
 // out of order across a seal boundary; read paths merge-and-sort windows
 // that actually interleave.
 type deviceLog struct {
+	dev event.DeviceID
+	// ord is the log's dense per-store ordinal, its name in the occupancy
+	// index (see newLogLocked).
+	ord int32
+
 	head   []event.Event // mutable tail, sorted by (Time, ID) when sorted
 	sorted bool
 
@@ -159,6 +170,16 @@ func New(defaultDelta time.Duration) *Store {
 		segBackend:     NewMemorySegmentBackend(),
 		segCache:       newBlockCache(DefaultSegmentMaxEvents, DefaultSegmentBlockEvents),
 	}
+}
+
+// newLogLocked creates device d's empty log under the next ordinal. Every
+// log is created here: by Ingest, Clone and RestoreSegments. Caller holds the
+// exclusive lock.
+func (s *Store) newLogLocked(d event.DeviceID) *deviceLog {
+	lg := &deviceLog{dev: d, ord: int32(len(s.byOrd)), sorted: true, nextSeq: 1}
+	s.logs[d] = lg
+	s.byOrd = append(s.byOrd, lg)
+	return lg
 }
 
 // AttachBackend sets the durability backend; nil detaches. Attach during
@@ -343,8 +364,7 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 	for _, e := range batch {
 		lg, ok := s.logs[e.Device]
 		if !ok {
-			lg = &deviceLog{sorted: true, nextSeq: 1}
-			s.logs[e.Device] = lg
+			lg = s.newLogLocked(e.Device)
 		}
 		// Maintain sortedness cheaply: appending in time order is the
 		// common case for streaming ingestion.
@@ -353,7 +373,7 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 			s.dirty[lg] = struct{}{}
 		}
 		lg.head = append(lg.head, e)
-		s.occ.add(e)
+		s.occ.add(e, lg.ord)
 		if s.count == 0 || e.Time.Before(s.minTime) {
 			s.minTime = e.Time
 		}
@@ -518,16 +538,19 @@ func (s *Store) TimelineBetween(d event.DeviceID, start, end time.Time) (*event.
 	return tl, nil
 }
 
-// At classifies time t for device d: inside a validity interval, inside a
-// gap, or unknown (before first/after last event). It is the store-level
-// entry point the cleaning engine uses for every query. Timeline.At only
-// ever reads the two events on each side of t, so for a segmented log it
-// runs over the point-lookup neighborhood (see neighborhoodLocked) instead
-// of materializing the history — at most a couple of segment decodes, all
-// through the bounded cache.
-func (s *Store) At(d event.DeviceID, t time.Time) (*event.Validity, *event.Gap, error) {
-	var v *event.Validity
-	var g *event.Gap
+// At classifies time t for device d as event.Timeline.At does: inside a
+// validity interval, inside a gap, or unknown (before first/after last
+// event, or an unknown device), with the validity or gap returned by value.
+// It is the store-level entry point the cleaning engine uses for every
+// query. Timeline.At only ever reads the two events on each side of t, so
+// for a segmented log it runs over the point-lookup neighborhood (see
+// neighborhoodLocked) instead of materializing the history — at most a
+// couple of segment decodes, all through the bounded cache. A lookup that
+// hits no error allocates nothing.
+func (s *Store) At(d event.DeviceID, t time.Time) (event.Validity, event.Gap, event.Where, error) {
+	var v event.Validity
+	var g event.Gap
+	var w event.Where
 	var err error
 	s.withDevice(d, func(lg *deviceLog, delta time.Duration) {
 		if delta <= 0 {
@@ -545,15 +568,17 @@ func (s *Store) At(d event.DeviceID, t time.Time) (*event.Validity, *event.Gap, 
 				return
 			}
 		}
-		// Timeline.At only reads the slice and returns freshly-allocated
-		// values, so the view never escapes the lock.
+		// Timeline.At only reads the slice and returns copies, so the view
+		// never escapes the lock.
 		tl := event.Timeline{Device: d, Delta: delta, Events: evs}
-		v, g = tl.At(t)
+		v, g, w = tl.At(t)
 	})
-	return v, g, err
+	return v, g, w, err
 }
 
-// LastEventAtOrBefore returns the device's latest event with Time ≤ t.
+// LastEventAtOrBefore returns the device's latest event with Time ≤ t. An
+// unreadable segment near t answers "none", counted in
+// SegmentStats.LookupErrors.
 func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event, bool) {
 	var e event.Event
 	var found bool
@@ -565,6 +590,7 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 			var err error
 			evs, err = s.neighborhoodLocked(d, lg, t, bp)
 			if err != nil {
+				s.lookupErrors.Add(1)
 				return
 			}
 		}
@@ -577,7 +603,9 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 	return e, found
 }
 
-// FirstEventAfter returns the device's earliest event with Time > t.
+// FirstEventAfter returns the device's earliest event with Time > t. An
+// unreadable segment near t answers "none", counted in
+// SegmentStats.LookupErrors.
 func (s *Store) FirstEventAfter(d event.DeviceID, t time.Time) (event.Event, bool) {
 	var e event.Event
 	var found bool
@@ -589,6 +617,7 @@ func (s *Store) FirstEventAfter(d event.DeviceID, t time.Time) (event.Event, boo
 			var err error
 			evs, err = s.neighborhoodLocked(d, lg, t, bp)
 			if err != nil {
+				s.lookupErrors.Add(1)
 				return
 			}
 		}
@@ -605,7 +634,9 @@ func (s *Store) FirstEventAfter(d event.DeviceID, t time.Time) (event.Event, boo
 // inside a validity interval; ok is false otherwise. This is the "online"
 // test for neighbor devices at query time; it runs on the head (or the
 // point-lookup neighborhood for segmented logs) because the fine stage
-// issues it once per candidate neighbor of every query.
+// issues it once per candidate neighbor of every query, and allocates
+// nothing. An unreadable segment near t answers offline, counted in
+// SegmentStats.LookupErrors.
 func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 	var ap space.APID
 	var ok bool
@@ -620,6 +651,7 @@ func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 			var err error
 			evs, err = s.neighborhoodLocked(d, lg, t, bp)
 			if err != nil {
+				s.lookupErrors.Add(1)
 				return
 			}
 		}
@@ -711,11 +743,12 @@ func (s *Store) Clone() *Store {
 		if err != nil {
 			event.SortEvents(cp)
 		}
-		c.logs[dev] = &deviceLog{head: cp, sorted: true, nextSeq: 1}
+		clg := c.newLogLocked(dev)
+		clg.head = cp
 		for _, e := range cp {
 			// The occupancy index is derived state: the clone rebuilds its
 			// own while the logs are copied.
-			c.occ.add(e)
+			c.occ.add(e, clg.ord)
 			if c.count == 0 || e.Time.Before(c.minTime) {
 				c.minTime = e.Time
 			}

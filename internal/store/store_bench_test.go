@@ -61,7 +61,7 @@ func BenchmarkAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dev := event.DeviceID(fmt.Sprintf("d%03d", i%50))
-		if _, _, err := s.At(dev, t0.Add(time.Duration(i%50000)*time.Minute)); err != nil {
+		if _, _, _, err := s.At(dev, t0.Add(time.Duration(i%50000)*time.Minute)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,17 +142,17 @@ func TestAtAndCurrentAP(t *testing.T) {
 	s.SetDelta("d", 10*time.Minute)
 	s.Ingest([]event.Event{mk("d", 0, "apA"), mk("d", 2*time.Hour, "apB")})
 
-	v, g, err := s.At("d", t0.Add(5*time.Minute))
-	if err != nil || v == nil || g != nil {
-		t.Fatalf("At(5m) = %v %v %v", v, g, err)
+	v, g, w, err := s.At("d", t0.Add(5*time.Minute))
+	if err != nil || w != event.InValidity || v.Event.AP != "apA" {
+		t.Fatalf("At(5m) = %v %v %d %v", v, g, w, err)
 	}
 	ap, ok := s.CurrentAP("d", t0.Add(5*time.Minute))
 	if !ok || ap != "apA" {
 		t.Errorf("CurrentAP = %v %v", ap, ok)
 	}
-	_, g, err = s.At("d", t0.Add(time.Hour))
-	if err != nil || g == nil {
-		t.Fatalf("At(1h) should be a gap: %v %v", g, err)
+	_, g, w, err = s.At("d", t0.Add(time.Hour))
+	if err != nil || w != event.InGap || g.PrevEvent.AP != "apA" {
+		t.Fatalf("At(1h) should be a gap: %v %d %v", g, w, err)
 	}
 	if _, ok := s.CurrentAP("d", t0.Add(time.Hour)); ok {
 		t.Error("CurrentAP inside a gap should fail")
@@ -269,7 +269,7 @@ func TestConcurrentOutOfOrderReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				dev := event.DeviceID(fmt.Sprintf("d%d", (i+w)%devices))
 				tq := t0.Add(time.Duration(i%90) * time.Minute)
-				if _, _, err := s.At(dev, tq); err != nil {
+				if _, _, _, err := s.At(dev, tq); err != nil {
 					t.Errorf("At: %v", err)
 					return
 				}

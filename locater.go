@@ -337,13 +337,7 @@ func New(cfg Config) (*System, error) {
 	s.fine.SetLabelStore(s.labels)
 	// Fine localization resolves neighbor regions through the coarse
 	// stage when the neighbor is itself inside a gap.
-	s.fine.SetCoarseResolver(func(d event.DeviceID, tq time.Time) (space.RegionID, bool) {
-		res, err := s.coarse.Locate(d, tq)
-		if err != nil || res.Outside {
-			return "", false
-		}
-		return res.Region, true
-	})
+	s.fine.SetCoarseResolver(s.coarse.Region)
 	return s, nil
 }
 

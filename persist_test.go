@@ -146,11 +146,11 @@ func TestSnapshotPlusTailEquivalence(t *testing.T) {
 		// At agrees on validity/gap classification across the day.
 		for h := 0; h < 24; h += 3 {
 			tq := simStart.Add(time.Duration(24+h) * time.Hour)
-			lv, lg, _ := liveStore.At(d, tq)
-			rv, rg, _ := recStore.At(d, tq)
-			if (lv == nil) != (rv == nil) || (lg == nil) != (rg == nil) {
-				t.Errorf("device %s at %v: live (v=%v g=%v) vs recovered (v=%v g=%v)",
-					d, tq, lv != nil, lg != nil, rv != nil, rg != nil)
+			lv, lg, lw, _ := liveStore.At(d, tq)
+			rv, rg, rw, _ := recStore.At(d, tq)
+			if lw != rw || lv != rv || lg != rg {
+				t.Errorf("device %s at %v: live (%d, v=%v g=%v) vs recovered (%d, v=%v g=%v)",
+					d, tq, lw, lv, lg, rw, rv, rg)
 			}
 		}
 	}

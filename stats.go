@@ -262,6 +262,7 @@ func MergeCacheStats(parts ...CacheStats) CacheStats {
 		seg.CacheCapacity += p.Segments.CacheCapacity
 		seg.CachedBytes += p.Segments.CachedBytes
 		seg.DecodeFailures += p.Segments.DecodeFailures
+		seg.LookupErrors += p.Segments.LookupErrors
 		seg.PointLookups += p.Segments.PointLookups
 		seg.LookupDecodedBytes += p.Segments.LookupDecodedBytes
 		seg.BlockSkips += p.Segments.BlockSkips
