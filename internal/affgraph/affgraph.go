@@ -20,7 +20,7 @@ package affgraph
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,27 +29,26 @@ import (
 	"locater/internal/event"
 )
 
-// WeightedEdge is one timestamped observation of an edge weight, taken from
-// a local affinity graph.
-type WeightedEdge struct {
-	Weight float64
-	Time   time.Time
-}
-
-// observation is one WeightedEdge as the graph stores it: the instant as
-// Unix nanoseconds instead of a time.Time, so an edge vector is 16 bytes
-// per entry and holds no pointer for the GC to scan.
+// observation is one timestamped edge weight, taken from a local affinity
+// graph: the query instant as Unix nanoseconds, so an edge vector is 16
+// bytes per entry and holds no pointer for the GC to scan.
 type observation struct {
 	nanos  int64
 	weight float64
 }
 
 // Graph is the global affinity graph. It is safe for concurrent use.
+//
+// Lock order: mu, then at most one memo row's mutex. Readers try for a row
+// while holding mu shared and never wait for one; Merge takes mu alone.
 type Graph struct {
 	mu sync.RWMutex
 
-	// edges[a][b] = observations, stored symmetrically (a < b).
-	edges map[event.DeviceID]map[event.DeviceID][]observation
+	// ords interns each device seen by Merge as a dense ordinal, so an edge
+	// is one uint64 key and a lookup hashes each device once.
+	ords map[event.DeviceID]uint32
+	// edges[edgeKey(a, b)] is the undirected edge {a, b}.
+	edges map[uint64]edge
 
 	// sigma of the Gaussian kernel used to collapse edge vectors.
 	sigma time.Duration
@@ -60,13 +59,64 @@ type Graph struct {
 	// dropped first. Negative = unbounded (New turns 0 into 64).
 	maxObservations int
 
-	numEdges   int
-	numUpdates int
+	memo [memoRows]memoRow
 }
 
 type pairKey struct {
 	a, b   event.DeviceID
 	bucket int64
+}
+
+// edge is one edge's observation vector and its merge version: the number
+// of observations Merge ever appended to it. The version names the vector's
+// contents (trimming drops the oldest as a function of it), so a collapse
+// stamped with it is exact for as long as the version is current.
+type edge struct {
+	obs     []observation
+	version uint64
+}
+
+// The collapse memo. One fine locate collapses many edges at one t_q, and
+// OrderNeighbors re-asks the edges the neighbor sweep's WeightsBatch just
+// collapsed. A query time picks one of memoRows rows by hash. A call takes
+// its row only if no other call holds it and otherwise collapses without
+// the memo, so readers never wait for each other. A row is a direct-mapped
+// table of edge collapses, each stamped with the t_q it was collapsed at and
+// the edge's merge version: moving a row to a new query time costs nothing,
+// and a Merge makes the edge's slot miss.
+const (
+	memoRowBits = 3
+	memoRows    = 1 << memoRowBits
+	weightBits  = 8
+	weightSlots = 1 << weightBits
+)
+
+type memoRow struct {
+	mu      sync.Mutex
+	weights [weightSlots]weightSlot
+}
+
+// weightSlot is one memoized collapse. An empty slot has version 0, which
+// no edge has, so it never hits.
+type weightSlot struct {
+	tq      int64
+	key     uint64
+	version uint64
+	weight  float64
+}
+
+// fibHash spreads x over bits bits (Fibonacci hashing), so query times that
+// are whole minutes, and edge keys of neighboring ordinals, still land on
+// distinct rows and slots.
+func fibHash(x uint64, bits uint) uint64 {
+	return (x * 0x9E3779B97F4A7C15) >> (64 - bits)
+}
+
+func edgeKey(a, b uint32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // Options configures the graph.
@@ -88,7 +138,8 @@ func New(opts Options) *Graph {
 		opts.MaxObservationsPerEdge = 64
 	}
 	return &Graph{
-		edges:           make(map[event.DeviceID]map[event.DeviceID][]observation),
+		ords:            make(map[event.DeviceID]uint32),
+		edges:           make(map[uint64]edge),
 		sigma:           opts.Sigma,
 		horizon:         underflowHorizon(opts.Sigma),
 		maxObservations: opts.MaxObservationsPerEdge,
@@ -127,25 +178,29 @@ func (g *Graph) Merge(edges []Edge, tq time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, e := range edges {
-		a, b := orderPair(e.From, e.To)
-		if a == b {
+		if e.From == e.To {
 			continue
 		}
-		m, ok := g.edges[a]
-		if !ok {
-			m = make(map[event.DeviceID][]observation)
-			g.edges[a] = m
+		k := edgeKey(g.intern(e.From), g.intern(e.To))
+		ed := g.edges[k]
+		ed.obs = append(ed.obs, observation{nanos: tqN, weight: e.Weight})
+		if g.maxObservations > 0 && len(ed.obs) > g.maxObservations {
+			ed.obs = ed.obs[len(ed.obs)-g.maxObservations:]
 		}
-		if _, existed := m[b]; !existed {
-			g.numEdges++
-		}
-		v := append(m[b], observation{nanos: tqN, weight: e.Weight})
-		if g.maxObservations > 0 && len(v) > g.maxObservations {
-			v = v[len(v)-g.maxObservations:]
-		}
-		m[b] = v
-		g.numUpdates++
+		ed.version++
+		g.edges[k] = ed
 	}
+}
+
+// intern returns d's ordinal, assigning the next one on first sight.
+// Callers hold mu exclusively.
+func (g *Graph) intern(d event.DeviceID) uint32 {
+	o, ok := g.ords[d]
+	if !ok {
+		o = uint32(len(g.ords))
+		g.ords[d] = o
+	}
+	return o
 }
 
 // Edge mirrors fine.LocalEdge without importing the package (avoiding an
@@ -155,31 +210,50 @@ type Edge struct {
 	Weight   float64
 }
 
-// Weight collapses the edge vector between a and b into a single affinity
-// at query time tq: a Gaussian-kernel weighted average with µ = t_q,
-// σ = Options.Sigma, normalized over the observations (paper Section 5).
-// Returns 0 when the edge does not exist.
-func (g *Graph) Weight(a, b event.DeviceID, tq time.Time) float64 {
-	a, b = orderPair(a, b)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.weightLocked(a, b, tq.UnixNano())
+// memoFor returns t_q's (Unix nanos) memo row locked, or nil when another
+// call holds it. Callers hold mu shared and unlock the row before releasing
+// mu.
+func (g *Graph) memoFor(tqN int64) *memoRow {
+	r := &g.memo[fibHash(uint64(tqN), memoRowBits)]
+	if !r.mu.TryLock() {
+		return nil
+	}
+	return r
 }
 
-// weightLocked collapses one edge vector at t_q (Unix nanos). Terms further
-// than the underflow horizon from t_q are skipped: math.Exp would return +0
-// for them, and adding +0 (times a finite weight) leaves num and den as they
-// were, so the kept terms sum in the same order to the same bits, and the
-// plain-average fallback triggers exactly when it would with every term.
-func (g *Graph) weightLocked(a, b event.DeviceID, tqN int64) float64 {
-	m, ok := g.edges[a]
+// weightLocked returns the collapsed weight of the edge {d, n} at t_q (Unix
+// nanos), 0 when n has no edge to d. d is the ordinal of the queried device.
+// Callers hold mu shared and, unless r is nil, t_q's row.
+func (g *Graph) weightLocked(r *memoRow, d uint32, n event.DeviceID, tqN int64) float64 {
+	on, ok := g.ords[n]
 	if !ok {
 		return 0
 	}
-	obs, ok := m[b]
-	if !ok || len(obs) == 0 {
+	k := edgeKey(d, on)
+	e, ok := g.edges[k]
+	if !ok {
 		return 0
 	}
+	if r == nil {
+		return g.collapse(e.obs, tqN)
+	}
+	s := &r.weights[fibHash(k, weightBits)]
+	if s.tq == tqN && s.key == k && s.version == e.version {
+		return s.weight
+	}
+	w := g.collapse(e.obs, tqN)
+	*s = weightSlot{tq: tqN, key: k, version: e.version, weight: w}
+	return w
+}
+
+// collapse reduces one edge vector to its Gaussian-kernel weighted average
+// at t_q (Unix nanos): µ = t_q, σ = Options.Sigma, normalized over the
+// observations (paper Section 5). Terms further than the underflow horizon
+// from t_q are skipped: math.Exp would return +0 for them, and adding +0
+// (times a finite weight) leaves num and den as they were, so the kept
+// terms sum in the same order to the same bits, and the plain-average
+// fallback triggers exactly when it would with every term.
+func (g *Graph) collapse(obs []observation, tqN int64) float64 {
 	sigma := g.sigma.Seconds()
 	h := g.horizon
 	num, den := 0.0, 0.0
@@ -206,53 +280,82 @@ func (g *Graph) weightLocked(a, b event.DeviceID, tqN int64) float64 {
 }
 
 // WeightsBatch collapses the edge vectors (d, cands[i]) at tq into
-// out[:len(cands)] under a single shared lock — the batched form of Weight
-// the fine stage's affinity sweep uses so a query with N neighbors takes the
-// graph lock once, not N times. out is caller-owned scratch and is grown as
-// needed.
+// out[:len(cands)] under a single shared lock — the batched form the fine
+// stage's affinity sweep uses so a query with N neighbors takes the graph
+// lock once, not N times. Missing edges weigh 0. out is caller-owned scratch
+// and is grown as needed.
 func (g *Graph) WeightsBatch(d event.DeviceID, cands []event.DeviceID, tq time.Time, out []float64) []float64 {
 	if cap(out) < len(cands) {
 		out = make([]float64, len(cands))
 	}
 	out = out[:len(cands)]
-	tqN := tq.UnixNano()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	od, ok := g.ords[d]
+	if !ok {
+		clear(out)
+		return out
+	}
+	tqN := tq.UnixNano()
+	r := g.memoFor(tqN)
 	for i, n := range cands {
-		a, b := orderPair(d, n)
-		out[i] = g.weightLocked(a, b, tqN)
+		out[i] = g.weightLocked(r, od, n, tqN)
+	}
+	if r != nil {
+		r.mu.Unlock()
 	}
 	return out
 }
 
+// scored is one OrderNeighbors candidate: its collapsed weight and its
+// position in the input.
+type scored struct {
+	weight float64
+	pos    int
+}
+
+// scoredPool recycles OrderNeighbors' scratch, so a call allocates only the
+// slice it returns.
+var scoredPool = sync.Pool{New: func() any { return new([]scored) }}
+
 // OrderNeighbors sorts the neighbor candidates by decreasing collapsed edge
-// weight w.r.t. the queried device, breaking ties by device ID. Devices
-// with no edge sort after devices with edges (weight 0), preserving their
-// relative input order. This implements fine.NeighborOrderer.
+// weight w.r.t. the queried device, breaking ties by input position.
+// Devices with no edge weigh 0, so they sort after devices with edges in
+// their relative input order. This implements fine.NeighborOrderer.
 func (g *Graph) OrderNeighbors(d event.DeviceID, neighbors []event.DeviceID, tq time.Time) []event.DeviceID {
-	type scored struct {
-		dev    event.DeviceID
-		weight float64
-		pos    int
-	}
-	tqN := tq.UnixNano()
+	sp := scoredPool.Get().(*[]scored)
+	ss := (*sp)[:0]
 	g.mu.RLock()
-	ss := make([]scored, len(neighbors))
-	for i, n := range neighbors {
-		a, b := orderPair(d, n)
-		ss[i] = scored{dev: n, weight: g.weightLocked(a, b, tqN), pos: i}
+	if od, ok := g.ords[d]; ok {
+		tqN := tq.UnixNano()
+		r := g.memoFor(tqN)
+		for i, n := range neighbors {
+			ss = append(ss, scored{weight: g.weightLocked(r, od, n, tqN), pos: i})
+		}
+		if r != nil {
+			r.mu.Unlock()
+		}
+	} else {
+		for i := range neighbors {
+			ss = append(ss, scored{pos: i})
+		}
 	}
 	g.mu.RUnlock()
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].weight != ss[j].weight {
-			return ss[i].weight > ss[j].weight
+	slices.SortFunc(ss, func(a, b scored) int {
+		switch {
+		case a.weight > b.weight:
+			return -1
+		case a.weight < b.weight:
+			return 1
 		}
-		return ss[i].pos < ss[j].pos
+		return a.pos - b.pos
 	})
 	out := make([]event.DeviceID, len(ss))
 	for i, s := range ss {
-		out[i] = s.dev
+		out[i] = neighbors[s.pos]
 	}
+	*sp = ss
+	scoredPool.Put(sp)
 	return out
 }
 
@@ -260,41 +363,7 @@ func (g *Graph) OrderNeighbors(d event.DeviceID, neighbors []event.DeviceID, tq 
 func (g *Graph) NumEdges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.numEdges
-}
-
-// NumDevices returns the number of devices that appear in at least one edge.
-func (g *Graph) NumDevices() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[event.DeviceID]bool)
-	for a, m := range g.edges {
-		if len(m) > 0 {
-			seen[a] = true
-		}
-		for b := range m {
-			seen[b] = true
-		}
-	}
-	return len(seen)
-}
-
-// Observations returns a copy of the raw edge vector (diagnostics), with
-// times in UTC.
-func (g *Graph) Observations(a, b event.DeviceID) []WeightedEdge {
-	a, b = orderPair(a, b)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	m, ok := g.edges[a]
-	if !ok {
-		return nil
-	}
-	obs := m[b]
-	out := make([]WeightedEdge, len(obs))
-	for i, o := range obs {
-		out[i] = WeightedEdge{Weight: o.weight, Time: time.Unix(0, o.nanos).UTC()}
-	}
-	return out
+	return len(g.edges)
 }
 
 // CachedAffinity is a fine.PairAffinityProvider that first consults the

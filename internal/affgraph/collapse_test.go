@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,49 +174,286 @@ func TestUnderflowHorizonIsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkGraphCollapse times the graph half of one steady-read locate:
-// WeightsBatch over 20 candidates, then OrderNeighbors over the same 20, on
-// edges that each hold 64 observations spread over five 09:00–17:00 days,
-// queried at daytime instants inside those days.
-func BenchmarkGraphCollapse(b *testing.B) {
+// TestCollapseMemoMatchesReference drives one graph through the call
+// sequences the collapse memo must survive, comparing every answer's bits
+// with referenceWeight: WeightsBatch and OrderNeighbors reusing one t_q, a
+// Merge between two calls at the same t_q, and three times more distinct
+// query times than memo rows. Its 48 devices give enough edges per call that
+// two of them share a memo slot, so a slot must also match its edge's key.
+func TestCollapseMemoMatchesReference(t *testing.T) {
 	const (
-		devices = 8
-		cands   = 20
-		days    = 5
-		obsPer  = 64
+		sigma  = time.Hour
+		devs   = 48
+		steps  = 3000
+		maxObs = 6
 	)
-	rng := rand.New(rand.NewSource(1))
-	daytime := func() time.Time {
-		return t0.AddDate(0, 0, rng.Intn(days)).Add(time.Duration(rng.Int63n(int64(8 * time.Hour))))
+	rng := rand.New(rand.NewSource(29))
+	g := New(Options{Sigma: sigma, MaxObservationsPerEdge: maxObs})
+	var ids []event.DeviceID
+	for i := 0; i < devs; i++ {
+		ids = append(ids, event.DeviceID(fmt.Sprintf("d%d", i)))
 	}
-	g := New(Options{})
-	var qs []event.DeviceID
-	var cs [][]event.DeviceID
-	for q := 0; q < devices; q++ {
-		qd := event.DeviceID(fmt.Sprintf("q%d", q))
-		qs = append(qs, qd)
-		var ns []event.DeviceID
-		for c := 0; c < cands; c++ {
-			n := event.DeviceID(fmt.Sprintf("q%d-n%d", q, c))
-			ns = append(ns, n)
-			for i := 0; i < obsPer; i++ {
-				g.Merge([]Edge{{From: qd, To: n, Weight: rng.Float64()}}, daytime())
+	minutes := make([]time.Time, 48)
+	for i := range minutes {
+		minutes[i] = t0.Add(time.Duration(rng.Intn(3*24*60)) * time.Minute)
+	}
+	tqs := minutes[:3*memoRows]
+	type pair [2]event.DeviceID
+	key := func(a, b event.DeviceID) pair {
+		a, b = orderPair(a, b)
+		return pair{a, b}
+	}
+	ref := map[pair][]WeightedEdge{}
+	merge := func(at time.Time) {
+		var es []Edge
+		for n := rng.Intn(4); n >= 0; n-- {
+			e := Edge{From: ids[rng.Intn(devs)], To: ids[rng.Intn(devs)], Weight: rng.Float64()}
+			es = append(es, e)
+			if e.From == e.To {
+				continue
+			}
+			k := key(e.From, e.To)
+			ref[k] = append(ref[k], WeightedEdge{Weight: e.Weight, Time: at})
+			if len(ref[k]) > maxObs {
+				ref[k] = ref[k][1:]
 			}
 		}
-		cs = append(cs, ns)
+		g.Merge(es, at)
 	}
-	tqs := make([]time.Time, 1024)
-	for i := range tqs {
-		tqs[i] = daytime()
+	check := func(step int, what string, d event.DeviceID, tq time.Time) {
+		cands := append([]event.DeviceID{"none"}, ids...)
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		want := make([]float64, len(cands))
+		for i, c := range cands {
+			want[i] = referenceWeight(ref[key(d, c)], tq, sigma)
+		}
+		if what == "batch" {
+			got := g.WeightsBatch(d, cands, tq, nil)
+			for i, c := range cands {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("step %d: WeightsBatch(%s)[%s] at %v = %v, reference %v", step, d, c, tq.Sub(t0), got[i], want[i])
+				}
+			}
+			return
+		}
+		order := make([]int, len(cands))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool { return want[order[i]] > want[order[j]] })
+		got := g.OrderNeighbors(d, cands, tq)
+		for i, p := range order {
+			if got[i] != cands[p] {
+				t.Fatalf("step %d: OrderNeighbors(%s) at %v = %v, reference order %v", step, d, tq.Sub(t0), got, order)
+			}
+		}
 	}
+	for step := 0; step < steps; step++ {
+		tq := tqs[rng.Intn(len(tqs))]
+		d := ids[rng.Intn(devs)]
+		check(step, "batch", d, tq)
+		check(step, "order", d, tq)
+		if rng.Intn(2) == 0 {
+			merge(minutes[rng.Intn(len(minutes))])
+		}
+		check(step, "batch", d, tq)
+		check(step, "batch", ids[rng.Intn(devs)], tq)
+	}
+}
+
+// TestCollapseMemoConcurrent runs readers at one shared t_q (and one
+// alternating between it and another) beside a writer merging edges of the
+// queried device. Every WeightsBatch must equal, bit for bit, the reference
+// after some prefix of the writer's merges between the call's start and end:
+// a memoized weight never outlives the Merge that changed its edge. Run it
+// with -race -count=10.
+func TestCollapseMemoConcurrent(t *testing.T) {
+	const (
+		sigma  = time.Hour
+		merges = 200
+		reads  = 300
+	)
+	rng := rand.New(rand.NewSource(7))
+	tq := t0.Add(6 * time.Hour)
+	other := t0.Add(90 * time.Minute)
+	cands := []event.DeviceID{"a", "b", "c", "none"}
+	type step struct {
+		to event.DeviceID
+		w  float64
+		at time.Time
+	}
+	plan := make([]step, merges)
+	for i := range plan {
+		plan[i] = step{to: cands[rng.Intn(3)], w: rng.Float64(), at: t0.Add(time.Duration(rng.Intn(12*60)) * time.Minute)}
+	}
+	// after[k] is the reference answer at each t_q once k merges landed.
+	after := map[time.Time][][]float64{}
+	for _, at := range []time.Time{tq, other} {
+		obs := map[event.DeviceID][]WeightedEdge{}
+		for k := 0; k <= merges; k++ {
+			if k > 0 {
+				s := plan[k-1]
+				obs[s.to] = append(obs[s.to], WeightedEdge{Weight: s.w, Time: s.at})
+				if len(obs[s.to]) > 64 {
+					obs[s.to] = obs[s.to][1:]
+				}
+			}
+			row := make([]float64, len(cands))
+			for i, c := range cands {
+				row[i] = referenceWeight(obs[c], at, sigma)
+			}
+			after[at] = append(after[at], row)
+		}
+	}
+
+	g := New(Options{Sigma: sigma})
+	var started, done atomic.Int64
+	var wg sync.WaitGroup
+	read := func(at time.Time, out []float64) []float64 {
+		lo := done.Load()
+		out = g.WeightsBatch("q", cands, at, out)
+		hi := started.Load()
+		for k := lo; k <= hi; k++ {
+			if slices.EqualFunc(out, after[at][k], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				return out
+			}
+		}
+		t.Errorf("WeightsBatch at %v = %v matches no reference after %d–%d merges", at.Sub(t0), out, lo, hi)
+		return out
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var out []float64
+			for i := 0; i < reads || done.Load() < merges; i++ {
+				at := tq
+				if r == 2 && i%2 == 1 {
+					at = other
+				}
+				out = read(at, out)
+				g.OrderNeighbors("q", cands, at)
+			}
+		}(r)
+	}
+	for _, s := range plan {
+		started.Add(1)
+		g.Merge([]Edge{{From: "q", To: s.to, Weight: s.w}}, s.at)
+		done.Add(1)
+		runtime.Gosched()
+	}
+	wg.Wait()
+	read(tq, nil)
+	read(other, nil)
+}
+
+// collapseBench is the graph half of steady-read fine locates, shaped after
+// a replay of the graph calls of a seed-1 steady-read benchmark's timed
+// phase (448k calls, 57,896 locates). Per locate the replay's neighbor sweep
+// asks 21.5 candidates, 15.6 of them with an edge of 39 observations
+// (median 40); OrderNeighbors orders 20.1 of them; D-FINE's pair sweeps
+// WeightsBatch(n_j, n_<j) make 5.7 calls over 26 candidates in all, 86% of
+// them with an edge of 37 observations; 56% of the observations lie inside
+// the underflow horizon. Here each of 8 query devices has 22 candidates, 16
+// with an edge of 40 observations, orders the first 20, and runs 7 pair
+// sweeps (28 candidates) over edges of 37 observations that link each pair
+// of its edged candidates with probability 0.86. Observations are stamped
+// with whole minutes of five 09:00–17:00 days, as a Merge stamps each edge
+// with its query's minute; query times are minutes of the same days.
+type collapseBench struct {
+	g     *Graph
+	qs    []event.DeviceID
+	cands [][]event.DeviceID
+	tqs   []time.Time
+}
+
+func newCollapseBench() *collapseBench {
+	const (
+		devices = 8
+		cands   = 22
+		edged   = 16
+		obsPer  = 40
+		pairObs = 37
+		linked  = 0.86
+		days    = 5
+	)
+	rng := rand.New(rand.NewSource(1))
+	minute := func() time.Time {
+		return t0.AddDate(0, 0, rng.Intn(days)).Add(time.Duration(rng.Intn(8*60)) * time.Minute)
+	}
+	cb := &collapseBench{g: New(Options{})}
+	observe := func(a, b event.DeviceID, n int) {
+		for i := 0; i < n; i++ {
+			cb.g.Merge([]Edge{{From: a, To: b, Weight: rng.Float64()}}, minute())
+		}
+	}
+	for q := 0; q < devices; q++ {
+		qd := event.DeviceID(fmt.Sprintf("q%d", q))
+		var ns []event.DeviceID
+		for c := 0; c < cands; c++ {
+			ns = append(ns, event.DeviceID(fmt.Sprintf("q%d-n%d", q, c)))
+		}
+		for i := 0; i < edged; i++ {
+			observe(qd, ns[i], obsPer)
+			for j := 0; j < i; j++ {
+				if rng.Float64() < linked {
+					observe(ns[i], ns[j], pairObs)
+				}
+			}
+		}
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		cb.qs = append(cb.qs, qd)
+		cb.cands = append(cb.cands, ns)
+	}
+	for i := 0; i < 1024; i++ {
+		cb.tqs = append(cb.tqs, minute())
+	}
+	return cb
+}
+
+// locate makes one locate's graph calls for query device q at tq: the
+// neighbor sweep, the ordering, then the pair sweeps over the first eight
+// ordered neighbors.
+func (cb *collapseBench) locate(q int, tq time.Time, out []float64) []float64 {
+	const (
+		ordered = 20
+		pairs   = 7
+	)
+	cands := cb.cands[q]
+	out = cb.g.WeightsBatch(cb.qs[q], cands, tq, out)
+	order := cb.g.OrderNeighbors(cb.qs[q], cands[:ordered], tq)
+	for j := 1; j <= pairs; j++ {
+		out = cb.g.WeightsBatch(order[j], order[:j], tq, out)
+	}
+	return out
+}
+
+// BenchmarkGraphCollapse times one locate's graph calls (collapseBench),
+// each at its own query device and minute.
+func BenchmarkGraphCollapse(b *testing.B) {
+	cb := newCollapseBench()
 	var out []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := i % devices
-		out = g.WeightsBatch(qs[q], cs[q], tqs[i%len(tqs)], out)
-		benchOrder = g.OrderNeighbors(qs[q], cs[q], tqs[i%len(tqs)])
+		out = cb.locate(i%len(cb.qs), cb.tqs[i%len(cb.tqs)], out)
 	}
 }
 
-var benchOrder []event.DeviceID
+// BenchmarkGraphCollapseParallel runs the same locates from GOMAXPROCS
+// goroutines that all ask about one query time, as a batch request for
+// every device at one instant does: every call hashes to the same memo row.
+// Compare ns/op across -cpu 1,2,8 to see whether readers wait for each
+// other.
+func BenchmarkGraphCollapseParallel(b *testing.B) {
+	cb := newCollapseBench()
+	tq := cb.tqs[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var out []float64
+		for i := 0; pb.Next(); i++ {
+			out = cb.locate(i%len(cb.qs), tq, out)
+		}
+	})
+}
