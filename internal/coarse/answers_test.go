@@ -21,7 +21,7 @@ func closedGapQueries(t testing.TB, st *store.Store) []gapQuery {
 	t.Helper()
 	var out []gapQuery
 	for _, d := range st.Devices() {
-		tl, err := st.Timeline(d)
+		tl, err := event.NewTimeline(d, st.Delta(d), st.Events(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func modelArmQuery(t testing.TB, l *Localizer, people []event.DeviceID) gapQuery
 		if m.insideModel == nil {
 			continue
 		}
-		tl, err := l.store.Timeline(d)
+		tl, err := event.NewTimeline(d, l.store.Delta(d), l.store.Events(d))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ const maxLocateAllocs = 14
 func TestLocateAllocs(t *testing.T) {
 	b := paperBuilding(t)
 	st := store.New(0)
-	if err := st.ConfigureSegments(store.SegmentConfig{MaxEvents: 4, BlockEvents: 2}); err != nil {
+	if err := st.ConfigureSegments(store.SegmentConfig{MaxEvents: 4}); err != nil {
 		t.Fatal(err)
 	}
 	aff := fixedAffinity{}

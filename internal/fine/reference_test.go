@@ -145,7 +145,7 @@ func (l *Localizer) refPairSupport(dk event.DeviceID, gd, gk space.RegionID, pri
 		condI:        make(map[space.RoomID]float64, len(candidates)),
 		condK:        make(map[space.RoomID]float64, len(candidates)),
 	}
-	ris := l.building.IntersectCandidates([]space.RegionID{gd, gk})
+	ris := refIntersectCandidates(l.building, gd, gk)
 	if len(ris) == 0 {
 		return n
 	}
@@ -457,5 +457,22 @@ func ConditionalOverRooms(aff map[space.RoomID]float64, rooms []space.RoomID) ma
 	for _, r := range rooms {
 		out[r] = aff[r] / total
 	}
+	return out
+}
+
+// refIntersectCandidates returns the sorted intersection of the candidate
+// rooms of gd and gk: the R_is set of Section 4.1.
+func refIntersectCandidates(b *space.Building, gd, gk space.RegionID) []space.RoomID {
+	inK := make(map[space.RoomID]bool)
+	for _, r := range b.CandidateRooms(gk) {
+		inK[r] = true
+	}
+	var out []space.RoomID
+	for _, r := range b.CandidateRooms(gd) {
+		if inK[r] {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -355,29 +355,6 @@ func (b *Building) IsPrivate(r RoomID) bool {
 	return ok && room.Kind == Private
 }
 
-// IntersectCandidates returns the sorted intersection of candidate-room sets
-// for the given regions (the R_is set of Section 4.1). With no regions it
-// returns nil.
-func (b *Building) IntersectCandidates(regions []RegionID) []RoomID {
-	if len(regions) == 0 {
-		return nil
-	}
-	counts := make(map[RoomID]int)
-	for _, g := range regions {
-		for _, r := range b.CandidateRooms(g) {
-			counts[r]++
-		}
-	}
-	var out []RoomID
-	for r, c := range counts {
-		if c == len(regions) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // OverlappingAPs returns R^ap(g): the sorted access points whose region
 // shares at least one room with region g, g's own AP included. This is the
 // neighborhood fine-grained neighbor discovery restricts its candidate scan

@@ -29,7 +29,7 @@ const occupancyBucket = 10 * time.Minute
 //
 // The index is derived state: it is maintained incrementally on the ingest
 // path (under the store's exclusive lock), rebuilt from the logs when
-// cloned or restored from a segment manifest, and reconstructed naturally
+// restored from a segment manifest, and reconstructed naturally
 // during WAL replay because replay goes through Ingest. It is never
 // persisted.
 //
@@ -244,11 +244,10 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 // disjoint from the window are skipped outright, and with no AP filter a
 // segment endpoint inside the window confirms activity without decoding.
 // Only boundary-straddling segments (or any overlap under an AP filter) are
-// paged in, through the bounded cache. An unreadable segment or block reads
-// as holding no event, counted in SegmentStats.LookupErrors. Caller holds a
-// store lock; the head is sorted.
+// read, through the segment cache. An unreadable segment reads as holding
+// no event, counted in SegmentStats.LookupErrors. Caller holds a store lock;
+// the head is sorted.
 func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, aps []space.APID, start, end time.Time) bool {
-	d := lg.dev
 	if windowHasAP(lg.head, aps, start, end) {
 		return true
 	}
@@ -256,8 +255,8 @@ func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, aps []space.APID, star
 		return false
 	}
 	startN, endN := clampedNanos(start), clampedNanos(end)
-	for _, ref := range lg.segs {
-		m := &ref.meta
+	for i := range lg.segs {
+		m := &lg.segs[i]
 		if m.MaxNanos < startN || m.MinNanos > endN {
 			continue
 		}
@@ -266,32 +265,13 @@ func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, aps []space.APID, star
 		if aps == nil && (m.MinNanos >= startN || m.MaxNanos <= endN) {
 			return true
 		}
-		idx, err := s.blocksFor(d, ref)
+		evs, err := s.segmentEvents(lg.dev, *m, nil)
 		if err != nil {
 			s.lookupErrors.Add(1)
 			continue
 		}
-		blocks := idx.metas
-		blo, bhi := blockRange(blocks, startN, endN)
-		s.blockSkips.Add(int64(blo + len(blocks) - bhi))
-		for bi := blo; bi < bhi; bi++ {
-			// The same endpoint argument prunes at block granularity — but
-			// only where the bound is an exact event time: every block's
-			// MinNanos is, while MaxNanos is exact only for the final block
-			// (earlier blocks carry their successor's min as a conservative
-			// cap, see wal.BlockMeta).
-			if aps == nil && (blocks[bi].MinNanos >= startN ||
-				(bi == len(blocks)-1 && blocks[bi].MaxNanos <= endN)) {
-				return true
-			}
-			evs, err := s.blockEventsCached(d, ref, idx, bi, nil)
-			if err != nil {
-				s.lookupErrors.Add(1)
-				continue
-			}
-			if windowHasAP(evs, aps, start, end) {
-				return true
-			}
+		if windowHasAP(evs, aps, start, end) {
+			return true
 		}
 	}
 	return false

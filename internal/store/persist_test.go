@@ -76,7 +76,7 @@ func TestBackendReceivesAcknowledgedBatch(t *testing.T) {
 	if b.events[0].ID != 1 || b.events[1].ID != 77 || b.events[2].ID != 78 {
 		t.Errorf("logged IDs = %d,%d,%d, want 1,77,78", b.events[0].ID, b.events[1].ID, b.events[2].ID)
 	}
-	if got := s.NextID(); got != 79 {
+	if got := s.CheckpointState().NextID; got != 79 {
 		t.Errorf("NextID = %d, want 79", got)
 	}
 	if b.commits != 1 {
@@ -107,7 +107,7 @@ func TestFailedAppendLeavesStoreUntouched(t *testing.T) {
 	if got := s.NumEvents(); got != 1 {
 		t.Errorf("store has %d events after failed append, want 1", got)
 	}
-	if got := s.NextID(); got != 2 {
+	if got := s.CheckpointState().NextID; got != 2 {
 		t.Errorf("NextID = %d after failed append, want 2 (unchanged)", got)
 	}
 	if err := s.SetDelta("aa", time.Minute); err == nil {
@@ -153,15 +153,11 @@ func TestNextIDMonotonicAcrossRecovery(t *testing.T) {
 	if _, err := s.Ingest(evs); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NextID(); got != 502 {
-		t.Fatalf("NextID = %d, want 502", got)
-	}
-
-	// Snapshot capture sorts the logs; the rebuilt store must restore the
+	// Checkpoint capture sorts the logs; the rebuilt store must restore the
 	// counter even though replay order differs from ingest order.
-	state := s.SnapshotState()
+	state := s.CheckpointState()
 	if state.NextID != 502 {
-		t.Fatalf("SnapshotState.NextID = %d, want 502", state.NextID)
+		t.Fatalf("CheckpointState.NextID = %d, want 502", state.NextID)
 	}
 	recovered := New(0)
 	for d, delta := range state.Deltas {
@@ -169,13 +165,13 @@ func TestNextIDMonotonicAcrossRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, devEvs := range state.Events {
+	for _, devEvs := range state.Heads {
 		if _, err := recovered.Ingest(devEvs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	recovered.AdvanceNextID(state.NextID)
-	if got := recovered.NextID(); got != 502 {
+	if got := recovered.CheckpointState().NextID; got != 502 {
 		t.Fatalf("recovered NextID = %d, want 502", got)
 	}
 	if err := recovered.IngestOne(event.Event{Device: "bb", Time: t0, AP: "ap1"}); err != nil {
@@ -187,50 +183,32 @@ func TestNextIDMonotonicAcrossRecovery(t *testing.T) {
 
 	// AdvanceNextID never lowers the counter.
 	recovered.AdvanceNextID(10)
-	if got := recovered.NextID(); got != 503 {
+	if got := recovered.CheckpointState().NextID; got != 503 {
 		t.Errorf("AdvanceNextID lowered the counter to %d", got)
 	}
 }
 
-func TestCloneKeepsNextIDAndDropsBackend(t *testing.T) {
-	s := New(0)
-	b := newMemBackend()
-	s.AttachBackend(b)
-	if _, err := s.Ingest([]event.Event{
-		{Device: "aa", Time: t0.Add(time.Hour), AP: "ap1"},
-		{ID: 40, Device: "aa", Time: t0, AP: "ap2"}, // buffered out-of-order path
-	}); err != nil {
+func TestCheckpointStateIsDeepCopy(t *testing.T) {
+	s := newSegmented(t, 4, nil)
+	for i := 0; i < 5; i++ {
+		if err := s.IngestOne(mk("aa", time.Duration(i)*time.Minute, "ap1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetDelta("aa", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-
-	c := s.Clone()
-	if got, want := c.NextID(), s.NextID(); got != want {
-		t.Fatalf("clone NextID = %d, want %d", got, want)
-	}
-	logged := len(b.events)
-	if err := c.IngestOne(event.Event{Device: "bb", Time: t0, AP: "ap1"}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Events("bb")[0].ID != 41 {
-		t.Errorf("clone issued ID %d, want 41", c.Events("bb")[0].ID)
-	}
-	if len(b.events) != logged {
-		t.Error("clone writes must not reach the source store's backend")
-	}
-}
-
-func TestSnapshotStateIsDeepCopy(t *testing.T) {
-	s := New(0)
-	if _, err := s.Ingest([]event.Event{{Device: "aa", Time: t0, AP: "ap1"}}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.SnapshotState()
-	st.Events["aa"][0].AP = "tampered"
+	st := s.CheckpointState()
+	st.Heads["aa"][0].AP = "tampered"
+	st.Segments["aa"][0].Count = 0
 	st.Deltas["aa"] = time.Nanosecond
-	if s.Events("aa")[0].AP != "ap1" {
-		t.Error("snapshot shares event memory with the store")
+	if evs := s.Events("aa"); len(evs) != 5 || evs[4].AP != "ap1" {
+		t.Error("checkpoint shares head memory with the store")
 	}
-	if s.Delta("aa") == time.Nanosecond {
-		t.Error("snapshot shares delta map with the store")
+	if s.CheckpointState().Segments["aa"][0].Count != 4 {
+		t.Error("checkpoint shares the segment manifest with the store")
+	}
+	if s.Delta("aa") != time.Minute {
+		t.Error("checkpoint shares the delta map with the store")
 	}
 }

@@ -6,53 +6,29 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locater/internal/cache"
 	"locater/internal/event"
-	"locater/internal/space"
 	"locater/internal/wal"
 )
 
 // Default segmentation parameters. 512 events per segment keeps payloads in
 // the few-KiB range while a device with fleet-typical history still seals
-// most of its log; 64-event blocks inside each segment make the unit of
-// decode (and of cache residency) a few hundred bytes, so a point lookup
-// touches one or two blocks instead of a whole segment. The decoded-block
-// cache holds segmentCacheSegments full segments' worth of blocks.
+// most of its log. Payloads are encoded as 64-event blocks, each with its own
+// CRC, so corruption is refused block by block; reads decode a whole
+// segment, the unit the decoded-segment cache holds segmentCacheSegments of.
 const (
 	DefaultSegmentMaxEvents   = 512
 	DefaultSegmentBlockEvents = 64
 	segmentCacheSegments      = 1024
 )
 
-// approxEventBytes is the decoded-block cache's per-event weight: the Event
-// struct itself (ID + string headers + Time). String bytes are shared with
-// the block's AP dictionary and between events, so they are deliberately
-// not charged per event.
+// approxEventBytes is the decoded-segment cache's per-event weight: the
+// Event struct itself (ID + string headers + Time). String bytes are shared
+// with the segment's AP dictionary and between events, so they are
+// deliberately not charged per event.
 const approxEventBytes = 64
-
-// segIndex is a segment's parsed trailer state: the block index plus the
-// segment-wide AP dictionary the blocks decode against.
-type segIndex struct {
-	metas []wal.BlockMeta
-	dict  []space.APID
-}
-
-// segmentRef is a device log's handle on one sealed segment: metadata plus
-// the lazily parsed block index and dictionary. The encoded payload lives
-// in the SegmentBackend and decoded blocks are materialized on demand
-// through the bounded block cache. index is atomic because it is parsed on
-// first use under the shared store lock; refs are heap-allocated and shared
-// by pointer (deviceLog.segs is []*segmentRef) so the atomic is never
-// copied.
-type segmentRef struct {
-	meta  wal.SegmentMeta
-	index atomic.Pointer[segIndex]
-}
-
-func (r *segmentRef) blockIndex() *segIndex { return r.index.Load() }
 
 // SegmentConfig configures the store's log-structured layout.
 type SegmentConfig struct {
@@ -60,11 +36,6 @@ type SegmentConfig struct {
 	// into an immutable compressed segment. Values below 1 select
 	// DefaultSegmentMaxEvents; 1 is clamped to 2.
 	MaxEvents int
-	// BlockEvents is the intra-segment block size: sealed payloads are
-	// encoded as consecutive blocks of at most this many events, each
-	// independently decodable, with a block index in the payload trailer.
-	// Values below 1 select DefaultSegmentBlockEvents.
-	BlockEvents int
 	// Backend stores sealed segment payloads; nil selects the in-memory
 	// compressed tier. Pass NewDiskSegmentBackend or NewMmapSegmentBackend
 	// for a cold tier.
@@ -87,24 +58,19 @@ func (s *Store) ConfigureSegments(cfg SegmentConfig) error {
 	if s.segMax < 2 {
 		s.segMax = 2
 	}
-	s.segBlockEvents = cfg.BlockEvents
-	if s.segBlockEvents < 1 {
-		s.segBlockEvents = DefaultSegmentBlockEvents
-	}
-	s.segCache = newBlockCache(s.segMax, s.segBlockEvents)
 	if cfg.Backend != nil {
 		s.segBackend = cfg.Backend
 	}
 	return nil
 }
 
-// newBlockCache builds the decoded-block cache, sized to
-// segmentCacheSegments full segments under the given seal threshold and
-// block size, with its heap-bytes weigher attached so SegmentStats can
-// report the decoded working set the GC actually sees.
-func newBlockCache(segMax, blockEvents int) *cache.Cache[blockKey, []event.Event] {
-	blocksPerSegment := (segMax + blockEvents - 1) / blockEvents
-	c := cache.New[blockKey, []event.Event](segmentCacheSegments*blocksPerSegment, blockKeyHash)
+// newSegmentCache builds the decoded-segment cache with its heap-bytes
+// weigher attached, so SegmentStats can report the decoded working set the
+// GC actually sees.
+func newSegmentCache() *cache.Cache[segKey, []event.Event] {
+	c := cache.New[segKey, []event.Event](segmentCacheSegments, func(k segKey) uint64 {
+		return (cache.StringHash(k.dev) ^ k.seq) * 1099511628211
+	})
 	c.SetWeigher(func(evs []event.Event) int64 { return int64(len(evs)) * approxEventBytes })
 	return c
 }
@@ -117,12 +83,11 @@ func (s *Store) CloseSegments() error {
 	return s.segBackend.Close()
 }
 
-// InvalidateSegmentCache drops every decoded block in O(1) (epoch bump),
+// InvalidateSegmentCache drops every decoded segment in O(1) (epoch bump),
 // releasing the decoded working set. Purely an operational control — the
 // encoded payloads in the backend stay authoritative and are paged back in
-// block-at-a-time on demand — used under memory pressure and by the
-// cold-query benchmarks. Parsed block indexes are kept: they are metadata
-// on the order of the segment manifest, not decoded data.
+// segment by segment on demand — used under memory pressure and by the
+// cold-query benchmarks.
 func (s *Store) InvalidateSegmentCache() {
 	s.segCache.Invalidate()
 }
@@ -133,33 +98,6 @@ func (s *Store) InvalidateSegmentCache() {
 // crash.
 func (s *Store) SyncSegments() error {
 	return s.segBackend.Sync()
-}
-
-// blockKey identifies one decoded block: (device, segment seq, block index).
-type blockKey struct {
-	dev   event.DeviceID
-	seq   uint64
-	block int
-}
-
-// mergedBlock is the sentinel block index caching a segment's contiguous
-// full decode. Scans that cover every block of a multi-block segment
-// assemble one and serve repeat scans from it with a single cache hit,
-// while point lookups keep paging individual blocks. Real block indexes are
-// always >= 0.
-const mergedBlock = -1
-
-func blockKeyHash(k blockKey) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.dev); i++ {
-		h ^= uint64(k.dev[i])
-		h *= 1099511628211
-	}
-	h ^= k.seq
-	h *= 1099511628211
-	h ^= uint64(k.block)
-	h *= 1099511628211
-	return h
 }
 
 // viewPayload runs fn over a segment's encoded payload, borrowing it
@@ -176,203 +114,31 @@ func (s *Store) viewPayload(d event.DeviceID, seq uint64, fn func(payload []byte
 	return fn(p)
 }
 
-// blocksFor returns a segment's block index, parsing the payload trailer on
-// first use (touching only the payload's final bytes — its final pages when
-// memory-mapped). A payload without an index is in a retired format and is
-// refused (wal.ErrRetiredFormat). The parsed index is published atomically
-// on the shared ref; concurrent first readers may parse twice, idempotently.
-func (s *Store) blocksFor(d event.DeviceID, ref *segmentRef) (*segIndex, error) {
-	if idx := ref.blockIndex(); idx != nil {
-		return idx, nil
-	}
-	var idx segIndex
-	err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
-		ms, dict, err := wal.ParseSegmentIndex(payload)
-		if err != nil {
-			return err
-		}
-		idx = segIndex{metas: ms, dict: dict}
-		return nil
-	})
-	if err != nil {
-		s.decodeFails.Add(1)
-		return nil, fmt.Errorf("store: indexing segment %d for device %s: %w", ref.meta.Seq, d, err)
-	}
-	s.indexLoads.Add(1)
-	ref.index.Store(&idx)
-	return &idx, nil
-}
-
-// decodeBlockAt decodes block bi against the segment's dictionary, appending
-// to dst.
-func decodeBlockAt(payload []byte, d event.DeviceID, idx *segIndex, bi int, dst []event.Event) ([]event.Event, error) {
-	bm := idx.metas[bi]
-	if bm.Off < 0 || bm.Len < 0 || bm.Off+bm.Len > len(payload) {
-		return dst, fmt.Errorf("store: block %d outside payload", bi)
-	}
-	return wal.DecodeIndexedBlock(payload[bm.Off:bm.Off+bm.Len], d, idx.dict, bm.MinNanos, dst)
-}
-
-// blockEventsCached returns one block's decoded events through the bounded
-// block cache, paging just that block's bytes in from the backend on a
-// miss. The returned slice is shared and immutable: callers must not mutate
-// it, and non-copying callers must not let it escape the store lock.
-// lookupBytes, when non-nil, accrues the encoded bytes actually decoded
-// (zero on a cache hit) — the point-lookup paths use it to measure their
-// decode traffic. Errors are not cached, so a corrupt block is refused on
-// every access.
-func (s *Store) blockEventsCached(d event.DeviceID, ref *segmentRef, idx *segIndex, bi int, lookupBytes *int64) ([]event.Event, error) {
-	bm := idx.metas[bi]
-	return s.segCache.GetOrCompute(blockKey{d, ref.meta.Seq, bi}, func() ([]event.Event, error) {
+// segmentEvents returns a sealed segment's decoded events through the
+// bounded decoded-segment cache, paging the whole payload in from the
+// backend on a miss. The returned slice is shared and immutable: callers
+// must not mutate it, and non-copying callers must not let it escape the
+// store lock. decoded, when non-nil, accrues the encoded bytes actually
+// decoded (zero on a cache hit) — the point-lookup paths use it to measure
+// their decode traffic. Errors are not cached, so a corrupt segment is
+// refused on every access.
+func (s *Store) segmentEvents(d event.DeviceID, m wal.SegmentMeta, decoded *int64) ([]event.Event, error) {
+	return s.segCache.GetOrCompute(segKey{d, m.Seq}, func() ([]event.Event, error) {
 		s.pageIns.Add(1)
-		var out []event.Event
-		err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
-			var derr error
-			out, derr = decodeBlockAt(payload, d, idx, bi, make([]event.Event, 0, bm.Count))
-			return derr
-		})
-		if err != nil {
-			s.decodeFails.Add(1)
-			return nil, fmt.Errorf("store: decoding segment %d block %d for device %s: %w", ref.meta.Seq, bi, d, err)
+		evs, err := s.decodeSegmentEvents(d, m, make([]event.Event, 0, m.Count))
+		if err == nil && decoded != nil {
+			*decoded += int64(m.Bytes)
 		}
-		if len(out) != bm.Count {
-			s.decodeFails.Add(1)
-			return nil, fmt.Errorf("store: segment %d block %d for device %s decoded %d events, index says %d",
-				ref.meta.Seq, bi, d, len(out), bm.Count)
-		}
-		s.decodedBytes.Add(int64(bm.Len))
-		if lookupBytes != nil {
-			*lookupBytes += int64(bm.Len)
-		}
-		return out, nil
+		return evs, err
 	})
 }
 
-// blockRunsCached appends decoded events for blocks [blo, bhi) of one
-// segment to runs, one run per block. Cached blocks come straight from the
-// block cache; all misses are paged in together — one backend view, one
-// decode arena shared by every missed block — so a bulk scan pays the
-// per-view and per-allocation cost once per segment instead of once per
-// block. Decoded misses are inserted into the cache for later point
-// lookups. The runs alias cached slices and must not be mutated.
-func (s *Store) blockRunsCached(d event.DeviceID, ref *segmentRef, idx *segIndex, blo, bhi int, runs [][]event.Event) ([][]event.Event, error) {
-	blocks := idx.metas
-	base := len(runs)
-	total := 0
-	nMiss := 0
-	for bi := blo; bi < bhi; bi++ {
-		if evs, ok := s.segCache.Get(blockKey{d, ref.meta.Seq, bi}); ok {
-			runs = append(runs, evs)
-			continue
-		}
-		runs = append(runs, nil)
-		nMiss++
-		total += blocks[bi].Count
-	}
-	if nMiss == 0 {
-		return runs, nil
-	}
-	arena := make([]event.Event, 0, total)
-	pos := 0
-	err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
-		for bi := blo; bi < bhi; bi++ {
-			ri := base + bi - blo
-			if runs[ri] != nil {
-				continue
-			}
-			bm := blocks[bi]
-			out, derr := decodeBlockAt(payload, d, idx, bi, arena[pos:pos:pos+bm.Count])
-			if derr != nil {
-				return derr
-			}
-			if len(out) != bm.Count {
-				return fmt.Errorf("store: segment %d block %d for device %s decoded %d events, index says %d",
-					ref.meta.Seq, bi, d, len(out), bm.Count)
-			}
-			runs[ri] = out
-			pos += bm.Count
-			s.pageIns.Add(1)
-			s.decodedBytes.Add(int64(bm.Len))
-			s.segCache.Put(blockKey{d, ref.meta.Seq, bi}, out)
-		}
-		return nil
-	})
-	if err != nil {
-		s.decodeFails.Add(1)
-		return runs[:base], fmt.Errorf("store: decoding segment %d for device %s: %w", ref.meta.Seq, d, err)
-	}
-	return runs, nil
-}
-
-// mergedRunCached returns a multi-block segment's full contiguous run
-// through the cache's mergedBlock sentinel entry, assembling it on a miss.
-// Blocks partition the sorted run in order, so misses decode directly into
-// their slot of one contiguous arena — the arena IS the merged run, no
-// second copy — and individual block entries that contributed are deleted:
-// the sentinel is probed before per-block entries on every read path, so
-// keeping both would just double the cached heap (and the GC scan work)
-// for every fully-scanned segment. History scans hit the same segments
-// repeatedly; one entry per segment is their steady state.
-func (s *Store) mergedRunCached(d event.DeviceID, ref *segmentRef, idx *segIndex) ([]event.Event, error) {
-	key := blockKey{d, ref.meta.Seq, mergedBlock}
-	if evs, hit := s.segCache.Get(key); hit {
-		return evs, nil
-	}
-	blocks := idx.metas
-	total := 0
-	for _, bm := range blocks {
-		total += bm.Count
-	}
-	merged := make([]event.Event, total)
-	miss := make([][2]int, 0, len(blocks)) // (block index, event offset) still to decode
-	pos := 0
-	for bi := range blocks {
-		if evs, ok := s.segCache.Get(blockKey{d, ref.meta.Seq, bi}); ok {
-			if len(evs) != blocks[bi].Count {
-				s.decodeFails.Add(1)
-				return nil, fmt.Errorf("store: segment %d block %d for device %s cached %d events, index says %d",
-					ref.meta.Seq, bi, d, len(evs), blocks[bi].Count)
-			}
-			copy(merged[pos:], evs)
-			s.segCache.Delete(blockKey{d, ref.meta.Seq, bi})
-		} else {
-			miss = append(miss, [2]int{bi, pos})
-		}
-		pos += blocks[bi].Count
-	}
-	if len(miss) > 0 {
-		err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
-			for _, m := range miss {
-				bi, off := m[0], m[1]
-				bm := blocks[bi]
-				out, derr := decodeBlockAt(payload, d, idx, bi, merged[off:off:off+bm.Count])
-				if derr != nil {
-					return derr
-				}
-				if len(out) != bm.Count {
-					return fmt.Errorf("store: segment %d block %d for device %s decoded %d events, index says %d",
-						ref.meta.Seq, bi, d, len(out), bm.Count)
-				}
-				s.pageIns.Add(1)
-				s.decodedBytes.Add(int64(bm.Len))
-			}
-			return nil
-		})
-		if err != nil {
-			s.decodeFails.Add(1)
-			return nil, fmt.Errorf("store: decoding segment %d for device %s: %w", ref.meta.Seq, d, err)
-		}
-	}
-	s.segCache.Put(key, merged)
-	return merged, nil
-}
-
-// encodeSegmentVerified encodes evs at the configured block size and
+// encodeSegmentVerified encodes evs in DefaultSegmentBlockEvents blocks and
 // round-trip verifies the payload — the decode re-parses the trailer and
 // re-checks every CRC, so a mis-encoded segment is caught before it reaches
 // the backend.
 func (s *Store) encodeSegmentVerified(d event.DeviceID, evs []event.Event) ([]byte, error) {
-	payload, _ := wal.EncodeSegment(nil, evs, s.segBlockEvents)
+	payload, _ := wal.EncodeSegment(nil, evs, DefaultSegmentBlockEvents)
 	decoded, err := wal.DecodeSegment(payload, d, make([]event.Event, 0, len(evs)))
 	if err == nil && len(decoded) != len(evs) {
 		err = fmt.Errorf("store: segment round-trip decoded %d events, encoded %d", len(decoded), len(evs))
@@ -386,7 +152,7 @@ func (s *Store) encodeSegmentVerified(d event.DeviceID, evs []event.Event) ([]by
 // sealLocked compresses the device's head into an immutable segment: sort,
 // encode (segment AP dictionary + delta-of-delta timestamps, with a block
 // index in the trailer), verify by round-trip decode, store the payload in
-// the backend, register the metadata, and start a fresh head. The block
+// the backend, register the metadata, and start a fresh head. The segment
 // cache is deliberately NOT warmed from the seal: it holds what queries
 // read, so write-heavy devices that are never queried cannot evict the read
 // working set, and an idle store's footprint is the encoded payloads alone.
@@ -408,14 +174,13 @@ func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 		return
 	}
 	lg.nextSeq++
-	ref := &segmentRef{meta: wal.SegmentMeta{
+	lg.segs = append(lg.segs, wal.SegmentMeta{
 		Seq:      seq,
 		Count:    len(lg.head),
 		MinNanos: lg.head[0].Time.UnixNano(),
 		MaxNanos: lg.head[len(lg.head)-1].Time.UnixNano(),
 		Bytes:    len(payload),
-	}}
-	lg.segs = append(lg.segs, ref)
+	})
 	lg.segEvents += len(lg.head)
 	s.segCount++
 	s.segEvents += len(lg.head)
@@ -426,12 +191,12 @@ func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 
 // decodeSegmentEvents appends a segment's full decode to dst, borrowing the
 // payload from the backend. Bulk paths (materialization, occupancy rebuild,
-// compaction) use it directly rather than through the block cache, so a
-// one-off full read doesn't evict the point-lookup working set.
-func (s *Store) decodeSegmentEvents(d event.DeviceID, ref *segmentRef, dst []event.Event) ([]event.Event, error) {
+// compaction) use it directly rather than through the segment cache, so a
+// one-off full read doesn't evict the query working set.
+func (s *Store) decodeSegmentEvents(d event.DeviceID, m wal.SegmentMeta, dst []event.Event) ([]event.Event, error) {
 	var n int64
 	out := dst
-	err := s.viewPayload(d, ref.meta.Seq, func(payload []byte) error {
+	err := s.viewPayload(d, m.Seq, func(payload []byte) error {
 		n = int64(len(payload))
 		var derr error
 		out, derr = wal.DecodeSegment(payload, d, dst)
@@ -439,14 +204,19 @@ func (s *Store) decodeSegmentEvents(d event.DeviceID, ref *segmentRef, dst []eve
 	})
 	if err != nil {
 		s.decodeFails.Add(1)
-		return dst, fmt.Errorf("store: decoding segment %d for device %s: %w", ref.meta.Seq, d, err)
+		return dst, fmt.Errorf("store: decoding segment %d for device %s: %w", m.Seq, d, err)
 	}
 	// A payload torn exactly at a block boundary decodes cleanly to a prefix
-	// (it is byte-identical to a valid shorter segment); the manifest count
-	// is the only thing that can tell, so check it.
-	if got := len(out) - len(dst); got != ref.meta.Count {
+	// (it is byte-identical to a valid shorter segment), and an intact
+	// payload filed under the wrong seq decodes cleanly too; only the
+	// manifest's count and time bounds can tell, so check them.
+	if got := len(out) - len(dst); got != m.Count {
 		s.decodeFails.Add(1)
-		return dst, fmt.Errorf("store: segment %d for device %s decoded %d events, manifest says %d", ref.meta.Seq, d, got, ref.meta.Count)
+		return dst, fmt.Errorf("store: segment %d for device %s decoded %d events, manifest says %d", m.Seq, d, got, m.Count)
+	}
+	if lo, hi := out[len(dst)].Time.UnixNano(), out[len(out)-1].Time.UnixNano(); lo != m.MinNanos || hi != m.MaxNanos {
+		s.decodeFails.Add(1)
+		return dst, fmt.Errorf("store: segment %d for device %s spans [%d, %d], manifest says [%d, %d]", m.Seq, d, lo, hi, m.MinNanos, m.MaxNanos)
 	}
 	s.decodedBytes.Add(n)
 	return out, nil
@@ -454,12 +224,12 @@ func (s *Store) decodeSegmentEvents(d event.DeviceID, ref *segmentRef, dst []eve
 
 // materializeLocked appends the device's full log — every sealed segment
 // plus the head — to out in time order. Segments are decoded straight into
-// out without populating the block cache. Caller holds a store lock and has
+// out without populating the segment cache. Caller holds a store lock and has
 // sorted the head.
 func (s *Store) materializeLocked(d event.DeviceID, lg *deviceLog, out []event.Event) ([]event.Event, error) {
-	for _, ref := range lg.segs {
+	for _, m := range lg.segs {
 		var err error
-		out, err = s.decodeSegmentEvents(d, ref, out)
+		out, err = s.decodeSegmentEvents(d, m, out)
 		if err != nil {
 			return out, err
 		}
@@ -498,15 +268,6 @@ func searchWindow(evs []event.Event, start, end time.Time) (int, int) {
 	return lo, hi
 }
 
-// blockRange returns the [lo, hi) range of blocks whose time bounds overlap
-// [startN, endN]. Blocks are consecutive ranges of a sorted segment —
-// non-overlapping, both bounds non-decreasing — so both ends binary-search.
-func blockRange(blocks []wal.BlockMeta, startN, endN int64) (int, int) {
-	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].MaxNanos >= startN })
-	hi := sort.Search(len(blocks), func(i int) bool { return blocks[i].MinNanos > endN })
-	return lo, hi
-}
-
 // eventsSorted reports whether evs is sorted by the store's event order.
 func eventsSorted(evs []event.Event) bool {
 	for i := 1; i < len(evs); i++ {
@@ -535,10 +296,10 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 // out in the store's (Time, ID, Device) event order. The run list is kept
 // sorted by head event; each step binary-searches how far the front run
 // extends before the second run's head and copies that whole stretch. Runs
-// that do not interleave — the common shape, since blocks within a segment
-// never overlap and segments are sealed in rough time order — thus cost
-// one wholesale copy each, and a store fragmented into thousands of tiny
-// blocks still merges in O(m) instead of re-sorting every window. The
+// that do not interleave — the common shape, since segments are sealed in
+// rough time order — thus cost one wholesale copy each, and a log
+// fragmented into thousands of tiny segments still merges in O(m) instead
+// of re-sorting every window. The
 // order is total (event IDs are unique per device), so the result is
 // exactly what sorting the concatenation would produce.
 func mergeRuns(out []event.Event, runs [][]event.Event) []event.Event {
@@ -578,15 +339,14 @@ func mergeRuns(out []event.Event, runs [][]event.Event) []event.Event {
 }
 
 // scanWindowLocked is the segmented ScanEvents core: it assembles the
-// device's events in [start, end] and hands them to fn. The window's
-// overlapping segments contribute lazily decoded block runs — the block
-// index prunes blocks outside the window without decoding them — and the
-// runs plus the head are k-way merged (see mergeRuns) into a pooled buffer.
-// Zero-copy fast paths cover the no-segments and single-source cases,
-// including a window that lives inside one block of one segment. On a
-// page-in or decode failure the scan degrades to an empty window — the
-// corrupt block is refused, never served — with the failure counted in
-// SegmentStats. Caller holds a store lock and has sorted the head.
+// device's events in [start, end] and hands them to fn. Each segment whose
+// metadata overlaps the window contributes the window's stretch of its
+// cached decode, and the runs plus the head are k-way merged (see
+// mergeRuns) into a pooled buffer. Zero-copy fast paths cover the
+// no-segments and single-source cases. On a page-in or decode failure the
+// scan degrades to an empty window — the corrupt segment is refused, never
+// served — with the failure counted in SegmentStats. Caller holds a store
+// lock and has sorted the head.
 func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end time.Time, delta time.Duration, fn func([]event.Event, time.Duration)) {
 	hl, hh := searchWindow(lg.head, start, end)
 	if len(lg.segs) == 0 || end.Before(start) {
@@ -599,8 +359,8 @@ func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end tim
 	}
 	startN, endN := clampedNanos(start), clampedNanos(end)
 	nOver := 0
-	for _, ref := range lg.segs {
-		if ref.meta.MaxNanos >= startN && ref.meta.MinNanos <= endN {
+	for i := range lg.segs {
+		if m := &lg.segs[i]; m.MaxNanos >= startN && m.MinNanos <= endN {
 			nOver++
 		}
 	}
@@ -615,57 +375,19 @@ func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end tim
 	bp := scanBufPool.Get().(*scanBuf)
 	runs := bp.runs[:0]
 	ok := true
-	for _, ref := range lg.segs {
-		if ref.meta.MaxNanos < startN || ref.meta.MinNanos > endN {
+	for i := range lg.segs {
+		m := &lg.segs[i]
+		if m.MaxNanos < startN || m.MinNanos > endN {
 			continue
 		}
-		// Fast path: a previous full-coverage scan already assembled this
-		// segment into one contiguous run — one cache hit, one merge source.
-		if evs, hit := s.segCache.Get(blockKey{d, ref.meta.Seq, mergedBlock}); hit {
-			if lo, hi := searchWindow(evs, start, end); lo < hi {
-				runs = append(runs, evs[lo:hi])
-			}
-			continue
-		}
-		idx, err := s.blocksFor(d, ref)
+		evs, err := s.segmentEvents(d, *m, nil)
 		if err != nil {
 			ok = false
 			break
 		}
-		blocks := idx.metas
-		blo, bhi := blockRange(blocks, startN, endN)
-		s.blockSkips.Add(int64(blo + len(blocks) - bhi))
-		if blo == 0 && bhi == len(blocks) && len(blocks) > 1 {
-			// Full coverage of a multi-block segment: assemble (or fetch)
-			// the single merged run so every later scan pays one lookup —
-			// and one cache entry — instead of one per block. History
-			// scans (training, gap extraction) hit the same segments
-			// repeatedly; this is their steady state.
-			merged, merr := s.mergedRunCached(d, ref, idx)
-			if merr != nil {
-				ok = false
-				break
-			}
-			if lo, hi := searchWindow(merged, start, end); lo < hi {
-				runs = append(runs, merged[lo:hi])
-			}
-			continue
+		if lo, hi := searchWindow(evs, start, end); lo < hi {
+			runs = append(runs, evs[lo:hi])
 		}
-		base := len(runs)
-		runs, err = s.blockRunsCached(d, ref, idx, blo, bhi, runs)
-		if err != nil {
-			ok = false
-			break
-		}
-		// Trim each block's run to the window in place; drop empty ones.
-		keep := base
-		for _, evs := range runs[base:] {
-			if lo, hi := searchWindow(evs, start, end); lo < hi {
-				runs[keep] = evs[lo:hi]
-				keep++
-			}
-		}
-		runs = runs[:keep]
 	}
 	out := bp.evs[:0]
 	switch {
@@ -678,7 +400,7 @@ func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end tim
 			fn(lg.head[hl:hh], delta)
 		}
 	case len(runs) == 1 && hl >= hh:
-		// Single-source window: served zero-copy from the cached block.
+		// Single-source window: served zero-copy from the cached segment.
 		fn(runs[0], delta)
 	default:
 		if hl < hh {
@@ -687,7 +409,7 @@ func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end tim
 		out = mergeRuns(out, runs)
 		fn(out, delta)
 	}
-	// Drop the run views before pooling: they alias cached block decodes,
+	// Drop the run views before pooling: they alias cached segment decodes,
 	// which the pool must not pin.
 	for i := range runs {
 		runs[i] = nil
@@ -755,65 +477,13 @@ func gtStats(tN int64, srcs ...[]event.Event) (int, int64) {
 }
 
 // appendSegNeighborhood appends to buf the events adjacent to t within one
-// segment, decoding only the block containing t plus whatever neighboring
-// blocks are needed to cover the two nearest events on each side (ties at
-// exactly t can spill across block boundaries; the backward walk keeps
-// decoding until two ≤-side events are in hand, so equal-time events still
-// tie-break by ID exactly as a full decode would). Typically one or two
-// block decodes; the rest of the segment's blocks are skipped via the index.
-func (s *Store) appendSegNeighborhood(d event.DeviceID, ref *segmentRef, t time.Time, tN int64, buf []event.Event, bp *scanBuf) ([]event.Event, error) {
-	// A scan may have assembled the segment's merged run already; the
-	// neighborhood then costs one cache hit and zero decode.
-	if evs, hit := s.segCache.Get(blockKey{d, ref.meta.Seq, mergedBlock}); hit {
-		return appendNeighborhood(buf, evs, t), nil
-	}
-	idx, err := s.blocksFor(d, ref)
+// sealed segment, read from its cached decode.
+func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, t time.Time, buf []event.Event, bp *scanBuf) ([]event.Event, error) {
+	evs, err := s.segmentEvents(d, m, &bp.decoded)
 	if err != nil {
 		return buf, err
 	}
-	blocks := idx.metas
-	// Start from the last block whose first event is at or before t — the
-	// block holding t's insertion point. The search steers by MinNanos only:
-	// every block's min is an exact event time, while a non-final MaxNanos is
-	// merely the successor's min (see wal.BlockMeta), and keying on it would
-	// start one block early whenever t falls in the gap between two blocks.
-	bi := sort.Search(len(blocks), func(i int) bool { return blocks[i].MinNanos > tN }) - 1
-	if bi < 0 {
-		bi = 0
-	}
-	used, leq, gt := 0, 0, 0
-	decodeAt := func(i int) error {
-		evs, err := s.blockEventsCached(d, ref, idx, i, &bp.decoded)
-		if err != nil {
-			return err
-		}
-		used++
-		idx := sort.Search(len(evs), func(k int) bool { return evs[k].Time.After(t) })
-		leq += idx
-		gt += len(evs) - idx
-		buf = appendNeighborhood(buf, evs, t)
-		return nil
-	}
-	if err := decodeAt(bi); err != nil {
-		return buf, err
-	}
-	// Every event at or before t lives in blocks ≤ bi (later blocks start
-	// strictly after t), and equal-time events order by ID in seal order, so
-	// the nearest neighbors on the ≤ side are bi's own — walking backward
-	// while fewer than two are in hand covers ties spilling across block
-	// boundaries exactly.
-	for k := bi - 1; leq < 2 && k >= 0; k-- {
-		if err := decodeAt(k); err != nil {
-			return buf, err
-		}
-	}
-	for j := bi + 1; gt < 2 && j < len(blocks); j++ {
-		if err := decodeAt(j); err != nil {
-			return buf, err
-		}
-	}
-	s.blockSkips.Add(int64(len(blocks) - used))
-	return buf, nil
+	return appendNeighborhood(buf, evs, t), nil
 }
 
 // neighborhoodLocked assembles into bp the sorted set of events adjacent to
@@ -824,7 +494,7 @@ func (s *Store) appendSegNeighborhood(d event.DeviceID, ref *segmentRef, t time.
 // it — validity truncation uses the immediate neighbors and gap bounds use
 // the straddling pair — so running them over this neighborhood reproduces
 // the flat-log answer exactly. Segments whose time range overlaps t are
-// always visited (block-granularly: see appendSegNeighborhood); segments
+// always visited; segments
 // entirely before (after) t are visited in decreasing-max (increasing-min)
 // order and decoding stops as soon as the next segment provably cannot
 // displace the two best candidates already found (ties keep decoding, so
@@ -842,13 +512,13 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 	tN := clampedNanos(t)
 	before, after := bp.before[:0], bp.after[:0]
 	for i := range lg.segs {
-		m := &lg.segs[i].meta
+		m := &lg.segs[i]
 		switch {
 		case m.MaxNanos < tN:
 			// Insertion sort by MaxNanos descending.
 			j := len(before)
 			before = append(before, i)
-			for ; j > 0 && lg.segs[before[j-1]].meta.MaxNanos < m.MaxNanos; j-- {
+			for ; j > 0 && lg.segs[before[j-1]].MaxNanos < m.MaxNanos; j-- {
 				before[j] = before[j-1]
 			}
 			before[j] = i
@@ -856,13 +526,13 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			// Insertion sort by MinNanos ascending.
 			j := len(after)
 			after = append(after, i)
-			for ; j > 0 && lg.segs[after[j-1]].meta.MinNanos > m.MinNanos; j-- {
+			for ; j > 0 && lg.segs[after[j-1]].MinNanos > m.MinNanos; j-- {
 				after[j] = after[j-1]
 			}
 			after[j] = i
 		default:
 			var err error
-			buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
+			buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
 			if err != nil {
 				bp.evs, bp.before, bp.after = buf, before, after
 				return nil, err
@@ -871,11 +541,11 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 	}
 	for _, i := range before {
 		n, second := leqStats(tN, buf, head)
-		if n >= 2 && lg.segs[i].meta.MaxNanos < second {
+		if n >= 2 && lg.segs[i].MaxNanos < second {
 			break
 		}
 		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
+		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
 		if err != nil {
 			bp.evs, bp.before, bp.after = buf, before, after
 			return nil, err
@@ -883,11 +553,11 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 	}
 	for _, i := range after {
 		n, second := gtStats(tN, buf, head)
-		if n >= 2 && lg.segs[i].meta.MinNanos > second {
+		if n >= 2 && lg.segs[i].MinNanos > second {
 			break
 		}
 		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, tN, buf, bp)
+		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
 		if err != nil {
 			bp.evs, bp.before, bp.after = buf, before, after
 			return nil, err
@@ -906,7 +576,7 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 // recovery incremental. Per-device sequence counters resume past the
 // highest restored seq, and the occupancy index is rebuilt by streaming the
 // segments — the one full read, which doubles as an integrity pass over the
-// cold tier. Block indexes are parsed lazily on first query.
+// cold tier.
 func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -917,12 +587,10 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 		if len(metas) == 0 {
 			continue
 		}
-		sorted := make([]wal.SegmentMeta, len(metas))
-		copy(sorted, metas)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
 		lg := s.newLogLocked(dev)
-		for _, m := range sorted {
-			lg.segs = append(lg.segs, &segmentRef{meta: m})
+		lg.segs = append([]wal.SegmentMeta(nil), metas...)
+		sort.Slice(lg.segs, func(i, j int) bool { return lg.segs[i].Seq < lg.segs[j].Seq })
+		for _, m := range lg.segs {
 			if m.Seq >= lg.nextSeq {
 				lg.nextSeq = m.Seq + 1
 			}
@@ -943,11 +611,11 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 	s.segCache.Invalidate()
 	var scratch []event.Event
 	for dev, lg := range s.logs {
-		for _, ref := range lg.segs {
+		for _, m := range lg.segs {
 			var err error
-			scratch, err = s.decodeSegmentEvents(dev, ref, scratch[:0])
+			scratch, err = s.decodeSegmentEvents(dev, m, scratch[:0])
 			if err != nil {
-				return fmt.Errorf("store: restoring segment %d for device %s: %w", ref.meta.Seq, dev, err)
+				return fmt.Errorf("store: restoring segment %d for device %s: %w", m.Seq, dev, err)
 			}
 			for j := range scratch {
 				s.occ.add(scratch[j], lg.ord)
@@ -971,8 +639,8 @@ func (s *Store) LiveSegmentSeqs() map[event.DeviceID]LiveSegments {
 		ls := LiveSegments{Floor: lg.nextSeq}
 		if len(lg.segs) > 0 {
 			ls.Seqs = make([]uint64, len(lg.segs))
-			for i, ref := range lg.segs {
-				ls.Seqs[i] = ref.meta.Seq
+			for i, m := range lg.segs {
+				ls.Seqs[i] = m.Seq
 			}
 		}
 		live[dev] = ls
@@ -1030,22 +698,22 @@ func (s *Store) CompactRuntSegments() int {
 		if len(lg.segs) < 2 {
 			continue
 		}
-		out := make([]*segmentRef, 0, len(lg.segs))
+		out := make([]wal.SegmentMeta, 0, len(lg.segs))
 		out = append(out, lg.segs[0])
 		changed := false
 		for i := 1; i < len(lg.segs); i++ {
 			cur := lg.segs[i]
 			prev := out[len(out)-1]
-			if cur.meta.Count >= runt || prev.meta.Count+cur.meta.Count > s.segMax {
+			if cur.Count >= runt || prev.Count+cur.Count > s.segMax {
 				out = append(out, cur)
 				continue
 			}
-			ref, ok := s.mergeSegmentsLocked(d, lg, prev, cur)
+			m, ok := s.mergeSegmentsLocked(d, lg, prev, cur)
 			if !ok {
 				out = append(out, cur)
 				continue
 			}
-			out[len(out)-1] = ref
+			out[len(out)-1] = m
 			changed = true
 			merged++
 		}
@@ -1058,17 +726,17 @@ func (s *Store) CompactRuntSegments() int {
 
 // mergeSegmentsLocked re-seals two adjacent segments as one: decode both,
 // merge-sort (out-of-order ingest means ranges can overlap), encode under
-// the configured block layout, and store under a fresh sequence number.
-// Caller holds the exclusive lock and splices the returned ref in place of
-// the pair.
-func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b *segmentRef) (*segmentRef, bool) {
-	evs, err := s.decodeSegmentEvents(d, a, make([]event.Event, 0, a.meta.Count+b.meta.Count))
+// the fixed block layout, and store under a fresh sequence number.
+// Caller holds the exclusive lock and splices the returned metadata in place
+// of the pair.
+func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b wal.SegmentMeta) (wal.SegmentMeta, bool) {
+	evs, err := s.decodeSegmentEvents(d, a, make([]event.Event, 0, a.Count+b.Count))
 	if err == nil {
 		evs, err = s.decodeSegmentEvents(d, b, evs)
 	}
 	if err != nil {
 		s.compactFails.Add(1)
-		return nil, false
+		return wal.SegmentMeta{}, false
 	}
 	if !eventsSorted(evs) {
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
@@ -1076,25 +744,24 @@ func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b *segme
 	payload, err := s.encodeSegmentVerified(d, evs)
 	if err != nil {
 		s.compactFails.Add(1)
-		return nil, false
+		return wal.SegmentMeta{}, false
 	}
 	seq := lg.nextSeq
 	if err := s.segBackend.Put(d, seq, payload); err != nil {
 		s.compactFails.Add(1)
-		return nil, false
+		return wal.SegmentMeta{}, false
 	}
 	lg.nextSeq++
 	s.segCount--
-	s.segBytes += int64(len(payload)) - int64(a.meta.Bytes) - int64(b.meta.Bytes)
+	s.segBytes += int64(len(payload)) - int64(a.Bytes) - int64(b.Bytes)
 	s.compactions.Add(1)
-	ref := &segmentRef{meta: wal.SegmentMeta{
+	return wal.SegmentMeta{
 		Seq:      seq,
 		Count:    len(evs),
 		MinNanos: evs[0].Time.UnixNano(),
 		MaxNanos: evs[len(evs)-1].Time.UnixNano(),
 		Bytes:    len(payload),
-	}}
-	return ref, true
+	}, true
 }
 
 // CheckpointState is the store's durable state in incremental-snapshot
@@ -1109,8 +776,7 @@ type CheckpointState struct {
 }
 
 // CheckpointState captures the store's durable state for an incremental
-// checkpoint. Unlike SnapshotState it never materializes sealed segments:
-// capture cost is proportional to the mutable heads, not total history.
+// checkpoint. It never materializes sealed segments: capture cost is proportional to the mutable heads, not total history.
 func (s *Store) CheckpointState() CheckpointState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1131,11 +797,7 @@ func (s *Store) CheckpointState() CheckpointState {
 			st.Heads[dev] = cp
 		}
 		if len(lg.segs) > 0 {
-			metas := make([]wal.SegmentMeta, len(lg.segs))
-			for i := range lg.segs {
-				metas[i] = lg.segs[i].meta
-			}
-			st.Segments[dev] = metas
+			st.Segments[dev] = append([]wal.SegmentMeta(nil), lg.segs...)
 		}
 	}
 	return st
@@ -1143,8 +805,8 @@ func (s *Store) CheckpointState() CheckpointState {
 
 // SegmentStats reports the log-structured layout's shape and traffic.
 type SegmentStats struct {
-	// MaxEvents is the seal threshold, BlockEvents the intra-segment block
-	// size.
+	// MaxEvents is the seal threshold, BlockEvents the block size payloads
+	// are encoded in (DefaultSegmentBlockEvents).
 	MaxEvents   int `json:"max_events"`
 	BlockEvents int `json:"block_events"`
 	// ColdTier reports whether sealed payloads live on disk (a persistent
@@ -1156,11 +818,11 @@ type SegmentStats struct {
 	SegmentEvents int   `json:"segment_events"`
 	HeadEvents    int   `json:"head_events"`
 	EncodedBytes  int64 `json:"encoded_bytes"`
-	// Seals / SealFailures count seal attempts; PageIns counts block
-	// decodes from the backend (block-cache misses), CacheHits the reads
-	// served without one. DecodedBytes is the encoded bytes those decodes
-	// consumed. DecodeFailures counts refused page-ins (corrupt or missing
-	// payloads/blocks).
+	// Seals / SealFailures count seal attempts; PageIns counts segment
+	// decodes from the backend (segment-cache misses), CacheHits the reads
+	// served without one. DecodedBytes is the encoded bytes decoded, by
+	// page-ins and by bulk reads. DecodeFailures counts refused decodes
+	// (corrupt or missing payloads).
 	Seals          int64 `json:"seals"`
 	SealFailures   int64 `json:"seal_failures"`
 	PageIns        int64 `json:"page_ins"`
@@ -1169,12 +831,12 @@ type SegmentStats struct {
 	CacheSize      int   `json:"cache_size"`
 	CacheCapacity  int   `json:"cache_capacity"`
 	DecodeFailures int64 `json:"decode_failures"`
-	// LookupErrors counts lookups that met an unreadable segment or block
-	// and answered as if it held no events: CurrentAP (offline),
-	// LastEventAtOrBefore and FirstEventAfter (none), and neighbor
-	// discovery's window check (inactive). At returns the error instead.
+	// LookupErrors counts lookups that met an unreadable segment and
+	// answered as if it held no events: CurrentAP (offline),
+	// LastEventAtOrBefore (none), and neighbor discovery's window check
+	// (inactive). At returns the error instead.
 	LookupErrors int64 `json:"lookup_errors"`
-	// CachedBytes approximates the heap bytes held by the decoded-block
+	// CachedBytes approximates the heap bytes held by the decoded-segment
 	// cache — the GC-visible decoded working set, as opposed to
 	// Backend.MappedBytes which the OS owns.
 	CachedBytes int64 `json:"resident_bytes_heap"`
@@ -1184,8 +846,8 @@ type SegmentStats struct {
 	// memory benchmark gates.
 	PointLookups       int64 `json:"point_lookups"`
 	LookupDecodedBytes int64 `json:"lookup_decoded_bytes"`
-	// BlockSkips counts blocks pruned via the block index without being
-	// decoded; IndexLoads counts block-index trailer parses.
+	// BlockSkips and IndexLoads are retired and always 0: reads decode
+	// whole segments and parse no block index of their own.
 	BlockSkips int64 `json:"block_skips"`
 	IndexLoads int64 `json:"index_loads"`
 	// Compactions counts runt-segment merges performed at checkpoint;
@@ -1205,7 +867,7 @@ func (s *Store) SegmentStats() SegmentStats {
 	cst := s.segCache.Stats()
 	st := SegmentStats{
 		MaxEvents:          s.segMax,
-		BlockEvents:        s.segBlockEvents,
+		BlockEvents:        DefaultSegmentBlockEvents,
 		ColdTier:           s.segBackend.Persistent(),
 		Segments:           s.segCount,
 		SegmentEvents:      s.segEvents,
@@ -1223,8 +885,6 @@ func (s *Store) SegmentStats() SegmentStats {
 		LookupErrors:       s.lookupErrors.Load(),
 		PointLookups:       s.pointLookups.Load(),
 		LookupDecodedBytes: s.lookupDecodedBytes.Load(),
-		BlockSkips:         s.blockSkips.Load(),
-		IndexLoads:         s.indexLoads.Load(),
 		Compactions:        s.compactions.Load(),
 		CompactionFailures: s.compactFails.Load(),
 	}

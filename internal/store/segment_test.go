@@ -15,29 +15,21 @@ import (
 	"locater/internal/space"
 )
 
-// newSegmented returns a store sealing heads at max events; newSliceOracle
-// returns one whose seal threshold no test reaches, so every log stays a
-// plain sorted slice — the answers every segmented read path must reproduce
-// exactly.
-func newSegmented(t *testing.T, max int) *Store {
+// newSegmented returns a store sealing heads at max events into backend (nil
+// selects the in-memory tier); newSliceOracle returns one whose seal
+// threshold no test reaches, so every log stays a plain sorted slice — the
+// answers every segmented read path must reproduce exactly.
+func newSegmented(t *testing.T, max int, backend SegmentBackend) *Store {
 	t.Helper()
 	s := New(0)
-	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: max}); err != nil {
+	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: max, Backend: backend}); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
 func newSliceOracle(t *testing.T) *Store {
-	t.Helper()
-	s := New(0)
-	// One block per segment keeps the decoded-block cache, which is sized
-	// in blocks per full segment, at its usual capacity.
-	const never = 1 << 20
-	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: never, BlockEvents: never}); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newSegmented(t, 1<<20, nil)
 }
 
 func eventsEqual(a, b []event.Event) bool {
@@ -56,7 +48,7 @@ func eventsEqual(a, b []event.Event) bool {
 // segments at the threshold, counters track the shape, and the full log
 // round-trips through the encoded payloads.
 func TestSealRegistersSegments(t *testing.T) {
-	s := newSegmented(t, 4)
+	s := newSegmented(t, 4, nil)
 	var want []event.Event
 	for i := 0; i < 11; i++ {
 		e := mk("d", time.Duration(i)*time.Minute, "x")
@@ -104,7 +96,7 @@ func TestSealRegistersSegments(t *testing.T) {
 // invisible to consumers.
 func TestSegmentedMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	seg := newSegmented(t, 4)
+	seg := newSegmented(t, 4, nil)
 	ora := newSliceOracle(t)
 
 	devs := []string{"d0", "d1", "d2"}
@@ -171,11 +163,6 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 		if sok != ook || (sok && se.ID != oe.ID) {
 			t.Fatalf("LastEventAtOrBefore(%s, %v) = %v/%v, oracle %v/%v", d, tq, se, sok, oe, ook)
 		}
-		se, sok = seg.FirstEventAfter(d, tq)
-		oe, ook = ora.FirstEventAfter(d, tq)
-		if sok != ook || (sok && se.ID != oe.ID) {
-			t.Fatalf("FirstEventAfter(%s, %v) = %v/%v, oracle %v/%v", d, tq, se, sok, oe, ook)
-		}
 	}
 	// Active-device discovery: the segmented store runs the occupancy index
 	// (with segment-metadata boundary verification), the oracle scans slices.
@@ -204,7 +191,7 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 // TestScanEventsZeroCopyWindows spot-checks the fast paths: windows that live
 // entirely in the head or one segment must still be exact after seals.
 func TestScanEventsZeroCopyWindows(t *testing.T) {
-	s := newSegmented(t, 4)
+	s := newSegmented(t, 4, nil)
 	for i := 0; i < 10; i++ {
 		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
 			t.Fatal(err)
@@ -341,7 +328,7 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 
 // TestRestoreSegmentsRejectsNonEmptyStore pins the restore contract.
 func TestRestoreSegmentsRejectsNonEmptyStore(t *testing.T) {
-	s := newSegmented(t, 4)
+	s := newSegmented(t, 4, nil)
 	if err := s.IngestOne(mk("d", 0, "x")); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +450,7 @@ func TestDiskBackendTornTailTruncated(t *testing.T) {
 // corruptSecondSegment returns a store whose device d has eight events a
 // minute apart sealed as two four-event segments in a disk cold tier, with
 // one byte of the second segment's payload flipped — inside its block's
-// CRC-covered data — and no decoded block cached.
+// CRC-covered data — and no decoded segment cached.
 func corruptSecondSegment(t *testing.T) *Store {
 	t.Helper()
 	dir := t.TempDir()
@@ -523,7 +510,7 @@ func TestCorruptSegmentRefused(t *testing.T) {
 }
 
 // TestSwallowedLookupErrorsCounted: the lookups that answer around an
-// unreadable block instead of failing keep their answer — neighbor
+// unreadable segment instead of failing keep their answer — neighbor
 // discovery reads the device as inactive, CurrentAP as offline — and count
 // each refusal in SegmentStats.LookupErrors.
 func TestSwallowedLookupErrorsCounted(t *testing.T) {
@@ -532,15 +519,15 @@ func TestSwallowedLookupErrorsCounted(t *testing.T) {
 		t.Fatalf("lookup errors = %d before any lookup", n)
 	}
 	// [4m30s, 6m] lies inside one boundary bucket, so the AP-scoped lookup
-	// must read the corrupt block to confirm d.
+	// must read the corrupt segment to confirm d.
 	if got := s.ActiveDevicesAt([]space.APID{"x"}, t0.Add(4*time.Minute+30*time.Second), t0.Add(6*time.Minute)); got != nil {
-		t.Fatalf("ActiveDevicesAt over a corrupt block = %v, want none", got)
+		t.Fatalf("ActiveDevicesAt over a corrupt segment = %v, want none", got)
 	}
 	if n := s.SegmentStats().LookupErrors; n != 1 {
 		t.Fatalf("lookup errors = %d after the neighbor lookup, want 1", n)
 	}
 	if ap, ok := s.CurrentAP("d", t0.Add(5*time.Minute)); ok {
-		t.Fatalf("CurrentAP over a corrupt block = %s, want offline", ap)
+		t.Fatalf("CurrentAP over a corrupt segment = %s, want offline", ap)
 	}
 	if n := s.SegmentStats().LookupErrors; n != 2 {
 		t.Fatalf("lookup errors = %d after CurrentAP, want 2", n)
@@ -549,13 +536,13 @@ func TestSwallowedLookupErrorsCounted(t *testing.T) {
 
 // TestRetainedReadsAreCopiesUnderIngest is the satellite contract test for
 // the ScanEvents doc fix: callers that need to keep events use the copying
-// paths (Events / EventsBetween / TimelineBetween), and the copies must stay
+// paths (Events / EventsBetween), and the copies must stay
 // stable — and race-free, under -race — while ingest keeps appending and
 // sealing behind them. ScanEvents visitor slices, by contrast, are decode or
 // scratch buffers that must not be retained; this pins that the copying
 // wrappers actually insulate callers from that.
 func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
-	s := newSegmented(t, 8)
+	s := newSegmented(t, 8, nil)
 	for i := 0; i < 64; i++ {
 		if err := s.IngestOne(mk("d", time.Duration(i)*time.Second, "x")); err != nil {
 			t.Fatal(err)
@@ -602,17 +589,6 @@ func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
 					t.Errorf("retained EventsBetween slice mutated under ingest: %d -> %d", before, after)
 					return
 				}
-				tl, err := s.TimelineBetween("d", t0, end)
-				if err != nil {
-					t.Errorf("TimelineBetween: %v", err)
-					return
-				}
-				before = sum(tl.Events)
-				runtime.Gosched()
-				if after := sum(tl.Events); after != before {
-					t.Errorf("retained TimelineBetween slice mutated under ingest: %d -> %d", before, after)
-					return
-				}
 				all := s.Events("d")
 				before = sum(all)
 				runtime.Gosched()
@@ -635,31 +611,6 @@ func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
 	writers.Wait()
 	if err, _ := writerErr.Load().(error); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCloneMaterializesSegments checks a clone of a segmented store is fully
-// independent, answers identically, and re-seals as its source does.
-func TestCloneMaterializesSegments(t *testing.T) {
-	s := newBlockStore(t, 4, 2, nil)
-	for i := 0; i < 13; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := s.Clone()
-	if !eventsEqual(c.Events("d"), s.Events("d")) {
-		t.Fatal("clone diverges from original")
-	}
-	if cs, ss := c.SegmentStats(), s.SegmentStats(); cs.MaxEvents != ss.MaxEvents || cs.BlockEvents != ss.BlockEvents {
-		t.Fatalf("clone seals at %d/%d events per segment/block, source at %d/%d",
-			cs.MaxEvents, cs.BlockEvents, ss.MaxEvents, ss.BlockEvents)
-	}
-	if err := c.IngestOne(mk("d", time.Hour, "y")); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumEvents() != 13 || c.NumEvents() != 14 {
-		t.Fatalf("clone not independent: %d / %d", s.NumEvents(), c.NumEvents())
 	}
 }
 
@@ -774,7 +725,7 @@ func TestCompactRuntSegments(t *testing.T) {
 // TestCompactRuntSegmentsRespectsMaxEvents: merges never build a segment
 // larger than the seal threshold, and a lone pair exceeding it stays split.
 func TestCompactRuntSegmentsRespectsMaxEvents(t *testing.T) {
-	s := newSegmented(t, 4)
+	s := newSegmented(t, 4, nil)
 	for i := 0; i < 16; i++ {
 		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
 			t.Fatal(err)

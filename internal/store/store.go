@@ -8,8 +8,8 @@
 // immutable, sorted, compressed segments (see internal/wal's columnar block
 // codec) sealed whenever the head reaches a configurable size. Sealed
 // payloads live in a SegmentBackend — in memory, or spilled to per-device
-// files for a cold tier — and are decoded block-at-a-time through a bounded
-// segment cache, so resident memory scales with the working set instead of
+// files for a cold tier — and are decoded a segment at a time through a
+// bounded segment cache, so resident memory scales with the working set instead of
 // total history. Campus-scale deployments generate millions of tuples per
 // day (paper Section 1), so all temporal lookups are binary searches plus
 // metadata-pruned segment decodes, and ingestion amortizes sorting by
@@ -27,6 +27,7 @@ import (
 	"locater/internal/cache"
 	"locater/internal/event"
 	"locater/internal/space"
+	"locater/internal/wal"
 )
 
 // DefaultDelta is the fallback validity interval δ used for devices without
@@ -90,34 +91,28 @@ type Store struct {
 	resorts int64
 
 	// Segmented layout (see segment.go): segMax is the seal threshold,
-	// segBlockEvents the intra-segment block size, segBackend stores sealed
-	// payloads, segCache bounds the decoded-block working set.
-	// segCount/segEvents/segBytes track the sealed shape; the atomics count
-	// seal, page-in, and block-index traffic (bumped under the shared lock).
-	segMax         int
-	segBlockEvents int
-	segBackend     SegmentBackend
-	segCache       *cache.Cache[blockKey, []event.Event]
-	segCount       int
-	segEvents      int
-	segBytes       int64
-	seals          atomic.Int64
-	sealFails      atomic.Int64
-	pageIns        atomic.Int64
-	decodeFails    atomic.Int64
-	compactions    atomic.Int64
-	compactFails   atomic.Int64
-	// decodedBytes counts encoded bytes decoded on block page-ins;
-	// pointLookups / lookupDecodedBytes isolate point-lookup decode
-	// traffic; blockSkips counts blocks pruned via the block index;
-	// indexLoads counts block-index trailer parses.
+	// segBackend stores sealed payloads, segCache bounds the decoded-segment
+	// working set. segCount/segEvents/segBytes track the sealed shape; the
+	// atomics count seal and page-in traffic (bumped under the shared lock).
+	segMax       int
+	segBackend   SegmentBackend
+	segCache     *cache.Cache[segKey, []event.Event]
+	segCount     int
+	segEvents    int
+	segBytes     int64
+	seals        atomic.Int64
+	sealFails    atomic.Int64
+	pageIns      atomic.Int64
+	decodeFails  atomic.Int64
+	compactions  atomic.Int64
+	compactFails atomic.Int64
+	// decodedBytes counts encoded bytes decoded; pointLookups /
+	// lookupDecodedBytes isolate point-lookup decode traffic.
 	decodedBytes       atomic.Int64
 	pointLookups       atomic.Int64
 	lookupDecodedBytes atomic.Int64
-	blockSkips         atomic.Int64
-	indexLoads         atomic.Int64
 	// lookupErrors counts lookups that answered around an unreadable
-	// segment or block (see SegmentStats.LookupErrors).
+	// segment (see SegmentStats.LookupErrors).
 	lookupErrors atomic.Int64
 
 	// occ is the temporal occupancy index serving ActiveDevicesAt.
@@ -145,7 +140,7 @@ type deviceLog struct {
 	head   []event.Event // mutable tail, sorted by (Time, ID) when sorted
 	sorted bool
 
-	segs      []*segmentRef
+	segs      []wal.SegmentMeta // in seal order
 	segEvents int
 	nextSeq   uint64 // next segment sequence number (1-based)
 }
@@ -159,21 +154,20 @@ func New(defaultDelta time.Duration) *Store {
 		defaultDelta = DefaultDelta
 	}
 	return &Store{
-		logs:           make(map[event.DeviceID]*deviceLog),
-		deltas:         make(map[event.DeviceID]time.Duration),
-		defaultDelta:   defaultDelta,
-		nextID:         1,
-		dirty:          make(map[*deviceLog]struct{}),
-		occ:            newOccupancyIndex(),
-		segMax:         DefaultSegmentMaxEvents,
-		segBlockEvents: DefaultSegmentBlockEvents,
-		segBackend:     NewMemorySegmentBackend(),
-		segCache:       newBlockCache(DefaultSegmentMaxEvents, DefaultSegmentBlockEvents),
+		logs:         make(map[event.DeviceID]*deviceLog),
+		deltas:       make(map[event.DeviceID]time.Duration),
+		defaultDelta: defaultDelta,
+		nextID:       1,
+		dirty:        make(map[*deviceLog]struct{}),
+		occ:          newOccupancyIndex(),
+		segMax:       DefaultSegmentMaxEvents,
+		segBackend:   NewMemorySegmentBackend(),
+		segCache:     newSegmentCache(),
 	}
 }
 
 // newLogLocked creates device d's empty log under the next ordinal. Every
-// log is created here: by Ingest, Clone and RestoreSegments. Caller holds the
+// log is created here: by Ingest and RestoreSegments. Caller holds the
 // exclusive lock.
 func (s *Store) newLogLocked(d event.DeviceID) *deviceLog {
 	lg := &deviceLog{dev: d, ord: int32(len(s.byOrd)), sorted: true, nextSeq: 1}
@@ -476,7 +470,7 @@ func (s *Store) Events(d event.DeviceID) []event.Event {
 // the device's mutable head, a cached segment-decode buffer shared with
 // concurrent readers, or a pooled scratch buffer that is reused the moment
 // ScanEvents returns. Callers that need to keep the events must copy them
-// (EventsBetween / TimelineBetween do exactly that). Reports whether the
+// (EventsBetween does exactly that). Reports whether the
 // device exists; fn is invoked (possibly with an empty slice) exactly when
 // it does. A window whose segments cannot be paged in (corrupt or missing
 // cold-tier payload) is served as empty and counted in
@@ -504,38 +498,6 @@ func (s *Store) EventsBetween(d event.DeviceID, start, end time.Time) []event.Ev
 		copy(out, evs)
 	})
 	return out
-}
-
-// Timeline builds the device's timeline (sorted events + δ). The returned
-// timeline shares no state with the store.
-func (s *Store) Timeline(d event.DeviceID) (*event.Timeline, error) {
-	evs := s.Events(d)
-	return event.NewTimeline(d, s.Delta(d), evs)
-}
-
-// TimelineBetween builds a timeline restricted to [start, end]. The window
-// is copied once inside the ScanEvents visitor — the events are already
-// sorted and belong to one device, so the NewTimeline re-sort (and the
-// second copy the pre-ScanEvents path paid) is skipped.
-func (s *Store) TimelineBetween(d event.DeviceID, start, end time.Time) (*event.Timeline, error) {
-	var tl *event.Timeline
-	var err error
-	found := s.ScanEvents(d, start, end, func(evs []event.Event, delta time.Duration) {
-		if delta <= 0 {
-			err = fmt.Errorf("event: non-positive validity interval %v for device %s", delta, d)
-			return
-		}
-		cp := make([]event.Event, len(evs))
-		copy(cp, evs)
-		tl = &event.Timeline{Device: d, Delta: delta, Events: cp}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return event.NewTimeline(d, s.Delta(d), nil)
-	}
-	return tl, nil
 }
 
 // At classifies time t for device d as event.Timeline.At does: inside a
@@ -603,33 +565,6 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 	return e, found
 }
 
-// FirstEventAfter returns the device's earliest event with Time > t. An
-// unreadable segment near t answers "none", counted in
-// SegmentStats.LookupErrors.
-func (s *Store) FirstEventAfter(d event.DeviceID, t time.Time) (event.Event, bool) {
-	var e event.Event
-	var found bool
-	s.withDevice(d, func(lg *deviceLog, _ time.Duration) {
-		evs := lg.head
-		if len(lg.segs) > 0 {
-			bp := scanBufPool.Get().(*scanBuf)
-			defer scanBufPool.Put(bp)
-			var err error
-			evs, err = s.neighborhoodLocked(d, lg, t, bp)
-			if err != nil {
-				s.lookupErrors.Add(1)
-				return
-			}
-		}
-		idx := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(t) })
-		if idx == len(evs) {
-			return
-		}
-		e, found = evs[idx], true
-	})
-	return e, found
-}
-
 // CurrentAP returns the AP the device is connected to at time t when t falls
 // inside a validity interval; ok is false otherwise. This is the "online"
 // test for neighbor devices at query time; it runs on the head (or the
@@ -661,14 +596,6 @@ func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 	return ap, ok
 }
 
-// NextID returns the next event ID the store would assign. Recovery and the
-// ID-monotonicity tests use it; it is not a reservation.
-func (s *Store) NextID() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nextID
-}
-
 // AdvanceNextID raises the ID counter to at least n. Recovery calls it with
 // the persisted counter after replaying events, so a recovered store never
 // reissues an event ID — even if the counter had run ahead of the highest
@@ -680,83 +607,4 @@ func (s *Store) AdvanceNextID(n int64) {
 	if n > s.nextID {
 		s.nextID = n
 	}
-}
-
-// SnapshotState is the store's complete durable state in fully materialized
-// form: the ID counter, the per-device validity intervals, and the
-// per-device event logs (each sorted by time). It shares nothing with the
-// live store. Checkpoints use CheckpointState instead; only tests read
-// this full-export form.
-type SnapshotState struct {
-	NextID int64
-	Deltas map[event.DeviceID]time.Duration
-	Events map[event.DeviceID][]event.Event
-}
-
-// SnapshotState returns a deep copy of the store's durable state with every
-// sealed segment materialized. It takes the exclusive lock (out-of-order
-// heads are sorted in place first). A device whose segments cannot be paged
-// in is exported with only its decodable events (counted in
-// SegmentStats.DecodeFailures).
-func (s *Store) SnapshotState() SnapshotState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := SnapshotState{
-		NextID: s.nextID,
-		Deltas: make(map[event.DeviceID]time.Duration, len(s.deltas)),
-		Events: make(map[event.DeviceID][]event.Event, len(s.logs)),
-	}
-	for d, dl := range s.deltas {
-		st.Deltas[d] = dl
-	}
-	for dev, lg := range s.logs {
-		s.ensureSorted(lg)
-		cp, err := s.materializeLocked(dev, lg, make([]event.Event, 0, len(lg.head)+lg.segEvents))
-		if err != nil {
-			event.SortEvents(cp)
-		}
-		st.Events[dev] = cp
-	}
-	return st
-}
-
-// Clone returns a deep copy of the store. Used by experiments that mutate
-// per-device deltas while sharing the ingested data. The clone keeps the
-// original's ID counter (so it never reissues an event ID the source store
-// handed out) but has no durability backend attached and owns a fresh
-// in-memory segment tier: sealed history is materialized into plain heads
-// (re-sealed lazily as the clone ingests), so cloned mutations never touch
-// the source's segment backend.
-func (s *Store) Clone() *Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := New(s.defaultDelta)
-	c.nextID = s.nextID
-	c.segMax = s.segMax
-	c.segBlockEvents = s.segBlockEvents
-	for d, dl := range s.deltas {
-		c.deltas[d] = dl
-	}
-	for dev, lg := range s.logs {
-		s.ensureSorted(lg)
-		cp, err := s.materializeLocked(dev, lg, make([]event.Event, 0, len(lg.head)+lg.segEvents))
-		if err != nil {
-			event.SortEvents(cp)
-		}
-		clg := c.newLogLocked(dev)
-		clg.head = cp
-		for _, e := range cp {
-			// The occupancy index is derived state: the clone rebuilds its
-			// own while the logs are copied.
-			c.occ.add(e, clg.ord)
-			if c.count == 0 || e.Time.Before(c.minTime) {
-				c.minTime = e.Time
-			}
-			if c.count == 0 || e.Time.After(c.maxTime) {
-				c.maxTime = e.Time
-			}
-			c.count++
-		}
-	}
-	return c
 }

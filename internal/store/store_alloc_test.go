@@ -13,17 +13,16 @@ import (
 
 // The allocation gates run without -race, which instruments allocations.
 
-// allocStore returns a store sealing four events to a segment in blocks of
-// two. Device d has an event every 25 minutes (δ is 10), so its log
+// allocStore returns a store sealing four events to a segment. Device d has an event every 25 minutes (δ is 10), so its log
 // alternates validity intervals and gaps: sealed segments over minutes 0–75
 // and 100–175 and a head at 200 and 225. Inside [101m, 149m], e's only event
-// sits in a sealed block of a boundary bucket, so neighbor discovery must
-// read that block to confirm e; f's last event falls just before the window,
+// sits in a sealed segment of a boundary bucket, so neighbor discovery must
+// read that segment to confirm e; f's last event falls just before the window,
 // in the same bucket.
 func allocStore(t *testing.T) *Store {
 	t.Helper()
 	s := New(0)
-	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: 4, BlockEvents: 2}); err != nil {
+	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: 4}); err != nil {
 		t.Fatal(err)
 	}
 	var evs []event.Event
@@ -64,7 +63,7 @@ func TestPointLookupAllocs(t *testing.T) {
 
 // TestActiveDevicesAtAllocs: a neighbor lookup allocates its result and
 // nothing else, also when it confirms a boundary-bucket device from a sealed
-// block.
+// segment.
 func TestActiveDevicesAtAllocs(t *testing.T) {
 	s := allocStore(t)
 	start, end := t0.Add(101*time.Minute), t0.Add(149*time.Minute)

@@ -186,37 +186,11 @@ func TestLastFirstEvents(t *testing.T) {
 	if _, ok := s.LastEventAtOrBefore("d", t0.Add(-time.Minute)); ok {
 		t.Error("nothing before first event")
 	}
-	e, ok = s.FirstEventAfter("d", t0.Add(30*time.Minute))
-	if !ok || e.AP != "y" {
-		t.Errorf("FirstEventAfter = %v %v", e, ok)
-	}
-	if _, ok := s.FirstEventAfter("d", t0.Add(2*time.Hour)); ok {
-		t.Error("nothing after last event")
+	if e, ok := s.LastEventAtOrBefore("d", t0.Add(2*time.Hour)); !ok || e.AP != "y" {
+		t.Errorf("LastEventAtOrBefore after the last event = %v %v", e, ok)
 	}
 	if _, ok := s.LastEventAtOrBefore("zzz", t0); ok {
 		t.Error("unknown device")
-	}
-	if _, ok := s.FirstEventAfter("zzz", t0); ok {
-		t.Error("unknown device")
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := New(0)
-	s.SetDelta("d", 5*time.Minute)
-	s.Ingest([]event.Event{mk("d", 0, "x")})
-	c := s.Clone()
-	// Mutating the clone must not affect the original.
-	c.IngestOne(mk("d", time.Hour, "y"))
-	c.SetDelta("d", time.Minute)
-	if s.NumEvents() != 1 {
-		t.Errorf("original gained events: %d", s.NumEvents())
-	}
-	if s.Delta("d") != 5*time.Minute {
-		t.Errorf("original delta changed: %v", s.Delta("d"))
-	}
-	if c.NumEvents() != 2 {
-		t.Errorf("clone has %d events", c.NumEvents())
 	}
 }
 
@@ -282,7 +256,6 @@ func TestConcurrentOutOfOrderReads(t *testing.T) {
 				}
 				s.EventsBetween(dev, t0, t0.Add(time.Hour))
 				s.LastEventAtOrBefore(dev, tq)
-				s.FirstEventAfter(dev, tq)
 				s.ActiveDevicesAt(nil, t0, t0.Add(time.Hour))
 			}
 		}(w)
@@ -416,39 +389,5 @@ func TestScanEvents(t *testing.T) {
 	// Unknown device: fn not invoked, found=false.
 	if s.ScanEvents("ghost", start, end, func([]event.Event, time.Duration) { t.Error("fn called for ghost") }) {
 		t.Error("ScanEvents(ghost) = true")
-	}
-}
-
-// TestTimelineBetweenMatchesEventsBetween: the single-copy TimelineBetween
-// must carry exactly the window EventsBetween reports.
-func TestTimelineBetweenMatchesEventsBetween(t *testing.T) {
-	s := New(0)
-	base := time.Date(2026, 3, 2, 9, 0, 0, 0, time.UTC)
-	var evs []event.Event
-	for i := 0; i < 10; i++ {
-		evs = append(evs, event.Event{Device: "d", Time: base.Add(time.Duration(9-i) * time.Minute), AP: "ap"})
-	}
-	s.Ingest(evs)
-	start, end := base.Add(2*time.Minute), base.Add(6*time.Minute)
-	tl, err := s.TimelineBetween("d", start, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.EventsBetween("d", start, end)
-	if len(tl.Events) != len(want) {
-		t.Fatalf("timeline %d events, want %d", len(tl.Events), len(want))
-	}
-	for i := range want {
-		if !tl.Events[i].Time.Equal(want[i].Time) {
-			t.Errorf("event %d: %v vs %v", i, tl.Events[i].Time, want[i].Time)
-		}
-	}
-	if tl.Delta != s.Delta("d") {
-		t.Errorf("delta = %v", tl.Delta)
-	}
-	// Unknown device: empty timeline, no error (NewTimeline semantics).
-	tl, err = s.TimelineBetween("ghost", start, end)
-	if err != nil || len(tl.Events) != 0 {
-		t.Errorf("ghost timeline: %v, %v", tl.Events, err)
 	}
 }

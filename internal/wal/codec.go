@@ -185,7 +185,7 @@ type SegmentMeta struct {
 //	4-byte magic "LSIX"
 //
 // Only block minima are stored: blocks partition a sorted run, so block i's
-// true maximum is bounded by block i+1's minimum, and ParseSegmentIndex
+// true maximum is bounded by block i+1's minimum, and parseSegmentIndex
 // reports exactly that as MaxNanos — a tight conservative bound that prunes
 // just as well while costing zero trailer bytes. Only the final block,
 // which has no successor, carries its span explicitly, so its MaxNanos (the
@@ -196,16 +196,13 @@ type SegmentMeta struct {
 // index's minNanos for that block; varint ID delta), then a 4-byte LE
 // CRC-32C over everything before it. Blocks carry no dictionary and no
 // absolute timestamp of their own — both live in the trailer, parsed once
-// and shared — which keeps a 1–2-block point lookup from re-decoding
-// per-block copies of state the whole segment has in common.
+// and shared — so no block repeats state the whole segment has in common.
 //
 // Block offsets are implicit (blocks are contiguous from offset 0), so the
-// trailer costs ~10 bytes per block. Readers parse the trailer once —
-// touching only the payload's final pages when it is memory-mapped — then
-// decode exactly the blocks a query needs, binary-searching the per-block
-// time bounds to skip the rest. Each block verifies its own CRC before any
-// field is parsed, so a truncated or bit-flipped mapping is refused
-// block-by-block and a decoder can never over-read the payload slice it was
+// trailer costs ~10 bytes per block. DecodeSegment, the one reader, parses
+// the trailer and then decodes every block in order. Each block verifies its
+// own CRC before any field is parsed, so a truncated or bit-flipped payload
+// is refused and a decoder can never over-read the payload slice it was
 // handed.
 //
 // A payload without the trailer magic is the retired un-indexed format (one
@@ -340,12 +337,12 @@ func encodeDictBlock(dst []byte, evs []event.Event, apIdx map[space.APID]uint64)
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// DecodeIndexedBlock verifies and decodes one dictionary-relative block of
+// decodeIndexedBlock verifies and decodes one dictionary-relative block of
 // an indexed segment payload, appending its events for device dev to dst.
 // dict is the segment dictionary and minNanos the block's index-recorded
-// first-event time, both from ParseSegmentIndex. The CRC is checked before
+// first-event time, both from parseSegmentIndex. The CRC is checked before
 // any field is parsed; on error dst must be discarded by the caller.
-func DecodeIndexedBlock(block []byte, dev event.DeviceID, dict []space.APID, minNanos int64, dst []event.Event) ([]event.Event, error) {
+func decodeIndexedBlock(block []byte, dev event.DeviceID, dict []space.APID, minNanos int64, dst []event.Event) ([]event.Event, error) {
 	if len(block) < 4 {
 		return dst, fmt.Errorf("wal: indexed block too short (%d bytes)", len(block))
 	}
@@ -395,13 +392,13 @@ func DecodeIndexedBlock(block []byte, dev event.DeviceID, dict []space.APID, min
 	return dst, nil
 }
 
-// ParseSegmentIndex parses a segment payload's block index and segment
+// parseSegmentIndex parses a segment payload's block index and segment
 // dictionary. A payload without the trailer magic is the retired un-indexed
 // format and is refused with an error wrapping ErrRetiredFormat; a payload
 // whose trailer fails validation is corrupt. Either way nothing is decoded.
 // The returned metas reference only byte ranges inside the blocks region,
 // so decoding through them can never over-read the payload.
-func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, err error) {
+func parseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, err error) {
 	n := len(payload)
 	if n < segIndexFooterLen || string(payload[n-4:]) != segIndexMagic {
 		return nil, nil, fmt.Errorf("wal: segment payload has no block index: %w", ErrRetiredFormat)
@@ -493,12 +490,12 @@ func ParseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, er
 // DecodeSegment decodes a full segment payload, appending the events to
 // dst. Each block's CRC is verified before its fields are parsed.
 func DecodeSegment(payload []byte, dev event.DeviceID, dst []event.Event) ([]event.Event, error) {
-	metas, dict, err := ParseSegmentIndex(payload)
+	metas, dict, err := parseSegmentIndex(payload)
 	if err != nil {
 		return dst, err
 	}
 	for _, m := range metas {
-		dst, err = DecodeIndexedBlock(payload[m.Off:m.Off+m.Len], dev, dict, m.MinNanos, dst)
+		dst, err = decodeIndexedBlock(payload[m.Off:m.Off+m.Len], dev, dict, m.MinNanos, dst)
 		if err != nil {
 			return dst, err
 		}

@@ -40,7 +40,7 @@ func TestEncodeSegmentRoundTrip(t *testing.T) {
 			// The returned index and the parsed one must agree exactly
 			// (modulo the trailer: EncodeSegment's Len excludes it only for
 			// the region covered — both describe the same block ranges).
-			parsed, dict, err := ParseSegmentIndex(payload)
+			parsed, dict, err := parseSegmentIndex(payload)
 			if err != nil {
 				t.Fatalf("n=%d be=%d: ParseSegmentIndex: %v", n, blockEvents, err)
 			}
@@ -64,7 +64,7 @@ func TestEncodeSegmentRoundTrip(t *testing.T) {
 				}
 				total += m.Count
 				// Every block must decode independently against its slice.
-				sub, err := DecodeIndexedBlock(payload[m.Off:m.Off+m.Len], "dev-a", dict, m.MinNanos, nil)
+				sub, err := decodeIndexedBlock(payload[m.Off:m.Off+m.Len], "dev-a", dict, m.MinNanos, nil)
 				if err != nil {
 					t.Fatalf("n=%d be=%d: block %d decode: %v", n, blockEvents, i, err)
 				}
@@ -109,8 +109,8 @@ func TestBareBlockSegmentRefused(t *testing.T) {
 	// The blocks region of a one-block segment is the shape a bare-block
 	// payload had: a count-led block with its own CRC and no trailer.
 	bare := payload[:metas[0].Len]
-	if _, _, err := ParseSegmentIndex(bare); !errors.Is(err, ErrRetiredFormat) {
-		t.Fatalf("ParseSegmentIndex(bare block) = %v, want ErrRetiredFormat", err)
+	if _, _, err := parseSegmentIndex(bare); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("parseSegmentIndex(bare block) = %v, want ErrRetiredFormat", err)
 	}
 	got, err := DecodeSegment(bare, "dev-a", nil)
 	if !errors.Is(err, ErrRetiredFormat) || len(got) != 0 {
@@ -162,7 +162,7 @@ func TestParseSegmentIndexHostileCounts(t *testing.T) {
 	mut := append([]byte(nil), payload...)
 	mut[len(mut)-8] = 0xff
 	mut[len(mut)-7] = 0xff
-	if _, _, err := ParseSegmentIndex(mut); err == nil {
+	if _, _, err := parseSegmentIndex(mut); err == nil {
 		t.Fatal("oversized trailer length accepted")
 	}
 	// A tiny fabricated trailer claiming 2^60 blocks.
@@ -170,7 +170,7 @@ func TestParseSegmentIndexHostileCounts(t *testing.T) {
 	hostile = append(hostile, []byte{0, 0, 0, 0}...) // bogus CRC, will be refused
 	hostile = append(hostile, byte(len(hostile)), 0, 0, 0)
 	hostile = append(hostile, segIndexMagic...)
-	if _, _, err := ParseSegmentIndex(hostile); err == nil {
+	if _, _, err := parseSegmentIndex(hostile); err == nil {
 		t.Fatal("hostile block count accepted")
 	}
 }
@@ -182,7 +182,7 @@ func FuzzParseSegmentIndex(f *testing.F) {
 	f.Add(indexed[:len(indexed)-segIndexFooterLen])
 	f.Add([]byte(segIndexMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		metas, dict, err := ParseSegmentIndex(data)
+		metas, dict, err := parseSegmentIndex(data)
 		if err != nil {
 			return
 		}
@@ -197,7 +197,7 @@ func FuzzParseSegmentIndex(f *testing.F) {
 				t.Fatalf("index meta out of bounds: %+v in %d bytes", m, len(data))
 			}
 			off = m.Off + m.Len
-			_, _ = DecodeIndexedBlock(data[m.Off:m.Off+m.Len], "dev-a", dict, m.MinNanos, nil)
+			_, _ = decodeIndexedBlock(data[m.Off:m.Off+m.Len], "dev-a", dict, m.MinNanos, nil)
 		}
 	})
 }
@@ -225,11 +225,11 @@ func TestDecodeEventBlockHostileHeaders(t *testing.T) {
 	}
 	payload, metas := EncodeSegment(nil, segEvents(2, 3), 0)
 	block := payload[:metas[0].Len]
-	_, dict, err := ParseSegmentIndex(payload)
+	_, dict, err := parseSegmentIndex(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeIndexedBlock(block, "dev-a", dict, 0, nil); err != nil {
+	if _, err := decodeIndexedBlock(block, "dev-a", dict, 0, nil); err != nil {
 		t.Fatalf("untouched block refused: %v", err)
 	}
 	cases := map[string][]byte{
@@ -241,7 +241,7 @@ func TestDecodeEventBlockHostileHeaders(t *testing.T) {
 		"trailing bytes":        seal(append(append([]byte(nil), block[:len(block)-4]...), 0xEE)),
 	}
 	for name, block := range cases {
-		if _, err := DecodeIndexedBlock(block, "dev-a", dict, 0, nil); err == nil {
+		if _, err := decodeIndexedBlock(block, "dev-a", dict, 0, nil); err == nil {
 			t.Errorf("%s: hostile block decoded without error", name)
 		}
 	}

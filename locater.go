@@ -140,7 +140,7 @@ type Config struct {
 	// next query.
 	EnableCache bool
 
-	// ColdTierMmap memory-maps the cold tier's segment files so block
+	// ColdTierMmap memory-maps the cold tier's segment files so segment
 	// decodes read borrowed mapped bytes instead of copying through read
 	// syscalls, and residency is owned by the OS page cache rather than the
 	// Go heap. Effective only on systems built with Open (whose sealed
