@@ -1,6 +1,8 @@
 package locater_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -69,6 +71,65 @@ func TestCleansingGatesIngest(t *testing.T) {
 	}
 	if got := on.NumEvents(); got != 3 {
 		t.Errorf("IngestOne path: stored %d events, want 3", got)
+	}
+}
+
+// TestIngestRefusesInvalidBatchWhole: a batch holding one event without a
+// device, an AP or a timestamp is refused whole, with cleansing off and on.
+// Ingest and IngestOne return ErrInvalidEvent, nothing is stored, no cache
+// is invalidated, and the cleansing stage counts nothing, so the corrected
+// retry stores every event instead of being dropped as a duplicate of the
+// refused batch.
+func TestIngestRefusesInvalidBatchWhole(t *testing.T) {
+	ds := buildDataset(t, 3)
+	dev, other := ds.People[0].Device, ds.People[1].Device
+	ap := ds.Events[0].AP
+	good := []locater.Event{
+		{Device: dev, Time: simStart, AP: ap},
+		{Device: other, Time: simStart.Add(time.Minute), AP: ap},
+	}
+	invalid := []locater.Event{
+		{Device: dev, AP: ap}, // zero time
+		{Time: simStart.Add(2 * time.Minute), AP: ap},
+		{Device: other, Time: simStart.Add(3 * time.Minute)},
+	}
+	for _, cleansing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cleansing=%v", cleansing), func(t *testing.T) {
+			sys := newEmptySystem(t, ds, locater.Config{EnableCache: true, EnableCleansing: cleansing})
+			caches := sys.CacheStats()
+			for i, bad := range invalid {
+				if err := sys.Ingest(append(good[:len(good):len(good)], bad)); !errors.Is(err, locater.ErrInvalidEvent) {
+					t.Fatalf("Ingest with invalid event %d = %v, want ErrInvalidEvent", i, err)
+				}
+				if err := sys.IngestOne(bad); !errors.Is(err, locater.ErrInvalidEvent) {
+					t.Fatalf("IngestOne(invalid event %d) = %v, want ErrInvalidEvent", i, err)
+				}
+			}
+			if n := sys.NumEvents(); n != 0 {
+				t.Fatalf("refused batches stored %d events", n)
+			}
+			if st := sys.CleanseStats(); st != (locater.CleanseStats{}) {
+				t.Fatalf("refused batches reached the cleanser: %+v", st)
+			}
+			if got := sys.CacheStats(); got != caches {
+				t.Errorf("refused batches invalidated caches:\n got %+v\nwant %+v", got, caches)
+			}
+
+			if err := sys.Ingest(good); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.IngestOne(locater.Event{Device: dev, Time: simStart.Add(30 * time.Minute), AP: ap}); err != nil {
+				t.Fatal(err)
+			}
+			if n := sys.NumEvents(); n != len(good)+1 {
+				t.Errorf("corrected retry stored %d events, want %d", n, len(good)+1)
+			}
+			if cleansing {
+				if st := sys.CleanseStats(); st.Ingested != 3 || st.Kept != 3 {
+					t.Errorf("cleanse stats after the retry = %+v, want 3 ingested / 3 kept", st)
+				}
+			}
+		})
 	}
 }
 

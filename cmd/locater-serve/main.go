@@ -1,6 +1,6 @@
-// Command locater-serve exposes a LOCATER deployment — a single system or a
-// multi-building cluster — as an HTTP JSON service: the deployment mode of the
-// paper's prototype, where applications (HVAC control, occupancy
+// Command locater-serve exposes a LOCATER deployment — one building's
+// system — as an HTTP JSON service: the deployment mode of the paper's
+// prototype, where applications (HVAC control, occupancy
 // dashboards) query the cleaning engine online while connectivity events
 // stream in.
 //
@@ -18,13 +18,9 @@
 // Errors come back as the uniform envelope {"code","message",
 // "retry_after_ms"?}; see internal/srv.ErrorEnvelope.
 //
-// -building takes one metadata file or a comma-separated list. One building
-// runs a single system; two or more run a cluster with one independent
-// engine per building behind a router that sends each event to the shard of
-// its access point's building and homes each device on the shard where it
-// was first seen. The buildings' access-point sets must be disjoint. Each
-// shard persists to its own shard-NNN subdirectory under -data-dir and
-// recovers independently on startup.
+// -building names one metadata file. A site with several buildings runs one
+// locater-serve per building, each with its own -data-dir, behind any HTTP
+// router.
 //
 // With -data-dir the deployment is durable: every acknowledged ingest is
 // written ahead to a segmented log under the directory before the HTTP
@@ -37,7 +33,6 @@
 //
 //	locater-serve -events data/dbh-events.csv -building data/dbh-building.json -addr :8080
 //	locater-serve -building data/dbh-building.json -data-dir /var/lib/locater -fsync -snapshot-interval 5m
-//	locater-serve -building b1.json,b2.json -data-dir /var/lib/locater
 package main
 
 import (
@@ -49,12 +44,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"locater"
-	"locater/internal/cluster"
 	"locater/internal/event"
 	"locater/internal/space"
 	"locater/internal/srv"
@@ -63,7 +58,7 @@ import (
 func main() {
 	var (
 		eventsPath   = flag.String("events", "", "connectivity CSV to preload (optional; skipped when -data-dir already holds events)")
-		buildingPath = flag.String("building", "", "building metadata JSON (required); a comma-separated list serves one shard per building")
+		buildingPath = flag.String("building", "", "building metadata JSON (required)")
 		addr         = flag.String("addr", ":8080", "listen address")
 		variant      = flag.String("variant", "dependent", "independent | dependent")
 		dataDir      = flag.String("data-dir", "", "directory for the durable event store (WAL + snapshots); empty = in-memory only")
@@ -96,21 +91,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -variant %q (want independent or dependent)\n", *variant)
 		os.Exit(2)
 	}
-	var buildings []*locater.Building
-	for _, p := range strings.Split(*buildingPath, ",") {
-		bf, err := os.Open(strings.TrimSpace(p))
-		if err != nil {
-			log.Fatalf("opening building metadata: %v", err)
-		}
-		b, err := space.ReadJSON(bf)
-		bf.Close()
-		if err != nil {
-			log.Fatalf("parsing building metadata %s: %v", p, err)
-		}
-		buildings = append(buildings, b)
+	bf, err := os.Open(*buildingPath)
+	if err != nil {
+		log.Fatalf("opening building metadata: %v", err)
+	}
+	building, err := space.ReadJSON(bf)
+	bf.Close()
+	if err != nil {
+		log.Fatalf("parsing building metadata %s: %v", *buildingPath, err)
 	}
 
 	cfg := locater.Config{
+		Building:           building,
 		Variant:            v,
 		EnableCache:        true,
 		PromotionsPerRound: 8,
@@ -124,7 +116,7 @@ func main() {
 		Fsync:            *fsync,
 		SnapshotInterval: *snapInterval,
 	}
-	sys, err := openDeployment(buildings, cfg, *dataDir, popts)
+	sys, err := openDeployment(cfg, *dataDir, popts)
 	if err != nil {
 		log.Fatalf("assembling LOCATER: %v", err)
 	}
@@ -132,9 +124,6 @@ func main() {
 		if n := sys.NumEvents(); n > 0 {
 			fmt.Printf("recovered %d events for %d devices from %s\n", n, sys.NumDevices(), *dataDir)
 		}
-	}
-	if len(buildings) > 1 {
-		fmt.Printf("serving %d buildings, one shard each\n", len(buildings))
 	}
 
 	// Preload the CSV only into an empty store: with -data-dir, a restart
@@ -180,7 +169,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("LOCATER serving %s on %s\n", buildings[0].Name(), *addr)
+		fmt.Printf("LOCATER serving %s on %s\n", building.Name(), *addr)
 		errCh <- server.ListenAndServe()
 	}()
 
@@ -202,27 +191,21 @@ func main() {
 	}
 }
 
-// openDeployment assembles the engine for the buildings: a bare System for
-// one, a cluster with one shard per building for more. With dataDir set the
-// engine is durable and recovers what dataDir holds. cfg.Building is
-// ignored: each engine serves its own building.
-func openDeployment(buildings []*locater.Building, cfg locater.Config, dataDir string, popts locater.PersistOptions) (locater.Locater, error) {
-	var sys locater.Locater
-	var err error
-	copts := cluster.Options{Buildings: buildings}
-	cfg.Building = buildings[0]
-	switch {
-	case len(buildings) > 1 && dataDir != "":
-		sys, err = cluster.Open(dataDir, cfg, popts, copts)
-	case len(buildings) > 1:
-		sys, err = cluster.New(cfg, copts)
-	case dataDir != "":
-		sys, err = locater.Open(dataDir, cfg, popts)
-	default:
-		sys, err = locater.New(cfg)
+// openDeployment assembles the engine for cfg.Building: durable with Open,
+// recovering what dataDir holds, when dataDir is set, and in memory with New
+// otherwise. A dataDir written by a multi-building server holds one
+// shard-NNN subdirectory per building instead of a log of its own; it is
+// refused, since Open would start an empty store beside the shards' data.
+func openDeployment(cfg locater.Config, dataDir string, popts locater.PersistOptions) (*locater.System, error) {
+	if dataDir == "" {
+		return locater.New(cfg)
 	}
-	if err != nil {
-		return nil, err
+	// Glob fails only on a malformed pattern, and this one is constant.
+	if shards, _ := filepath.Glob(filepath.Join(dataDir, "shard-[0-9][0-9][0-9]")); len(shards) > 0 {
+		return nil, fmt.Errorf("%s holds the per-building shards of a multi-building server: "+
+			"run one locater-serve per building with -data-dir set to its shard "+
+			"(shard-000 is the first building of the old -building list, shard-001 the second, …): %s",
+			dataDir, strings.Join(shards, ", "))
 	}
-	return sys, nil
+	return locater.Open(dataDir, cfg, popts)
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"locater"
-	"locater/internal/cluster"
 	"locater/internal/sim"
 )
 
@@ -54,12 +53,9 @@ func testBuilding(t *testing.T, name string) *locater.Building {
 func TestOpenDeploymentOneBuildingIsSystem(t *testing.T) {
 	b := testBuilding(t, "alpha")
 	for _, dataDir := range []string{"", t.TempDir()} {
-		sys, err := openDeployment([]*locater.Building{b}, locater.Config{}, dataDir, locater.PersistOptions{})
+		sys, err := openDeployment(locater.Config{Building: b}, dataDir, locater.PersistOptions{})
 		if err != nil {
 			t.Fatalf("data dir %q: %v", dataDir, err)
-		}
-		if _, ok := sys.(*locater.System); !ok {
-			t.Errorf("data dir %q: one building assembled %T, want *locater.System", dataDir, sys)
 		}
 		if _, _, _, durable := sys.PersistStats(); durable != (dataDir != "") {
 			t.Errorf("data dir %q: durable = %v", dataDir, durable)
@@ -70,47 +66,37 @@ func TestOpenDeploymentOneBuildingIsSystem(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if dataDir != "" {
-			if _, err := os.Stat(cluster.ShardDir(dataDir, 0)); !os.IsNotExist(err) {
-				t.Errorf("one-building deployment created a shard directory (stat: %v)", err)
-			}
-		}
 	}
 }
 
-func TestOpenDeploymentTwoBuildingsIsCluster(t *testing.T) {
-	buildings := []*locater.Building{testBuilding(t, "alpha"), testBuilding(t, "beta")}
-	dataDir := filepath.Join(t.TempDir(), "data")
-	sys, err := openDeployment(buildings, locater.Config{}, dataDir, locater.PersistOptions{})
+// TestOpenDeploymentRefusesShardLayout: a data dir written by a
+// multi-building server holds shard-NNN subdirectories and no log of its
+// own. Opening it as one building would serve an empty store, so it is
+// refused with an error that names the shard directories, and nothing is
+// written beside them.
+func TestOpenDeploymentRefusesShardLayout(t *testing.T) {
+	dataDir := t.TempDir()
+	shards := []string{filepath.Join(dataDir, "shard-000"), filepath.Join(dataDir, "shard-001")}
+	for _, d := range shards {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := openDeployment(locater.Config{Building: testBuilding(t, "alpha")}, dataDir, locater.PersistOptions{})
+	if err == nil {
+		sys.Close()
+		t.Fatal("a multi-building data dir opened as one building")
+	}
+	for _, d := range shards {
+		if !strings.Contains(err.Error(), d) {
+			t.Errorf("error %q does not name %s", err, d)
+		}
+	}
+	entries, err := os.ReadDir(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	c, ok := sys.(*cluster.Cluster)
-	if !ok {
-		t.Fatalf("two buildings assembled %T, want *cluster.Cluster", sys)
-	}
-	if n := c.NumShards(); n != 2 {
-		t.Fatalf("%d shards, want 2", n)
-	}
-	for i, b := range buildings {
-		if got := c.Shard(i).Building(); got != b {
-			t.Errorf("shard %d serves %s, want %s", i, got.Name(), b.Name())
-		}
-		if fi, err := os.Stat(filepath.Join(dataDir, []string{"shard-000", "shard-001"}[i])); err != nil || !fi.IsDir() {
-			t.Errorf("shard %d directory: %v", i, err)
-		}
-	}
-}
-
-func TestOpenDeploymentRefusesSharedAccessPoint(t *testing.T) {
-	buildings := []*locater.Building{testBuilding(t, "alpha"), testBuilding(t, "alpha")}
-	sys, err := openDeployment(buildings, locater.Config{}, "", locater.PersistOptions{})
-	if err == nil {
-		sys.Close()
-		t.Fatal("buildings sharing an access point were accepted")
-	}
-	if !strings.Contains(err.Error(), "alpha-wap01") {
-		t.Errorf("error %q does not name the shared access point", err)
+	if len(entries) != len(shards) {
+		t.Errorf("refused data dir holds %d entries, want the %d shards only", len(entries), len(shards))
 	}
 }

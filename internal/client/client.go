@@ -1,7 +1,7 @@
 // Package client is the Go client for locater-serve's /v1 HTTP API. It
 // implements the locater.Locater service interface, so a remote deployment
-// is interchangeable with an in-process *locater.System or sharded cluster
-// (cmd/locater-query's -target mode drives it).
+// is interchangeable with an in-process *locater.System (cmd/locater-query's
+// -target mode drives it).
 //
 // Fidelity caveats of the wire format, documented per method: localization
 // answers come back without the diagnostic counters (CoarseConfidence,
@@ -267,8 +267,8 @@ func (c *Client) EstimateDeltas(quantile float64, min, max time.Duration) error 
 func (c *Client) Building() *locater.Building { return nil }
 
 // Stats fetches GET /v1/stats — the full-fidelity deployment picture,
-// including the admission and cluster blocks the typed accessors below
-// do not surface.
+// including the admission block the typed accessors below do not
+// surface.
 func (c *Client) Stats() (*srv.StatsResponse, error) {
 	var st srv.StatsResponse
 	if err := c.doJSON(http.MethodGet, "/v1/stats", nil, &st); err != nil {

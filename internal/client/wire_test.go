@@ -67,41 +67,3 @@ func TestStatsSurviveTheWire(t *testing.T) {
 		t.Errorf("QueryStats over the wire:\n got %+v\nwant %+v", got, e.queries)
 	}
 }
-
-// TestMergeCacheStatsCoversEveryField: merging a shard's stats with
-// themselves doubles every counter, except the three configuration values
-// all shards share. A counter added to the engine and forgotten in
-// MergeCacheStats merges to zero and fails here.
-func TestMergeCacheStatsCoversEveryField(t *testing.T) {
-	shared := map[string]bool{
-		".Occupancy.Bucket":     true,
-		".Segments.MaxEvents":   true,
-		".Segments.BlockEvents": true,
-	}
-	var x locater.CacheStats
-	fillDistinct(&x)
-	merged := locater.MergeCacheStats(x, x)
-
-	var check func(path string, one, two reflect.Value)
-	check = func(path string, one, two reflect.Value) {
-		switch one.Kind() {
-		case reflect.Struct:
-			for i := 0; i < one.NumField(); i++ {
-				check(path+"."+one.Type().Field(i).Name, one.Field(i), two.Field(i))
-			}
-		case reflect.Bool:
-			if !two.Bool() {
-				t.Errorf("%s: true merged with true is false", path)
-			}
-		default:
-			want := 2 * one.Int()
-			if shared[path] {
-				want = one.Int()
-			}
-			if two.Int() != want {
-				t.Errorf("%s: %d merged with itself is %d, want %d", path, one.Int(), two.Int(), want)
-			}
-		}
-	}
-	check("", reflect.ValueOf(x), reflect.ValueOf(merged))
-}

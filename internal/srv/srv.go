@@ -1,11 +1,10 @@
 // Package srv implements the HTTP JSON API around a LOCATER deployment: the
 // online query/ingest surface that applications (occupancy dashboards, HVAC
 // controllers, exposure analysis) integrate with. It is deliberately thin:
-// all semantics live behind the locater.Locater service interface, so the
-// same handlers serve a single-building System or a sharded
-// internal/cluster.Cluster. Every endpoint lives under /v1/, every error is
-// the uniform ErrorEnvelope, and the stats blocks are the engine's own stats
-// structs: their JSON tags are the wire schema.
+// all semantics live behind the locater.Locater service interface, which
+// *locater.System implements for one building. Every endpoint lives under
+// /v1/, every error is the uniform ErrorEnvelope, and the stats blocks are
+// the engine's own stats structs: their JSON tags are the wire schema.
 package srv
 
 import (
@@ -49,8 +48,8 @@ type Options struct {
 	Admission AdmissionOptions
 }
 
-// New builds the HTTP handler around an assembled engine (a *locater.System
-// or a sharded cluster.Cluster) with default options.
+// New builds the HTTP handler around an assembled engine (usually a
+// *locater.System) with default options.
 func New(sys locater.Locater) *Server { return NewWithOptions(sys, Options{}) }
 
 // NewWithOptions builds the HTTP handler with explicit options.
@@ -157,29 +156,10 @@ type PersistResponse struct {
 	DurableLSN uint64 `json:"durable_lsn"`
 }
 
-// ShardResponse is one shard's counters inside the cluster stats block.
-// Summing events/devices/queries across shards reproduces the top-level
-// figures (the merged counters reconcile exactly with per-shard sums).
-type ShardResponse struct {
-	Index    int              `json:"index"`
-	Building string           `json:"building"`
-	Events   int              `json:"events"`
-	Devices  int              `json:"devices"`
-	Queries  int              `json:"queries"`
-	Persist  *PersistResponse `json:"persist,omitempty"`
-}
-
-// ClusterResponse is the topology block served when the engine is sharded.
-type ClusterResponse struct {
-	Shards   int             `json:"shards"`
-	PerShard []ShardResponse `json:"per_shard"`
-}
-
-// StatsResponse reports deployment counters (summed across shards on a
-// cluster). Caches and QueryStats are the engine's own stats structs — their
-// JSON tags are the wire schema, so a counter added to the engine appears
-// here and in internal/client without further code. Cluster appears only on
-// sharded deployments, Persist only on durable ones.
+// StatsResponse reports deployment counters. Caches and QueryStats are the
+// engine's own stats structs — their JSON tags are the wire schema, so a
+// counter added to the engine appears here and in internal/client without
+// further code. Persist appears only on durable deployments.
 type StatsResponse struct {
 	Events       int                `json:"events"`
 	Devices      int                `json:"devices"`
@@ -188,7 +168,6 @@ type StatsResponse struct {
 	QueryStats   locater.QueryStats `json:"query_stats"`
 	Admission    AdmissionResponse  `json:"admission"`
 	Persist      *PersistResponse   `json:"persist,omitempty"`
-	Cluster      *ClusterResponse   `json:"cluster,omitempty"`
 	UptimeSecond int64              `json:"uptime_seconds"`
 	Building     string             `json:"building"`
 }
@@ -460,23 +439,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if b := s.sys.Building(); b != nil {
 		resp.Building = b.Name()
-	}
-	if sh, ok := s.sys.(locater.Sharded); ok {
-		cluster := &ClusterResponse{Shards: sh.NumShards()}
-		for _, si := range sh.ShardInfos() {
-			sr := ShardResponse{
-				Index:    si.Index,
-				Building: si.Building,
-				Events:   si.Events,
-				Devices:  si.Devices,
-				Queries:  si.Queries,
-			}
-			if si.Durable {
-				sr.Persist = &PersistResponse{Segments: si.Segments, LastLSN: si.LastLSN, DurableLSN: si.DurableLSN}
-			}
-			cluster.PerShard = append(cluster.PerShard, sr)
-		}
-		resp.Cluster = cluster
 	}
 	if segments, lastLSN, durableLSN, ok := s.sys.PersistStats(); ok {
 		resp.Persist = &PersistResponse{Segments: segments, LastLSN: lastLSN, DurableLSN: durableLSN}

@@ -3,7 +3,6 @@ package srv
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"locater"
-	"locater/internal/cluster"
 	"locater/internal/sim"
 )
 
@@ -91,88 +89,6 @@ func TestErrorEnvelope(t *testing.T) {
 		if env.Message == "" {
 			t.Errorf("%s: empty message", c.name)
 		}
-	}
-}
-
-// TestStatsClusterBlock serves a 2-building cluster and checks /v1/stats
-// publishes the topology with per-shard counters that reconcile with the
-// merged top-level figures.
-func TestStatsClusterBlock(t *testing.T) {
-	var buildings []*locater.Building
-	var events []locater.Event
-	for i, scenario := range []func(int) (sim.Scenario, error){sim.Office, sim.University} {
-		sc, err := scenario(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := sim.Generate(sc.Config(simStart, 3, 99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		buildings = append(buildings, ds.Building)
-		// Both datasets number their devices alike: namespace them.
-		for _, e := range ds.Events {
-			e.Device = locater.DeviceID(fmt.Sprintf("%d:%s", i, e.Device))
-			events = append(events, e)
-		}
-	}
-	c, err := cluster.New(locater.Config{
-		EnableCache:        true,
-		HistoryDays:        7,
-		PromotionsPerRound: 8,
-	}, cluster.Options{Buildings: buildings})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ingest(events); err != nil {
-		t.Fatal(err)
-	}
-	s := New(c)
-
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Cluster == nil {
-		t.Fatal("sharded deployment published no cluster block")
-	}
-	if st.Cluster.Shards != 2 {
-		t.Errorf("cluster block = %d shards", st.Cluster.Shards)
-	}
-	if len(st.Cluster.PerShard) != 2 {
-		t.Fatalf("per_shard has %d entries", len(st.Cluster.PerShard))
-	}
-	var sumEvents, sumDevices int
-	for i, sh := range st.Cluster.PerShard {
-		if sh.Building != buildings[i].Name() {
-			t.Errorf("shard %d serves %q, want %q", i, sh.Building, buildings[i].Name())
-		}
-		sumEvents += sh.Events
-		sumDevices += sh.Devices
-	}
-	if sumEvents != st.Events || sumEvents != len(events) {
-		t.Errorf("per-shard events sum %d, top-level %d, ingested %d", sumEvents, st.Events, len(events))
-	}
-	if sumDevices != st.Devices {
-		t.Errorf("per-shard devices sum %d, top-level %d", sumDevices, st.Devices)
-	}
-
-	// A bare System must NOT publish the block.
-	bare, _ := newTestServer(t)
-	rec = httptest.NewRecorder()
-	bare.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	var bareStats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &bareStats); err != nil {
-		t.Fatal(err)
-	}
-	if bareStats.Cluster != nil {
-		t.Error("unsharded deployment published a cluster block")
 	}
 }
 

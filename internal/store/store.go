@@ -300,9 +300,9 @@ var ErrInvalidEvent = errors.New("store: invalid event")
 
 // ValidateEvents returns an ErrInvalidEvent error for the first event
 // without a device, an AP or a timestamp, and nil when every event has all
-// three. Ingest runs it on the whole batch before applying anything; a
-// router that splits a batch runs it before routing, so a rejected batch
-// reaches no store.
+// three. Ingest runs it on the whole batch before applying anything; the
+// engine runs it before its cleansing stage and cache maintenance too, so a
+// rejected batch changes no state anywhere.
 func ValidateEvents(events []event.Event) error {
 	for _, e := range events {
 		if e.Device == "" {

@@ -366,9 +366,14 @@ func (s *System) invalidateResultCache() {
 	}
 }
 
-// Ingest adds a batch of connectivity events. With EnableCleansing the
-// batch passes the cleansing stage first, so the store — and, on durable
-// systems, the write-ahead log — only ever hold cleansed events.
+// Ingest adds a batch of connectivity events. A batch holding an event
+// without a device, an AP or a timestamp is refused whole with
+// ErrInvalidEvent before any stage sees it. The cleanser remembers every
+// event it keeps, so a refused batch must not reach it, or its corrected
+// retry would be dropped as a duplicate; nor may it invalidate caches for a
+// write that never happened. With EnableCleansing the batch then passes the
+// cleansing stage, so the store — and, on durable systems, the write-ahead
+// log — only ever hold cleansed events.
 //
 // After the store applies the batch, the touched devices' coarse models are
 // dropped, the affinity tier records the write in its per-device log
@@ -378,6 +383,9 @@ func (s *System) invalidateResultCache() {
 // while queries are in flight. On a system built with Open the batch is
 // written ahead to the log and Ingest returns only once it is durable.
 func (s *System) Ingest(events []Event) error {
+	if err := store.ValidateEvents(events); err != nil {
+		return err
+	}
 	if s.cleanser != nil {
 		events = s.cleanser.Clean(events)
 		if len(events) == 0 {
@@ -391,10 +399,13 @@ func (s *System) Ingest(events []Event) error {
 	return err
 }
 
-// IngestOne adds one event (streaming ingestion). Cleansing and model
-// maintenance match Ingest.
+// IngestOne adds one event (streaming ingestion). Validation, cleansing and
+// model maintenance match Ingest.
 func (s *System) IngestOne(e Event) error {
 	events := []Event{e}
+	if err := store.ValidateEvents(events); err != nil {
+		return err
+	}
 	if s.cleanser != nil {
 		events = s.cleanser.Clean(events)
 		if len(events) == 0 {
@@ -642,11 +653,6 @@ func (s *System) NumEvents() int { return s.store.NumEvents() }
 
 // NumDevices returns the number of distinct ingested devices.
 func (s *System) NumDevices() int { return s.store.NumDevices() }
-
-// Devices returns the distinct ingested device IDs in sorted order. A
-// sharded deployment uses it to rebuild its device→shard routing table
-// after per-shard recovery.
-func (s *System) Devices() []DeviceID { return s.store.Devices() }
 
 // NumQueries returns the number of Locate calls served.
 func (s *System) NumQueries() int { return int(s.queries.Load()) }

@@ -7,13 +7,12 @@ import (
 
 // Locater is the service surface of a LOCATER deployment: everything the
 // HTTP layer (internal/srv), the command-line tools, and the load harness
-// need from an engine, independent of how that engine is assembled. Two
-// local implementations exist — *System (one building, one store, one WAL)
-// and internal/cluster.Cluster (N independent System shards behind a
-// router) — plus internal/client.Client, which speaks the same interface to
-// a remote locater-serve over the /v1 HTTP API. Code written against
-// Locater is deployment-agnostic: in-process single-node, in-process
-// sharded, and remote targets are interchangeable.
+// need from an engine, independent of where that engine runs. *System is
+// the in-process implementation (one building, one store, one WAL);
+// internal/client.Client speaks the same interface to a remote
+// locater-serve over the /v1 HTTP API, so code written against Locater
+// drives a local and a remote engine alike. A site with several buildings
+// runs one locater-serve per building.
 //
 // Administrative operations that a particular implementation cannot perform
 // (e.g. Checkpoint over HTTP) return errors.ErrUnsupported rather than
@@ -37,63 +36,32 @@ type Locater interface {
 	// ingested logs (Appendix 9.1).
 	EstimateDeltas(quantile float64, min, max time.Duration) error
 
-	// Building returns the space metadata served. Sharded deployments
-	// return their first shard's building; remote clients may return nil.
+	// Building returns the space metadata served; remote clients may
+	// return nil.
 	Building() *Building
-	// NumEvents, NumDevices, and NumQueries are whole-deployment counters
-	// (summed across shards in a cluster).
+	// NumEvents, NumDevices, and NumQueries are the building's counters.
 	NumEvents() int
 	NumDevices() int
 	NumQueries() int
-	// CacheStats reports the caching layer per tier, merged across shards.
+	// CacheStats reports the caching layer per tier.
 	CacheStats() CacheStats
-	// QueryStats reports the service-level latency picture, merged across
-	// shards.
+	// QueryStats reports the service-level latency picture.
 	QueryStats() QueryStats
 	// PersistStats reports the durable store's shape; ok is false on
-	// in-memory deployments. Clusters report per-shard sums.
+	// in-memory deployments.
 	PersistStats() (segments int, lastLSN, durableLSN uint64, ok bool)
 
-	// Checkpoint snapshots durable state and compacts the log(s); a no-op
+	// Checkpoint snapshots durable state and compacts the log; a no-op
 	// on in-memory deployments.
 	Checkpoint() error
 	// Close releases the engine (final checkpoint on durable deployments).
 	Close() error
 }
 
-// ShardInfo describes one shard of a sharded deployment, for topology
-// introspection (the /v1/stats cluster block) and for reconciling merged
-// counters against per-shard sums.
-type ShardInfo struct {
-	// Index is the shard's position in the router's table.
-	Index int
-	// Building is the shard's building name.
-	Building string
-	// Events, Devices, Queries are the shard's own counters; summing them
-	// across shards reproduces the cluster-level figures.
-	Events, Devices, Queries int
-	// Segments, LastLSN, DurableLSN describe the shard's WAL; Durable is
-	// false for in-memory shards (the LSN fields are then zero).
-	Segments            int
-	LastLSN, DurableLSN uint64
-	Durable             bool
-}
-
-// Sharded is the optional topology interface a multi-shard Locater
-// implements. The HTTP layer detects it to publish the cluster block under
-// /v1/stats; a bare *System deliberately does not implement it.
-type Sharded interface {
-	// NumShards is the number of independent System shards.
-	NumShards() int
-	// ShardInfos reports per-shard counters, index-ordered.
-	ShardInfos() []ShardInfo
-}
-
 // Quarantiner is the optional service interface an engine implements when
 // it can expose the ingest-time cleansing stage's quarantine. The HTTP
-// layer detects it to serve GET /v1/quarantine; a cluster merges its
-// shards' rings. A System always implements it — with cleansing disabled
-// the quarantine is simply empty.
+// layer detects it to serve GET /v1/quarantine. A System always implements
+// it — with cleansing disabled the quarantine is simply empty.
 type Quarantiner interface {
 	// Quarantine returns the newest cleansing-rejected events, newest
 	// first, at most limit (limit ≤ 0 returns everything retained).
@@ -101,7 +69,7 @@ type Quarantiner interface {
 	// CleanseStats reports the cleansing stage's per-rule counters.
 	CleanseStats() CleanseStats
 	// CleansingEnabled reports whether the ingest-time cleansing stage is
-	// on (any shard, on a cluster).
+	// on.
 	CleansingEnabled() bool
 }
 

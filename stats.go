@@ -161,138 +161,3 @@ func (m *queryMetrics) snapshot() QueryStats {
 func (s *System) QueryStats() QueryStats {
 	return s.metrics.snapshot()
 }
-
-// mergeLatency folds per-shard latency summaries into one population:
-// counts sum, means combine weighted by count, and the quantiles and
-// maximum take the worst shard. Quantiles merged this way remain upper
-// estimates — consistent with the power-of-two histograms they come from —
-// because the true cluster-wide quantile can never exceed the worst
-// per-shard one.
-func mergeLatency(parts ...LatencyStats) LatencyStats {
-	var out LatencyStats
-	var weighted float64
-	for _, p := range parts {
-		out.Count += p.Count
-		weighted += p.MeanMicros * float64(p.Count)
-		out.P50Micros = math.Max(out.P50Micros, p.P50Micros)
-		out.P99Micros = math.Max(out.P99Micros, p.P99Micros)
-		out.MaxMicros = math.Max(out.MaxMicros, p.MaxMicros)
-	}
-	if out.Count > 0 {
-		out.MeanMicros = weighted / float64(out.Count)
-	}
-	return out
-}
-
-// MergeQueryStats folds per-shard QueryStats into one cluster-level
-// summary: counts and counters sum, latency populations merge per
-// mergeLatency, and the neighbors-processed quantiles take the worst shard
-// (upper estimates, like the per-shard figures themselves).
-func MergeQueryStats(parts ...QueryStats) QueryStats {
-	var out QueryStats
-	cold := make([]LatencyStats, len(parts))
-	cached := make([]LatencyStats, len(parts))
-	for i, p := range parts {
-		cold[i], cached[i] = p.Cold, p.Cached
-		if p.NeighborsProcessedP50 > out.NeighborsProcessedP50 {
-			out.NeighborsProcessedP50 = p.NeighborsProcessedP50
-		}
-		if p.NeighborsProcessedP99 > out.NeighborsProcessedP99 {
-			out.NeighborsProcessedP99 = p.NeighborsProcessedP99
-		}
-		out.DeadlineExceeded += p.DeadlineExceeded
-	}
-	out.Cold = mergeLatency(cold...)
-	out.Cached = mergeLatency(cached...)
-	return out
-}
-
-// mergeTier sums two cache tiers' sizes, bounds, and counters.
-func mergeTier(a, b CacheTierStats) CacheTierStats {
-	return CacheTierStats{
-		Size:          a.Size + b.Size,
-		Capacity:      a.Capacity + b.Capacity,
-		Hits:          a.Hits + b.Hits,
-		Misses:        a.Misses + b.Misses,
-		Evictions:     a.Evictions + b.Evictions,
-		Invalidations: a.Invalidations + b.Invalidations,
-	}
-}
-
-// MergeCacheStats folds per-shard cache statistics into the cluster-level
-// picture: every tier's sizes, capacities, and counters sum (each shard
-// owns independent caches, so the totals are exact), the occupancy index
-// and segment tier sum their shapes and traffic, and Enabled reports
-// whether any shard runs the caching engine. The occupancy bucket width
-// and segment seal threshold are taken from the first shard (shards share
-// one configuration); ColdTier reports whether any shard spills segments
-// to disk.
-func MergeCacheStats(parts ...CacheStats) CacheStats {
-	var out CacheStats
-	for _, p := range parts {
-		out.Enabled = out.Enabled || p.Enabled
-		out.GraphEdges += p.GraphEdges
-		out.Affinity = mergeTier(out.Affinity, p.Affinity)
-		out.CoarseModels = mergeTier(out.CoarseModels, p.CoarseModels)
-		out.CoarseGapAnswers = mergeTier(out.CoarseGapAnswers, p.CoarseGapAnswers)
-		out.Results = mergeTier(out.Results, p.Results)
-		occ := &out.Occupancy
-		if occ.Bucket == 0 {
-			occ.Bucket = p.Occupancy.Bucket
-		}
-		occ.Buckets += p.Occupancy.Buckets
-		occ.Entries += p.Occupancy.Entries
-		occ.Lookups += p.Occupancy.Lookups
-		seg := &out.Segments
-		if seg.MaxEvents == 0 {
-			seg.MaxEvents = p.Segments.MaxEvents
-			seg.BlockEvents = p.Segments.BlockEvents
-		}
-		seg.ColdTier = seg.ColdTier || p.Segments.ColdTier
-		seg.Segments += p.Segments.Segments
-		seg.SegmentEvents += p.Segments.SegmentEvents
-		seg.HeadEvents += p.Segments.HeadEvents
-		seg.EncodedBytes += p.Segments.EncodedBytes
-		seg.Seals += p.Segments.Seals
-		seg.SealFailures += p.Segments.SealFailures
-		seg.PageIns += p.Segments.PageIns
-		seg.DecodedBytes += p.Segments.DecodedBytes
-		seg.CacheHits += p.Segments.CacheHits
-		seg.CacheSize += p.Segments.CacheSize
-		seg.CacheCapacity += p.Segments.CacheCapacity
-		seg.CachedBytes += p.Segments.CachedBytes
-		seg.DecodeFailures += p.Segments.DecodeFailures
-		seg.LookupErrors += p.Segments.LookupErrors
-		seg.PointLookups += p.Segments.PointLookups
-		seg.LookupDecodedBytes += p.Segments.LookupDecodedBytes
-		seg.BlockSkips += p.Segments.BlockSkips
-		seg.IndexLoads += p.Segments.IndexLoads
-		seg.Compactions += p.Segments.Compactions
-		seg.CompactionFailures += p.Segments.CompactionFailures
-		seg.Backend.MappedFiles += p.Segments.Backend.MappedFiles
-		seg.Backend.MappedBytes += p.Segments.Backend.MappedBytes
-		seg.Backend.Remaps += p.Segments.Backend.Remaps
-		seg.Backend.Rewrites += p.Segments.Backend.Rewrites
-		seg.Backend.RewriteFailures += p.Segments.Backend.RewriteFailures
-		seg.Backend.ReclaimedBytes += p.Segments.Backend.ReclaimedBytes
-		cl := &out.Cleanse
-		cl.Ingested += p.Cleanse.Ingested
-		cl.Kept += p.Cleanse.Kept
-		cl.Duplicates += p.Cleanse.Duplicates
-		cl.Reassociations += p.Cleanse.Reassociations
-		cl.Oscillations += p.Cleanse.Oscillations
-		cl.ImpossibleTransitions += p.Cleanse.ImpossibleTransitions
-		cl.FlaggedDevices += p.Cleanse.FlaggedDevices
-		cl.Quarantined += p.Cleanse.Quarantined
-		cl.QuarantineEvicted += p.Cleanse.QuarantineEvicted
-		mc := &out.Maintenance.Coarse
-		mc.TrainNanos += p.Maintenance.Coarse.TrainNanos
-		mc.Trains += p.Maintenance.Coarse.Trains
-		ma := &out.Maintenance.Affinity
-		ma.FallbackNanos += p.Maintenance.Affinity.FallbackNanos
-		ma.ScopedKept += p.Maintenance.Affinity.ScopedKept
-		ma.ScopedStale += p.Maintenance.Affinity.ScopedStale
-		ma.TrackedDevices += p.Maintenance.Affinity.TrackedDevices
-	}
-	return out
-}
