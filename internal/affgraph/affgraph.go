@@ -372,14 +372,14 @@ func (g *Graph) NumEdges() int {
 //
 // Staleness after writes is handled with SCOPED per-device validation
 // instead of a whole-cache epoch bump. Every cached entry is stamped with
-// the write sequence numbers of its two devices at computation time
-// (affEntry); ObserveIngest records each device's writes together with the
-// minimum event timestamp of the batch. A cached (pair, bucket) entry
-// remains provably byte-identical to a fresh recompute as long as every
-// write to either device since the entry was computed carries only events
-// AFTER the bucket's end: the fallback affinity over (ref−window, ref]
+// the write sequence numbers of its two devices captured before its fallback
+// sweep ran (affEntry); ObserveIngest records each device's writes together
+// with the minimum event timestamp of the batch. A cached (pair, bucket)
+// entry remains provably byte-identical to a fresh recompute as long as
+// every write to either device since the entry was computed carries only
+// events AFTER the bucket's end: the fallback affinity over (ref−window, ref]
 // depends only on the two devices' events with time ≤ ref ≤ bucketEnd (see
-// fine.DeviceAffinity) plus δ, and δ changes route through
+// fine.BatchDeviceAffinity) plus δ, and δ changes route through
 // InvalidateDevice/Invalidate. So steady-state ingest of recent events —
 // the fleet write pattern — invalidates nothing, where the old epoch bump
 // recomputed every pair after every write.
@@ -387,11 +387,9 @@ func (g *Graph) NumEdges() int {
 // The global Invalidate (O(1) epoch bump) remains for writes scoped
 // validation cannot express, e.g. EstimateDeltas changing every δ at once.
 //
-// One documented relaxation: a waiter that joins an in-flight computation
-// re-validates the result against the write log before consuming it, but a
-// write landing in the microseconds between that check and the caller's use
-// is indistinguishable from the write landing just after the query — the
-// same pre/post ordering ambiguity any concurrent read/write pair has.
+// Concurrent misses for one key each run their own fallback sweep and store
+// the same value: the fallback is a pure function of history, so concurrent
+// sweeps need no coordination.
 type CachedAffinity struct {
 	Graph *Graph
 	// Fallback computes affinities when the graph has no edge. Must be
@@ -404,17 +402,11 @@ type CachedAffinity struct {
 	BucketSize time.Duration
 
 	// fallbackCache bounds the memoized fallback answers; its shards
-	// synchronize plain lookups, so the common hit path never touches mu.
+	// synchronize lookups and inserts.
 	fallbackCache *cache.Cache[pairKey, affEntry]
-	// mu guards inflight, which deduplicates concurrent misses for the
-	// same key (singleflight): the fallback computation is the most
-	// expensive step of the fine stage, so only one goroutine runs it
-	// while the rest wait for its result.
-	mu       sync.Mutex
-	inflight map[pairKey]*inflightAffinity
 
 	// wmu guards writes, the per-device write log scoped validation reads.
-	// Lock order: mu before wmu; neither is held across a fallback compute.
+	// It is never held across a fallback sweep.
 	wmu    sync.RWMutex
 	writes map[event.DeviceID]*devWrites
 
@@ -425,8 +417,8 @@ type CachedAffinity struct {
 }
 
 // affEntry is one cached fallback affinity, stamped with the write
-// sequence numbers of the (ordered) pair's devices captured when its
-// computation was claimed.
+// sequence numbers of the (ordered) pair's devices captured before its
+// fallback sweep.
 type affEntry struct {
 	val  float64
 	seqA uint64
@@ -447,25 +439,6 @@ type writeRec struct {
 type devWrites struct {
 	seq  uint64
 	ring [writeRingSize]writeRec
-}
-
-// inflightAffinity is one in-progress fallback computation. val and ok are
-// written before done is closed, so waiters reading after <-done see them.
-// ok is false when the leader's fallback panicked: no value was computed,
-// and waiters must retry rather than consume a bogus zero. epoch is the
-// cache epoch the leader captured before computing; a waiter that joined at
-// a later epoch (an invalidating write landed in between) must also retry —
-// its query began after the write, so it may not consume the pre-write
-// value.
-type inflightAffinity struct {
-	done  chan struct{}
-	epoch uint64
-	// seqA/seqB are the pair devices' write sequence numbers captured when
-	// the computation was claimed; the cached entry is stamped with them.
-	seqA uint64
-	seqB uint64
-	val  float64
-	ok   bool
 }
 
 // DefaultFallbackCacheSize bounds the fallback cache when NewCachedAffinity
@@ -489,7 +462,6 @@ func NewCachedAffinity(g *Graph, fallback interface {
 		Fallback:      fallback,
 		BucketSize:    bucket,
 		fallbackCache: cache.New[pairKey, affEntry](capacity, hashPairKey),
-		inflight:      make(map[pairKey]*inflightAffinity),
 		writes:        make(map[event.DeviceID]*devWrites),
 	}
 }
@@ -520,8 +492,8 @@ func hashPairKey(k pairKey) uint64 {
 }
 
 // PairAffinity implements fine.PairAffinityProvider: one pair answered
-// through BatchPairAffinity, whose accounting, singleflight and
-// invalidation semantics it shares.
+// through BatchPairAffinity, whose accounting and invalidation semantics it
+// shares.
 func (c *CachedAffinity) PairAffinity(a, b event.DeviceID, ref time.Time) float64 {
 	var out [1]float64
 	return c.BatchPairAffinity(a, []event.DeviceID{b}, ref, out[:0])[0]
@@ -537,19 +509,6 @@ func (c *CachedAffinity) bucketOf(ref time.Time) int64 {
 // bucketEndNanos returns the exclusive end of a cache bucket in Unix nanos.
 func (c *CachedAffinity) bucketEndNanos(bucket int64) int64 {
 	return (bucket + 1) * int64(c.BucketSize)
-}
-
-// seqsOf reads the pair devices' current write sequence numbers.
-func (c *CachedAffinity) seqsOf(a, b event.DeviceID) (sa, sb uint64) {
-	c.wmu.RLock()
-	if dw := c.writes[a]; dw != nil {
-		sa = dw.seq
-	}
-	if dw := c.writes[b]; dw != nil {
-		sb = dw.seq
-	}
-	c.wmu.RUnlock()
-	return sa, sb
 }
 
 // entryScopedValid reports whether a cached entry is still provably
@@ -569,13 +528,6 @@ func (c *CachedAffinity) entryScopedValid(e affEntry, key pairKey, bucketEnd int
 		return false, false
 	}
 	return true, sa || sb
-}
-
-// seqsStillValid is entryScopedValid for an in-flight result a waiter is
-// about to consume.
-func (c *CachedAffinity) seqsStillValid(seqA, seqB uint64, key pairKey, bucketEnd int64) bool {
-	valid, _ := c.entryScopedValid(affEntry{seqA: seqA, seqB: seqB}, key, bucketEnd)
-	return valid
 }
 
 // devWritesValid checks one device's write log: the cached sequence number
@@ -642,20 +594,20 @@ func (c *CachedAffinity) recordWriteLocked(d event.DeviceID, minNanos int64) {
 // BatchPairAffinity answers α({d, c}) for every candidate c in one pass —
 // the fine stage's batched sweep entry point (fine.BatchPairAffinityProvider).
 // The graph is consulted once for all pairs under a single shared lock;
-// cached fallback answers fill in next; the remaining misses are computed in
-// ONE batched fallback sweep (when the fallback implements the batch
-// interface) instead of a per-pair copy each, which is where a cold query
-// with N neighbors used to pay 2N history copies.
+// scoped-valid cached fallback answers fill in next; the remaining misses
+// are computed in ONE batched fallback sweep (when the fallback implements
+// the batch interface) instead of a per-pair copy each.
+//
+// The sweep's answers are cached at the cache epoch and the pair devices'
+// write sequence numbers captured before it ran, so a sweep that overlaps
+// Invalidate (the epoch moved: PutAt skips the insert), an in-bucket
+// ObserveIngest or an InvalidateDevice (the stamps predate the write, so
+// the next lookup finds the entry stale) returns its value to its caller
+// but never serves it again.
 //
 // Accounting: a lookup served by the global graph counts as a hit (tracked
 // separately and folded into Stats), a cached fallback answer counts as a
-// hit, and everything that reaches the fallback — the singleflight leader
-// and every waiter that shares its computation — counts as a miss.
-// Concurrent misses for the same key share one computation (singleflight);
-// waiters also share the leader's error path: if the leader's fallback
-// panicked, they retry instead of consuming an uncomputed zero. A
-// computation that predates an epoch bump is returned to its own caller but
-// never cached.
+// hit, and everything that reaches the fallback counts as a miss.
 func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.DeviceID, ref time.Time, out []float64) []float64 {
 	out = c.Graph.WeightsBatch(d, cands, ref, out)
 	bucket := c.bucketOf(ref)
@@ -689,117 +641,42 @@ func (c *CachedAffinity) BatchPairAffinity(d event.DeviceID, cands []event.Devic
 		return out
 	}
 
-	// Claim or join an in-flight computation per missing key. Keys this call
-	// claims are computed below in one batched fallback sweep; keys another
-	// goroutine is already computing are joined after our own sweep
-	// publishes (so their waiters are never blocked on us).
-	c.mu.Lock()
-	var leadIdx []int // positions into missIdx/missKeys this call leads
-	var leadCalls []*inflightAffinity
-	// Every key this call leads completes at the same moment (one batched
-	// sweep publishes them together), so they share a single done channel.
-	var leadDone chan struct{}
-	type joined struct {
-		pos   int // index into cands/out
-		call  *inflightAffinity
-		epoch uint64
+	// Stamp the misses before the sweep reads history.
+	epoch := c.fallbackCache.Epoch()
+	entries := make([]affEntry, len(missKeys))
+	c.wmu.RLock()
+	for k, key := range missKeys {
+		if dw := c.writes[key.a]; dw != nil {
+			entries[k].seqA = dw.seq
+		}
+		if dw := c.writes[key.b]; dw != nil {
+			entries[k].seqB = dw.seq
+		}
 	}
-	var joins []joined
-	for mi, key := range missKeys {
-		if e, ok := c.fallbackCache.Peek(key); ok {
-			if valid, survived := c.entryScopedValid(e, key, bucketEnd); valid {
-				if survived {
-					c.scopedKept.Add(1)
-				}
-				out[missIdx[mi]] = e.val
-				continue
-			}
-			c.scopedStale.Add(1)
-			c.fallbackCache.Delete(key)
-		}
-		if call, ok := c.inflight[key]; ok {
-			joins = append(joins, joined{pos: missIdx[mi], call: call, epoch: c.fallbackCache.Epoch()})
-			continue
-		}
-		if leadDone == nil {
-			leadDone = make(chan struct{})
-		}
-		sa, sb := c.seqsOf(key.a, key.b)
-		call := &inflightAffinity{done: leadDone, epoch: c.fallbackCache.Epoch(), seqA: sa, seqB: sb}
-		c.inflight[key] = call
-		leadIdx = append(leadIdx, mi)
-		leadCalls = append(leadCalls, call)
-	}
-	c.mu.Unlock()
+	c.wmu.RUnlock()
 
-	if len(leadIdx) > 0 {
-		leadDevs := make([]event.DeviceID, len(leadIdx))
-		leadKeys := make([]pairKey, len(leadIdx))
-		for k, mi := range leadIdx {
-			leadDevs[k] = cands[missIdx[mi]]
-			leadKeys[k] = missKeys[mi]
-		}
-		vals := c.leadBatchFallback(d, leadDevs, ref, leadKeys, leadCalls, leadDone)
-		for k, mi := range leadIdx {
-			out[missIdx[mi]] = vals[k]
-		}
+	devs := make([]event.DeviceID, len(missIdx))
+	for k, i := range missIdx {
+		devs[k] = cands[i]
 	}
-	for _, j := range joins {
-		<-j.call.done
-		if j.call.ok && j.call.epoch == j.epoch {
-			x, y := orderPair(d, cands[j.pos])
-			key := pairKey{a: x, b: y, bucket: bucket}
-			if c.seqsStillValid(j.call.seqA, j.call.seqB, key, bucketEnd) {
-				out[j.pos] = j.call.val
-				continue
-			}
-		}
-		// The foreign leader panicked or its computation predates a write
-		// observed before this query joined: re-resolve the pair (which
-		// retries until it leads or reads a fresh value).
-		out[j.pos] = c.PairAffinity(d, cands[j.pos], ref)
-	}
-	return out
-}
-
-// leadBatchFallback computes the claimed keys' affinities in one batched
-// fallback sweep and publishes them. Publication happens in a defer, so a
-// panicking fallback can never leave waiters blocked; only successful
-// computations are cached, and only at the epoch captured
-// when the key was claimed. done is the completion channel every claimed
-// key's inflight entry shares — closed exactly once, after all values are
-// written.
-func (c *CachedAffinity) leadBatchFallback(d event.DeviceID, devs []event.DeviceID, ref time.Time, keys []pairKey, calls []*inflightAffinity, done chan struct{}) (vals []float64) {
-	computed := false
-	defer func() {
-		c.mu.Lock()
-		for i, key := range keys {
-			if computed {
-				c.fallbackCache.PutAt(key, affEntry{val: vals[i], seqA: calls[i].seqA, seqB: calls[i].seqB}, calls[i].epoch)
-			}
-			delete(c.inflight, key)
-		}
-		c.mu.Unlock()
-		for i, call := range calls {
-			if computed {
-				call.val = vals[i]
-			}
-			call.ok = computed
-		}
-		close(done)
-	}()
 	start := time.Now()
+	var vals []float64
 	if bf, ok := c.Fallback.(batchFallback); ok {
 		vals = bf.BatchPairAffinity(d, devs, ref, make([]float64, 0, len(devs)))
 	} else {
 		vals = make([]float64, len(devs))
-		for i, dev := range devs {
-			vals[i] = c.Fallback.PairAffinity(d, dev, ref)
+		for k, dev := range devs {
+			vals[k] = c.Fallback.PairAffinity(d, dev, ref)
 		}
 	}
 	c.fallbackNanos.Add(time.Since(start).Nanoseconds())
-	computed = true
-	return vals
+
+	for k, i := range missIdx {
+		out[i] = vals[k]
+		entries[k].val = vals[k]
+		c.fallbackCache.PutAt(missKeys[k], entries[k], epoch)
+	}
+	return out
 }
 
 // batchFallback mirrors fine.BatchPairAffinityProvider without importing the

@@ -280,8 +280,8 @@ func TestOrderNeighborsPermutationProperty(t *testing.T) {
 	}
 }
 
-// blockingFallback lets a test hold the singleflight leader inside the
-// fallback while waiters pile up.
+// blockingFallback lets a test hold a fallback sweep open while other calls
+// and writes run beside it.
 type blockingFallback struct {
 	entered chan struct{} // receives one value per fallback entry
 	release chan struct{} // each entry blocks until it can receive here
@@ -304,57 +304,9 @@ func (f *blockingFallback) PairAffinity(a, b event.DeviceID, _ time.Time) float6
 	return 0.42
 }
 
-// TestCachedAffinityWaitersShareMiss: singleflight waiters must count the
-// miss they experienced, not a hit — the value was not cached when they
-// looked.
-func TestCachedAffinityWaitersShareMiss(t *testing.T) {
-	g := New(Options{})
-	fb := &blockingFallback{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	c := NewCachedAffinity(g, fb, time.Hour, 0)
-
-	const waiters = 3
-	var wg sync.WaitGroup
-	results := make([]float64, waiters+1)
-	for i := 0; i <= waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.PairAffinity("x", "y", t0)
-		}(i)
-	}
-	<-fb.entered // leader is inside the fallback
-	// Give the waiters a moment to join the in-flight call, then release.
-	time.Sleep(20 * time.Millisecond)
-	close(fb.release)
-	wg.Wait()
-
-	for i, r := range results {
-		if r != 0.42 {
-			t.Errorf("goroutine %d got %v", i, r)
-		}
-	}
-	if fb.calls != 1 {
-		t.Errorf("fallback ran %d times, want 1 (singleflight)", fb.calls)
-	}
-	st := c.Stats()
-	if st.Hits != 0 {
-		t.Errorf("hits = %d, want 0: nobody found a cached value", st.Hits)
-	}
-	if st.Misses != waiters+1 {
-		t.Errorf("misses = %d, want %d (leader + waiters share the miss)", st.Misses, waiters+1)
-	}
-	// The value is cached now: one more lookup is a hit.
-	if got := c.PairAffinity("x", "y", t0); got != 0.42 {
-		t.Errorf("cached lookup = %v", got)
-	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Errorf("hits after cached lookup = %d", st.Hits)
-	}
-}
-
-// TestCachedAffinityLeaderPanicRetries: when the leader's fallback panics,
-// waiters must not consume an uncomputed zero as if it were cached — they
-// retry the computation themselves.
+// TestCachedAffinityLeaderPanicRetries: a fallback that panics caches
+// nothing, and a concurrent miss for the same key computes its own value
+// instead of consuming an uncomputed zero.
 func TestCachedAffinityLeaderPanicRetries(t *testing.T) {
 	g := New(Options{})
 	fb := &blockingFallback{entered: make(chan struct{}, 8), release: make(chan struct{}), doPanic: true}
@@ -376,19 +328,22 @@ func TestCachedAffinityLeaderPanicRetries(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		got = c.PairAffinity("x", "y", t0) // joins in-flight call, then retries
+		got = c.PairAffinity("x", "y", t0) // misses too: runs its own sweep
 	}()
-	time.Sleep(20 * time.Millisecond)
-	close(fb.release) // leader panics; waiter retries and recomputes
+	<-fb.entered      // the waiter's own computation
+	close(fb.release) // leader panics; the waiter's sweep completes
 	<-leaderPanicked
-	<-fb.entered // the waiter's own (retry) computation
 	<-waiterDone
 
 	if got != 0.42 {
 		t.Errorf("waiter got %v after leader panic, want recomputed 0.42", got)
 	}
 	if fb.calls != 2 {
-		t.Errorf("fallback ran %d times, want 2 (panicked leader + retrying waiter)", fb.calls)
+		t.Errorf("fallback ran %d times, want 2 (panicked leader + waiter)", fb.calls)
+	}
+	// The waiter's value is cached; the panicked sweep left nothing behind.
+	if got := c.PairAffinity("x", "y", t0); got != 0.42 || fb.calls != 2 {
+		t.Errorf("cached lookup = %v after %d fallback runs, want 0.42 after 2", got, fb.calls)
 	}
 }
 
@@ -438,10 +393,9 @@ func TestCachedAffinityBounded(t *testing.T) {
 	}
 }
 
-// TestCachedAffinityWaiterAfterInvalidateRetries: a query that joins an
-// in-flight fallback computation AFTER an invalidating write landed must
-// not consume the pre-write value — it began after the write, so it retries
-// and recomputes from post-write history.
+// TestCachedAffinityWaiterAfterInvalidateRetries: a query that misses while
+// a pre-write fallback sweep is still running must not consume that sweep's
+// value — it began after the write, so it computes from post-write history.
 func TestCachedAffinityWaiterAfterInvalidateRetries(t *testing.T) {
 	g := New(Options{})
 	fb := &blockingFallback{entered: make(chan struct{}, 8), release: make(chan struct{})}
@@ -457,17 +411,16 @@ func TestCachedAffinityWaiterAfterInvalidateRetries(t *testing.T) {
 	// The write: invalidate while the leader is still inside the fallback.
 	c.Invalidate()
 
-	// A post-write query joins the in-flight call.
+	// A post-write query misses beside the in-flight sweep.
 	var got float64
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
 		got = c.PairAffinity("x", "y", t0)
 	}()
-	time.Sleep(20 * time.Millisecond) // let it join the inflight table
-	close(fb.release)                 // leader finishes with the stale value
+	<-fb.entered      // the waiter's own post-invalidate computation
+	close(fb.release) // leader finishes with the stale value
 	<-leaderDone
-	<-fb.entered // the waiter's own post-invalidate recomputation
 	<-waiterDone
 
 	if got != 0.42 {
@@ -560,9 +513,8 @@ func TestBatchPairAffinityMatchesSingle(t *testing.T) {
 }
 
 // TestBatchPairAffinityConcurrent: concurrent batch sweeps over overlapping
-// candidate sets must agree with the fallback values (singleflight keeps
-// shared keys consistent) — run with -race this also proves the shared-done
-// publication is sound.
+// candidate sets must agree with the fallback values — run with -race this
+// also proves concurrent inserts of one key are sound.
 func TestBatchPairAffinityConcurrent(t *testing.T) {
 	g := New(Options{})
 	fb := &batchCountingFallback{}

@@ -3,6 +3,7 @@ package affgraph
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,5 +202,119 @@ func TestScopedValidationConcurrent(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		<-done
+	}
+}
+
+// TestSweepOverlappingWriteIsNotCached: a fallback sweep that overlaps a
+// write returns its value to its own caller, but the next lookup computes
+// again — the sweep's stamps predate the write. A write the bucket cannot
+// see (events after its end) leaves the sweep's answer cached.
+func TestSweepOverlappingWriteIsNotCached(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		write  func(c *CachedAffinity)
+		cached bool
+	}{
+		{"Invalidate", func(c *CachedAffinity) { c.Invalidate() }, false},
+		{"ObserveIngestInBucket", func(c *CachedAffinity) {
+			c.ObserveIngest([]event.Event{{Device: "y", Time: t0.Add(time.Minute), AP: "ap1"}})
+		}, false},
+		{"InvalidateDevice", func(c *CachedAffinity) { c.InvalidateDevice("x") }, false},
+		{"ObserveIngestAfterBucket", func(c *CachedAffinity) {
+			c.ObserveIngest([]event.Event{{Device: "y", Time: t0.Add(2 * time.Hour), AP: "ap1"}})
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := &blockingFallback{entered: make(chan struct{}, 8), release: make(chan struct{})}
+			c := NewCachedAffinity(New(Options{}), fb, time.Hour, 0)
+			got := make(chan float64, 1)
+			go func() { got <- c.PairAffinity("x", "y", t0) }()
+			<-fb.entered // the sweep is running
+			tc.write(c)
+			close(fb.release)
+			if v := <-got; v != 0.42 {
+				t.Fatalf("overlapping sweep returned %v, want 0.42", v)
+			}
+			if v := c.PairAffinity("x", "y", t0); v != 0.42 {
+				t.Fatalf("next lookup = %v, want 0.42", v)
+			}
+			want := 2
+			if tc.cached {
+				want = 1
+			}
+			if fb.calls != want {
+				t.Errorf("fallback ran %d times, want %d", fb.calls, want)
+			}
+		})
+	}
+}
+
+// pairRefFallback answers a value that differs per pair and per reference
+// minute, symmetric in the pair.
+type pairRefFallback struct{}
+
+func (pairRefFallback) PairAffinity(a, b event.DeviceID, ref time.Time) float64 {
+	x, y := orderPair(a, b)
+	return float64(hashPairKey(pairKey{a: x, b: y, bucket: ref.Unix() / 60})%1000+1) / 1000
+}
+
+func (f pairRefFallback) BatchPairAffinity(d event.DeviceID, cands []event.DeviceID, ref time.Time, out []float64) []float64 {
+	for _, c := range cands {
+		out = append(out, f.PairAffinity(d, c, ref))
+	}
+	return out
+}
+
+// TestConcurrentMissesMatchSerial: goroutines released together onto the
+// same cold keys each get the value a serial lookup gets, whichever sweep
+// lands in the cache first.
+func TestConcurrentMissesMatchSerial(t *testing.T) {
+	var cands []event.DeviceID
+	for i := 0; i < 24; i++ {
+		cands = append(cands, event.DeviceID(fmt.Sprintf("n%02d", i)))
+	}
+	refs := []time.Time{t0, t0.Add(90 * time.Minute), t0.Add(5 * time.Hour)}
+	serial := NewCachedAffinity(New(Options{}), pairRefFallback{}, time.Hour, 0)
+	want := make([][]float64, len(refs))
+	for i, ref := range refs {
+		want[i] = serial.BatchPairAffinity("hub", cands, ref, nil)
+	}
+
+	c := NewCachedAffinity(New(Options{}), pairRefFallback{}, time.Hour, 0)
+	const workers = 8
+	start := make(chan struct{})
+	errs := make(chan string, workers) // each worker sends at most once
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			var out []float64
+			for rep := 0; rep < 3; rep++ {
+				for i, ref := range refs {
+					if w%2 == 0 {
+						out = c.BatchPairAffinity("hub", cands, ref, out)
+					} else {
+						out = out[:0]
+						for _, cand := range cands {
+							out = append(out, c.PairAffinity(cand, "hub", ref))
+						}
+					}
+					for k := range cands {
+						if out[k] != want[i][k] {
+							errs <- fmt.Sprintf("worker %d ref %d: %s = %v, want %v", w, i, cands[k], out[k], want[i][k])
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

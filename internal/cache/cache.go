@@ -191,8 +191,8 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Peek reports whether k is cached in the current epoch without touching the
-// LRU order or the hit/miss counters. Used by callers that already counted
-// the lookup (e.g. a singleflight double-check under the caller's own lock).
+// LRU order or the hit/miss counters: a probe that must not count as a
+// lookup (the coarse stage checks for a trained model without training one).
 func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()

@@ -28,7 +28,6 @@ import (
 
 	"locater/internal/cache"
 	"locater/internal/event"
-	"locater/internal/ml"
 	"locater/internal/space"
 	"locater/internal/store"
 )
@@ -66,8 +65,6 @@ type Options struct {
 	// used to extract training gaps. Default 56 (8 weeks, the paper's
 	// plateau point in Fig. 8).
 	HistoryDays int
-	// Train configures the underlying logistic regressions.
-	Train ml.Options
 	// MaxPromotionsPerRound promotes the top-k most confident unlabeled
 	// gaps per self-training round instead of exactly one. 1 reproduces
 	// Algorithm 1 verbatim; larger values trade fidelity for speed on

@@ -191,7 +191,7 @@ func (l *Localizer) selfTrain(labeled []labeledGap, unlabeled [][]float64, numCl
 	var clf *ml.Classifier
 	var err error
 	for {
-		clf, err = ml.Train(examplesOf(work), numClasses, l.opts.Train)
+		clf, err = ml.Train(examplesOf(work), numClasses, ml.Options{})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -58,99 +58,58 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// RoomAffinities computes α(d, r) for every candidate room r ∈ R(g) using
-// the device's static preferred rooms. See RoomAffinitiesAt for the
-// time-dependent variant the paper suggests in Section 4.1.
-func RoomAffinities(b *space.Building, w Weights, dev event.DeviceID, g space.RegionID) map[space.RoomID]float64 {
-	return roomAffinities(b, w, g, b.PreferredRooms(string(dev)))
-}
-
-// RoomAffinitiesAt computes α(d, r, t_q) using the preferred rooms in effect
-// at t_q (time-scoped preferences override the static set — e.g. the break
-// room during lunch, the office otherwise).
-func RoomAffinitiesAt(b *space.Building, w Weights, dev event.DeviceID, g space.RegionID, tq time.Time) map[space.RoomID]float64 {
-	return roomAffinities(b, w, g, b.PreferredRoomsAt(string(dev), tq))
-}
-
-// roomAffinities computes the probability distribution over candidate rooms
-// given only metadata.
+// roomPriorInto writes the room affinity α(dev, r, t_q) of every room r in
+// rooms into vals (parallel to rooms): the prior chance of dev being in r
+// given only space metadata and the preferred rooms in effect at t_q
+// (time-scoped preferences override the static set — e.g. the break room
+// during lunch, the office otherwise).
 //
-// Each class of rooms present in the candidate set shares its class weight
-// uniformly: the preferred rooms split w^pf, the public non-preferred rooms
-// split w^pb, and the private non-preferred rooms split w^pr. Weight
-// belonging to an absent class is redistributed proportionally so the
-// affinities always sum to 1 (paper example, Section 4.1).
-func roomAffinities(b *space.Building, w Weights, g space.RegionID, preferred []space.RoomID) map[space.RoomID]float64 {
-	candidates := b.CandidateRooms(g)
-	if len(candidates) == 0 {
-		return nil
-	}
-	prefSet := make(map[space.RoomID]bool)
-	for _, r := range preferred {
-		prefSet[r] = true
-	}
-	var pref, pub, priv []space.RoomID
-	for _, r := range candidates {
+// Each class of rooms present in rooms shares its class weight uniformly:
+// the preferred rooms split w^pf, the public non-preferred rooms split w^pb,
+// and the private non-preferred rooms split w^pr. Weight belonging to an
+// absent class is redistributed proportionally so the affinities always sum
+// to 1 (paper example, Section 4.1).
+func roomPriorInto(b *space.Building, w Weights, dev event.DeviceID, rooms []space.RoomID, tq time.Time, vals []float64) {
+	prefs := b.PreferredRoomsAt(string(dev), tq)
+	nPref, nPub, nPriv := 0, 0, 0
+	for _, r := range rooms {
 		switch {
-		case prefSet[r]:
-			pref = append(pref, r)
+		case roomInSorted(prefs, r):
+			nPref++
 		case b.IsPublic(r):
-			pub = append(pub, r)
+			nPub++
 		default:
-			priv = append(priv, r)
+			nPriv++
 		}
 	}
-	// Mass per class, dropping absent classes and renormalizing.
 	mass := 0.0
-	if len(pref) > 0 {
+	if nPref > 0 {
 		mass += w.Preferred
 	}
-	if len(pub) > 0 {
+	if nPub > 0 {
 		mass += w.Public
 	}
-	if len(priv) > 0 {
+	if nPriv > 0 {
 		mass += w.Private
 	}
-	out := make(map[space.RoomID]float64, len(candidates))
 	if mass == 0 {
 		// Unreachable with valid weights, but keep a uniform fallback.
-		u := 1.0 / float64(len(candidates))
-		for _, r := range candidates {
-			out[r] = u
+		u := 1.0 / float64(len(rooms))
+		for i := range vals {
+			vals[i] = u
 		}
-		return out
+		return
 	}
-	assign := func(rooms []space.RoomID, classWeight float64) {
-		if len(rooms) == 0 {
-			return
+	for i, r := range rooms {
+		switch {
+		case roomInSorted(prefs, r):
+			vals[i] = w.Preferred / mass / float64(nPref)
+		case b.IsPublic(r):
+			vals[i] = w.Public / mass / float64(nPub)
+		default:
+			vals[i] = w.Private / mass / float64(nPriv)
 		}
-		each := classWeight / mass / float64(len(rooms))
-		for _, r := range rooms {
-			out[r] = each
-		}
 	}
-	assign(pref, w.Preferred)
-	assign(pub, w.Public)
-	assign(priv, w.Private)
-	return out
-}
-
-// DeviceAffinity computes α(D) for a pair of devices: the fraction of their
-// historical events that are "intersecting" — the other device logged an
-// event at the same AP within the validity interval — among all events of
-// the pair (paper Section 4.1). The window [start, end] bounds the history
-// considered.
-func DeviceAffinity(st *store.Store, a, b event.DeviceID, start, end time.Time) float64 {
-	ea := st.EventsBetween(a, start, end)
-	eb := st.EventsBetween(b, start, end)
-	total := len(ea) + len(eb)
-	if total == 0 {
-		return 0
-	}
-	da := st.Delta(a)
-	db := st.Delta(b)
-	inter := countIntersecting(ea, eb, da) + countIntersecting(eb, ea, db)
-	return float64(inter) / float64(total)
 }
 
 // affinitySweep is the pooled scratch of one batched affinity sweep: the
@@ -171,9 +130,12 @@ var affinitySweepPool = sync.Pool{New: func() any { return new(affinitySweep) }}
 // timestamps decoded to nanoseconds once instead of being re-compared as
 // time.Time per pair, and each candidate's window is visited in place via
 // store.ScanEvents — so a query with N neighbors costs one copy plus N
-// zero-copy scans where the per-pair DeviceAffinity path costs 2N copies.
-// Results are written into out[:len(cands)] (grown as needed) and are
-// identical to calling DeviceAffinity per pair.
+// zero-copy scans.
+//
+// α({d, c}) is the device affinity of Section 4.1: the fraction of the
+// pair's events in the window that are "intersecting" — the other device
+// logged an event at the same AP within the event's δ — among all events of
+// the pair. Results are written into out[:len(cands)] (grown as needed).
 func BatchDeviceAffinity(st *store.Store, d event.DeviceID, cands []event.DeviceID, start, end time.Time, out []float64) []float64 {
 	out = growFloats(out, len(cands))
 	if len(cands) == 0 {
@@ -219,10 +181,11 @@ func eventNanos(evs []event.Event, buf []int64) []int64 {
 	return buf
 }
 
-// countIntersectingNanos is countIntersecting over pre-decoded nanosecond
-// timestamps (xt, yt parallel to xs, ys): the same two-pointer sweep with
-// integer comparisons instead of time.Time arithmetic per step. Counts are
-// identical for timestamps within int64-nanosecond range (years 1678–2262).
+// countIntersectingNanos counts events in xs that have a same-AP event of ys
+// within delta, over pre-decoded nanosecond timestamps (xt, yt parallel to
+// xs, ys; both sorted by time). Two-pointer sweep: O(n+m) amortized per
+// event window. Counts are exact for timestamps within int64-nanosecond
+// range (years 1678–2262).
 func countIntersectingNanos(xs []event.Event, xt []int64, ys []event.Event, yt []int64, delta time.Duration) int {
 	d := int64(delta)
 	count := 0
@@ -254,28 +217,6 @@ func growFloats(out []float64, n int) []float64 {
 		out[i] = 0
 	}
 	return out
-}
-
-// countIntersecting counts events in xs that have a same-AP event of ys
-// within delta. Both inputs are sorted by time. Two-pointer sweep: O(n+m)
-// amortized per event window.
-func countIntersecting(xs, ys []event.Event, delta time.Duration) int {
-	count := 0
-	j := 0
-	for _, e := range xs {
-		lo := e.Time.Add(-delta)
-		hi := e.Time.Add(delta)
-		for j < len(ys) && ys[j].Time.Before(lo) {
-			j++
-		}
-		for k := j; k < len(ys) && !ys[k].Time.After(hi); k++ {
-			if ys[k].AP == e.AP {
-				count++
-				break
-			}
-		}
-	}
-	return count
 }
 
 // PairAffinityProvider supplies pairwise device affinities α({a, b}). The
@@ -320,8 +261,10 @@ func NewStoreAffinity(st *store.Store, window time.Duration) PairAffinityProvide
 	return &storeAffinity{st: st, window: window}
 }
 
+// PairAffinity answers one pair through the batched sweep kernel.
 func (s *storeAffinity) PairAffinity(a, b event.DeviceID, ref time.Time) float64 {
-	return DeviceAffinity(s.st, a, b, ref.Add(-s.window), ref)
+	var out [1]float64
+	return BatchDeviceAffinity(s.st, a, []event.DeviceID{b}, ref.Add(-s.window), ref, out[:0])[0]
 }
 
 // BatchPairAffinity implements BatchPairAffinityProvider via the batched

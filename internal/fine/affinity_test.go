@@ -1,6 +1,7 @@
 package fine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,57 @@ import (
 )
 
 var t0 = time.Date(2026, 3, 2, 9, 0, 0, 0, time.UTC)
+
+// roomAffinityMap runs roomPriorInto over R(g) at t0 and keys the answer by
+// room; nil when g has no candidate rooms.
+func roomAffinityMap(b *space.Building, w Weights, dev event.DeviceID, g space.RegionID) map[space.RoomID]float64 {
+	rooms := b.CandidateRooms(g)
+	if len(rooms) == 0 {
+		return nil
+	}
+	vals := make([]float64, len(rooms))
+	roomPriorInto(b, w, dev, rooms, t0, vals)
+	out := make(map[space.RoomID]float64, len(rooms))
+	for i, r := range rooms {
+		out[r] = vals[i]
+	}
+	return out
+}
+
+// deviceAffinityOracle is α({a, b}) over [start, end] computed the plain
+// way: both windows copied out of the store and swept with time.Time
+// comparisons.
+func deviceAffinityOracle(st *store.Store, a, b event.DeviceID, start, end time.Time) float64 {
+	ea := st.EventsBetween(a, start, end)
+	eb := st.EventsBetween(b, start, end)
+	total := len(ea) + len(eb)
+	if total == 0 {
+		return 0
+	}
+	inter := countIntersecting(ea, eb, st.Delta(a)) + countIntersecting(eb, ea, st.Delta(b))
+	return float64(inter) / float64(total)
+}
+
+// countIntersecting counts events in xs that have a same-AP event of ys
+// within delta. Both inputs are sorted by time.
+func countIntersecting(xs, ys []event.Event, delta time.Duration) int {
+	count := 0
+	j := 0
+	for _, e := range xs {
+		lo := e.Time.Add(-delta)
+		hi := e.Time.Add(delta)
+		for j < len(ys) && ys[j].Time.Before(lo) {
+			j++
+		}
+		for k := j; k < len(ys) && !ys[k].Time.After(hi); k++ {
+			if ys[k].AP == e.AP {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
 
 // paperBuilding reproduces the running example of Section 4: region g3 with
 // candidate rooms {2059, 2061, 2065, 2069, 2099}, 2061 the preferred room
@@ -67,7 +119,7 @@ func TestRoomAffinitiesPaperExample(t *testing.T) {
 	b := paperBuilding(t)
 	w := Weights{Preferred: 0.5, Public: 0.3, Private: 0.2}
 	g3, _ := b.RegionOf("wap3")
-	aff := RoomAffinities(b, w, "d1", g3)
+	aff := roomAffinityMap(b, w, "d1", g3)
 
 	if math.Abs(aff["2061"]-0.5) > 1e-9 {
 		t.Errorf("α(d1,2061) = %v, want 0.5", aff["2061"])
@@ -94,7 +146,7 @@ func TestRoomAffinitiesNoPreferred(t *testing.T) {
 	g3, _ := b.RegionOf("wap3")
 	// d2 has no preferred rooms: the preferred mass is redistributed, so
 	// public + private shares renormalize to 1.
-	aff := RoomAffinities(b, DefaultWeights(), "d2", g3)
+	aff := roomAffinityMap(b, DefaultWeights(), "d2", g3)
 	sum := 0.0
 	for _, v := range aff {
 		sum += v
@@ -108,16 +160,22 @@ func TestRoomAffinitiesNoPreferred(t *testing.T) {
 	}
 }
 
+// TestRoomAffinitiesUnknownRegion: an unknown region has no candidate
+// rooms, so there is no prior to write.
 func TestRoomAffinitiesUnknownRegion(t *testing.T) {
 	b := paperBuilding(t)
-	if aff := RoomAffinities(b, DefaultWeights(), "d1", "ghost"); aff != nil {
+	if rooms := b.CandidateRooms("ghost"); len(rooms) != 0 {
+		t.Fatalf("unknown region has candidates %v", rooms)
+	}
+	roomPriorInto(b, DefaultWeights(), "d1", nil, t0, nil)
+	if aff := roomAffinityMap(b, DefaultWeights(), "d1", "ghost"); aff != nil {
 		t.Errorf("unknown region should yield nil, got %v", aff)
 	}
 }
 
-// Property: room affinities are a probability distribution and respect the
+// Property: room affinities are a probability distribution, respect the
 // class ordering preferred ≥ public ≥ private per room whenever all classes
-// are present.
+// are present, and equal the map-form reference bit for bit.
 func TestRoomAffinitiesProperty(t *testing.T) {
 	b := paperBuilding(t)
 	g3, _ := b.RegionOf("wap3")
@@ -131,7 +189,12 @@ func TestRoomAffinitiesProperty(t *testing.T) {
 		if err := w.Validate(); err != nil {
 			return true // numerically degenerate; skip
 		}
-		aff := RoomAffinities(b, w, "d1", g3)
+		aff := roomAffinityMap(b, w, "d1", g3)
+		for r, v := range refRoomAffinities(b, w, g3, b.PreferredRooms("d1")) {
+			if aff[r] != v {
+				return false
+			}
+		}
 		sum := 0.0
 		for _, v := range aff {
 			if v < 0 {
@@ -169,18 +232,19 @@ func TestDeviceAffinity(t *testing.T) {
 	}
 	st.Ingest(evs)
 
-	aff := DeviceAffinity(st, "a", "b", t0.Add(-time.Hour), t0.Add(10*time.Hour))
+	p := NewStoreAffinity(st, 11*time.Hour)
+	aff := p.PairAffinity("a", "b", t0.Add(10*time.Hour))
 	// Intersecting: 3 of a's events + 3 of b's events = 6; total = 9.
 	want := 6.0 / 9.0
 	if math.Abs(aff-want) > 1e-9 {
 		t.Errorf("device affinity = %v, want %v", aff, want)
 	}
 	// Empty history → 0.
-	if got := DeviceAffinity(st, "a", "b", t0.Add(-10*time.Hour), t0.Add(-9*time.Hour)); got != 0 {
+	if got := NewStoreAffinity(st, time.Hour).PairAffinity("a", "b", t0.Add(-9*time.Hour)); got != 0 {
 		t.Errorf("empty-window affinity = %v", got)
 	}
 	// Symmetric.
-	rev := DeviceAffinity(st, "b", "a", t0.Add(-time.Hour), t0.Add(10*time.Hour))
+	rev := p.PairAffinity("b", "a", t0.Add(10*time.Hour))
 	if math.Abs(aff-rev) > 1e-9 {
 		t.Errorf("affinity not symmetric: %v vs %v", aff, rev)
 	}
@@ -194,7 +258,7 @@ func TestDeviceAffinityDifferentAPsDontCount(t *testing.T) {
 		{Device: "a", Time: t0, AP: "apX"},
 		{Device: "b", Time: t0.Add(time.Minute), AP: "apY"},
 	})
-	if got := DeviceAffinity(st, "a", "b", t0.Add(-time.Hour), t0.Add(time.Hour)); got != 0 {
+	if got := NewStoreAffinity(st, 2*time.Hour).PairAffinity("a", "b", t0.Add(time.Hour)); got != 0 {
 		t.Errorf("different-AP events should not intersect: %v", got)
 	}
 }
@@ -292,5 +356,76 @@ func TestStoreAffinityProvider(t *testing.T) {
 	// Outside the window → 0.
 	if got := p.PairAffinity("a", "b", t0.Add(48*time.Hour)); got != 0 {
 		t.Errorf("stale affinity = %v, want 0", got)
+	}
+}
+
+// TestStoreAffinityMatchesOracle: the store-backed provider's one-pair and
+// batched answers equal the plain two-copy sweep bit for bit over random
+// logs — ingested out of order, partly sealed into segments, with per-device
+// δ, and with pairs where one side or both have no events in the window.
+func TestStoreAffinityMatchesOracle(t *testing.T) {
+	aps := []space.APID{"ap1", "ap2", "ap3"}
+	positive := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := store.New(0)
+		if rng.Intn(2) == 0 {
+			if err := st.ConfigureSegments(store.SegmentConfig{MaxEvents: 2 + rng.Intn(6)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nDevs := 3 + rng.Intn(5)
+		devs := make([]event.DeviceID, nDevs+1)
+		for i := range devs {
+			devs[i] = event.DeviceID(fmt.Sprintf("d%d", i))
+		}
+		// devs[nDevs] never logs an event.
+		for _, d := range devs[:nDevs] {
+			if rng.Intn(3) > 0 {
+				if err := st.SetDelta(d, time.Duration(1+rng.Intn(20))*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var evs []event.Event
+		for i := 0; i < 40+rng.Intn(120); i++ {
+			evs = append(evs, event.Event{
+				Device: devs[rng.Intn(nDevs)],
+				Time:   t0.Add(time.Duration(rng.Intn(12*60)) * time.Minute),
+				AP:     aps[rng.Intn(len(aps))],
+			})
+		}
+		// Ingest in a few shuffled batches, so later batches land before
+		// events already sealed.
+		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		for len(evs) > 0 {
+			n := 1 + rng.Intn(len(evs))
+			if _, err := st.Ingest(evs[:n]); err != nil {
+				t.Fatal(err)
+			}
+			evs = evs[n:]
+		}
+		window := time.Duration(1+rng.Intn(16)) * time.Hour
+		p := NewStoreAffinity(st, window)
+		for q := 0; q < 10; q++ {
+			ref := t0.Add(time.Duration(rng.Intn(16*60)) * time.Minute)
+			d := devs[rng.Intn(len(devs))]
+			batch := p.(BatchPairAffinityProvider).BatchPairAffinity(d, devs, ref, nil)
+			for i, c := range devs {
+				want := deviceAffinityOracle(st, d, c, ref.Add(-window), ref)
+				if got := p.PairAffinity(d, c, ref); got != want {
+					t.Fatalf("seed %d: PairAffinity(%s, %s, %v) = %v, oracle %v", seed, d, c, ref, got, want)
+				}
+				if batch[i] != want {
+					t.Fatalf("seed %d: batch[%s] with %s at %v = %v, oracle %v", seed, c, d, ref, batch[i], want)
+				}
+				if want > 0 && want < 1 {
+					positive++
+				}
+			}
+		}
+	}
+	if positive < 100 {
+		t.Errorf("only %d pairs had an affinity strictly between 0 and 1; the logs are too sparse to test the sweep", positive)
 	}
 }

@@ -111,41 +111,15 @@ func (s *LabelStore) Restore(m map[event.DeviceID]map[space.RoomID]int) {
 	}
 }
 
-// Blend sharpens a metadata-derived room-affinity distribution with the
-// device's labels over the candidate rooms. The result remains a
-// probability distribution over the candidates. With no labels the prior is
-// returned unchanged (the same map, not a copy).
-func (s *LabelStore) Blend(d event.DeviceID, prior map[space.RoomID]float64) map[space.RoomID]float64 {
+// BlendDense sharpens a metadata-derived room-affinity distribution with the
+// device's labels over the candidate rooms: vals is the device's prior over
+// rooms (parallel slices) and is sharpened in place. The result remains a
+// probability distribution over rooms; with no labels among them vals is
+// left unchanged.
+func (s *LabelStore) BlendDense(d event.DeviceID, rooms []space.RoomID, vals []float64) {
 	// The shared lock is held across the whole computation: the inner
 	// visits map is mutated by Add under the write lock, so it must not be
 	// read after RUnlock.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	visits := s.visits[d]
-	kappa := s.Smoothing
-	if len(visits) == 0 {
-		return prior
-	}
-	n := 0
-	for r := range prior {
-		n += visits[r]
-	}
-	if n == 0 {
-		return prior
-	}
-	lambda := float64(n) / (float64(n) + kappa)
-	out := make(map[space.RoomID]float64, len(prior))
-	for r, p := range prior {
-		emp := float64(visits[r]) / float64(n)
-		out[r] = lambda*emp + (1-lambda)*p
-	}
-	return out
-}
-
-// BlendDense is the allocation-free form of Blend used by the query kernel:
-// vals is the device's metadata prior over rooms (parallel slices) and is
-// sharpened in place. Values are identical to Blend's.
-func (s *LabelStore) BlendDense(d event.DeviceID, rooms []space.RoomID, vals []float64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	visits := s.visits[d]
@@ -172,13 +146,3 @@ func (s *LabelStore) BlendDense(d event.DeviceID, rooms []space.RoomID, vals []f
 // is not synchronized (the LabelStore is, so adding labels while queries
 // run is fine).
 func (l *Localizer) SetLabelStore(s *LabelStore) { l.labels = s }
-
-// priorFor computes the (possibly time-dependent, possibly label-sharpened)
-// room-affinity prior for a device in a region at a query time.
-func (l *Localizer) priorFor(d event.DeviceID, g space.RegionID, tq time.Time) map[space.RoomID]float64 {
-	prior := RoomAffinitiesAt(l.building, l.opts.Weights, d, g, tq)
-	if l.labels != nil {
-		prior = l.labels.Blend(d, prior)
-	}
-	return prior
-}

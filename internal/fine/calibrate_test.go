@@ -3,6 +3,7 @@ package fine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,15 +38,32 @@ func TestLabelStoreValidation(t *testing.T) {
 	}
 }
 
+// blendMap runs BlendDense over a map-form prior (rooms in sorted order) and
+// keys the sharpened answer by room.
+func blendMap(s *LabelStore, d event.DeviceID, prior map[space.RoomID]float64) map[space.RoomID]float64 {
+	rooms := make([]space.RoomID, 0, len(prior))
+	for r := range prior {
+		rooms = append(rooms, r)
+	}
+	slices.Sort(rooms)
+	vals := make([]float64, len(rooms))
+	for i, r := range rooms {
+		vals[i] = prior[r]
+	}
+	s.BlendDense(d, rooms, vals)
+	out := make(map[space.RoomID]float64, len(rooms))
+	for i, r := range rooms {
+		out[r] = vals[i]
+	}
+	return out
+}
+
 func TestLabelStoreBlend(t *testing.T) {
 	s := NewLabelStore(4)
 	prior := map[space.RoomID]float64{"a": 0.6, "b": 0.3, "c": 0.1}
 
-	// No labels → same map returned.
-	if got := s.Blend("d", prior); &got == &prior {
-		// maps are reference types; compare identity via mutation
-	}
-	out := s.Blend("d", prior)
+	// No labels → the prior is left unchanged.
+	out := blendMap(s, "d", prior)
 	if out["a"] != 0.6 {
 		t.Errorf("no-label blend changed prior: %v", out)
 	}
@@ -54,7 +72,7 @@ func TestLabelStoreBlend(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		s.Add("d", "c", t0)
 	}
-	out = s.Blend("d", prior)
+	out = blendMap(s, "d", prior)
 	if out["c"] <= prior["c"] {
 		t.Errorf("labels did not raise c: %v", out["c"])
 	}
@@ -76,14 +94,15 @@ func TestLabelStoreBlend(t *testing.T) {
 	// Labels in rooms outside the candidate set are ignored.
 	s2 := NewLabelStore(4)
 	s2.Add("d", "elsewhere", t0)
-	out = s2.Blend("d", prior)
+	out = blendMap(s2, "d", prior)
 	if out["a"] != 0.6 {
 		t.Errorf("foreign-room labels changed prior: %v", out)
 	}
 }
 
-// Property: Blend always returns a probability distribution over the
-// candidate rooms and is monotone in label counts for the labeled room.
+// Property: BlendDense always returns a probability distribution over the
+// candidate rooms, is monotone in label counts for the labeled room, and
+// equals the map-form reference bit for bit.
 func TestLabelBlendProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -102,7 +121,12 @@ func TestLabelBlendProperty(t *testing.T) {
 		prev := prior[target]
 		for i := 0; i < 5; i++ {
 			s.Add("d", target, t0)
-			out := s.Blend("d", prior)
+			out := blendMap(s, "d", prior)
+			for r, v := range refBlend(s, "d", prior) {
+				if out[r] != v {
+					return false
+				}
+			}
 			sum := 0.0
 			for _, r := range rooms {
 				if out[r] < -1e-12 {

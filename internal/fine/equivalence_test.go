@@ -132,7 +132,7 @@ func randomScene(t *testing.T, rng *rand.Rand) scene {
 	}
 
 	// Half the trials use the store-backed provider (exercising the batched
-	// sweep kernel against per-pair DeviceAffinity); half use a scripted
+	// sweep kernel against its one-pair form); half use a scripted
 	// provider (exercising the per-pair fallback loop).
 	var aff PairAffinityProvider
 	if rng.Float64() < 0.5 {
@@ -160,7 +160,6 @@ func randomScene(t *testing.T, rng *rand.Rand) scene {
 	opts := Options{
 		Variant:           variant,
 		UseStopConditions: rng.Float64() < 0.5,
-		MinPairAffinity:   []float64{0, 0, 0.1}[rng.Intn(3)],
 	}
 	g, _ := bld.RegionOf(aps[rng.Intn(nAPs)].ID)
 	return scene{

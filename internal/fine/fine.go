@@ -47,14 +47,13 @@ type Options struct {
 	// HistoryWindow bounds the history used for device affinities.
 	// Default 8 weeks.
 	HistoryWindow time.Duration
-	// NeighborWindow is how far around t_q to look for neighbor-device
-	// events. Devices in gaps have no event within ±δ of t_q, so this must
-	// exceed the typical validity interval; default 1 hour.
-	NeighborWindow time.Duration
-	// MinPairAffinity filters out neighbors whose device affinity with the
-	// queried device falls below it. Default 0 (keep all positive).
-	MinPairAffinity float64
 }
+
+// neighborWindow is how far around t_q to look for neighbor-device events
+// (widened to the queried device's δ when that is longer). Devices in gaps
+// have no event within ±δ of t_q, so it must exceed the typical validity
+// interval.
+const neighborWindow = time.Hour
 
 func (o Options) withDefaults() Options {
 	if (o.Weights == Weights{}) {
@@ -62,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HistoryWindow <= 0 {
 		o.HistoryWindow = 8 * 7 * 24 * time.Hour
-	}
-	if o.NeighborWindow <= 0 {
-		o.NeighborWindow = time.Hour
 	}
 	return o
 }
@@ -222,10 +218,8 @@ func (l *Localizer) Locate(d event.DeviceID, g space.RegionID, tq time.Time) (Re
 	}
 	qc := acquireQueryCtx(candidates)
 	defer qc.release()
-	priorMap := l.priorFor(d, g, tq)
-	for i, r := range candidates {
-		p := priorMap[r]
-		qc.prior[i] = p
+	l.priorInto(d, candidates, tq, qc.prior)
+	for i, p := range qc.prior {
 		qc.lp[i] = logit(p)
 	}
 
@@ -303,7 +297,7 @@ func (l *Localizer) reorder(qc *queryCtx, d event.DeviceID, neighbors []neighbor
 // sweep — the queried device's log is fetched once per query, not twice per
 // pair (see BatchDeviceAffinity).
 func (l *Localizer) neighborSet(qc *queryCtx, d event.DeviceID, g space.RegionID, tq time.Time) []neighborInfo {
-	window := l.opts.NeighborWindow
+	window := neighborWindow
 	if d2 := l.store.Delta(d); d2 > window {
 		window = d2
 	}
@@ -337,7 +331,7 @@ func (l *Localizer) neighborSet(qc *queryCtx, d event.DeviceID, g space.RegionID
 	out := qc.neighbors[:0]
 	for i := range qc.cands {
 		pa := qc.affs[i]
-		if pa <= l.opts.MinPairAffinity || pa <= 0 {
+		if pa <= 0 {
 			continue
 		}
 		n, positive := l.pairSupport(qc, qc.cands[i].dev, qc.cands[i].region, pa, tq)
@@ -431,17 +425,13 @@ func groupAffinity2(deviceAffinity, c1, c2 float64) float64 {
 
 // neighborCondInto computes the neighbor's conditional room distribution
 // P(@(d_k, r) | @(d_k, R_is)) into ck (dense over the query's candidates, at
-// the R_is positions), without materializing the neighbor's prior as a map:
-// the metadata prior over R(g_k) is classified in place (roomPriorInto),
-// label-sharpened densely, and normalized over R_is.
+// the R_is positions): the neighbor's prior over R(g_k) is computed in
+// scratch (priorInto) and normalized over R_is.
 func (l *Localizer) neighborCondInto(qc *queryCtx, rc *regionCtx, dk event.DeviceID, gk space.RegionID, tq time.Time, ck []float64) {
 	gkRooms := l.building.CandidateRooms(gk)
 	qc.gkVals = growFloats(qc.gkVals, len(gkRooms))
 	vals := qc.gkVals
-	l.roomPriorInto(dk, gkRooms, tq, vals)
-	if l.labels != nil {
-		l.labels.BlendDense(dk, gkRooms, vals)
-	}
+	l.priorInto(dk, gkRooms, tq, vals)
 	total := 0.0
 	for _, gj := range rc.risGkIdx {
 		total += vals[gj]
@@ -458,52 +448,13 @@ func (l *Localizer) neighborCondInto(qc *queryCtx, rc *regionCtx, dk event.Devic
 	}
 }
 
-// roomPriorInto is the dense, allocation-free form of RoomAffinitiesAt: it
-// writes the metadata room-affinity distribution for dev over rooms into
-// vals (parallel to rooms). Values are identical to the map form — the same
-// class weights, the same renormalization expression.
-func (l *Localizer) roomPriorInto(dev event.DeviceID, rooms []space.RoomID, tq time.Time, vals []float64) {
-	w := l.opts.Weights
-	b := l.building
-	prefs := b.PreferredRoomsAt(string(dev), tq)
-	nPref, nPub, nPriv := 0, 0, 0
-	for _, r := range rooms {
-		switch {
-		case roomInSorted(prefs, r):
-			nPref++
-		case b.IsPublic(r):
-			nPub++
-		default:
-			nPriv++
-		}
-	}
-	mass := 0.0
-	if nPref > 0 {
-		mass += w.Preferred
-	}
-	if nPub > 0 {
-		mass += w.Public
-	}
-	if nPriv > 0 {
-		mass += w.Private
-	}
-	if mass == 0 {
-		// Unreachable with valid weights, but keep a uniform fallback.
-		u := 1.0 / float64(len(rooms))
-		for i := range vals {
-			vals[i] = u
-		}
-		return
-	}
-	for i, r := range rooms {
-		switch {
-		case roomInSorted(prefs, r):
-			vals[i] = w.Preferred / mass / float64(nPref)
-		case b.IsPublic(r):
-			vals[i] = w.Public / mass / float64(nPub)
-		default:
-			vals[i] = w.Private / mass / float64(nPriv)
-		}
+// priorInto writes dev's room prior over rooms into vals (parallel to
+// rooms): the metadata room affinity at t_q, sharpened by the attached
+// crowd-sourced labels.
+func (l *Localizer) priorInto(dev event.DeviceID, rooms []space.RoomID, tq time.Time, vals []float64) {
+	roomPriorInto(l.building, l.opts.Weights, dev, rooms, tq, vals)
+	if l.labels != nil {
+		l.labels.BlendDense(dev, rooms, vals)
 	}
 }
 

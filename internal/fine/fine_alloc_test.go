@@ -15,10 +15,11 @@ import (
 // The allocation gates run without -race, which instruments allocations.
 
 // maxLocateAllocs bounds one warm Locate on TestLocateAllocs' scene: the
-// queried device's room-affinity prior, the answer's posterior map and local
-// graph, and neighbor discovery's result. Resolving the candidates, online
-// or in a gap, allocates nothing.
-const maxLocateAllocs = 14
+// answer's posterior map and local graph, and neighbor discovery's result.
+// Room priors, the queried device's and its neighbors', are written into the
+// pooled scratch, and resolving the candidates, online or in a gap,
+// allocates nothing.
+const maxLocateAllocs = 7
 
 // TestLocateAllocs pins the allocations of a warm fine-stage query over a
 // segmented store: twelve neighbors with sealed history, half online at t_q

@@ -106,13 +106,12 @@ func BenchmarkNeighborSet(b *testing.B) {
 			l := New(bld, st, aff, nil, Options{UseStopConditions: true})
 			g3, _ := bld.RegionOf("wap3")
 			candidates := bld.CandidateRooms(g3)
-			priorMap := l.priorFor("d1", g3, t0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				qc := acquireQueryCtx(candidates)
-				for j, r := range candidates {
-					qc.prior[j] = priorMap[r]
-					qc.lp[j] = logit(priorMap[r])
+				l.priorInto("d1", candidates, t0, qc.prior)
+				for j, p := range qc.prior {
+					qc.lp[j] = logit(p)
 				}
 				if got := l.neighborSet(qc, "d1", g3, t0); len(got) != 32 {
 					b.Fatalf("neighbors = %d, want 32", len(got))
@@ -183,8 +182,8 @@ func BenchmarkColdLocate(b *testing.B) {
 }
 
 // BenchmarkPairAffinityBatch contrasts the batched affinity sweep (one copy
-// of the queried device's window + zero-copy candidate scans) against the
-// per-pair DeviceAffinity path (two window copies per pair).
+// of the queried device's window + zero-copy candidate scans) against one
+// PairAffinity call per candidate (one window copy per pair).
 func BenchmarkPairAffinityBatch(b *testing.B) {
 	_, st, _ := historyScene(b, 64)
 	var cands []event.DeviceID
@@ -200,10 +199,11 @@ func BenchmarkPairAffinityBatch(b *testing.B) {
 		}
 	})
 	b.Run("perpair", func(b *testing.B) {
+		p := NewStoreAffinity(st, end.Sub(start))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, c := range cands {
-				DeviceAffinity(st, "d1", c, start, end)
+				p.PairAffinity("d1", c, end)
 			}
 		}
 	})
@@ -257,34 +257,5 @@ func BenchmarkDFineCluster(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkDeviceAffinity(b *testing.B) {
-	st := store.New(0)
-	st.SetDelta("a", 5*time.Minute)
-	st.SetDelta("b", 5*time.Minute)
-	var evs []event.Event
-	for i := 0; i < 5000; i++ {
-		ts := t0.Add(time.Duration(i) * time.Minute)
-		evs = append(evs,
-			event.Event{Device: "a", Time: ts, AP: "apX"},
-			event.Event{Device: "b", Time: ts.Add(30 * time.Second), AP: "apX"},
-		)
-	}
-	st.Ingest(evs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DeviceAffinity(st, "a", "b", t0, t0.Add(5000*time.Minute))
-	}
-}
-
-func BenchmarkRoomAffinities(b *testing.B) {
-	bld := paperBuilding(b)
-	g3, _ := bld.RegionOf("wap3")
-	w := DefaultWeights()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RoomAffinities(bld, w, "d1", g3)
 	}
 }

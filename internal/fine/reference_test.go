@@ -15,9 +15,10 @@ import (
 // sweeps, incremental posteriors, dense room indexing, incremental D-FINE
 // clustering) must produce posteriors that match this implementation to
 // 1e-12; the equivalence property suite diffs against it. It is
-// deliberately naive: per-pair history copies, map-keyed room
-// distributions, full per-iteration re-summation, and from-scratch
-// clustering at every step.
+// deliberately naive: per-pair affinity lookups, map-keyed room
+// distributions (built by the map-form room affinity and label blend below),
+// full per-iteration re-summation, and from-scratch clustering at every
+// step.
 
 // refNeighborInfo is the map-based neighborInfo of the reference kernel.
 type refNeighborInfo struct {
@@ -37,7 +38,7 @@ func (l *Localizer) ReferenceLocate(d event.DeviceID, g space.RegionID, tq time.
 	if len(candidates) == 0 {
 		return Result{}, fmt.Errorf("fine: region %s has no candidate rooms", g)
 	}
-	prior := l.priorFor(d, g, tq)
+	prior := l.refPriorFor(d, g, tq)
 
 	neighbors := l.refNeighborSet(d, g, tq, prior)
 	if l.orderer != nil {
@@ -69,10 +70,10 @@ func (l *Localizer) ReferenceLocate(d event.DeviceID, g space.RegionID, tq time.
 }
 
 // refNeighborSet consults the affinity provider once per candidate — with a
-// store-backed provider that means two full history-window copies per pair
-// (DeviceAffinity via EventsBetween), the cost the batched sweep removes.
+// store-backed provider that means one history sweep per pair, the cost the
+// batched sweep removes.
 func (l *Localizer) refNeighborSet(d event.DeviceID, g space.RegionID, tq time.Time, prior map[space.RoomID]float64) []refNeighborInfo {
-	window := l.opts.NeighborWindow
+	window := neighborWindow
 	if d2 := l.store.Delta(d); d2 > window {
 		window = d2
 	}
@@ -92,7 +93,7 @@ func (l *Localizer) refNeighborSet(d event.DeviceID, g space.RegionID, tq time.T
 			continue
 		}
 		pa := l.affinity.PairAffinity(d, dk, tq)
-		if pa <= l.opts.MinPairAffinity || pa <= 0 {
+		if pa <= 0 {
 			continue
 		}
 		n := l.refPairSupport(dk, g, region, prior, candidates, pa, tq)
@@ -150,7 +151,7 @@ func (l *Localizer) refPairSupport(dk event.DeviceID, gd, gk space.RegionID, pri
 		return n
 	}
 	condD := ConditionalOverRooms(prior, ris)
-	priorK := l.priorFor(dk, gk, tq)
+	priorK := l.refPriorFor(dk, gk, tq)
 	condK := ConditionalOverRooms(priorK, ris)
 	inRis := make(map[space.RoomID]bool, len(ris))
 	for _, r := range ris {
@@ -474,5 +475,95 @@ func refIntersectCandidates(b *space.Building, gd, gk space.RegionID) []space.Ro
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// refPriorFor is the map-form room prior the pre-optimization kernel built
+// per device: the metadata room affinities at t_q, blended with the labels.
+func (l *Localizer) refPriorFor(d event.DeviceID, g space.RegionID, tq time.Time) map[space.RoomID]float64 {
+	prior := refRoomAffinities(l.building, l.opts.Weights, g, l.building.PreferredRoomsAt(string(d), tq))
+	if l.labels != nil {
+		prior = refBlend(l.labels, d, prior)
+	}
+	return prior
+}
+
+// refRoomAffinities computes the probability distribution over candidate
+// rooms given only metadata, as a map: each class of rooms present in the
+// candidate set shares its class weight uniformly, and an absent class's
+// weight is redistributed proportionally.
+func refRoomAffinities(b *space.Building, w Weights, g space.RegionID, preferred []space.RoomID) map[space.RoomID]float64 {
+	candidates := b.CandidateRooms(g)
+	if len(candidates) == 0 {
+		return nil
+	}
+	prefSet := make(map[space.RoomID]bool)
+	for _, r := range preferred {
+		prefSet[r] = true
+	}
+	var pref, pub, priv []space.RoomID
+	for _, r := range candidates {
+		switch {
+		case prefSet[r]:
+			pref = append(pref, r)
+		case b.IsPublic(r):
+			pub = append(pub, r)
+		default:
+			priv = append(priv, r)
+		}
+	}
+	mass := 0.0
+	if len(pref) > 0 {
+		mass += w.Preferred
+	}
+	if len(pub) > 0 {
+		mass += w.Public
+	}
+	if len(priv) > 0 {
+		mass += w.Private
+	}
+	out := make(map[space.RoomID]float64, len(candidates))
+	if mass == 0 {
+		u := 1.0 / float64(len(candidates))
+		for _, r := range candidates {
+			out[r] = u
+		}
+		return out
+	}
+	assign := func(rooms []space.RoomID, classWeight float64) {
+		if len(rooms) == 0 {
+			return
+		}
+		each := classWeight / mass / float64(len(rooms))
+		for _, r := range rooms {
+			out[r] = each
+		}
+	}
+	assign(pref, w.Preferred)
+	assign(pub, w.Public)
+	assign(priv, w.Private)
+	return out
+}
+
+// refBlend sharpens a map-form prior with the device's labels: α' =
+// λ·empirical + (1−λ)·α with λ = n/(n+κ) over the prior's rooms. With no
+// labels among them the prior is returned unchanged.
+func refBlend(s *LabelStore, d event.DeviceID, prior map[space.RoomID]float64) map[space.RoomID]float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	visits := s.visits[d]
+	n := 0
+	for r := range prior {
+		n += visits[r]
+	}
+	if n == 0 {
+		return prior
+	}
+	lambda := float64(n) / (float64(n) + s.Smoothing)
+	out := make(map[space.RoomID]float64, len(prior))
+	for r, p := range prior {
+		emp := float64(visits[r]) / float64(n)
+		out[r] = lambda*emp + (1-lambda)*p
+	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"locater/internal/event"
@@ -662,7 +663,7 @@ func (b *diskSegmentBackend) reclaimDevice(d event.DeviceID, ls LiveSegments) (i
 	if dead < reclaimMinDeadBytes || dead*reclaimDeadFraction < size {
 		return 0, nil
 	}
-	sortSeqs(keep)
+	slices.Sort(keep)
 	path := b.pathFor(d)
 	newIdx, newSize, err := b.rewriteFile(path, idx, keep)
 	if err != nil {
@@ -744,16 +745,6 @@ func (b *diskSegmentBackend) rewriteFile(path string, idx map[uint64]segLoc, kee
 		dirf.Close()
 	}
 	return newIdx, off, nil
-}
-
-// sortSeqs is an insertion sort: keep lists are small (live segments per
-// device) and this avoids pulling in sort for one call site.
-func sortSeqs(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // BackendStats reports the mapping working set and reclamation counters.

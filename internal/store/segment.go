@@ -725,8 +725,9 @@ func (s *Store) CompactRuntSegments() int {
 }
 
 // mergeSegmentsLocked re-seals two adjacent segments as one: decode both,
-// merge-sort (out-of-order ingest means ranges can overlap), encode under
-// the fixed block layout, and store under a fresh sequence number.
+// sort by (Time, ID, Device) (out-of-order ingest means ranges can overlap),
+// encode under the fixed block layout, and store under a fresh sequence
+// number.
 // Caller holds the exclusive lock and splices the returned metadata in place
 // of the pair.
 func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b wal.SegmentMeta) (wal.SegmentMeta, bool) {
@@ -739,7 +740,7 @@ func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b wal.Se
 		return wal.SegmentMeta{}, false
 	}
 	if !eventsSorted(evs) {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		event.SortEvents(evs)
 	}
 	payload, err := s.encodeSegmentVerified(d, evs)
 	if err != nil {

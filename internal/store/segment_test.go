@@ -13,6 +13,7 @@ import (
 
 	"locater/internal/event"
 	"locater/internal/space"
+	"locater/internal/wal"
 )
 
 // newSegmented returns a store sealing heads at max events into backend (nil
@@ -738,5 +739,53 @@ func TestCompactRuntSegmentsRespectsMaxEvents(t *testing.T) {
 	}
 	if st := s.SegmentStats(); st.Segments != 4 {
 		t.Fatalf("segments = %d, want 4 untouched", st.Segments)
+	}
+}
+
+// TestCompactRuntSegmentsKeepsEventOrder: merging two runts whose events
+// share a timestamp, with IDs running against seal order, leaves the merged
+// segment in (Time, ID, Device) order — the order scans and merges rely on.
+func TestCompactRuntSegmentsKeepsEventOrder(t *testing.T) {
+	at := func(min int, id int64) event.Event {
+		e := mk("d", time.Duration(min)*time.Minute, "x")
+		e.ID = id
+		return e
+	}
+	runts := [][]event.Event{
+		{at(0, 101), at(1, 102), at(3, 104), at(5, 105)},
+		{at(2, 3), at(3, 5), at(4, 6), at(6, 7)},
+	}
+	backend := NewMemorySegmentBackend()
+	var metas []wal.SegmentMeta
+	for i, evs := range runts {
+		payload, _ := wal.EncodeSegment(nil, evs, 0)
+		seq := uint64(i + 1)
+		if err := backend.Put("d", seq, payload); err != nil {
+			t.Fatal(err)
+		}
+		metas = append(metas, wal.SegmentMeta{
+			Seq:      seq,
+			Count:    len(evs),
+			MinNanos: evs[0].Time.UnixNano(),
+			MaxNanos: evs[len(evs)-1].Time.UnixNano(),
+			Bytes:    len(payload),
+		})
+	}
+	s := newSegmented(t, 32, backend)
+	if err := s.RestoreSegments(map[event.DeviceID][]wal.SegmentMeta{"d": metas}); err != nil {
+		t.Fatal(err)
+	}
+	if merged := s.CompactRuntSegments(); merged != 1 {
+		t.Fatalf("CompactRuntSegments merged %d pairs, want 1", merged)
+	}
+	got := s.EventsBetween("d", t0, t0.Add(time.Hour))
+	if len(got) != 8 {
+		t.Fatalf("EventsBetween returned %d events, want 8", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Before(got[i-1]) {
+			t.Fatalf("event %d (%s id %d) before event %d (%s id %d)", i,
+				got[i].Time.Format("15:04"), got[i].ID, i-1, got[i-1].Time.Format("15:04"), got[i-1].ID)
+		}
 	}
 }
