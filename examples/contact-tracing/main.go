@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -24,15 +26,22 @@ type exposure struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example; it writes its report to w.
+func run(w io.Writer) error {
 	scenario, err := sim.University(2)
 	if err != nil {
-		log.Fatalf("building university scenario: %v", err)
+		return fmt.Errorf("building university scenario: %w", err)
 	}
 	start := time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC)
 	const days = 14
 	ds, err := sim.Generate(scenario.Config(start, days, 11))
 	if err != nil {
-		log.Fatalf("generating workload: %v", err)
+		return fmt.Errorf("generating workload: %w", err)
 	}
 
 	sys, err := locater.New(locater.Config{
@@ -43,10 +52,10 @@ func main() {
 		PromotionsPerRound: 8,
 	})
 	if err != nil {
-		log.Fatalf("assembling LOCATER: %v", err)
+		return fmt.Errorf("assembling LOCATER: %w", err)
 	}
 	if err := sys.Ingest(ds.Events); err != nil {
-		log.Fatalf("ingest: %v", err)
+		return fmt.Errorf("ingest: %w", err)
 	}
 	sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
 
@@ -59,7 +68,7 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("index case: %s (%s), tracing the last 2 days of a %d-day trace\n",
+	fmt.Fprintf(w, "index case: %s (%s), tracing the last 2 days of a %d-day trace\n",
 		indexCase.Device, indexCase.Profile, days)
 
 	// Sweep the last two days in 15-minute steps; a contact is any device
@@ -75,7 +84,7 @@ func main() {
 		}
 		idxRes, err := sys.Locate(indexCase.Device, tq)
 		if err != nil {
-			log.Fatalf("locating index case: %v", err)
+			return fmt.Errorf("locating index case: %w", err)
 		}
 		if idxRes.Outside {
 			continue
@@ -86,7 +95,7 @@ func main() {
 			}
 			res, err := sys.Locate(p.Device, tq)
 			if err != nil {
-				log.Fatalf("locating %s: %v", p.Device, err)
+				return fmt.Errorf("locating %s: %w", p.Device, err)
 			}
 			if res.Outside || res.Room != idxRes.Room {
 				continue
@@ -115,7 +124,7 @@ func main() {
 		return ranked[i].device < ranked[j].device
 	})
 
-	fmt.Printf("\n%d devices with ≥30 min of estimated co-location:\n", len(ranked))
+	fmt.Fprintf(w, "\n%d devices with ≥30 min of estimated co-location:\n", len(ranked))
 	profiles := map[locater.DeviceID]string{}
 	for _, p := range ds.People {
 		profiles[p.Device] = p.Profile
@@ -125,7 +134,7 @@ func main() {
 		shown = shown[:10]
 	}
 	for _, c := range shown {
-		fmt.Printf("  %-12s %-14s exposure %-6v rooms: %s\n",
+		fmt.Fprintf(w, "  %-12s %-14s exposure %-6v rooms: %s\n",
 			c.device, profiles[c.device], c.total, summarizeRooms(c.rooms))
 	}
 
@@ -138,11 +147,12 @@ func main() {
 		}
 	}
 	if len(ranked) > 0 {
-		fmt.Printf("\nground-truth check: %d/%d reported contacts really shared a room (precision %.0f%%)\n",
+		fmt.Fprintf(w, "\nground-truth check: %d/%d reported contacts really shared a room (precision %.0f%%)\n",
 			truePositives, len(ranked), 100*float64(truePositives)/float64(len(ranked)))
 	} else {
-		fmt.Println("\nno contacts above the exposure threshold")
+		fmt.Fprintln(w, "\nno contacts above the exposure threshold")
 	}
+	return nil
 }
 
 func summarizeRooms(rooms map[locater.RoomID]time.Duration) string {

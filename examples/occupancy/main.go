@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -21,17 +23,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example; it writes its report to w.
+func run(w io.Writer) error {
 	scenario, err := sim.Office(2)
 	if err != nil {
-		log.Fatalf("building office scenario: %v", err)
+		return fmt.Errorf("building office scenario: %w", err)
 	}
 	start := time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC)
 	const days = 14
 	ds, err := sim.Generate(scenario.Config(start, days, 7))
 	if err != nil {
-		log.Fatalf("generating workload: %v", err)
+		return fmt.Errorf("generating workload: %w", err)
 	}
-	fmt.Printf("office simulation: %d people, %d connectivity events over %d days\n",
+	fmt.Fprintf(w, "office simulation: %d people, %d connectivity events over %d days\n",
 		len(ds.People), len(ds.Events), days)
 
 	sys, err := locater.New(locater.Config{
@@ -42,25 +51,25 @@ func main() {
 		PromotionsPerRound: 8,
 	})
 	if err != nil {
-		log.Fatalf("assembling LOCATER: %v", err)
+		return fmt.Errorf("assembling LOCATER: %w", err)
 	}
 	if err := sys.Ingest(ds.Events); err != nil {
-		log.Fatalf("ingest: %v", err)
+		return fmt.Errorf("ingest: %w", err)
 	}
 	sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
 
 	lastDay := start.AddDate(0, 0, days-1)
 	snapshots := []time.Duration{9 * time.Hour, 11 * time.Hour, 13 * time.Hour, 15 * time.Hour, 17 * time.Hour}
 
-	fmt.Println("\nhourly occupancy estimate vs ground truth (whole building):")
-	fmt.Println("time   LOCATER  truth  |err|")
+	fmt.Fprintln(w, "\nhourly occupancy estimate vs ground truth (whole building):")
+	fmt.Fprintln(w, "time   LOCATER  truth  |err|")
 	for _, offset := range snapshots {
 		tq := lastDay.Add(offset)
 		estimated := 0
 		for _, p := range ds.People {
 			res, err := sys.Locate(p.Device, tq)
 			if err != nil {
-				log.Fatalf("locating %s: %v", p.Device, err)
+				return fmt.Errorf("locating %s: %w", p.Device, err)
 			}
 			if !res.Outside {
 				estimated++
@@ -76,7 +85,7 @@ func main() {
 		if diff < 0 {
 			diff = -diff
 		}
-		fmt.Printf("%s  %7d  %5d  %5d\n", tq.Format("15:04"), estimated, truth, diff)
+		fmt.Fprintf(w, "%s  %7d  %5d  %5d\n", tq.Format("15:04"), estimated, truth, diff)
 	}
 
 	// Region-level heat map at 11:00 — the granularity HVAC zoning uses.
@@ -86,23 +95,24 @@ func main() {
 	for _, p := range ds.People {
 		res, err := sys.Locate(p.Device, tq)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !res.Outside {
 			regionCount[res.Region]++
 			roomCount[res.Room]++
 		}
 	}
-	fmt.Printf("\nregion occupancy at %s (top 5):\n", tq.Format("15:04"))
-	printTop(regionCount, 5)
+	fmt.Fprintf(w, "\nregion occupancy at %s (top 5):\n", tq.Format("15:04"))
+	printTop(w, regionCount, 5)
 
 	truthOcc := ds.Truth.OccupancyAt(tq)
-	fmt.Println("\nbusiest rooms at 11:00 — LOCATER vs truth:")
-	fmt.Printf("  LOCATER: %s\n", topRooms(roomCount, 3))
-	fmt.Printf("  truth:   %s\n", topRoomsTruth(truthOcc, 3))
+	fmt.Fprintln(w, "\nbusiest rooms at 11:00 — LOCATER vs truth:")
+	fmt.Fprintf(w, "  LOCATER: %s\n", topRooms(roomCount, 3))
+	fmt.Fprintf(w, "  truth:   %s\n", topRoomsTruth(truthOcc, 3))
+	return nil
 }
 
-func printTop(counts map[locater.RegionID]int, n int) {
+func printTop(w io.Writer, counts map[locater.RegionID]int, n int) {
 	type kv struct {
 		k locater.RegionID
 		v int
@@ -121,7 +131,7 @@ func printTop(counts map[locater.RegionID]int, n int) {
 		all = all[:n]
 	}
 	for _, e := range all {
-		fmt.Printf("  %-14s %d occupants\n", e.k, e.v)
+		fmt.Fprintf(w, "  %-14s %d occupants\n", e.k, e.v)
 	}
 }
 

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"locater"
@@ -16,11 +18,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example; it writes its report to w.
+func run(w io.Writer) error {
 	// A building like Figure 1(a): 40 rooms, 4 APs with overlapping
 	// coverage, every 8th room public (conference rooms, lounges).
 	building, err := sim.GridBuilding("quick", 40, 4, 14, 8)
 	if err != nil {
-		log.Fatalf("building space model: %v", err)
+		return fmt.Errorf("building space model: %w", err)
 	}
 
 	// Simulate two weeks of movement for a small population so LOCATER
@@ -47,9 +56,9 @@ func main() {
 	start := time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC) // a Monday
 	ds, err := sim.Generate(scenario.Config(start, 14, 42))
 	if err != nil {
-		log.Fatalf("generating workload: %v", err)
+		return fmt.Errorf("generating workload: %w", err)
 	}
-	fmt.Printf("simulated %d connectivity events for %d devices over 14 days\n",
+	fmt.Fprintf(w, "simulated %d connectivity events for %d devices over 14 days\n",
 		len(ds.Events), len(ds.People))
 
 	// Assemble LOCATER: D-LOCATER with caching, the paper's defaults.
@@ -59,10 +68,10 @@ func main() {
 		EnableCache: true,
 	})
 	if err != nil {
-		log.Fatalf("assembling LOCATER: %v", err)
+		return fmt.Errorf("assembling LOCATER: %w", err)
 	}
 	if err := sys.Ingest(ds.Events); err != nil {
-		log.Fatalf("ingesting events: %v", err)
+		return fmt.Errorf("ingesting events: %w", err)
 	}
 	sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
 
@@ -70,7 +79,7 @@ func main() {
 	// simulated day: mid-morning (usually a validity hit or short-gap
 	// repair), lunch (often outside), and late evening (outside).
 	dev := ds.People[0].Device
-	fmt.Printf("\ndevice %s (preferred room %s):\n", dev, ds.People[0].BaseRoom)
+	fmt.Fprintf(w, "\ndevice %s (preferred room %s):\n", dev, ds.People[0].BaseRoom)
 	day := start.AddDate(0, 0, 10)
 	for _, q := range []struct {
 		label string
@@ -82,15 +91,16 @@ func main() {
 	} {
 		res, err := sys.Locate(dev, q.t)
 		if err != nil {
-			log.Fatalf("query at %s: %v", q.label, err)
+			return fmt.Errorf("query at %s: %w", q.label, err)
 		}
 		truth, _ := ds.Truth.At(dev, q.t)
-		fmt.Printf("  %s → %-28s truth: %s\n", q.label, describe(res), describeTruth(truth))
+		fmt.Fprintf(w, "  %s → %-28s truth: %s\n", q.label, describe(res), describeTruth(truth))
 	}
 
 	cs := sys.CacheStats()
-	fmt.Printf("\ncaching engine: %d affinity-graph edges, affinity cache %d hits / %d misses, result cache %d hits / %d misses\n",
+	fmt.Fprintf(w, "\ncaching engine: %d affinity-graph edges, affinity cache %d hits / %d misses, result cache %d hits / %d misses\n",
 		cs.GraphEdges, cs.Affinity.Hits, cs.Affinity.Misses, cs.Results.Hits, cs.Results.Misses)
+	return nil
 }
 
 func describe(r locater.Result) string {

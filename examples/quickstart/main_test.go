@@ -1,0 +1,24 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"testing"
+)
+
+// TestRun runs the example end to end through locater.System and checks
+// that it prints its headline and gets as far as its closing report.
+func TestRun(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`^simulated \d+ connectivity events for \d+ devices over 14 days\n`),
+		regexp.MustCompile(`(?m)^caching engine: \d+ affinity-graph edges`),
+	} {
+		if !want.Match(out.Bytes()) {
+			t.Fatalf("output does not match %s:\n%s", want, out.String())
+		}
+	}
+}

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"locater"
@@ -18,15 +20,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example; it writes its report to w.
+func run(w io.Writer) error {
 	scenario, err := sim.DBH(3)
 	if err != nil {
-		log.Fatalf("building scenario: %v", err)
+		return fmt.Errorf("building scenario: %w", err)
 	}
 	start := time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC)
 	const days = 8
 	ds, err := sim.Generate(scenario.Config(start, days, 23))
 	if err != nil {
-		log.Fatalf("generating workload: %v", err)
+		return fmt.Errorf("generating workload: %w", err)
 	}
 
 	sys, err := locater.New(locater.Config{
@@ -37,7 +46,7 @@ func main() {
 		PromotionsPerRound: 8,
 	})
 	if err != nil {
-		log.Fatalf("assembling LOCATER: %v", err)
+		return fmt.Errorf("assembling LOCATER: %w", err)
 	}
 
 	// Pre-load the first 7 days as history (batch), then stream the last.
@@ -51,42 +60,48 @@ func main() {
 		}
 	}
 	if err := sys.Ingest(history); err != nil {
-		log.Fatalf("ingesting history: %v", err)
+		return fmt.Errorf("ingesting history: %w", err)
 	}
 	sys.EstimateDeltas(0.9, 2*time.Minute, 15*time.Minute)
-	fmt.Printf("preloaded %d historical events; streaming %d live events for %s\n",
+	fmt.Fprintf(w, "preloaded %d historical events; streaming %d live events for %s\n",
 		len(history), len(live), lastDay.Format("2006-01-02"))
 
 	checkpoints := []time.Duration{9 * time.Hour, 11 * time.Hour, 13 * time.Hour, 15 * time.Hour, 17 * time.Hour}
 	ci := 0
 	ingested := 0
-	fmt.Println("\ntime   events  inside(est)  inside(truth)  room-accuracy")
+	fmt.Fprintln(w, "\ntime   events  inside(est)  inside(truth)  room-accuracy")
 	for _, e := range live {
 		for ci < len(checkpoints) && !e.Time.Before(lastDay.Add(checkpoints[ci])) {
-			report(sys, ds, lastDay.Add(checkpoints[ci]), ingested)
+			if err := report(w, sys, ds, lastDay.Add(checkpoints[ci]), ingested); err != nil {
+				return err
+			}
 			ci++
 		}
 		if err := sys.IngestOne(e); err != nil {
-			log.Fatalf("streaming ingest: %v", err)
+			return fmt.Errorf("streaming ingest: %w", err)
 		}
 		ingested++
 	}
 	for ; ci < len(checkpoints); ci++ {
-		report(sys, ds, lastDay.Add(checkpoints[ci]), ingested)
+		if err := report(w, sys, ds, lastDay.Add(checkpoints[ci]), ingested); err != nil {
+			return err
+		}
 	}
 
 	cs := sys.CacheStats()
-	fmt.Printf("\nfinal state: %d events, %d affinity edges, affinity cache %d hits / %d misses (%d invalidations)\n",
+	fmt.Fprintf(w, "\nfinal state: %d events, %d affinity edges, affinity cache %d hits / %d misses (%d invalidations)\n",
 		sys.NumEvents(), cs.GraphEdges, cs.Affinity.Hits, cs.Affinity.Misses, cs.Affinity.Invalidations)
+	return nil
 }
 
-// report sweeps every known device at tq and compares against the oracle.
-func report(sys *locater.System, ds *sim.Dataset, tq time.Time, ingested int) {
+// report sweeps every known device at tq and writes the comparison against
+// the oracle to w.
+func report(w io.Writer, sys *locater.System, ds *sim.Dataset, tq time.Time, ingested int) error {
 	insideEst, insideTruth, roomHits, roomTotal := 0, 0, 0, 0
 	for _, p := range ds.People {
 		res, err := sys.Locate(p.Device, tq)
 		if err != nil {
-			log.Fatalf("query at %v: %v", tq, err)
+			return fmt.Errorf("query at %v: %w", tq, err)
 		}
 		seg, ok := ds.Truth.At(p.Device, tq)
 		if !ok {
@@ -109,6 +124,7 @@ func report(sys *locater.System, ds *sim.Dataset, tq time.Time, ingested int) {
 	if roomTotal > 0 {
 		acc = fmt.Sprintf("%3.0f%%", 100*float64(roomHits)/float64(roomTotal))
 	}
-	fmt.Printf("%s  %6d  %11d  %13d  %s\n",
+	fmt.Fprintf(w, "%s  %6d  %11d  %13d  %s\n",
 		tq.Format("15:04"), ingested, insideEst, insideTruth, acc)
+	return nil
 }

@@ -442,7 +442,9 @@ type devWrites struct {
 }
 
 // DefaultFallbackCacheSize bounds the fallback cache when NewCachedAffinity
-// is given a non-positive capacity: 64Ki (pair, bucket) entries ≈ 3 MB.
+// is given a non-positive capacity: 64Ki (pair, bucket) entries, 0.98 MB of
+// index from construction and 6.55 MB at capacity (an 80 B slab node plus
+// 16 B of index per entry; the device IDs the keys share are not counted).
 const DefaultFallbackCacheSize = 64 * 1024
 
 // NewCachedAffinity wires a graph in front of a fallback provider with a
