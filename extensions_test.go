@@ -60,6 +60,11 @@ func TestAddRoomLabelSharpening(t *testing.T) {
 	if err := sys.AddRoomLabel(dev, "no-such-room", tq); err == nil {
 		t.Error("unknown room label should fail")
 	}
+	// A time int64 nanoseconds cannot hold is refused: the log would keep
+	// it wrapped.
+	if err := sys.AddRoomLabel(dev, target, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
+		t.Error("label at 2300 should fail")
+	}
 }
 
 // TestSetTimePreferredRooms: the time-dependent preferred-room extension

@@ -450,7 +450,11 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	}
 	var r space.RegionID
 	found := false
-	l.scanHistory(d, g.Start, func(evs []event.Event) { r, found = l.mostVisitedRegion(evs, g) })
+	l.scanHistory(d, g.Start, func(recs []event.Rec, aps []space.APID) {
+		r, found = l.mostVisitedRegion(len(recs), func(i int) (int, space.APID) {
+			return nanosSecondOfDay(recs[i].Nanos), aps[recs[i].AP]
+		}, g)
+	})
 	if found {
 		return r
 	}
@@ -466,20 +470,22 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	return ""
 }
 
-// mostVisitedRegion counts the historical events whose time of day falls
-// inside the gap's time-of-day window and returns the modal region. Ties
-// break lexicographically for determinism (l.regions is sorted). The query
-// path hands it the history window in place (scanHistory) — counting
-// retains nothing, so it makes no log copy — and training the slice it
-// already holds.
-func (l *Localizer) mostVisitedRegion(hist []event.Event, g event.Gap) (space.RegionID, bool) {
+// mostVisitedRegion counts the n historical events — event i at second of
+// day and AP at(i) — whose time of day falls inside the gap's time-of-day
+// window and returns the modal region. Ties break lexicographically for
+// determinism (l.regions is sorted). The query path hands it the history
+// window in place as the store's records (scanHistory) — counting retains
+// nothing, so it makes no log copy — and training the events it already
+// holds.
+func (l *Localizer) mostVisitedRegion(n int, at func(i int) (int, space.APID), g event.Gap) (space.RegionID, bool) {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
 	counts := make([]int, len(l.regions))
 	found := false
-	for _, e := range hist {
-		if inDayWindow(secondOfDay(e.Time), startSec, endSec) {
-			if region, ok := l.building.RegionOf(e.AP); ok {
+	for i := 0; i < n; i++ {
+		sec, ap := at(i)
+		if inDayWindow(sec, startSec, endSec) {
+			if region, ok := l.building.RegionOf(ap); ok {
 				counts[l.regionIdx[region]]++
 				found = true
 			}
@@ -502,6 +508,22 @@ func secondOfDay(t time.Time) int {
 	return h*3600 + m*60 + s
 }
 
+// nanosSecondOfDay is secondOfDay of the UTC time at Unix nanoseconds n —
+// the form the store's records keep times in — without building the
+// time.Time: Unix days start at UTC midnight, so the second of day is the
+// floored Unix second modulo a day.
+func nanosSecondOfDay(n int64) int {
+	sec := n / 1e9
+	if n%1e9 < 0 {
+		sec--
+	}
+	s := sec % 86400
+	if s < 0 {
+		s += 86400
+	}
+	return int(s)
+}
+
 // inDayWindow reports whether second-of-day s lies in [start, end],
 // handling windows that wrap past midnight.
 func inDayWindow(s, start, end int) bool {
@@ -520,9 +542,10 @@ func (l *Localizer) historyEvents(d event.DeviceID, ref time.Time) []event.Event
 	return l.store.EventsBetween(d, start, ref)
 }
 
-// scanHistory visits the same window as historyEvents zero-copy, under the
-// store's shared lock. fn must not retain the slice.
-func (l *Localizer) scanHistory(d event.DeviceID, ref time.Time, fn func(evs []event.Event)) {
+// scanHistory visits the same window as historyEvents zero-copy, as the
+// store's records and AP dictionary (see store.ScanEvents), under the
+// store's shared lock. fn must not retain recs.
+func (l *Localizer) scanHistory(d event.DeviceID, ref time.Time, fn func(recs []event.Rec, aps []space.APID)) {
 	start := ref.AddDate(0, 0, -l.opts.HistoryDays)
-	l.store.ScanEvents(d, start, ref, func(evs []event.Event, _ time.Duration) { fn(evs) })
+	l.store.ScanEvents(d, start, ref, func(recs []event.Rec, aps []space.APID, _ time.Duration) { fn(recs, aps) })
 }

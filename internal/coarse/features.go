@@ -82,9 +82,9 @@ func (l *Localizer) windowCount(d event.DeviceID, g event.Gap) int {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
 	count := 0
-	l.scanHistory(d, g.Start, func(evs []event.Event) {
-		for _, e := range evs {
-			if inDayWindow(secondOfDay(e.Time), startSec, endSec) {
+	l.scanHistory(d, g.Start, func(recs []event.Rec, _ []space.APID) {
+		for _, r := range recs {
+			if inDayWindow(nanosSecondOfDay(r.Nanos), startSec, endSec) {
 				count++
 			}
 		}

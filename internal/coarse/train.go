@@ -149,7 +149,8 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 			rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})
 		case g.Duration() <= th.RegionTauLow:
 			// Short ambiguous gap: most-visited-region heuristic.
-			if r, ok := l.mostVisitedRegion(hist, g); ok {
+			eventAt := func(i int) (int, space.APID) { return secondOfDay(hist[i].Time), hist[i].AP }
+			if r, ok := l.mostVisitedRegion(len(hist), eventAt, g); ok {
 				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[r]})
 			} else if okS {
 				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})

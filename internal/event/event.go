@@ -65,6 +65,37 @@ func SortEvents(events []Event) {
 	slices.SortFunc(events, Event.Compare)
 }
 
+// Rec is an event in the pointer-free form the store holds it in: the time
+// as Unix nanoseconds, the ID, and the AP as an ordinal into a dictionary
+// the holder owns. The device is implicit, because a Rec lives in one
+// device's log. It weighs 24 bytes with padding, and a []Rec holds nothing
+// the garbage collector has to scan.
+type Rec struct {
+	Nanos int64
+	ID    int64
+	AP    uint32
+}
+
+// Before orders records by (Nanos, ID): within one device that is
+// Event.Before's (Time, ID, Device) order.
+func (r Rec) Before(o Rec) bool {
+	return r.Compare(o) < 0
+}
+
+// Compare orders records by (Nanos, ID), as Before does.
+func (r Rec) Compare(o Rec) int {
+	if c := cmp.Compare(r.Nanos, o.Nanos); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.ID, o.ID)
+}
+
+// Event expands r into an Event of device d, its AP named by aps[r.AP].
+// The time comes back in UTC, as the store and its logs return times.
+func (r Rec) Event(d DeviceID, aps []space.APID) Event {
+	return Event{ID: r.ID, Device: d, Time: time.Unix(0, r.Nanos).UTC(), AP: aps[r.AP]}
+}
+
 // Validity is the validity interval of a single event: the period during
 // which the device is assumed to remain in the region covered by the event's
 // AP. An event e_n at time t_n is valid in (t_n − δ, t_n + δ), truncated so

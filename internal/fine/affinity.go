@@ -113,24 +113,21 @@ func roomPriorInto(b *space.Building, w Weights, dev event.DeviceID, rooms []spa
 }
 
 // affinitySweep is the pooled scratch of one batched affinity sweep: the
-// single copy of the queried device's history window plus the decoded
-// nanosecond timestamp arrays of both sides (the neighbors' windows
-// themselves are visited zero-copy under the store's shared lock).
+// single copy of the queried device's history window (the neighbors'
+// windows themselves are visited zero-copy under the store's shared lock).
 type affinitySweep struct {
-	dEvs   []event.Event
-	dTimes []int64
-	cTimes []int64
+	dRecs []event.Rec
 }
 
 var affinitySweepPool = sync.Pool{New: func() any { return new(affinitySweep) }}
 
 // BatchDeviceAffinity computes α({d, c}) for every candidate device c in one
 // sweep over the history window [start, end]. The queried device's window is
-// materialized once (into a pooled buffer) instead of once per pair, its
-// timestamps decoded to nanoseconds once instead of being re-compared as
-// time.Time per pair, and each candidate's window is visited in place via
-// store.ScanEvents — so a query with N neighbors costs one copy plus N
-// zero-copy scans.
+// copied once (into a pooled buffer) instead of once per pair, and each
+// candidate's window is visited in place via store.ScanEvents — so a query
+// with N neighbors costs one copy plus N zero-copy scans. The windows are
+// the store's records: times as Unix nanoseconds and APs as store-wide
+// ordinals, so the sweep compares integers only.
 //
 // α({d, c}) is the device affinity of Section 4.1: the fraction of the
 // pair's events in the window that are "intersecting" — the other device
@@ -143,25 +140,22 @@ func BatchDeviceAffinity(st *store.Store, d event.DeviceID, cands []event.Device
 	}
 	sw := affinitySweepPool.Get().(*affinitySweep)
 	defer func() {
-		sw.dEvs = sw.dEvs[:0]
+		sw.dRecs = sw.dRecs[:0]
 		affinitySweepPool.Put(sw)
 	}()
 	var dDelta time.Duration
-	st.ScanEvents(d, start, end, func(evs []event.Event, delta time.Duration) {
-		sw.dEvs = append(sw.dEvs[:0], evs...)
+	st.ScanEvents(d, start, end, func(recs []event.Rec, _ []space.APID, delta time.Duration) {
+		sw.dRecs = append(sw.dRecs[:0], recs...)
 		dDelta = delta
 	})
-	sw.dTimes = eventNanos(sw.dEvs, sw.dTimes)
 	for i, c := range cands {
 		aff := 0.0
-		st.ScanEvents(c, start, end, func(evs []event.Event, delta time.Duration) {
-			total := len(sw.dEvs) + len(evs)
+		st.ScanEvents(c, start, end, func(recs []event.Rec, _ []space.APID, delta time.Duration) {
+			total := len(sw.dRecs) + len(recs)
 			if total == 0 {
 				return
 			}
-			sw.cTimes = eventNanos(evs, sw.cTimes)
-			inter := countIntersectingNanos(sw.dEvs, sw.dTimes, evs, sw.cTimes, dDelta) +
-				countIntersectingNanos(evs, sw.cTimes, sw.dEvs, sw.dTimes, delta)
+			inter := countIntersectingRecs(sw.dRecs, recs, dDelta) + countIntersectingRecs(recs, sw.dRecs, delta)
 			aff = float64(inter) / float64(total)
 		})
 		out[i] = aff
@@ -169,34 +163,20 @@ func BatchDeviceAffinity(st *store.Store, d event.DeviceID, cands []event.Device
 	return out
 }
 
-// eventNanos decodes the events' timestamps into a reused []int64.
-func eventNanos(evs []event.Event, buf []int64) []int64 {
-	if cap(buf) < len(evs) {
-		buf = make([]int64, len(evs))
-	}
-	buf = buf[:len(evs)]
-	for i := range evs {
-		buf[i] = evs[i].Time.UnixNano()
-	}
-	return buf
-}
-
-// countIntersectingNanos counts events in xs that have a same-AP event of ys
-// within delta, over pre-decoded nanosecond timestamps (xt, yt parallel to
-// xs, ys; both sorted by time). Two-pointer sweep: O(n+m) amortized per
-// event window. Counts are exact for timestamps within int64-nanosecond
-// range (years 1678–2262).
-func countIntersectingNanos(xs []event.Event, xt []int64, ys []event.Event, yt []int64, delta time.Duration) int {
+// countIntersectingRecs counts records in xs that have a same-AP record of ys
+// within delta (both sorted by time, APs as ordinals of one dictionary).
+// Two-pointer sweep: O(n+m) amortized per event window.
+func countIntersectingRecs(xs, ys []event.Rec, delta time.Duration) int {
 	d := int64(delta)
 	count := 0
 	j := 0
 	for i := range xs {
-		lo := xt[i] - d
-		hi := xt[i] + d
-		for j < len(yt) && yt[j] < lo {
+		lo := xs[i].Nanos - d
+		hi := xs[i].Nanos + d
+		for j < len(ys) && ys[j].Nanos < lo {
 			j++
 		}
-		for k := j; k < len(yt) && yt[k] <= hi; k++ {
+		for k := j; k < len(ys) && ys[k].Nanos <= hi; k++ {
 			if ys[k].AP == xs[i].AP {
 				count++
 				break

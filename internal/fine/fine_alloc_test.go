@@ -77,3 +77,34 @@ func TestLocateAllocs(t *testing.T) {
 		t.Errorf("Locate allocates %v times per call, want at most %d", n, maxLocateAllocs)
 	}
 }
+
+// TestBatchDeviceAffinityAllocs: a warm batched affinity sweep allocates
+// nothing — the queried device's window goes into the pooled copy, the
+// candidates' windows are scanned in place, and out is reused — also when
+// the windows span sealed segments and the head.
+func TestBatchDeviceAffinityAllocs(t *testing.T) {
+	st := store.New(0)
+	if err := st.ConfigureSegments(store.SegmentConfig{MaxEvents: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var evs []event.Event
+	cands := []event.DeviceID{"n0", "n1", "n2", "ghost"}
+	for k := 0; k < 10; k++ {
+		at := t0.Add(time.Duration(k) * 10 * time.Minute)
+		evs = append(evs, event.Event{Device: "d1", Time: at, AP: "wap3"})
+		for i, c := range cands[:3] {
+			evs = append(evs, event.Event{Device: c, Time: at.Add(time.Duration(i) * time.Minute), AP: space.APID(fmt.Sprintf("wap%d", 3+i%2))})
+		}
+	}
+	if _, err := st.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	start, end := t0, t0.Add(2*time.Hour)
+	out := BatchDeviceAffinity(st, "d1", cands, start, end, nil)
+	if out[0] == 0 || out[3] != 0 {
+		t.Fatalf("affinities %v: want n0 > 0 and the ghost 0", out)
+	}
+	if n := testing.AllocsPerRun(100, func() { out = BatchDeviceAffinity(st, "d1", cands, start, end, out) }); n != 0 {
+		t.Errorf("BatchDeviceAffinity allocates %v times per call, want 0", n)
+	}
+}

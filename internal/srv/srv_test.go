@@ -268,6 +268,29 @@ func TestIngestMissingTimeRejected(t *testing.T) {
 	}
 }
 
+// TestIngestTimeOutsideNanosRejected: an event whose time int64
+// nanoseconds cannot hold gets the 400 envelope and changes nothing. Acked,
+// it would be stored with a wrapped timestamp (2300 came back as 1715).
+func TestIngestTimeOutsideNanosRejected(t *testing.T) {
+	s, ds := newTestServer(t)
+	before := mustStats(t, s).Events
+	ap := ds.Building.AccessPoints()[0]
+	body, _ := json.Marshal([]IngestEvent{
+		{Device: "new-device", Time: "2300-01-01T00:00:00Z", AP: string(ap)},
+	})
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("ingest at 2300 = %d, want 400", rec.Code)
+	}
+	if code := errCode(t, rec); code != codeBadRequest {
+		t.Errorf("error code = %q, want %q", code, codeBadRequest)
+	}
+	if after := mustStats(t, s).Events; after != before {
+		t.Errorf("rejected batch changed event count: %d → %d", before, after)
+	}
+}
+
 // failingIngest is an engine whose Ingest fails with a fixed error.
 type failingIngest struct {
 	locater.Locater

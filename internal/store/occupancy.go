@@ -3,7 +3,6 @@ package store
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -17,15 +16,18 @@ import (
 const occupancyBucket = 10 * time.Minute
 
 // occupancyIndex is a time-bucketed inverted index over the event logs:
-// bucket → AP → the devices with at least one event at that AP inside the
+// bucket → the (AP, device) pairs with at least one event inside the
 // bucket. It serves ActiveDevicesAt in time proportional to the devices
 // actually active in the window instead of a scan over every device log in
 // the store.
 //
-// Devices appear by ordinal (deviceLog.ord, dense per store): each
-// (bucket, AP) cell is a sorted slice of ordinals, a few bytes per entry, and
-// a lookup unions the cells it touches through a mark array indexed by
-// ordinal (occScratch) instead of building sets.
+// Both APs and devices appear by ordinal — the AP by its position in the
+// store's AP dictionary, the device by deviceLog.ord — so a bucket is one
+// sorted []uint64 of cells ap<<32 | device, 8 bytes per entry and no string
+// anywhere. An AP's devices are the contiguous run of cells with its
+// ordinal in the high half, found by binary search; a lookup unions the
+// runs it touches through a mark array indexed by device ordinal
+// (occScratch) instead of building sets.
 //
 // The index is derived state: it is maintained incrementally on the ingest
 // path (under the store's exclusive lock), rebuilt from the logs when
@@ -37,22 +39,19 @@ const occupancyBucket = 10 * time.Minute
 // no special handling here; only the per-device verification of boundary
 // buckets (see activeDevicesLocked) needs sorted logs.
 type occupancyIndex struct {
-	buckets map[int64]map[space.APID][]int32
+	buckets map[int64][]uint64
 	// entries counts distinct (bucket, AP, device) triples — the index's
 	// resident size.
 	entries int
 }
 
 func newOccupancyIndex() *occupancyIndex {
-	return &occupancyIndex{
-		buckets: make(map[int64]map[space.APID][]int32),
-	}
+	return &occupancyIndex{buckets: make(map[int64][]uint64)}
 }
 
-// bucketOf maps a timestamp to its bucket ordinal (floor division, so
-// pre-epoch times bucket consistently too).
-func bucketOf(t time.Time) int64 {
-	n := t.UnixNano()
+// bucketOf maps Unix nanoseconds to their bucket ordinal (floor division,
+// so pre-epoch times bucket consistently too).
+func bucketOf(n int64) int64 {
 	w := int64(occupancyBucket)
 	b := n / w
 	if n < 0 && n%w != 0 {
@@ -61,19 +60,19 @@ func bucketOf(t time.Time) int64 {
 	return b
 }
 
-// add records event e of the device with ordinal ord. Called with the
+// occCell is the index cell of AP ordinal ap and device ordinal dev.
+func occCell(ap uint32, dev int32) uint64 { return uint64(ap)<<32 | uint64(uint32(dev)) }
+
+// add records record r of the device with ordinal dev. Called with the
 // store's exclusive lock held.
-func (ix *occupancyIndex) add(e event.Event, ord int32) {
-	b := bucketOf(e.Time)
-	apm, ok := ix.buckets[b]
-	if !ok {
-		apm = make(map[space.APID][]int32)
-		ix.buckets[b] = apm
-	}
-	// Ordinals follow first ingest, so a new member usually goes last.
-	devs := apm[e.AP]
-	if i, found := slices.BinarySearch(devs, ord); !found {
-		apm[e.AP] = slices.Insert(devs, i, ord)
+func (ix *occupancyIndex) add(r event.Rec, dev int32) {
+	b := bucketOf(r.Nanos)
+	cells := ix.buckets[b]
+	// Device ordinals follow first ingest, so a new cell usually goes last
+	// within its AP's run.
+	c := occCell(r.AP, dev)
+	if i, found := slices.BinarySearch(cells, c); !found {
+		ix.buckets[b] = slices.Insert(cells, i, c)
 		ix.entries++
 	}
 }
@@ -129,11 +128,13 @@ func (s *Store) ActiveDevicesAt(aps []space.APID, start, end time.Time) []event.
 }
 
 // occScratch is one lookup's working state, pooled so that a lookup
-// allocates only its result: a mark per device ordinal and the ordinals the
-// lookup touched. Marks are stamped relative to the lookup's generation gen —
-// below gen untouched, gen seen only in a boundary bucket, gen+1 confirmed —
-// so the array is never cleared between lookups.
+// allocates only its result: the lookup's APs as ordinals, a mark per
+// device ordinal and the ordinals the lookup touched. Marks are stamped
+// relative to the lookup's generation gen — below gen untouched, gen seen
+// only in a boundary bucket, gen+1 confirmed — so the array is never cleared
+// between lookups.
 type occScratch struct {
+	aps     []uint32
 	mark    []uint32
 	gen     uint32
 	touched []int32
@@ -154,10 +155,11 @@ func (sc *occScratch) begin(n int) {
 	sc.touched = sc.touched[:0]
 }
 
-// markAll raises each ordinal in devs to stamp st (sc.gen or sc.gen+1),
+// markAll raises the device of each cell to stamp st (sc.gen or sc.gen+1),
 // recording the ordinals touched for the first time.
-func (sc *occScratch) markAll(devs []int32, st uint32) {
-	for _, o := range devs {
+func (sc *occScratch) markAll(cells []uint64, st uint32) {
+	for _, c := range cells {
+		o := int32(uint32(c))
 		switch m := sc.mark[o]; {
 		case m < sc.gen:
 			sc.mark[o] = st
@@ -169,24 +171,35 @@ func (sc *occScratch) markAll(devs []int32, st uint32) {
 }
 
 // activeDevicesLocked answers an active-devices lookup from the occupancy
-// index, with a store lock held and all logs sorted. Devices found in an
-// interior bucket (fully inside [start, end]) are confirmed outright;
-// devices found only in the two boundary buckets — which may hold events
-// just outside the window — are verified against their sorted log, so the
-// result is exactly a brute-force scan's.
+// index, with a store lock held and all logs sorted. The APs are mapped to
+// dictionary ordinals once; an AP the store has never seen matches nothing.
+// Devices found in an interior bucket (fully inside [start, end]) are
+// confirmed outright; devices found only in the two boundary buckets —
+// which may hold events just outside the window — are verified against
+// their sorted log, so the result is exactly a brute-force scan's.
 func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []event.DeviceID {
 	s.occLookups.Add(1)
-	if end.Before(start) {
+	lo, hi, ok := windowNanos(start, end)
+	if !ok {
+		return nil
+	}
+	sc := occScratchPool.Get().(*occScratch)
+	defer occScratchPool.Put(sc)
+	anyAP := aps == nil
+	sc.aps = sc.aps[:0]
+	for _, ap := range aps {
+		if o, ok := s.apOrd[ap]; ok {
+			sc.aps = append(sc.aps, o)
+		}
+	}
+	if !anyAP && len(sc.aps) == 0 {
 		return nil
 	}
 	ix := s.occ
-	bs, be := bucketOf(start), bucketOf(end)
-
-	sc := occScratchPool.Get().(*occScratch)
-	defer occScratchPool.Put(sc)
+	bs, be := bucketOf(lo), bucketOf(hi)
 	sc.begin(len(s.byOrd))
 	collect := func(b int64) {
-		apm, ok := ix.buckets[b]
+		cells, ok := ix.buckets[b]
 		if !ok {
 			return
 		}
@@ -194,14 +207,17 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 		if b == bs || b == be {
 			st = sc.gen
 		}
-		if aps == nil {
-			for _, devs := range apm {
-				sc.markAll(devs, st)
-			}
+		if anyAP {
+			sc.markAll(cells, st)
 			return
 		}
-		for _, ap := range aps {
-			sc.markAll(apm[ap], st)
+		for _, a := range sc.aps {
+			i, _ := slices.BinarySearch(cells, occCell(a, 0))
+			j := i
+			for j < len(cells) && uint32(cells[j]>>32) == a {
+				j++
+			}
+			sc.markAll(cells[i:j], st)
 		}
 	}
 	// A window much wider than the ingested history would walk mostly-empty
@@ -221,7 +237,7 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 	// Keep the confirmed ordinals, verifying the boundary-only ones.
 	n := 0
 	for _, o := range sc.touched {
-		if sc.mark[o] == sc.gen && !s.deviceActiveInWindowLocked(s.byOrd[o], aps, start, end) {
+		if sc.mark[o] == sc.gen && !s.deviceActiveInWindowLocked(s.byOrd[o], anyAP, sc.aps, lo, hi) {
 			continue
 		}
 		sc.touched[n] = o
@@ -238,8 +254,8 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 	return out
 }
 
-// deviceActiveInWindowLocked reports whether a device has an event in
-// [start, end] (at one of the given APs when aps is non-nil), across its
+// deviceActiveInWindowLocked reports whether a device has an event with
+// lo ≤ Nanos ≤ hi (at one of the AP ordinals aps unless anyAP), across its
 // head and sealed segments. Segment metadata prunes most decodes: segments
 // disjoint from the window are skipped outright, and with no AP filter a
 // segment endpoint inside the window confirms activity without decoding.
@@ -247,52 +263,45 @@ func (s *Store) activeDevicesLocked(aps []space.APID, start, end time.Time) []ev
 // read, through the segment cache. An unreadable segment reads as holding
 // no event, counted in SegmentStats.LookupErrors. Caller holds a store lock;
 // the head is sorted.
-func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, aps []space.APID, start, end time.Time) bool {
-	if windowHasAP(lg.head, aps, start, end) {
+func (s *Store) deviceActiveInWindowLocked(lg *deviceLog, anyAP bool, aps []uint32, lo, hi int64) bool {
+	if windowHasAP(lg.head, anyAP, aps, lo, hi) {
 		return true
 	}
-	if len(lg.segs) == 0 || end.Before(start) {
-		return false
-	}
-	startN, endN := clampedNanos(start), clampedNanos(end)
 	for i := range lg.segs {
 		m := &lg.segs[i]
-		if m.MaxNanos < startN || m.MinNanos > endN {
+		if m.MaxNanos < lo || m.MinNanos > hi {
 			continue
 		}
 		// A segment endpoint inside the window guarantees an event inside
 		// it (the endpoints are event times).
-		if aps == nil && (m.MinNanos >= startN || m.MaxNanos <= endN) {
+		if anyAP && (m.MinNanos >= lo || m.MaxNanos <= hi) {
 			return true
 		}
-		evs, err := s.segmentEvents(lg.dev, *m, nil)
+		recs, err := s.segmentRecs(lg.dev, *m, nil)
 		if err != nil {
 			s.lookupErrors.Add(1)
 			continue
 		}
-		if windowHasAP(evs, aps, start, end) {
+		if windowHasAP(recs, anyAP, aps, lo, hi) {
 			return true
 		}
 	}
 	return false
 }
 
-// windowHasAP reports whether a sorted event slice has an event in
-// [start, end], at one of the given APs when aps is non-nil.
-func windowHasAP(evs []event.Event, aps []space.APID, start, end time.Time) bool {
-	lo := sort.Search(len(evs), func(i int) bool { return !evs[i].Time.Before(start) })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(end) })
-	if lo >= hi {
+// windowHasAP reports whether a sorted record slice has a record with
+// lo ≤ Nanos ≤ hi, at one of the AP ordinals aps unless anyAP.
+func windowHasAP(recs []event.Rec, anyAP bool, aps []uint32, lo, hi int64) bool {
+	i, j := searchWindow(recs, lo, hi)
+	if i >= j {
 		return false
 	}
-	if aps == nil {
+	if anyAP {
 		return true
 	}
-	for _, e := range evs[lo:hi] {
-		for _, ap := range aps {
-			if e.AP == ap {
-				return true
-			}
+	for _, r := range recs[i:j] {
+		if slices.Contains(aps, r.AP) {
+			return true
 		}
 	}
 	return false

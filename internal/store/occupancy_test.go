@@ -63,8 +63,12 @@ func randomWorkload(rng *rand.Rand, devices, aps, n int) []event.Event {
 // is byte-identical to the brute-force oracle — on a store whose logs stay in
 // their heads, on a store sealing four-event segments (so boundary devices
 // are confirmed from sealed segments), and on that store
-// rebuilt through CheckpointState and RestoreSegments. The oracle reads the
-// raw events, so a device-numbering bug every store shared would still fail.
+// rebuilt through CheckpointState and RestoreSegments, whose AP dictionary
+// is assigned in a different order. The AP scopes include "any" (nil),
+// none ({}), and APs never ingested, alone and mixed with real ones; the
+// windows include ones reaching past int64 nanoseconds. The oracle reads
+// the raw events, so a device- or AP-numbering bug every store shared would
+// still fail.
 func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 	segmentsRead := false
 	for seed := int64(1); seed <= 8; seed++ {
@@ -116,10 +120,24 @@ func TestActiveDevicesIndexScanEquivalenceProperty(t *testing.T) {
 			{"ap00"},
 			{"ap01", "ap03", "ap05"},
 			{"ap02", "nope"},
+			{"nope"},
+			{"nope", "zz", "ap04"},
+		}
+		// Windows reaching past what int64 nanoseconds hold: every stored
+		// event (or none) lies inside them.
+		edges := [][2]time.Time{
+			{time.Time{}, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)},
+			{time.Time{}, t0.Add(36 * time.Hour)},
+			{t0.Add(36 * time.Hour), time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)},
+			{time.Date(2500, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)},
+			{time.Time{}, time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC)},
 		}
 		for q := 0; q < 60; q++ {
 			start := t0.Add(time.Duration(rng.Intn(3*24*3600)-3600) * time.Second)
 			end := start.Add(time.Duration(rng.Intn(4*3600)-60) * time.Second)
+			if q < len(edges) {
+				start, end = edges[q][0], edges[q][1]
+			}
 			aps := apSets[rng.Intn(len(apSets))]
 			want := refActive(evs, aps, start, end)
 			for _, st := range stores {

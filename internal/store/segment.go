@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"locater/internal/cache"
 	"locater/internal/event"
+	"locater/internal/space"
 	"locater/internal/wal"
 )
 
@@ -24,11 +27,11 @@ const (
 	segmentCacheSegments      = 1024
 )
 
-// approxEventBytes is the decoded-segment cache's per-event weight: the
-// Event struct itself (ID + string headers + Time). String bytes are shared
-// with the segment's AP dictionary and between events, so they are
-// deliberately not charged per event.
-const approxEventBytes = 64
+// approxEventBytes is the decoded-segment cache's per-event weight: one
+// event.Rec, 24 bytes (two int64s and a uint32 AP ordinal, padded). A record
+// holds no strings, so this is the whole heap cost of a decoded event; a
+// decoded event.Event weighed 64 bytes plus the strings it pointed at.
+const approxEventBytes = int(unsafe.Sizeof(event.Rec{}))
 
 // SegmentConfig configures the store's log-structured layout.
 type SegmentConfig struct {
@@ -67,11 +70,11 @@ func (s *Store) ConfigureSegments(cfg SegmentConfig) error {
 // newSegmentCache builds the decoded-segment cache with its heap-bytes
 // weigher attached, so SegmentStats can report the decoded working set the
 // GC actually sees.
-func newSegmentCache() *cache.Cache[segKey, []event.Event] {
-	c := cache.New[segKey, []event.Event](segmentCacheSegments, func(k segKey) uint64 {
+func newSegmentCache() *cache.Cache[segKey, []event.Rec] {
+	c := cache.New[segKey, []event.Rec](segmentCacheSegments, func(k segKey) uint64 {
 		return (cache.StringHash(k.dev) ^ k.seq) * 1099511628211
 	})
-	c.SetWeigher(func(evs []event.Event) int64 { return int64(len(evs)) * approxEventBytes })
+	c.SetWeigher(func(recs []event.Rec) int64 { return int64(len(recs) * approxEventBytes) })
 	return c
 }
 
@@ -114,7 +117,7 @@ func (s *Store) viewPayload(d event.DeviceID, seq uint64, fn func(payload []byte
 	return fn(p)
 }
 
-// segmentEvents returns a sealed segment's decoded events through the
+// segmentRecs returns a sealed segment's decoded records through the
 // bounded decoded-segment cache, paging the whole payload in from the
 // backend on a miss. The returned slice is shared and immutable: callers
 // must not mutate it, and non-copying callers must not let it escape the
@@ -122,26 +125,26 @@ func (s *Store) viewPayload(d event.DeviceID, seq uint64, fn func(payload []byte
 // decoded (zero on a cache hit) — the point-lookup paths use it to measure
 // their decode traffic. Errors are not cached, so a corrupt segment is
 // refused on every access.
-func (s *Store) segmentEvents(d event.DeviceID, m wal.SegmentMeta, decoded *int64) ([]event.Event, error) {
-	return s.segCache.GetOrCompute(segKey{d, m.Seq}, func() ([]event.Event, error) {
+func (s *Store) segmentRecs(d event.DeviceID, m wal.SegmentMeta, decoded *int64) ([]event.Rec, error) {
+	return s.segCache.GetOrCompute(segKey{d, m.Seq}, func() ([]event.Rec, error) {
 		s.pageIns.Add(1)
-		evs, err := s.decodeSegmentEvents(d, m, make([]event.Event, 0, m.Count))
+		recs, err := s.decodeSegmentRecs(d, m, make([]event.Rec, 0, m.Count), s.apOrdinal)
 		if err == nil && decoded != nil {
 			*decoded += int64(m.Bytes)
 		}
-		return evs, err
+		return recs, err
 	})
 }
 
-// encodeSegmentVerified encodes evs in DefaultSegmentBlockEvents blocks and
+// encodeSegmentVerified encodes recs in DefaultSegmentBlockEvents blocks and
 // round-trip verifies the payload — the decode re-parses the trailer and
 // re-checks every CRC, so a mis-encoded segment is caught before it reaches
 // the backend.
-func (s *Store) encodeSegmentVerified(d event.DeviceID, evs []event.Event) ([]byte, error) {
-	payload, _ := wal.EncodeSegment(nil, evs, DefaultSegmentBlockEvents)
-	decoded, err := wal.DecodeSegment(payload, d, make([]event.Event, 0, len(evs)))
-	if err == nil && len(decoded) != len(evs) {
-		err = fmt.Errorf("store: segment round-trip decoded %d events, encoded %d", len(decoded), len(evs))
+func (s *Store) encodeSegmentVerified(recs []event.Rec) ([]byte, error) {
+	payload, _ := wal.EncodeSegmentRecs(nil, recs, s.apIDs, DefaultSegmentBlockEvents)
+	decoded, err := wal.DecodeSegmentRecs(payload, make([]event.Rec, 0, len(recs)), s.apOrdinal)
+	if err == nil && !slices.Equal(decoded, recs) {
+		err = fmt.Errorf("store: segment round-trip decoded %d records unequal to the %d encoded", len(decoded), len(recs))
 	}
 	if err != nil {
 		return nil, err
@@ -163,7 +166,7 @@ func (s *Store) encodeSegmentVerified(d event.DeviceID, evs []event.Event) ([]by
 // one.
 func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 	s.ensureSorted(lg)
-	payload, err := s.encodeSegmentVerified(d, lg.head)
+	payload, err := s.encodeSegmentVerified(lg.head)
 	if err != nil {
 		s.sealFails.Add(1)
 		return
@@ -177,8 +180,8 @@ func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 	lg.segs = append(lg.segs, wal.SegmentMeta{
 		Seq:      seq,
 		Count:    len(lg.head),
-		MinNanos: lg.head[0].Time.UnixNano(),
-		MaxNanos: lg.head[len(lg.head)-1].Time.UnixNano(),
+		MinNanos: lg.head[0].Nanos,
+		MaxNanos: lg.head[len(lg.head)-1].Nanos,
 		Bytes:    len(payload),
 	})
 	lg.segEvents += len(lg.head)
@@ -189,17 +192,19 @@ func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 	lg.head = nil
 }
 
-// decodeSegmentEvents appends a segment's full decode to dst, borrowing the
-// payload from the backend. Bulk paths (materialization, occupancy rebuild,
-// compaction) use it directly rather than through the segment cache, so a
-// one-off full read doesn't evict the query working set.
-func (s *Store) decodeSegmentEvents(d event.DeviceID, m wal.SegmentMeta, dst []event.Event) ([]event.Event, error) {
+// decodeSegmentRecs appends a segment's full decode to dst, borrowing the
+// payload from the backend and mapping its AP dictionary through ord
+// (apOrdinal everywhere but RestoreSegments, which assigns ordinals). Bulk
+// paths (materialization, occupancy rebuild, compaction) use it directly
+// rather than through the segment cache, so a one-off full read doesn't
+// evict the query working set.
+func (s *Store) decodeSegmentRecs(d event.DeviceID, m wal.SegmentMeta, dst []event.Rec, ord func(space.APID) (uint32, error)) ([]event.Rec, error) {
 	var n int64
 	out := dst
 	err := s.viewPayload(d, m.Seq, func(payload []byte) error {
 		n = int64(len(payload))
 		var derr error
-		out, derr = wal.DecodeSegment(payload, d, dst)
+		out, derr = wal.DecodeSegmentRecs(payload, dst, ord)
 		return derr
 	})
 	if err != nil {
@@ -214,7 +219,7 @@ func (s *Store) decodeSegmentEvents(d event.DeviceID, m wal.SegmentMeta, dst []e
 		s.decodeFails.Add(1)
 		return dst, fmt.Errorf("store: segment %d for device %s decoded %d events, manifest says %d", m.Seq, d, got, m.Count)
 	}
-	if lo, hi := out[len(dst)].Time.UnixNano(), out[len(out)-1].Time.UnixNano(); lo != m.MinNanos || hi != m.MaxNanos {
+	if lo, hi := out[len(dst)].Nanos, out[len(out)-1].Nanos; lo != m.MinNanos || hi != m.MaxNanos {
 		s.decodeFails.Add(1)
 		return dst, fmt.Errorf("store: segment %d for device %s spans [%d, %d], manifest says [%d, %d]", m.Seq, d, lo, hi, m.MinNanos, m.MaxNanos)
 	}
@@ -226,17 +231,17 @@ func (s *Store) decodeSegmentEvents(d event.DeviceID, m wal.SegmentMeta, dst []e
 // plus the head — to out in time order. Segments are decoded straight into
 // out without populating the segment cache. Caller holds a store lock and has
 // sorted the head.
-func (s *Store) materializeLocked(d event.DeviceID, lg *deviceLog, out []event.Event) ([]event.Event, error) {
+func (s *Store) materializeLocked(d event.DeviceID, lg *deviceLog, out []event.Rec) ([]event.Rec, error) {
 	for _, m := range lg.segs {
 		var err error
-		out, err = s.decodeSegmentEvents(d, m, out)
+		out, err = s.decodeSegmentRecs(d, m, out, s.apOrdinal)
 		if err != nil {
 			return out, err
 		}
 	}
 	out = append(out, lg.head...)
-	if !eventsSorted(out) {
-		event.SortEvents(out)
+	if !recsSorted(out) {
+		slices.SortFunc(out, event.Rec.Compare)
 	}
 	return out, nil
 }
@@ -260,18 +265,29 @@ func clampedNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// searchWindow returns the [lo, hi) index range of events with
-// start ≤ Time ≤ end in a sorted slice.
-func searchWindow(evs []event.Event, start, end time.Time) (int, int) {
-	lo := sort.Search(len(evs), func(i int) bool { return !evs[i].Time.Before(start) })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(end) })
-	return lo, hi
+// windowNanos converts the window [start, end] to the inclusive range of
+// Unix nanoseconds of the event times inside it; ok is false when it holds
+// none (end before start, or a window wholly outside int64 nanoseconds).
+func windowNanos(start, end time.Time) (lo, hi int64, ok bool) {
+	if end.Before(start) || start.After(maxNanoTime) || end.Before(minNanoTime) {
+		return 0, 0, false
+	}
+	return clampedNanos(start), clampedNanos(end), true
 }
 
-// eventsSorted reports whether evs is sorted by the store's event order.
-func eventsSorted(evs []event.Event) bool {
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Before(evs[i-1]) {
+// searchWindow returns the [i, j) index range of records with
+// lo ≤ Nanos ≤ hi in a sorted slice.
+func searchWindow(recs []event.Rec, lo, hi int64) (int, int) {
+	i := sort.Search(len(recs), func(k int) bool { return recs[k].Nanos >= lo })
+	j := sort.Search(len(recs), func(k int) bool { return recs[k].Nanos > hi })
+	return i, j
+}
+
+// recsSorted reports whether recs is sorted by the store's (Nanos, ID)
+// order.
+func recsSorted(recs []event.Rec) bool {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Before(recs[i-1]) {
 			return false
 		}
 	}
@@ -281,28 +297,29 @@ func eventsSorted(evs []event.Event) bool {
 // scanBuf is the pooled scratch a segmented read assembles its window or
 // point-lookup neighborhood into. Pooled per call (Get/Put around each use),
 // so re-entrant reads — the fine stage scans candidate logs while holding
-// results of an outer scan — each get their own buffer. decoded accrues the
-// encoded bytes a point lookup actually decoded (cache misses only).
+// results of an outer scan — each get their own buffer. evs holds a point
+// lookup's neighborhood expanded into events; decoded accrues the encoded
+// bytes a point lookup actually decoded (cache misses only).
 type scanBuf struct {
+	recs          []event.Rec
 	evs           []event.Event
 	before, after []int // neighborhoodLocked's segment visit orders
-	runs          [][]event.Event
+	runs          [][]event.Rec
 	decoded       int64
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 
 // mergeRuns appends the merge of k individually sorted, non-empty runs to
-// out in the store's (Time, ID, Device) event order. The run list is kept
-// sorted by head event; each step binary-searches how far the front run
-// extends before the second run's head and copies that whole stretch. Runs
-// that do not interleave — the common shape, since segments are sealed in
-// rough time order — thus cost one wholesale copy each, and a log
-// fragmented into thousands of tiny segments still merges in O(m) instead
-// of re-sorting every window. The
-// order is total (event IDs are unique per device), so the result is
-// exactly what sorting the concatenation would produce.
-func mergeRuns(out []event.Event, runs [][]event.Event) []event.Event {
+// out in the store's (Nanos, ID) order. The run list is kept sorted by head
+// record; each step binary-searches how far the front run extends before
+// the second run's head and copies that whole stretch. Runs that do not
+// interleave — the common shape, since segments are sealed in rough time
+// order — thus cost one wholesale copy each, and a log fragmented into
+// thousands of tiny segments still merges in O(m) instead of re-sorting
+// every window. The order is total (event IDs are unique per device), so
+// the result is exactly what sorting the concatenation would produce.
+func mergeRuns(out []event.Rec, runs [][]event.Rec) []event.Rec {
 	// Insertion-sort the runs by head: they arrive in seal order, which is
 	// already nearly sorted.
 	for i := 1; i < len(runs); i++ {
@@ -338,108 +355,89 @@ func mergeRuns(out []event.Event, runs [][]event.Event) []event.Event {
 	return out
 }
 
-// scanWindowLocked is the segmented ScanEvents core: it assembles the
-// device's events in [start, end] and hands them to fn. Each segment whose
-// metadata overlaps the window contributes the window's stretch of its
-// cached decode, and the runs plus the head are k-way merged (see
-// mergeRuns) into a pooled buffer. Zero-copy fast paths cover the
-// no-segments and single-source cases. On a page-in or decode failure the
-// scan degrades to an empty window — the corrupt segment is refused, never
-// served — with the failure counted in SegmentStats. Caller holds a store
-// lock and has sorted the head.
-func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end time.Time, delta time.Duration, fn func([]event.Event, time.Duration)) {
-	hl, hh := searchWindow(lg.head, start, end)
-	if len(lg.segs) == 0 || end.Before(start) {
-		if hl >= hh {
-			fn(nil, delta)
-		} else {
-			fn(lg.head[hl:hh], delta)
-		}
+// scanWindowLocked is the ScanEvents core: it assembles the device's
+// records in [start, end] and hands them to fn. Each segment whose metadata
+// overlaps the window contributes the window's stretch of its cached
+// decode, and the runs plus the head are k-way merged (see mergeRuns) into
+// a pooled buffer. Zero-copy fast paths cover the no-segments and
+// single-source cases. On a page-in or decode failure the scan degrades to
+// an empty window — the corrupt segment is refused, never served — with the
+// failure counted in SegmentStats. Caller holds a store lock and has sorted
+// the head.
+func (s *Store) scanWindowLocked(d event.DeviceID, lg *deviceLog, start, end time.Time, fn func([]event.Rec)) {
+	lo, hi, ok := windowNanos(start, end)
+	if !ok {
+		fn(nil)
 		return
 	}
-	startN, endN := clampedNanos(start), clampedNanos(end)
+	hl, hh := searchWindow(lg.head, lo, hi)
+	head := lg.head[hl:hh]
 	nOver := 0
 	for i := range lg.segs {
-		if m := &lg.segs[i]; m.MaxNanos >= startN && m.MinNanos <= endN {
+		if m := &lg.segs[i]; m.MaxNanos >= lo && m.MinNanos <= hi {
 			nOver++
 		}
 	}
 	if nOver == 0 {
-		if hl >= hh {
-			fn(nil, delta)
-		} else {
-			fn(lg.head[hl:hh], delta)
-		}
+		fn(head)
 		return
 	}
 	bp := scanBufPool.Get().(*scanBuf)
 	runs := bp.runs[:0]
-	ok := true
 	for i := range lg.segs {
 		m := &lg.segs[i]
-		if m.MaxNanos < startN || m.MinNanos > endN {
+		if m.MaxNanos < lo || m.MinNanos > hi {
 			continue
 		}
-		evs, err := s.segmentEvents(d, *m, nil)
+		recs, err := s.segmentRecs(d, *m, nil)
 		if err != nil {
 			ok = false
 			break
 		}
-		if lo, hi := searchWindow(evs, start, end); lo < hi {
-			runs = append(runs, evs[lo:hi])
+		if i, j := searchWindow(recs, lo, hi); i < j {
+			runs = append(runs, recs[i:j])
 		}
 	}
-	out := bp.evs[:0]
+	out := bp.recs[:0]
 	switch {
 	case !ok:
-		fn(nil, delta)
+		fn(nil)
 	case len(runs) == 0:
-		if hl >= hh {
-			fn(nil, delta)
-		} else {
-			fn(lg.head[hl:hh], delta)
-		}
-	case len(runs) == 1 && hl >= hh:
+		fn(head)
+	case len(runs) == 1 && len(head) == 0:
 		// Single-source window: served zero-copy from the cached segment.
-		fn(runs[0], delta)
+		fn(runs[0])
 	default:
-		if hl < hh {
-			runs = append(runs, lg.head[hl:hh])
+		if len(head) > 0 {
+			runs = append(runs, head)
 		}
 		out = mergeRuns(out, runs)
-		fn(out, delta)
+		fn(out)
 	}
 	// Drop the run views before pooling: they alias cached segment decodes,
 	// which the pool must not pin.
 	for i := range runs {
 		runs[i] = nil
 	}
-	bp.evs, bp.runs = out, runs[:0]
+	bp.recs, bp.runs = out, runs[:0]
 	scanBufPool.Put(bp)
 }
 
-// appendNeighborhood appends to buf the events adjacent to t in one sorted
-// source: up to two at or before t and up to two after.
-func appendNeighborhood(buf []event.Event, evs []event.Event, t time.Time) []event.Event {
-	idx := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(t) })
-	lo, hi := idx-2, idx+2
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(evs) {
-		hi = len(evs)
-	}
-	return append(buf, evs[lo:hi]...)
+// appendNeighborhood appends to buf the records adjacent to tN in one
+// sorted source: up to two at or before it and up to two after.
+func appendNeighborhood(buf []event.Rec, recs []event.Rec, tN int64) []event.Rec {
+	idx := sort.Search(len(recs), func(i int) bool { return recs[i].Nanos > tN })
+	return append(buf, recs[max(idx-2, 0):min(idx+2, len(recs))]...)
 }
 
-// leqStats returns how many events in srcs have Time ≤ t (as nanos) and the
+// leqStats returns how many records in srcs have Nanos ≤ tN and the
 // second-largest such time (math.MinInt64 when fewer than two).
-func leqStats(tN int64, srcs ...[]event.Event) (int, int64) {
+func leqStats(tN int64, srcs ...[]event.Rec) (int, int64) {
 	n := 0
 	max1, max2 := int64(math.MinInt64), int64(math.MinInt64)
 	for _, buf := range srcs {
 		for i := range buf {
-			en := buf[i].Time.UnixNano()
+			en := buf[i].Nanos
 			if en > tN {
 				continue
 			}
@@ -454,14 +452,14 @@ func leqStats(tN int64, srcs ...[]event.Event) (int, int64) {
 	return n, max2
 }
 
-// gtStats returns how many events in srcs have Time > t (as nanos) and the
+// gtStats returns how many records in srcs have Nanos > tN and the
 // second-smallest such time (math.MaxInt64 when fewer than two).
-func gtStats(tN int64, srcs ...[]event.Event) (int, int64) {
+func gtStats(tN int64, srcs ...[]event.Rec) (int, int64) {
 	n := 0
 	min1, min2 := int64(math.MaxInt64), int64(math.MaxInt64)
 	for _, buf := range srcs {
 		for i := range buf {
-			en := buf[i].Time.UnixNano()
+			en := buf[i].Nanos
 			if en <= tN {
 				continue
 			}
@@ -476,19 +474,19 @@ func gtStats(tN int64, srcs ...[]event.Event) (int, int64) {
 	return n, min2
 }
 
-// appendSegNeighborhood appends to buf the events adjacent to t within one
-// sealed segment, read from its cached decode.
-func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, t time.Time, buf []event.Event, bp *scanBuf) ([]event.Event, error) {
-	evs, err := s.segmentEvents(d, m, &bp.decoded)
+// appendSegNeighborhood appends to buf the records adjacent to tN within
+// one sealed segment, read from its cached decode.
+func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, tN int64, buf []event.Rec, bp *scanBuf) ([]event.Rec, error) {
+	recs, err := s.segmentRecs(d, m, &bp.decoded)
 	if err != nil {
 		return buf, err
 	}
-	return appendNeighborhood(buf, evs, t), nil
+	return appendNeighborhood(buf, recs, tN), nil
 }
 
-// neighborhoodLocked assembles into bp the sorted set of events adjacent to
-// t across every source (head + segments): at least the two nearest events
-// on each side of t, drawn from whichever sources hold them.
+// neighborhoodLocked assembles into bp the sorted set of records adjacent
+// to t across every source (head + segments): at least the two nearest
+// records on each side of t, drawn from whichever sources hold them.
 //
 // Timeline.At/APAt on time t only ever read the two events on each side of
 // it — validity truncation uses the immediate neighbors and gap bounds use
@@ -502,14 +500,14 @@ func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, t tim
 // last: when the head is newer than every segment, as in-order ingestion
 // leaves it, the neighborhood is then already in event order and is not
 // sorted again. Caller holds a store lock and has sorted the head.
-func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Event, error) {
+func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Rec, error) {
 	s.pointLookups.Add(1)
 	bp.decoded = 0
 	defer func() { s.lookupDecodedBytes.Add(bp.decoded) }()
-	var hb [4]event.Event // two events on each side of t at most
-	head := appendNeighborhood(hb[:0], lg.head, t)
-	buf := bp.evs[:0]
 	tN := clampedNanos(t)
+	var hb [4]event.Rec // two records on each side of t at most
+	head := appendNeighborhood(hb[:0], lg.head, tN)
+	buf := bp.recs[:0]
 	before, after := bp.before[:0], bp.after[:0]
 	for i := range lg.segs {
 		m := &lg.segs[i]
@@ -532,9 +530,9 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			after[j] = i
 		default:
 			var err error
-			buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
+			buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
 			if err != nil {
-				bp.evs, bp.before, bp.after = buf, before, after
+				bp.recs, bp.before, bp.after = buf, before, after
 				return nil, err
 			}
 		}
@@ -545,9 +543,9 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			break
 		}
 		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
+		buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
 		if err != nil {
-			bp.evs, bp.before, bp.after = buf, before, after
+			bp.recs, bp.before, bp.after = buf, before, after
 			return nil, err
 		}
 	}
@@ -557,17 +555,17 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			break
 		}
 		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], t, buf, bp)
+		buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
 		if err != nil {
-			bp.evs, bp.before, bp.after = buf, before, after
+			bp.recs, bp.before, bp.after = buf, before, after
 			return nil, err
 		}
 	}
 	buf = append(buf, head...)
-	if !eventsSorted(buf) {
-		event.SortEvents(buf)
+	if !recsSorted(buf) {
+		slices.SortFunc(buf, event.Rec.Compare)
 	}
-	bp.evs, bp.before, bp.after = buf, before, after
+	bp.recs, bp.before, bp.after = buf, before, after
 	return buf, nil
 }
 
@@ -576,7 +574,7 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 // recovery incremental. Per-device sequence counters resume past the
 // highest restored seq, and the occupancy index is rebuilt by streaming the
 // segments — the one full read, which doubles as an integrity pass over the
-// cold tier.
+// cold tier and enters every AP the segments name into the AP dictionary.
 func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,16 +607,17 @@ func (s *Store) RestoreSegments(manifest map[event.DeviceID][]wal.SegmentMeta) e
 		}
 	}
 	s.segCache.Invalidate()
-	var scratch []event.Event
+	intern := func(ap space.APID) (uint32, error) { return s.internAPLocked(ap), nil }
+	var scratch []event.Rec
 	for dev, lg := range s.logs {
 		for _, m := range lg.segs {
 			var err error
-			scratch, err = s.decodeSegmentEvents(dev, m, scratch[:0])
+			scratch, err = s.decodeSegmentRecs(dev, m, scratch[:0], intern)
 			if err != nil {
 				return fmt.Errorf("store: restoring segment %d for device %s: %w", m.Seq, dev, err)
 			}
-			for j := range scratch {
-				s.occ.add(scratch[j], lg.ord)
+			for _, r := range scratch {
+				s.occ.add(r, lg.ord)
 			}
 		}
 	}
@@ -725,24 +724,24 @@ func (s *Store) CompactRuntSegments() int {
 }
 
 // mergeSegmentsLocked re-seals two adjacent segments as one: decode both,
-// sort by (Time, ID, Device) (out-of-order ingest means ranges can overlap),
+// sort by (Nanos, ID) (out-of-order ingest means ranges can overlap),
 // encode under the fixed block layout, and store under a fresh sequence
 // number.
 // Caller holds the exclusive lock and splices the returned metadata in place
 // of the pair.
 func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b wal.SegmentMeta) (wal.SegmentMeta, bool) {
-	evs, err := s.decodeSegmentEvents(d, a, make([]event.Event, 0, a.Count+b.Count))
+	recs, err := s.decodeSegmentRecs(d, a, make([]event.Rec, 0, a.Count+b.Count), s.apOrdinal)
 	if err == nil {
-		evs, err = s.decodeSegmentEvents(d, b, evs)
+		recs, err = s.decodeSegmentRecs(d, b, recs, s.apOrdinal)
 	}
 	if err != nil {
 		s.compactFails.Add(1)
 		return wal.SegmentMeta{}, false
 	}
-	if !eventsSorted(evs) {
-		event.SortEvents(evs)
+	if !recsSorted(recs) {
+		slices.SortFunc(recs, event.Rec.Compare)
 	}
-	payload, err := s.encodeSegmentVerified(d, evs)
+	payload, err := s.encodeSegmentVerified(recs)
 	if err != nil {
 		s.compactFails.Add(1)
 		return wal.SegmentMeta{}, false
@@ -758,9 +757,9 @@ func (s *Store) mergeSegmentsLocked(d event.DeviceID, lg *deviceLog, a, b wal.Se
 	s.compactions.Add(1)
 	return wal.SegmentMeta{
 		Seq:      seq,
-		Count:    len(evs),
-		MinNanos: evs[0].Time.UnixNano(),
-		MaxNanos: evs[len(evs)-1].Time.UnixNano(),
+		Count:    len(recs),
+		MinNanos: recs[0].Nanos,
+		MaxNanos: recs[len(recs)-1].Nanos,
 		Bytes:    len(payload),
 	}, true
 }
@@ -793,9 +792,7 @@ func (s *Store) CheckpointState() CheckpointState {
 	for dev, lg := range s.logs {
 		s.ensureSorted(lg)
 		if len(lg.head) > 0 {
-			cp := make([]event.Event, len(lg.head))
-			copy(cp, lg.head)
-			st.Heads[dev] = cp
+			st.Heads[dev] = s.appendEvents(make([]event.Event, 0, len(lg.head)), dev, lg.head)
 		}
 		if len(lg.segs) > 0 {
 			st.Segments[dev] = append([]wal.SegmentMeta(nil), lg.segs...)

@@ -14,11 +14,22 @@
 // day (paper Section 1), so all temporal lookups are binary searches plus
 // metadata-pruned segment decodes, and ingestion amortizes sorting by
 // buffering out-of-order arrivals in the head.
+//
+// Every event the store holds in memory — in a head or in a decoded segment
+// — is an event.Rec: 24 bytes, no pointers, the device implicit in its log
+// and the AP an ordinal into the store's AP dictionary (apIDs). The
+// dictionary is the store's alone: segment payloads keep their own
+// per-segment dictionaries and the write-ahead log keeps strings. Events
+// come back as event.Event only where the API hands out copies (Events,
+// EventsBetween, CheckpointState) or around a point lookup's few
+// neighboring events (At, CurrentAP, LastEventAtOrBefore); the scan kernels
+// read the records in place (ScanEvents).
 package store
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,6 +85,15 @@ type Store struct {
 	// names devices by their position here.
 	byOrd []*deviceLog
 
+	// apIDs and apOrd are the AP dictionary: event.Rec.AP and the occupancy
+	// index name an AP by its position in apIDs. Append-only; ordinals are
+	// assigned under the exclusive lock (Ingest, RestoreSegments) and read
+	// under either lock. Every AP of a sealed segment entered the dictionary
+	// before the segment was sealed or restored, so a read-path decode only
+	// looks ordinals up (apOrdinal).
+	apIDs []space.APID
+	apOrd map[space.APID]uint32
+
 	// deltas holds per-device validity intervals; defaultDelta applies to
 	// devices not present.
 	deltas       map[event.DeviceID]time.Duration
@@ -96,7 +116,7 @@ type Store struct {
 	// atomics count seal and page-in traffic (bumped under the shared lock).
 	segMax       int
 	segBackend   SegmentBackend
-	segCache     *cache.Cache[segKey, []event.Event]
+	segCache     *cache.Cache[segKey, []event.Rec]
 	segCount     int
 	segEvents    int
 	segBytes     int64
@@ -137,7 +157,7 @@ type deviceLog struct {
 	// index (see newLogLocked).
 	ord int32
 
-	head   []event.Event // mutable tail, sorted by (Time, ID) when sorted
+	head   []event.Rec // mutable tail, sorted by (Nanos, ID) when sorted
 	sorted bool
 
 	segs      []wal.SegmentMeta // in seal order
@@ -159,6 +179,7 @@ func New(defaultDelta time.Duration) *Store {
 		defaultDelta: defaultDelta,
 		nextID:       1,
 		dirty:        make(map[*deviceLog]struct{}),
+		apOrd:        make(map[space.APID]uint32),
 		occ:          newOccupancyIndex(),
 		segMax:       DefaultSegmentMaxEvents,
 		segBackend:   NewMemorySegmentBackend(),
@@ -174,6 +195,38 @@ func (s *Store) newLogLocked(d event.DeviceID) *deviceLog {
 	s.logs[d] = lg
 	s.byOrd = append(s.byOrd, lg)
 	return lg
+}
+
+// internAPLocked returns ap's dictionary ordinal, assigning the next one
+// when ap is new. Caller holds the exclusive lock.
+func (s *Store) internAPLocked(ap space.APID) uint32 {
+	if o, ok := s.apOrd[ap]; ok {
+		return o
+	}
+	o := uint32(len(s.apIDs))
+	s.apIDs = append(s.apIDs, ap)
+	s.apOrd[ap] = o
+	return o
+}
+
+// apOrdinal resolves an AP a sealed payload names to its dictionary
+// ordinal. The dictionary holds every AP of every segment the store sealed
+// or restored, so an unknown AP marks a payload that is not the one the
+// store wrote, and its decode is refused. Caller holds a store lock.
+func (s *Store) apOrdinal(ap space.APID) (uint32, error) {
+	if o, ok := s.apOrd[ap]; ok {
+		return o, nil
+	}
+	return 0, fmt.Errorf("store: segment names AP %q the store has never seen", ap)
+}
+
+// appendEvents appends recs of device d to out as events. Caller holds a
+// store lock.
+func (s *Store) appendEvents(out []event.Event, d event.DeviceID, recs []event.Rec) []event.Event {
+	for _, r := range recs {
+		out = append(out, r.Event(d, s.apIDs))
+	}
+	return out
 }
 
 // AttachBackend sets the durability backend; nil detaches. Attach during
@@ -261,19 +314,17 @@ func (s *Store) withDevice(d event.DeviceID, fn func(lg *deviceLog, delta time.D
 // failure or a sealed segment that could not be materialized.
 func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error {
 	s.mu.Lock()
-	var scratch []event.Event
+	var recs []event.Rec
+	var evs []event.Event
 	for dev, lg := range s.logs {
 		s.ensureSorted(lg)
-		evs := lg.head
-		if len(lg.segs) > 0 {
-			var err error
-			scratch, err = s.materializeLocked(dev, lg, scratch[:0])
-			if err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("store: materializing device %s: %w", dev, err)
-			}
-			evs = scratch
+		var err error
+		recs, err = s.materializeLocked(dev, lg, recs[:0])
+		if err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("store: materializing device %s: %w", dev, err)
 		}
+		evs = s.appendEvents(evs[:0], dev, recs)
 		d := event.EstimateDelta(evs, quantile, minD, maxD, s.defaultDelta)
 		if s.backend != nil {
 			if err := s.backend.AppendDelta(dev, d); err != nil {
@@ -294,15 +345,25 @@ func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error
 }
 
 // ErrInvalidEvent is wrapped by every Ingest rejection that is the caller's
-// fault (an event without a device, an AP or a timestamp); any other Ingest
-// error is a durability failure of the backend.
+// fault (an event without a device, an AP or a timestamp, or with a
+// timestamp the store cannot keep); any other Ingest error is a durability
+// failure of the backend.
 var ErrInvalidEvent = errors.New("store: invalid event")
 
+// TimeFits reports whether t survives the round trip through Unix
+// nanoseconds, the form the store, its segments and the write-ahead log
+// keep times in: 1677-09-21 00:12:43.145224192 to 2262-04-11
+// 23:47:16.854775807 UTC, bounds included.
+func TimeFits(t time.Time) bool {
+	return !t.Before(minNanoTime) && !t.After(maxNanoTime)
+}
+
 // ValidateEvents returns an ErrInvalidEvent error for the first event
-// without a device, an AP or a timestamp, and nil when every event has all
-// three. Ingest runs it on the whole batch before applying anything; the
-// engine runs it before its cleansing stage and cache maintenance too, so a
-// rejected batch changes no state anywhere.
+// without a device, an AP or a timestamp, or whose timestamp does not fit
+// int64 nanoseconds (TimeFits), and nil when every event is valid. Ingest
+// runs it on the whole batch before applying anything; the engine runs it
+// before its cleansing stage and cache maintenance too, so a rejected batch
+// changes no state anywhere.
 func ValidateEvents(events []event.Event) error {
 	for _, e := range events {
 		if e.Device == "" {
@@ -313,6 +374,9 @@ func ValidateEvents(events []event.Event) error {
 		}
 		if e.Time.IsZero() {
 			return fmt.Errorf("%w: zero timestamp for device %s", ErrInvalidEvent, e.Device)
+		}
+		if !TimeFits(e.Time) {
+			return fmt.Errorf("%w: timestamp %v for device %s outside int64 nanoseconds", ErrInvalidEvent, e.Time, e.Device)
 		}
 	}
 	return nil
@@ -360,14 +424,15 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 		if !ok {
 			lg = s.newLogLocked(e.Device)
 		}
+		r := event.Rec{Nanos: e.Time.UnixNano(), ID: e.ID, AP: s.internAPLocked(e.AP)}
 		// Maintain sortedness cheaply: appending in time order is the
 		// common case for streaming ingestion.
-		if lg.sorted && len(lg.head) > 0 && e.Before(lg.head[len(lg.head)-1]) {
+		if lg.sorted && len(lg.head) > 0 && r.Before(lg.head[len(lg.head)-1]) {
 			lg.sorted = false
 			s.dirty[lg] = struct{}{}
 		}
-		lg.head = append(lg.head, e)
-		s.occ.add(e, lg.ord)
+		lg.head = append(lg.head, r)
+		s.occ.add(r, lg.ord)
 		if s.count == 0 || e.Time.Before(s.minTime) {
 			s.minTime = e.Time
 		}
@@ -402,7 +467,7 @@ func (s *Store) IngestOne(e event.Event) error {
 // the store's dirty-log set. Callers must hold the exclusive lock.
 func (s *Store) ensureSorted(lg *deviceLog) {
 	if !lg.sorted {
-		event.SortEvents(lg.head)
+		slices.SortFunc(lg.head, event.Rec.Compare)
 		lg.sorted = true
 		delete(s.dirty, lg)
 		s.resorts++
@@ -452,37 +517,39 @@ func (s *Store) Devices() []event.DeviceID {
 func (s *Store) Events(d event.DeviceID) []event.Event {
 	var out []event.Event
 	s.withDevice(d, func(lg *deviceLog, _ time.Duration) {
-		var err error
-		out, err = s.materializeLocked(d, lg, make([]event.Event, 0, len(lg.head)+lg.segEvents))
-		if err != nil {
-			out = nil
+		recs, err := s.materializeLocked(d, lg, make([]event.Rec, 0, len(lg.head)+lg.segEvents))
+		if err == nil {
+			out = s.appendEvents(make([]event.Event, 0, len(recs)), d, recs)
 		}
 	})
 	return out
 }
 
 // ScanEvents invokes fn once with the device's events with start ≤ t ≤ end
-// and the device's validity interval δ, while a store lock is held — a
-// shared lock in the common case, so concurrent scans proceed in parallel.
+// as records in (Nanos, ID) order, the AP dictionary their AP ordinals
+// index (recs[i] was logged at aps[recs[i].AP]), and the device's validity
+// interval δ. fn runs while a store lock is held — a shared lock in the
+// common case, so concurrent scans proceed in parallel. AP ordinals are
+// store-wide, so records of different devices compare by AP as integers.
 //
-// fn must not retain or mutate evs, and must not assume anything about its
+// fn must not retain or mutate recs, and must not assume anything about its
 // backing storage: depending on where the window lives, the slice may alias
-// the device's mutable head, a cached segment-decode buffer shared with
-// concurrent readers, or a pooled scratch buffer that is reused the moment
-// ScanEvents returns. Callers that need to keep the events must copy them
-// (EventsBetween does exactly that). Reports whether the
-// device exists; fn is invoked (possibly with an empty slice) exactly when
-// it does. A window whose segments cannot be paged in (corrupt or missing
-// cold-tier payload) is served as empty and counted in
+// the device's mutable head, a cached segment decode shared with concurrent
+// readers, or a pooled scratch buffer that is reused the moment ScanEvents
+// returns. aps is append-only and may be kept. Callers that need to keep the
+// events must copy them (EventsBetween does exactly that). Reports whether
+// the device exists; fn is invoked (possibly with an empty slice) exactly
+// when it does. A window whose segments cannot be paged in (corrupt or
+// missing cold-tier payload) is served as empty and counted in
 // SegmentStats.DecodeFailures — a corrupt segment is refused, never served.
 //
 // This is the allocation-free read path the per-query kernels use: the fine
 // stage's batched affinity sweep and the coarse stage's history statistics
 // visit millions of events per second through it; windows inside a single
 // source (head or one segment) are served zero-copy.
-func (s *Store) ScanEvents(d event.DeviceID, start, end time.Time, fn func(evs []event.Event, delta time.Duration)) bool {
+func (s *Store) ScanEvents(d event.DeviceID, start, end time.Time, fn func(recs []event.Rec, aps []space.APID, delta time.Duration)) bool {
 	return s.withDevice(d, func(lg *deviceLog, delta time.Duration) {
-		s.scanWindowLocked(d, lg, start, end, delta, fn)
+		s.scanWindowLocked(d, lg, start, end, func(recs []event.Rec) { fn(recs, s.apIDs, delta) })
 	})
 }
 
@@ -490,14 +557,37 @@ func (s *Store) ScanEvents(d event.DeviceID, start, end time.Time, fn func(evs [
 // start ≤ t ≤ end, via binary search.
 func (s *Store) EventsBetween(d event.DeviceID, start, end time.Time) []event.Event {
 	var out []event.Event
-	s.ScanEvents(d, start, end, func(evs []event.Event, _ time.Duration) {
-		if len(evs) == 0 {
+	s.ScanEvents(d, start, end, func(recs []event.Rec, aps []space.APID, _ time.Duration) {
+		if len(recs) == 0 {
 			return
 		}
-		out = make([]event.Event, len(evs))
-		copy(out, evs)
+		out = make([]event.Event, len(recs))
+		for i, r := range recs {
+			out[i] = r.Event(d, aps)
+		}
 	})
 	return out
+}
+
+// pointEventsLocked returns, as events in bp's pooled buffer, the events
+// adjacent to t across the device's log: the head's own neighbors when
+// nothing is sealed, the point-lookup neighborhood otherwise (see
+// neighborhoodLocked). Timeline.At and APAt only ever read the two events
+// on each side of t, so they answer over this handful exactly as over the
+// whole log. Caller holds a store lock and has sorted the head.
+func (s *Store) pointEventsLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Event, error) {
+	var nb []event.Rec
+	if len(lg.segs) == 0 {
+		nb = appendNeighborhood(bp.recs[:0], lg.head, clampedNanos(t))
+		bp.recs = nb
+	} else {
+		var err error
+		if nb, err = s.neighborhoodLocked(d, lg, t, bp); err != nil {
+			return nil, err
+		}
+	}
+	bp.evs = s.appendEvents(bp.evs[:0], d, nb)
+	return bp.evs, nil
 }
 
 // At classifies time t for device d as event.Timeline.At does: inside a
@@ -505,10 +595,10 @@ func (s *Store) EventsBetween(d event.DeviceID, start, end time.Time) []event.Ev
 // event, or an unknown device), with the validity or gap returned by value.
 // It is the store-level entry point the cleaning engine uses for every
 // query. Timeline.At only ever reads the two events on each side of t, so
-// for a segmented log it runs over the point-lookup neighborhood (see
-// neighborhoodLocked) instead of materializing the history — at most a
-// couple of segment decodes, all through the bounded cache. A lookup that
-// hits no error allocates nothing.
+// it runs over those few events (see pointEventsLocked) instead of
+// materializing the history — for a segmented log at most a couple of
+// segment decodes, all through the bounded cache. A lookup that hits no
+// error allocates nothing.
 func (s *Store) At(d event.DeviceID, t time.Time) (event.Validity, event.Gap, event.Where, error) {
 	var v event.Validity
 	var g event.Gap
@@ -519,16 +609,12 @@ func (s *Store) At(d event.DeviceID, t time.Time) (event.Validity, event.Gap, ev
 			err = fmt.Errorf("store: non-positive validity interval %v for device %s", delta, d)
 			return
 		}
-		evs := lg.head
-		var bp *scanBuf
-		if len(lg.segs) > 0 {
-			bp = scanBufPool.Get().(*scanBuf)
-			defer scanBufPool.Put(bp)
-			evs, err = s.neighborhoodLocked(d, lg, t, bp)
-			if err != nil {
-				err = fmt.Errorf("store: reading device %s at %v: %w", d, t, err)
-				return
-			}
+		bp := scanBufPool.Get().(*scanBuf)
+		defer scanBufPool.Put(bp)
+		evs, nerr := s.pointEventsLocked(d, lg, t, bp)
+		if nerr != nil {
+			err = fmt.Errorf("store: reading device %s at %v: %w", d, t, nerr)
+			return
 		}
 		// Timeline.At only reads the slice and returns copies, so the view
 		// never escapes the lock.
@@ -545,16 +631,12 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 	var e event.Event
 	var found bool
 	s.withDevice(d, func(lg *deviceLog, _ time.Duration) {
-		evs := lg.head
-		if len(lg.segs) > 0 {
-			bp := scanBufPool.Get().(*scanBuf)
-			defer scanBufPool.Put(bp)
-			var err error
-			evs, err = s.neighborhoodLocked(d, lg, t, bp)
-			if err != nil {
-				s.lookupErrors.Add(1)
-				return
-			}
+		bp := scanBufPool.Get().(*scanBuf)
+		defer scanBufPool.Put(bp)
+		evs, err := s.pointEventsLocked(d, lg, t, bp)
+		if err != nil {
+			s.lookupErrors.Add(1)
+			return
 		}
 		idx := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(t) })
 		if idx == 0 {
@@ -567,11 +649,10 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 
 // CurrentAP returns the AP the device is connected to at time t when t falls
 // inside a validity interval; ok is false otherwise. This is the "online"
-// test for neighbor devices at query time; it runs on the head (or the
-// point-lookup neighborhood for segmented logs) because the fine stage
-// issues it once per candidate neighbor of every query, and allocates
-// nothing. An unreadable segment near t answers offline, counted in
-// SegmentStats.LookupErrors.
+// test for neighbor devices at query time; it runs on the few events around
+// t (see pointEventsLocked) because the fine stage issues it once per
+// candidate neighbor of every query, and allocates nothing. An unreadable
+// segment near t answers offline, counted in SegmentStats.LookupErrors.
 func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 	var ap space.APID
 	var ok bool
@@ -579,16 +660,12 @@ func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 		if delta <= 0 {
 			return
 		}
-		evs := lg.head
-		if len(lg.segs) > 0 {
-			bp := scanBufPool.Get().(*scanBuf)
-			defer scanBufPool.Put(bp)
-			var err error
-			evs, err = s.neighborhoodLocked(d, lg, t, bp)
-			if err != nil {
-				s.lookupErrors.Add(1)
-				return
-			}
+		bp := scanBufPool.Get().(*scanBuf)
+		defer scanBufPool.Put(bp)
+		evs, err := s.pointEventsLocked(d, lg, t, bp)
+		if err != nil {
+			s.lookupErrors.Add(1)
+			return
 		}
 		tl := event.Timeline{Device: d, Delta: delta, Events: evs}
 		ap, ok = tl.APAt(t)

@@ -3,7 +3,9 @@
 package store
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,6 +76,93 @@ func TestActiveDevicesAtAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { s.ActiveDevicesAt(aps, start, end) }); n != 1 {
 			t.Errorf("ActiveDevicesAt(%v) allocates %v times per call, want 1 (the result)", aps, n)
+		}
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestStoreAllocsFootprint pins what the store's in-memory structures cost
+// per event: 100 devices of 1,100 events each over 40 APs, sealed at the
+// default 512 events into two segments per device plus a 76-event head,
+// every segment decoded into the segment cache, and the occupancy index
+// built. Device and AP names come from shared pools, as the WAL decoder's
+// strings would not, so only the store's own structures count. The bound
+// sits well below the 85 B/event the event-form store held here (heads and
+// decoded segments as 64-byte event.Events, the index one string-keyed map
+// per bucket); the record store holds 35.
+func TestStoreAllocsFootprint(t *testing.T) {
+	const (
+		devices   = 100
+		perDevice = 1100
+		maxPerEv  = 45.0
+	)
+	aps := make([]space.APID, 40)
+	for i := range aps {
+		aps[i] = space.APID(fmt.Sprintf("ap-%02d", i))
+	}
+	evs := make([]event.Event, 0, devices*perDevice)
+	for i := 0; i < perDevice; i++ {
+		for d := 0; d < devices; d++ {
+			evs = append(evs, event.Event{
+				Device: event.DeviceID(fmt.Sprintf("dev-%03d", d)),
+				Time:   t0.Add(time.Duration(i)*3*time.Minute + time.Duration(d)*time.Second),
+				AP:     aps[(d+i/20)%len(aps)],
+			})
+		}
+	}
+	base := liveHeap()
+	s := New(0)
+	for lo := 0; lo < len(evs); lo += 4096 {
+		if _, err := s.Ingest(evs[lo:min(lo+4096, len(evs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := t0.Add(perDevice * 3 * time.Minute)
+	for d := 0; d < devices; d++ {
+		s.EventsBetween(event.DeviceID(fmt.Sprintf("dev-%03d", d)), t0, end)
+	}
+	held := liveHeap() - base
+	st := s.SegmentStats()
+	if st.Segments != 2*devices || st.CacheSize != st.Segments {
+		t.Fatalf("%d segments, %d cached; want %d, all cached", st.Segments, st.CacheSize, 2*devices)
+	}
+	if s.OccupancyStats().Entries == 0 {
+		t.Fatal("occupancy index empty")
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(evs)
+	perEv := float64(held) / float64(len(evs))
+	t.Logf("store holds %.1f B/event (%d events, %.2f MB)", perEv, len(evs), float64(held)/1e6)
+	if perEv > maxPerEv {
+		t.Errorf("store holds %.1f B/event, want ≤ %.0f", perEv, maxPerEv)
+	}
+}
+
+// TestScanEventsAllocs: a warm ScanEvents hands out its window without
+// allocating — from the head, from one cached segment, and merged across
+// segments and the head through the pooled buffer.
+func TestScanEventsAllocs(t *testing.T) {
+	s := allocStore(t)
+	for _, w := range []struct{ from, to time.Duration }{
+		{200, 225}, // head
+		{0, 50},    // one sealed segment
+		{30, 215},  // both segments and the head
+	} {
+		start, end := t0.Add(w.from*time.Minute), t0.Add(w.to*time.Minute)
+		n := 0
+		fn := func(recs []event.Rec, _ []space.APID, _ time.Duration) { n += len(recs) }
+		if allocs := testing.AllocsPerRun(100, func() { s.ScanEvents("d", start, end, fn) }); allocs != 0 {
+			t.Errorf("ScanEvents(t0+%dm, t0+%dm) allocates %v times per call, want 0", w.from, w.to, allocs)
+		}
+		if n == 0 {
+			t.Errorf("ScanEvents(t0+%dm, t0+%dm) saw no events", w.from, w.to)
 		}
 	}
 }

@@ -356,9 +356,11 @@ func TestScanEvents(t *testing.T) {
 	var got []event.Event
 	var gotDelta time.Duration
 	calls := 0
-	found := s.ScanEvents("d", start, end, func(evs []event.Event, delta time.Duration) {
+	found := s.ScanEvents("d", start, end, func(recs []event.Rec, aps []space.APID, delta time.Duration) {
 		calls++
-		got = append(got, evs...) // copy out: the slice must not be retained
+		for _, r := range recs { // copy out: the slice must not be retained
+			got = append(got, r.Event("d", aps))
+		}
 		gotDelta = delta
 	})
 	if !found || calls != 1 {
@@ -378,16 +380,16 @@ func TestScanEvents(t *testing.T) {
 	// Empty window: fn runs with an empty slice.
 	calls = 0
 	empty := true
-	found = s.ScanEvents("d", base.Add(2*time.Hour), base.Add(3*time.Hour), func(evs []event.Event, _ time.Duration) {
+	found = s.ScanEvents("d", base.Add(2*time.Hour), base.Add(3*time.Hour), func(recs []event.Rec, _ []space.APID, _ time.Duration) {
 		calls++
-		empty = len(evs) == 0
+		empty = len(recs) == 0
 	})
 	if !found || calls != 1 || !empty {
 		t.Errorf("empty window: found=%v calls=%d empty=%v", found, calls, empty)
 	}
 
 	// Unknown device: fn not invoked, found=false.
-	if s.ScanEvents("ghost", start, end, func([]event.Event, time.Duration) { t.Error("fn called for ghost") }) {
+	if s.ScanEvents("ghost", start, end, func([]event.Rec, []space.APID, time.Duration) { t.Error("fn called for ghost") }) {
 		t.Error("ScanEvents(ghost) = true")
 	}
 }

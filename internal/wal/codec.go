@@ -199,8 +199,9 @@ type SegmentMeta struct {
 // and shared — so no block repeats state the whole segment has in common.
 //
 // Block offsets are implicit (blocks are contiguous from offset 0), so the
-// trailer costs ~10 bytes per block. DecodeSegment, the one reader, parses
-// the trailer and then decodes every block in order. Each block verifies its
+// trailer costs ~10 bytes per block. A reader (DecodeSegmentRecs, or the
+// reference DecodeSegment) parses the trailer and then decodes every block in
+// order. Each block verifies its
 // own CRC before any field is parsed, so a truncated or bit-flipped payload
 // is refused and a decoder can never over-read the payload slice it was
 // handed.
@@ -238,13 +239,113 @@ type BlockMeta struct {
 	MinNanos, MaxNanos int64
 }
 
-// EncodeSegment appends the block-indexed encoding of evs to dst: the
-// events split into consecutive dictionary-relative blocks of at most
-// blockEvents each (blockEvents <= 0 or >= len(evs) yields a single
+// EncodeSegmentRecs appends the block-indexed encoding of recs to dst: the
+// records split into consecutive dictionary-relative blocks of at most
+// blockEvents each (blockEvents <= 0 or >= len(recs) yields a single
 // block), followed by the indexed trailer carrying the block index and the
-// segment-wide AP dictionary. Returns the extended slice and the block
-// index (offsets relative to the start of this segment's payload). evs
-// must be non-empty and sorted; all events must belong to the same device.
+// segment-wide AP dictionary. recs[i].AP names aps[recs[i].AP]; the segment
+// dictionary lists the APs the segment uses in first-appearance order, so
+// the payload is byte-identical to EncodeSegment's over the same events.
+// Returns the extended slice and the block index (offsets relative to the
+// start of this segment's payload). recs must be non-empty and sorted, all
+// of one device.
+func EncodeSegmentRecs(dst []byte, recs []event.Rec, aps []space.APID, blockEvents int) ([]byte, []BlockMeta) {
+	if blockEvents <= 0 || blockEvents > len(recs) {
+		blockEvents = len(recs)
+	}
+	segIdx := make(map[uint32]uint64, 8)
+	order := make([]space.APID, 0, 8)
+	for i := range recs {
+		if _, ok := segIdx[recs[i].AP]; !ok {
+			segIdx[recs[i].AP] = uint64(len(order))
+			order = append(order, aps[recs[i].AP])
+		}
+	}
+	start := len(dst)
+	metas := make([]BlockMeta, 0, (len(recs)+blockEvents-1)/blockEvents)
+	for lo := 0; lo < len(recs); lo += blockEvents {
+		hi := min(lo+blockEvents, len(recs))
+		off := len(dst) - start
+		dst = encodeRecBlock(dst, recs[lo:hi], segIdx)
+		metas = append(metas, BlockMeta{
+			Off:      off,
+			Len:      len(dst) - start - off,
+			Count:    hi - lo,
+			MinNanos: recs[lo].Nanos,
+			MaxNanos: recs[hi-1].Nanos,
+		})
+	}
+	return appendSegmentTrailer(dst, metas, order), metas
+}
+
+// encodeRecBlock appends one dictionary-relative block: count, then per
+// record (AP index, delta-of-delta time, ID delta), then the block CRC. The
+// time chain is seeded from the block's first record — whose absolute time
+// the index trailer records as the block's minNanos — so the block itself
+// stores only small deltas.
+func encodeRecBlock(dst []byte, recs []event.Rec, segIdx map[uint32]uint64) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	var prevT, prevDelta, prevID int64
+	for i, r := range recs {
+		dst = binary.AppendUvarint(dst, segIdx[r.AP])
+		if i == 0 {
+			// The absolute time lives in the index; in-block it is the
+			// chain seed, always encoding as zero.
+			dst = binary.AppendVarint(dst, 0)
+			dst = binary.AppendVarint(dst, r.ID)
+		} else {
+			d := r.Nanos - prevT
+			dst = binary.AppendVarint(dst, d-prevDelta)
+			dst = binary.AppendVarint(dst, r.ID-prevID)
+			prevDelta = d
+		}
+		prevT, prevID = r.Nanos, r.ID
+	}
+	crc := crc32.Checksum(dst[start:], castagnoli)
+	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
+// appendSegmentTrailer appends the index trailer over the blocks just
+// written — block lengths, counts and minima, the final block's span, the
+// segment dictionary — then its CRC and the footer. Non-final maxes are not
+// encoded; the metas are set to the same conservative bound the parser
+// reconstructs (the next block's min), so encoder-returned and parsed
+// indexes agree exactly.
+func appendSegmentTrailer(dst []byte, metas []BlockMeta, order []space.APID) []byte {
+	for i := range metas[:len(metas)-1] {
+		metas[i].MaxNanos = metas[i+1].MinNanos
+	}
+	trailerStart := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(metas)))
+	prevMin := int64(0)
+	for i, m := range metas {
+		dst = binary.AppendUvarint(dst, uint64(m.Len))
+		dst = binary.AppendUvarint(dst, uint64(m.Count))
+		if i == 0 {
+			dst = binary.AppendVarint(dst, m.MinNanos)
+		} else {
+			dst = binary.AppendVarint(dst, m.MinNanos-prevMin)
+		}
+		prevMin = m.MinNanos
+	}
+	last := metas[len(metas)-1]
+	dst = binary.AppendVarint(dst, last.MaxNanos-last.MinNanos)
+	dst = binary.AppendUvarint(dst, uint64(len(order)))
+	for _, ap := range order {
+		dst = appendString(dst, string(ap))
+	}
+	crc := crc32.Checksum(dst[trailerStart:], castagnoli)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	trailerLen := len(dst) - trailerStart
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(trailerLen))
+	return append(dst, segIndexMagic...)
+}
+
+// EncodeSegment is the event-form reference encoder: EncodeSegmentRecs over
+// events instead of records, written independently of it. The store writes
+// through the record form; this one stays so tests can check that the two
+// produce the same bytes, and so tools can encode plain events.
 func EncodeSegment(dst []byte, evs []event.Event, blockEvents int) ([]byte, []BlockMeta) {
 	if blockEvents <= 0 || blockEvents > len(evs) {
 		blockEvents = len(evs)
@@ -275,36 +376,7 @@ func EncodeSegment(dst []byte, evs []event.Event, blockEvents int) ([]byte, []Bl
 			MaxNanos: evs[hi-1].Time.UnixNano(),
 		})
 	}
-	// Non-final maxes are not encoded; report the same conservative bound the
-	// parser will reconstruct (the next block's min) so encoder-returned and
-	// parsed indexes agree byte-for-byte in tests and callers alike.
-	for i := range metas[:len(metas)-1] {
-		metas[i].MaxNanos = metas[i+1].MinNanos
-	}
-	trailerStart := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(metas)))
-	prevMin := int64(0)
-	for i, m := range metas {
-		dst = binary.AppendUvarint(dst, uint64(m.Len))
-		dst = binary.AppendUvarint(dst, uint64(m.Count))
-		if i == 0 {
-			dst = binary.AppendVarint(dst, m.MinNanos)
-		} else {
-			dst = binary.AppendVarint(dst, m.MinNanos-prevMin)
-		}
-		prevMin = m.MinNanos
-	}
-	last := metas[len(metas)-1]
-	dst = binary.AppendVarint(dst, last.MaxNanos-last.MinNanos)
-	dst = binary.AppendUvarint(dst, uint64(len(order)))
-	for _, ap := range order {
-		dst = appendString(dst, string(ap))
-	}
-	crc := crc32.Checksum(dst[trailerStart:], castagnoli)
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	trailerLen := len(dst) - trailerStart
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(trailerLen))
-	return append(dst, segIndexMagic...), metas
+	return appendSegmentTrailer(dst, metas, order), metas
 }
 
 // encodeDictBlock appends one dictionary-relative block: count, then per
@@ -487,8 +559,90 @@ func parseSegmentIndex(payload []byte) (metas []BlockMeta, dict []space.APID, er
 	return metas, dict, nil
 }
 
-// DecodeSegment decodes a full segment payload, appending the events to
-// dst. Each block's CRC is verified before its fields are parsed.
+// DecodeSegmentRecs decodes a full segment payload, appending its records
+// to dst. ord maps an AP of the segment's dictionary to the caller's
+// ordinal; it is called once per dictionary entry, not per event, so the
+// decode makes no per-event string, and an error from it refuses the
+// payload. Each block's CRC is verified before its fields are parsed; on
+// error dst must be discarded by the caller.
+func DecodeSegmentRecs(payload []byte, dst []event.Rec, ord func(space.APID) (uint32, error)) ([]event.Rec, error) {
+	metas, dict, err := parseSegmentIndex(payload)
+	if err != nil {
+		return dst, err
+	}
+	var small [16]uint32
+	ords := small[:0]
+	for _, ap := range dict {
+		o, err := ord(ap)
+		if err != nil {
+			return dst, err
+		}
+		ords = append(ords, o)
+	}
+	for _, m := range metas {
+		dst, err = decodeRecBlock(payload[m.Off:m.Off+m.Len], ords, m.MinNanos, dst)
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// decodeRecBlock verifies and decodes one dictionary-relative block of an
+// indexed segment payload, appending its records to dst with each AP index
+// mapped through ords (the segment dictionary as the caller's ordinals).
+// minNanos is the block's index-recorded first-event time. The CRC is
+// checked before any field is parsed.
+func decodeRecBlock(block []byte, ords []uint32, minNanos int64, dst []event.Rec) ([]event.Rec, error) {
+	if len(block) < 4 {
+		return dst, fmt.Errorf("wal: indexed block too short (%d bytes)", len(block))
+	}
+	body := block[:len(block)-4]
+	want := binary.LittleEndian.Uint32(block[len(block)-4:])
+	if got := crc32.Checksum(body, castagnoli); got != want {
+		return dst, fmt.Errorf("wal: indexed block CRC mismatch (got %08x, want %08x)", got, want)
+	}
+	d := &decoder{b: body}
+	count := d.uvarint()
+	if d.err != nil {
+		return dst, d.err
+	}
+	if count == 0 || count > uint64(len(body)) {
+		return dst, fmt.Errorf("wal: indexed block count %d implausible (%d body bytes)", count, len(body))
+	}
+	var prevT, prevDelta, prevID int64
+	for i := uint64(0); i < count; i++ {
+		ai := d.uvarint()
+		dd := d.varint()
+		di := d.varint()
+		if d.err != nil {
+			return dst, d.err
+		}
+		if ai >= uint64(len(ords)) {
+			return dst, fmt.Errorf("wal: indexed block AP index %d out of range (%d dictionary entries)", ai, len(ords))
+		}
+		var t, id int64
+		if i == 0 {
+			t, id = minNanos+dd, di
+		} else {
+			prevDelta += dd
+			t = prevT + prevDelta
+			id = prevID + di
+		}
+		prevT, prevID = t, id
+		dst = append(dst, event.Rec{Nanos: t, ID: id, AP: ords[ai]})
+	}
+	if d.remaining() != 0 {
+		return dst, fmt.Errorf("wal: %d trailing bytes after indexed block", d.remaining())
+	}
+	return dst, nil
+}
+
+// DecodeSegment is the event-form reference decoder: it decodes a full
+// segment payload into events of device dev, appending them to dst, written
+// independently of DecodeSegmentRecs. The store reads through the record
+// form; this one stays as the oracle the record decode is tested against.
+// Each block's CRC is verified before its fields are parsed.
 func DecodeSegment(payload []byte, dev event.DeviceID, dst []event.Event) ([]event.Event, error) {
 	metas, dict, err := parseSegmentIndex(payload)
 	if err != nil {

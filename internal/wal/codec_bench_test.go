@@ -28,27 +28,44 @@ func benchBlockEvents(n int) []event.Event {
 	return evs
 }
 
+// benchBlockRecs is benchBlockEvents as the store holds it: records with AP
+// ordinals into the returned dictionary.
+func benchBlockRecs(n int) ([]event.Rec, []space.APID) {
+	var dict apDict
+	return dict.recsOf(benchBlockEvents(n)), dict.ids
+}
+
+// BenchmarkEncodeSegment times the encode the store seals with
+// (EncodeSegmentRecs).
 func BenchmarkEncodeSegment(b *testing.B) {
-	evs := benchBlockEvents(32)
+	recs, aps := benchBlockRecs(32)
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf, _ = EncodeSegment(buf[:0], evs, 0)
+		buf, _ = EncodeSegmentRecs(buf[:0], recs, aps, 0)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/event")
 }
 
+// BenchmarkDecodeSegment times the decode the store pages segments in with
+// (DecodeSegmentRecs), its AP dictionary resolved through a map as the
+// store's is.
 func BenchmarkDecodeSegment(b *testing.B) {
-	evs := benchBlockEvents(32)
-	payload, _ := EncodeSegment(nil, evs, 0)
-	dst := make([]event.Event, 0, len(evs))
+	recs, aps := benchBlockRecs(32)
+	payload, _ := EncodeSegmentRecs(nil, recs, aps, 0)
+	ords := make(map[space.APID]uint32, len(aps))
+	for i, ap := range aps {
+		ords[ap] = uint32(i)
+	}
+	ord := func(ap space.APID) (uint32, error) { return ords[ap], nil }
+	dst := make([]event.Rec, 0, len(recs))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = DecodeSegment(payload, "bench-dev", dst[:0])
+		dst, err = DecodeSegmentRecs(payload, dst[:0], ord)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/event")
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -202,15 +203,105 @@ func FuzzParseSegmentIndex(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSegment: neither decoder panics or over-reads whatever the
+// bytes claim, and the record decode, its AP ordinals mapped back through
+// the dictionary it assigned them from, equals the reference event decode —
+// the same events, or the same refusal.
 func FuzzDecodeSegment(f *testing.F) {
 	evs := segEvents(24, 2)
 	indexed, _ := EncodeSegment(nil, evs, 6)
 	f.Add(indexed)
 	f.Add(indexed[:len(indexed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic or over-read, whatever the bytes claim.
-		_, _ = DecodeSegment(data, "dev-a", nil)
+		want, werr := DecodeSegment(data, "dev-a", nil)
+		var dict apDict
+		recs, err := DecodeSegmentRecs(data, nil, dict.ord)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("record decode err %v, event decode err %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		sameEvents(t, dict.events("dev-a", recs), want)
 	})
+}
+
+// apDict is a test AP dictionary: ord assigns ordinals in first-seen order.
+type apDict struct {
+	ids []space.APID
+	idx map[space.APID]uint32
+}
+
+func (d *apDict) ord(ap space.APID) (uint32, error) {
+	if d.idx == nil {
+		d.idx = make(map[space.APID]uint32)
+	}
+	o, ok := d.idx[ap]
+	if !ok {
+		o = uint32(len(d.ids))
+		d.ids = append(d.ids, ap)
+		d.idx[ap] = o
+	}
+	return o, nil
+}
+
+// events expands records of device dev through the dictionary.
+func (d *apDict) events(dev event.DeviceID, recs []event.Rec) []event.Event {
+	out := make([]event.Event, len(recs))
+	for i, r := range recs {
+		out[i] = r.Event(dev, d.ids)
+	}
+	return out
+}
+
+// recsOf converts events to records, assigning AP ordinals in d.
+func (d *apDict) recsOf(evs []event.Event) []event.Rec {
+	out := make([]event.Rec, len(evs))
+	for i, e := range evs {
+		o, _ := d.ord(e.AP)
+		out[i] = event.Rec{Nanos: e.Time.UnixNano(), ID: e.ID, AP: o}
+	}
+	return out
+}
+
+// TestEncodeSegmentRecsMatchesReference: the record encoder writes the
+// reference encoder's bytes and block index exactly — also when the
+// caller's AP ordinals run in a different order than the segment's first
+// appearances — and its payload decodes back to the same records.
+func TestEncodeSegmentRecsMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64, 200} {
+		for _, blockEvents := range []int{-1, 0, 1, 3, 64, 1000} {
+			evs := segEvents(n, int64(n*1000+blockEvents))
+			var dict apDict
+			// Seed the dictionary out of first-appearance order, with an AP
+			// the segment never uses.
+			for _, ap := range []space.APID{"unused", "ap-3", "ap-2", "ap-1"} {
+				dict.ord(ap)
+			}
+			recs := dict.recsOf(evs)
+			want, wantMetas := EncodeSegment(nil, evs, blockEvents)
+			got, metas := EncodeSegmentRecs(nil, recs, dict.ids, blockEvents)
+			if string(got) != string(want) {
+				t.Fatalf("n=%d be=%d: record payload differs from the reference (%d vs %d bytes)", n, blockEvents, len(got), len(want))
+			}
+			if !reflect.DeepEqual(metas, wantMetas) {
+				t.Fatalf("n=%d be=%d: block index %+v, reference %+v", n, blockEvents, metas, wantMetas)
+			}
+			back, err := DecodeSegmentRecs(got, nil, dict.ord)
+			if err != nil {
+				t.Fatalf("n=%d be=%d: DecodeSegmentRecs: %v", n, blockEvents, err)
+			}
+			if !reflect.DeepEqual(back, recs) {
+				t.Fatalf("n=%d be=%d: records did not round-trip", n, blockEvents)
+			}
+		}
+	}
+	// An error from the ordinal mapping refuses the payload.
+	payload, _ := EncodeSegment(nil, segEvents(8, 1), 0)
+	refuse := func(space.APID) (uint32, error) { return 0, errors.New("unknown AP") }
+	if _, err := DecodeSegmentRecs(payload, nil, refuse); err == nil {
+		t.Fatal("payload decoded although its APs could not be mapped")
+	}
 }
 
 // TestDecodeEventBlockHostileHeaders hand-crafts event blocks whose CRC is

@@ -488,6 +488,9 @@ func (s *System) AddRoomLabel(d DeviceID, r RoomID, t time.Time) error {
 	if _, ok := s.building.Room(r); !ok {
 		return fmt.Errorf("locater: label references unknown room %s", r)
 	}
+	if !store.TimeFits(t) {
+		return fmt.Errorf("locater: label time %v outside int64 nanoseconds", t)
+	}
 	s.persistMu.RLock()
 	defer s.persistMu.RUnlock()
 	// Same write-ahead order as ingest: log first (a failed append applies
