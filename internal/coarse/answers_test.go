@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"locater/internal/event"
+	"locater/internal/space"
 	"locater/internal/store"
 )
 
@@ -16,16 +17,22 @@ type gapQuery struct {
 	tq time.Time
 }
 
+// deviceGaps returns every gap of device d's whole log in st.
+func deviceGaps(st *store.Store, d event.DeviceID) []event.Gap {
+	var gaps []event.Gap
+	lo, hi, _ := st.TimeBounds()
+	st.ScanEvents(d, lo, hi, func(recs []event.Rec, aps []space.APID, delta time.Duration) {
+		gaps = event.Gaps(d, recs, aps, delta)
+	})
+	return gaps
+}
+
 // closedGapQueries returns one query per closed gap of every device in st.
 func closedGapQueries(t testing.TB, st *store.Store) []gapQuery {
 	t.Helper()
 	var out []gapQuery
 	for _, d := range st.Devices() {
-		tl, err := event.NewTimeline(d, st.Delta(d), st.Events(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range tl.Gaps() {
+		for _, g := range deviceGaps(st, d) {
 			out = append(out, gapQuery{d, g.Start.Add(g.Duration() / 2)})
 		}
 	}
@@ -150,11 +157,7 @@ func modelArmQuery(t testing.TB, l *Localizer, people []event.DeviceID) gapQuery
 		if m.insideModel == nil {
 			continue
 		}
-		tl, err := event.NewTimeline(d, l.store.Delta(d), l.store.Events(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range tl.Gaps() {
+		for _, g := range deviceGaps(l.store, d) {
 			if g.Duration() > th.TauLow && g.Duration() < th.TauHigh && !gapSpansDays(g) &&
 				g.Start.After(goldenStart.AddDate(0, 0, 7)) {
 				return gapQuery{d, g.Start.Add(g.Duration() / 2)}

@@ -22,6 +22,7 @@ package coarse
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,10 +451,8 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	}
 	var r space.RegionID
 	found := false
-	l.scanHistory(d, g.Start, func(recs []event.Rec, aps []space.APID) {
-		r, found = l.mostVisitedRegion(len(recs), func(i int) (int, space.APID) {
-			return nanosSecondOfDay(recs[i].Nanos), aps[recs[i].AP]
-		}, g)
+	l.scanHistory(d, g.Start, func(recs []event.Rec, aps []space.APID, _ time.Duration) {
+		r, found = l.mostVisitedRegion(recs, aps, g)
 	})
 	if found {
 		return r
@@ -470,22 +469,20 @@ func (l *Localizer) bootstrapRegion(d event.DeviceID, g event.Gap) space.RegionI
 	return ""
 }
 
-// mostVisitedRegion counts the n historical events — event i at second of
-// day and AP at(i) — whose time of day falls inside the gap's time-of-day
-// window and returns the modal region. Ties break lexicographically for
-// determinism (l.regions is sorted). The query path hands it the history
-// window in place as the store's records (scanHistory) — counting retains
-// nothing, so it makes no log copy — and training the events it already
-// holds.
-func (l *Localizer) mostVisitedRegion(n int, at func(i int) (int, space.APID), g event.Gap) (space.RegionID, bool) {
+// mostVisitedRegion counts the historical records (their APs named by aps)
+// whose time of day falls inside the gap's time-of-day window and returns
+// the modal region. Ties break lexicographically for determinism
+// (l.regions is sorted). The query path hands it the history window in
+// place (scanHistory) — counting retains nothing, so it makes no log copy —
+// and training the window it already copied.
+func (l *Localizer) mostVisitedRegion(recs []event.Rec, aps []space.APID, g event.Gap) (space.RegionID, bool) {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
 	counts := make([]int, len(l.regions))
 	found := false
-	for i := 0; i < n; i++ {
-		sec, ap := at(i)
-		if inDayWindow(sec, startSec, endSec) {
-			if region, ok := l.building.RegionOf(ap); ok {
+	for _, r := range recs {
+		if inDayWindow(nanosSecondOfDay(r.Nanos), startSec, endSec) {
+			if region, ok := l.building.RegionOf(aps[r.AP]); ok {
 				counts[l.regionIdx[region]]++
 				found = true
 			}
@@ -533,19 +530,24 @@ func inDayWindow(s, start, end int) bool {
 	return s >= start || s <= end
 }
 
-// historyEvents returns a copy of the device's events in the N-day window
-// ending at ref (exclusive of events after ref). Training paths that retain
-// the slice (timeline construction, featurization) use it; per-query paths
-// that only count use scanHistory.
-func (l *Localizer) historyEvents(d event.DeviceID, ref time.Time) []event.Event {
-	start := ref.AddDate(0, 0, -l.opts.HistoryDays)
-	return l.store.EventsBetween(d, start, ref)
+// history copies the records of the device's history window out of the
+// store — training reads them after the store's lock is released, so the
+// copy is the only work done under it — and returns the window's gaps
+// (event.Gaps) with the records and the AP dictionary they index.
+func (l *Localizer) history(d event.DeviceID, ref time.Time) (gaps []event.Gap, recs []event.Rec, aps []space.APID, err error) {
+	var delta time.Duration
+	if l.scanHistory(d, ref, func(r []event.Rec, a []space.APID, dl time.Duration) {
+		recs, aps, delta = slices.Clone(r), a, dl
+	}) && delta <= 0 {
+		return nil, nil, nil, fmt.Errorf("coarse: non-positive validity interval %v for device %s", delta, d)
+	}
+	return event.Gaps(d, recs, aps, delta), recs, aps, nil
 }
 
-// scanHistory visits the same window as historyEvents zero-copy, as the
-// store's records and AP dictionary (see store.ScanEvents), under the
-// store's shared lock. fn must not retain recs.
-func (l *Localizer) scanHistory(d event.DeviceID, ref time.Time, fn func(recs []event.Rec, aps []space.APID)) {
-	start := ref.AddDate(0, 0, -l.opts.HistoryDays)
-	l.store.ScanEvents(d, start, ref, func(recs []event.Rec, aps []space.APID, _ time.Duration) { fn(recs, aps) })
+// scanHistory visits the device's N-day window ending at ref zero-copy, as
+// the store's records, AP dictionary and δ (see store.ScanEvents), under
+// the store's shared lock, and reports whether the device exists. fn must
+// not retain recs.
+func (l *Localizer) scanHistory(d event.DeviceID, ref time.Time, fn func(recs []event.Rec, aps []space.APID, delta time.Duration)) bool {
+	return l.store.ScanEvents(d, ref.AddDate(0, 0, -l.opts.HistoryDays), ref, fn)
 }

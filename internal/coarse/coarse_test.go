@@ -435,10 +435,12 @@ func TestInDayWindowWrap(t *testing.T) {
 func TestDaySecondsCountMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	hist := make([]event.Event, 500)
+	recs := make([]event.Rec, len(hist))
 	for i := range hist {
 		hist[i] = event.Event{Time: t0.Add(time.Duration(rng.Intn(28*86400)) * time.Second)}
+		recs[i] = event.Rec{Nanos: hist[i].Time.UnixNano()}
 	}
-	secs := newDaySeconds(hist)
+	secs := newDaySeconds(recs)
 	for i := 0; i < 2000; i++ {
 		start := t0.Add(time.Duration(rng.Intn(86400)) * time.Second)
 		g := event.Gap{Start: start, End: start.Add(time.Duration(rng.Intn(86400)) * time.Second)}

@@ -2,6 +2,7 @@ package coarse
 
 import (
 	"sort"
+	"time"
 
 	"locater/internal/event"
 	"locater/internal/space"
@@ -82,7 +83,7 @@ func (l *Localizer) windowCount(d event.DeviceID, g event.Gap) int {
 	startSec := secondOfDay(g.Start)
 	endSec := secondOfDay(g.End)
 	count := 0
-	l.scanHistory(d, g.Start, func(recs []event.Rec, _ []space.APID) {
+	l.scanHistory(d, g.Start, func(recs []event.Rec, _ []space.APID, _ time.Duration) {
 		for _, r := range recs {
 			if inDayWindow(nanosSecondOfDay(r.Nanos), startSec, endSec) {
 				count++
@@ -92,16 +93,16 @@ func (l *Localizer) windowCount(d event.DeviceID, g event.Gap) int {
 	return count
 }
 
-// daySeconds is a history's event times as sorted seconds of day. Training
-// counts ω's events for every gap against one history, so it sorts once and
-// counts each gap's window by binary search — the integer an inDayWindow
-// scan of that history gives.
+// daySeconds is a history's record times as sorted seconds of day.
+// Training counts ω's events for every gap against one history, so it sorts
+// once and counts each gap's window by binary search — the integer an
+// inDayWindow scan of that history gives.
 type daySeconds []int
 
-func newDaySeconds(hist []event.Event) daySeconds {
-	s := make(daySeconds, len(hist))
-	for i, e := range hist {
-		s[i] = secondOfDay(e.Time)
+func newDaySeconds(recs []event.Rec) daySeconds {
+	s := make(daySeconds, len(recs))
+	for i, r := range recs {
+		s[i] = nanosSecondOfDay(r.Nanos)
 	}
 	sort.Ints(s)
 	return s

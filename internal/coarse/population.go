@@ -31,15 +31,10 @@ func (l *Localizer) populationModel(ref time.Time) *deviceModel {
 	const maxDevices = 64 // bound population training cost
 	devices := samplePopulation(l.store.Devices(), maxDevices)
 	for _, dev := range devices {
-		hist := l.historyEvents(dev, ref)
-		if len(hist) < 2 {
-			continue
-		}
-		tl, err := event.NewTimeline(dev, l.store.Delta(dev), hist)
+		gaps, hist, _, err := l.history(dev, ref)
 		if err != nil {
 			continue
 		}
-		gaps := tl.Gaps()
 		const maxGapsPerDevice = 50
 		if len(gaps) > maxGapsPerDevice {
 			gaps = gaps[len(gaps)-maxGapsPerDevice:]

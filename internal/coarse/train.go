@@ -72,12 +72,10 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 	if !ok {
 		return nil, fmt.Errorf("coarse: empty store, cannot train model for %s", d)
 	}
-	hist := l.historyEvents(d, maxT)
-	tl, err := event.NewTimeline(d, l.store.Delta(d), hist)
+	gaps, hist, aps, err := l.history(d, maxT)
 	if err != nil {
-		return nil, fmt.Errorf("coarse: building timeline for %s: %w", d, err)
+		return nil, err
 	}
-	gaps := tl.Gaps()
 	if l.opts.MaxTrainingGaps > 0 && len(gaps) > l.opts.MaxTrainingGaps {
 		gaps = gaps[len(gaps)-l.opts.MaxTrainingGaps:]
 	}
@@ -149,8 +147,7 @@ func (l *Localizer) train(d event.DeviceID) (*deviceModel, error) {
 			rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})
 		case g.Duration() <= th.RegionTauLow:
 			// Short ambiguous gap: most-visited-region heuristic.
-			eventAt := func(i int) (int, space.APID) { return secondOfDay(hist[i].Time), hist[i].AP }
-			if r, ok := l.mostVisitedRegion(len(hist), eventAt, g); ok {
+			if r, ok := l.mostVisitedRegion(hist, aps, g); ok {
 				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[r]})
 			} else if okS {
 				rLabeled = append(rLabeled, labeledGap{x: ig.x, label: l.regionIdx[gs]})

@@ -9,6 +9,7 @@ package event
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -76,6 +77,16 @@ type Rec struct {
 	AP    uint32
 }
 
+// MinTime and MaxTime are the first and last instants a Rec can hold:
+// Unix nanoseconds math.MinInt64 and math.MaxInt64.
+var (
+	MinTime = time.Unix(0, math.MinInt64)
+	MaxTime = time.Unix(0, math.MaxInt64)
+)
+
+// timeOf is the UTC time at Unix nanoseconds n.
+func timeOf(n int64) time.Time { return time.Unix(0, n).UTC() }
+
 // Before orders records by (Nanos, ID): within one device that is
 // Event.Before's (Time, ID, Device) order.
 func (r Rec) Before(o Rec) bool {
@@ -93,7 +104,7 @@ func (r Rec) Compare(o Rec) int {
 // Event expands r into an Event of device d, its AP named by aps[r.AP].
 // The time comes back in UTC, as the store and its logs return times.
 func (r Rec) Event(d DeviceID, aps []space.APID) Event {
-	return Event{ID: r.ID, Device: d, Time: time.Unix(0, r.Nanos).UTC(), AP: aps[r.AP]}
+	return Event{ID: r.ID, Device: d, Time: timeOf(r.Nanos), AP: aps[r.AP]}
 }
 
 // Validity is the validity interval of a single event: the period during
@@ -132,101 +143,18 @@ type Gap struct {
 // Duration returns δ(gap) = End − Start.
 func (g Gap) Duration() time.Duration { return g.End.Sub(g.Start) }
 
-// Contains reports whether t falls strictly inside the gap. Containment is
-// exclusive of the endpoints because the endpoints belong to the adjacent
-// validity intervals.
-func (g Gap) Contains(t time.Time) bool {
-	return t.After(g.Start) && t.Before(g.End)
-}
-
 // String renders the gap for diagnostics.
 func (g Gap) String() string {
 	return fmt.Sprintf("gap{%s, %s → %s, %s}", g.Device,
 		g.Start.Format("2006-01-02 15:04:05"), g.End.Format("15:04:05"), g.Duration())
 }
 
-// Timeline is the per-device view of a connectivity log: the device's events
-// in time order plus the validity interval parameter δ(d). It exposes the
-// validity/gap structure of Figure 2.
-type Timeline struct {
-	Device DeviceID
-	Delta  time.Duration
-	// Events must be sorted by time; NewTimeline sorts a copy.
-	Events []Event
-}
-
-// NewTimeline copies and sorts the device's events and attaches δ.
-// It returns an error when delta is not positive or events from other
-// devices are mixed in.
-func NewTimeline(device DeviceID, delta time.Duration, events []Event) (*Timeline, error) {
-	if delta <= 0 {
-		return nil, fmt.Errorf("event: non-positive validity interval %v for device %s", delta, device)
-	}
-	evs := make([]Event, 0, len(events))
-	for _, e := range events {
-		if e.Device != device {
-			return nil, fmt.Errorf("event: timeline for %s given event of %s", device, e.Device)
-		}
-		evs = append(evs, e)
-	}
-	SortEvents(evs)
-	return &Timeline{Device: device, Delta: delta, Events: evs}, nil
-}
-
-// Validities computes the truncated validity interval of every event.
-// Event e_n at t_n is valid in (t_n − δ, t_n + δ); when that interval would
-// overlap a neighboring event of the same device the boundary shrinks to the
-// neighbor's timestamp (paper Section 2: e_1 valid in (t_1 − δ, t_2)).
-func (tl *Timeline) Validities() []Validity {
-	out := make([]Validity, len(tl.Events))
-	for i, e := range tl.Events {
-		start := e.Time.Add(-tl.Delta)
-		end := e.Time.Add(tl.Delta)
-		if i > 0 {
-			prev := tl.Events[i-1].Time
-			if start.Before(prev) {
-				start = prev
-			}
-		}
-		if i < len(tl.Events)-1 {
-			next := tl.Events[i+1].Time
-			if end.After(next) {
-				end = next
-			}
-		}
-		out[i] = Validity{Event: e, Start: start, End: end}
-	}
-	return out
-}
-
-// Gaps detects every gap in the timeline: for consecutive events e_0, e_1
-// with t_0 + δ < t_1 − δ there is a gap (t_0 + δ, t_1 − δ). The returned
-// gaps are disjoint and ordered.
-func (tl *Timeline) Gaps() []Gap {
-	var out []Gap
-	for i := 0; i+1 < len(tl.Events); i++ {
-		e0, e1 := tl.Events[i], tl.Events[i+1]
-		start := e0.Time.Add(tl.Delta)
-		end := e1.Time.Add(-tl.Delta)
-		if start.Before(end) {
-			out = append(out, Gap{
-				Device:    tl.Device,
-				Start:     start,
-				End:       end,
-				PrevEvent: e0,
-				NextEvent: e1,
-			})
-		}
-	}
-	return out
-}
-
-// Where says where a query time falls on a timeline (see Timeline.At).
+// Where says where a query time falls on a device's log (see At).
 type Where uint8
 
 const (
-	// Unknown: the timeline is empty, or t precedes the first event's
-	// validity or follows the last event's.
+	// Unknown: the log is empty, or t precedes the first event's validity
+	// or follows the last event's.
 	Unknown Where = iota
 	// InValidity: t lies inside an event's validity interval.
 	InValidity
@@ -234,124 +162,142 @@ const (
 	InGap
 )
 
-// At classifies the query time t against the timeline, returning by value
-// (so a lookup allocates nothing) the validity interval or the gap that
-// holds t, and which of the two it is:
+// The functions below evaluate Section 2 and Appendix 9.1 over one
+// device's log as the store holds it: records in (Nanos, ID) order, APs as
+// ordinals into aps, and δ > 0. Boundaries are computed in time.Time from
+// the records' UTC times, never as nanoseconds ± δ (which could wrap at the
+// int64 bounds), and only the records an answer names become Events.
+
+// FirstAfter returns the index of the first record whose time is after t
+// (len(recs) when none is), for any t, including times outside int64
+// nanoseconds.
+func FirstAfter(recs []Rec, t time.Time) int {
+	switch {
+	case t.Before(MinTime):
+		return 0
+	case t.After(MaxTime):
+		return len(recs)
+	}
+	tN := t.UnixNano()
+	return sort.Search(len(recs), func(i int) bool { return recs[i].Nanos > tN })
+}
+
+// validityOf returns the truncated validity interval of recs[i]: its time
+// t_i ± δ, with each side cut back to the neighboring record's time where
+// it would overlap it (paper Section 2: e_1 valid in (t_1 − δ, t_2)).
+func validityOf(recs []Rec, delta time.Duration, i int) (start, end time.Time) {
+	ti := timeOf(recs[i].Nanos)
+	start, end = ti.Add(-delta), ti.Add(delta)
+	if i > 0 {
+		if prev := timeOf(recs[i-1].Nanos); start.Before(prev) {
+			start = prev
+		}
+	}
+	if i+1 < len(recs) {
+		if next := timeOf(recs[i+1].Nanos); end.After(next) {
+			end = next
+		}
+	}
+	return start, end
+}
+
+// validAt returns the index of the record whose validity interval holds t,
+// with that interval (its Event left zero), or i = −1. Only the last record
+// at or before t and the first after it (index after) can hold it.
+func validAt(recs []Rec, delta time.Duration, t time.Time) (i int, v Validity, after int) {
+	after = FirstAfter(recs, t)
+	for _, j := range [2]int{after - 1, after} {
+		if j >= 0 && j < len(recs) {
+			if v.Start, v.End = validityOf(recs, delta, j); v.Contains(t) {
+				return j, v, after
+			}
+		}
+	}
+	return -1, Validity{}, after
+}
+
+// gapBetween returns the gap between consecutive records r0 and r1,
+// (t_0 + δ, t_1 − δ), when t_0 + δ < t_1 − δ.
+func gapBetween(d DeviceID, r0, r1 Rec, aps []space.APID, delta time.Duration) (Gap, bool) {
+	start, end := timeOf(r0.Nanos).Add(delta), timeOf(r1.Nanos).Add(-delta)
+	if !start.Before(end) {
+		return Gap{}, false
+	}
+	return Gap{Device: d, Start: start, End: end, PrevEvent: r0.Event(d, aps), NextEvent: r1.Event(d, aps)}, true
+}
+
+// At classifies the query time t against device d's log, returning by
+// value (so a lookup allocates nothing) the validity interval or the gap
+// that holds t, and which of the two it is:
 //
 //   - InValidity when t lies inside some event's validity interval (the
 //     device's coarse location is then the region of that event's AP);
-//   - InGap when t falls inside a gap (missing value to repair);
-//   - Unknown when t precedes the first event's validity or follows the
-//     last event's validity — the log carries no information there, and the
-//     caller decides how to treat the device (LOCATER treats it as outside).
+//   - InGap when t falls inside a gap (missing value to repair), its
+//     endpoints included;
+//   - Unknown when the log is empty, or t precedes the first event's
+//     validity or follows the last event's — the log carries no
+//     information there, and the caller decides how to treat the device
+//     (LOCATER treats it as outside).
 //
-// The result that does not hold is the zero value.
-func (tl *Timeline) At(t time.Time) (Validity, Gap, Where) {
-	n := len(tl.Events)
-	if n == 0 {
-		return Validity{}, Gap{}, Unknown
+// The result that does not hold is the zero value. At reads only the two
+// records on each side of t, so recs may be just that neighborhood of the
+// log.
+func At(d DeviceID, recs []Rec, aps []space.APID, delta time.Duration, t time.Time) (Validity, Gap, Where) {
+	i, v, after := validAt(recs, delta, t)
+	if i >= 0 {
+		v.Event = recs[i].Event(d, aps)
+		return v, Gap{}, InValidity
 	}
-	// Find the first event with Time > t. The validity of either that event
-	// or the last one at or before t may contain t.
-	idx := sort.Search(n, func(i int) bool { return tl.Events[i].Time.After(t) })
-	if idx > 0 {
-		if v := tl.validityAt(idx - 1); v.Contains(t) {
-			return v, Gap{}, InValidity
-		}
-	}
-	if idx < n {
-		if v := tl.validityAt(idx); v.Contains(t) {
-			return v, Gap{}, InValidity
-		}
-	}
-	// Not inside any validity: check the enclosing gap if one exists.
-	if idx > 0 && idx < n {
-		e0, e1 := tl.Events[idx-1], tl.Events[idx]
-		start := e0.Time.Add(tl.Delta)
-		end := e1.Time.Add(-tl.Delta)
-		if start.Before(end) {
-			g := Gap{Device: tl.Device, Start: start, End: end, PrevEvent: e0, NextEvent: e1}
-			if g.Contains(t) || t.Equal(g.Start) || t.Equal(g.End) {
-				return Validity{}, g, InGap
-			}
+	// Between two records and in neither's validity, t lies inside their
+	// gap: past t_0 + δ and before t_1 − δ.
+	if after > 0 && after < len(recs) {
+		if g, ok := gapBetween(d, recs[after-1], recs[after], aps, delta); ok {
+			return Validity{}, g, InGap
 		}
 	}
 	return Validity{}, Gap{}, Unknown
 }
 
-// APAt returns the AP of the event whose validity interval contains t, if
-// any: At(t) restricted to the validity case. It is the per-neighbor
-// "online" test the fine stage issues for every candidate device of every
-// query.
-func (tl *Timeline) APAt(t time.Time) (space.APID, bool) {
-	n := len(tl.Events)
-	if n == 0 {
-		return "", false
+// APAt returns the AP ordinal of the record whose validity interval holds
+// t, if any: At's validity case without expanding the record. It is the
+// per-neighbor "online" test the fine stage issues for every candidate
+// device of every query.
+func APAt(recs []Rec, delta time.Duration, t time.Time) (uint32, bool) {
+	i, _, _ := validAt(recs, delta, t)
+	if i < 0 {
+		return 0, false
 	}
-	idx := sort.Search(n, func(i int) bool { return tl.Events[i].Time.After(t) })
-	if idx > 0 {
-		if v := tl.validityAt(idx - 1); v.Contains(t) {
-			return v.Event.AP, true
-		}
-	}
-	if idx < n {
-		if v := tl.validityAt(idx); v.Contains(t) {
-			return v.Event.AP, true
-		}
-	}
-	return "", false
+	return recs[i].AP, true
 }
 
-// validityAt computes the truncated validity of the i-th event only.
-func (tl *Timeline) validityAt(i int) Validity {
-	e := tl.Events[i]
-	start := e.Time.Add(-tl.Delta)
-	end := e.Time.Add(tl.Delta)
-	if i > 0 {
-		prev := tl.Events[i-1].Time
-		if start.Before(prev) {
-			start = prev
+// Gaps detects every gap in device d's log: for consecutive events e_0, e_1
+// with t_0 + δ < t_1 − δ there is a gap (t_0 + δ, t_1 − δ). The returned
+// gaps are disjoint and ordered.
+func Gaps(d DeviceID, recs []Rec, aps []space.APID, delta time.Duration) []Gap {
+	var out []Gap
+	for i := 1; i < len(recs); i++ {
+		if g, ok := gapBetween(d, recs[i-1], recs[i], aps, delta); ok {
+			out = append(out, g)
 		}
 	}
-	if i < len(tl.Events)-1 {
-		next := tl.Events[i+1].Time
-		if end.After(next) {
-			end = next
-		}
-	}
-	return Validity{Event: e, Start: start, End: end}
-}
-
-// EventsBetween returns the timeline's events with Start ≤ t ≤ End,
-// using binary search.
-func (tl *Timeline) EventsBetween(start, end time.Time) []Event {
-	n := len(tl.Events)
-	lo := sort.Search(n, func(i int) bool { return !tl.Events[i].Time.Before(start) })
-	hi := sort.Search(n, func(i int) bool { return tl.Events[i].Time.After(end) })
-	if lo >= hi {
-		return nil
-	}
-	return tl.Events[lo:hi]
+	return out
 }
 
 // EstimateDelta estimates the validity interval δ(d) for a device from its
-// event log, as sketched in Appendix 9.1: while a device stays in one place
-// its log shows how often it reconnects, so δ is taken from the distribution
+// log, as sketched in Appendix 9.1: while a device stays in one place its
+// log shows how often it reconnects, so δ is taken from the distribution
 // of same-AP inter-event spacings. We use the given quantile (e.g. 0.9) of
 // consecutive same-AP inter-arrival times, clamped to [min, max]. With fewer
-// than two usable samples the fallback value is returned.
-func EstimateDelta(events []Event, quantile float64, minD, maxD, fallback time.Duration) time.Duration {
+// than two usable samples the fallback value is returned. recs must be in
+// (Nanos, ID) order; they are read in place.
+func EstimateDelta(recs []Rec, quantile float64, minD, maxD, fallback time.Duration) time.Duration {
 	if quantile <= 0 || quantile > 1 {
 		quantile = 0.9
 	}
-	evs := make([]Event, len(events))
-	copy(evs, events)
-	SortEvents(evs)
 	var spacings []time.Duration
-	for i := 0; i+1 < len(evs); i++ {
-		if evs[i].AP == evs[i+1].AP {
-			d := evs[i+1].Time.Sub(evs[i].Time)
-			if d > 0 {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].AP == recs[i-1].AP {
+			if d := timeOf(recs[i].Nanos).Sub(timeOf(recs[i-1].Nanos)); d > 0 {
 				spacings = append(spacings, d)
 			}
 		}
@@ -359,14 +305,6 @@ func EstimateDelta(events []Event, quantile float64, minD, maxD, fallback time.D
 	if len(spacings) < 2 {
 		return fallback
 	}
-	sort.Slice(spacings, func(i, j int) bool { return spacings[i] < spacings[j] })
-	idx := int(quantile * float64(len(spacings)-1))
-	d := spacings[idx]
-	if d < minD {
-		d = minD
-	}
-	if d > maxD {
-		d = maxD
-	}
-	return d
+	slices.Sort(spacings)
+	return min(max(spacings[int(quantile*float64(len(spacings)-1))], minD), maxD)
 }

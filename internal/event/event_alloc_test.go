@@ -12,9 +12,8 @@ import (
 
 // The allocation gates run without -race, which instruments allocations.
 
-// TestSortEventsAllocs: the store sorts every ingest head, segment merge and
-// point-lookup neighborhood that arrives out of order, so SortEvents must not
-// allocate.
+// TestSortEventsAllocs: SortEvents orders whole generated logs (the
+// simulator's output), so it must not allocate.
 func TestSortEventsAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := make([]Event, 64)
@@ -35,15 +34,18 @@ func TestSortEventsAllocs(t *testing.T) {
 	}
 }
 
-// TestTimelineAtAllocs: At returns the validity or the gap by value.
-func TestTimelineAtAllocs(t *testing.T) {
-	tl := Timeline{Device: "d", Delta: 10 * time.Minute, Events: []Event{
-		mk("d", 0, "a"), mk("d", 100*time.Minute, "b"),
-	}}
+// TestAtAllocs: At returns the validity or the gap by value, and APAt
+// expands nothing.
+func TestAtAllocs(t *testing.T) {
+	recs := []Rec{{Nanos: t0.UnixNano(), AP: 0}, {Nanos: t0.Add(100 * time.Minute).UnixNano(), AP: 1}}
+	aps := []space.APID{"a", "b"}
 	for _, m := range []time.Duration{5, 50, 300} {
 		tq := t0.Add(m * time.Minute)
-		if n := testing.AllocsPerRun(100, func() { tl.At(tq) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { At("d", recs, aps, 10*time.Minute, tq) }); n != 0 {
 			t.Errorf("At(t0+%dm) allocates %v times per call, want 0", m, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { APAt(recs, 10*time.Minute, tq) }); n != 0 {
+			t.Errorf("APAt(t0+%dm) allocates %v times per call, want 0", m, n)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"locater/internal/event"
+	"locater/internal/space"
 )
 
 var simStart = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC) // Monday
@@ -346,17 +348,16 @@ func TestGapStructureExists(t *testing.T) {
 	// coarse stage has nothing to repair.
 	ds := generateSmall(t, 3, 29)
 	d := ds.People[0].Device
-	var devEvents []event.Event
+	var recs []event.Rec
+	var aps []space.APID
 	for _, e := range ds.Events {
 		if e.Device == d {
-			devEvents = append(devEvents, e)
+			recs = append(recs, event.Rec{Nanos: e.Time.UnixNano(), ID: e.ID, AP: uint32(len(aps))})
+			aps = append(aps, e.AP)
 		}
 	}
-	tl, err := event.NewTimeline(d, 10*time.Minute, devEvents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Gaps()) == 0 {
+	slices.SortFunc(recs, event.Rec.Compare)
+	if len(event.Gaps(d, recs, aps, 10*time.Minute)) == 0 {
 		t.Error("no gaps in simulated log — sporadicity model broken")
 	}
 }

@@ -123,6 +123,67 @@ func TestNanosBoundsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSealSpanningInt64Progresses: a head holding one event at each int64
+// bound spans more nanoseconds than a segment can encode. Each seal then
+// takes the longest prefix that fits, so the head stays bounded, and every
+// event reads back unchanged, also from a store reopened on the same
+// segment files.
+func TestSealSpanningInt64Progresses(t *testing.T) {
+	const segMax = 4
+	lo, hi := time.Unix(0, math.MinInt64).UTC(), time.Unix(0, math.MaxInt64).UTC()
+	dir := t.TempDir()
+	backend, err := NewDiskSegmentBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSegmented(t, segMax, backend)
+	if _, err := s.Ingest([]event.Event{{Device: "d", Time: lo, AP: "a"}, {Device: "d", Time: hi, AP: "b"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < segMax; i++ {
+		if err := s.IngestOne(event.Event{Device: "d", Time: t0.Add(time.Duration(i) * time.Minute), AP: "c"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.SegmentStats()
+	if st.Segments < 1 || st.HeadEvents > segMax || st.SealFailures != 0 {
+		t.Fatalf("%d segments, %d head events, %d failed seals; want ≥ 1, ≤ %d and 0", st.Segments, st.HeadEvents, st.SealFailures, segMax)
+	}
+	want := []event.Event{{ID: 1, Device: "d", Time: lo, AP: "a"}}
+	for i := 0; i < segMax; i++ {
+		want = append(want, event.Event{ID: int64(3 + i), Device: "d", Time: t0.Add(time.Duration(i) * time.Minute), AP: "c"})
+	}
+	want = append(want, event.Event{ID: 2, Device: "d", Time: hi, AP: "b"})
+	if got := s.Events("d"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Events = %v, want %v", got, want)
+	}
+
+	cp := s.CheckpointState()
+	if err := s.SyncSegments(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseSegments(); err != nil {
+		t.Fatal(err)
+	}
+	backend, err = NewDiskSegmentBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened := newSegmented(t, segMax, backend)
+	defer reopened.CloseSegments()
+	if err := reopened.RestoreSegments(cp.Segments); err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range cp.Heads {
+		if _, err := reopened.Ingest(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reopened.Events("d"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened Events = %v, want %v", got, want)
+	}
+}
+
 // TestAPDictionaryAcrossRestore: segment decodes map each payload's own AP
 // dictionary onto the store's ordinals, so a store restored with its
 // segments in a different order — and so a different dictionary order —

@@ -161,12 +161,18 @@ func (s *Store) encodeSegmentVerified(recs []event.Rec) ([]byte, error) {
 // working set, and an idle store's footprint is the encoded payloads alone.
 // Caller holds the exclusive lock.
 //
-// On failure the head is simply kept: the next append re-attempts the seal,
-// and an over-full head is only a memory regression, never a correctness
-// one.
+// A segment's span must fit int64 nanoseconds, which a head starting before
+// 1970 can exceed: it seals its longest prefix that fits, so every seal
+// makes progress. On failure the head is simply kept: the next append
+// re-attempts the seal, and an over-full head is only a memory regression,
+// never a correctness one.
 func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 	s.ensureSorted(lg)
-	payload, err := s.encodeSegmentVerified(lg.head)
+	recs := lg.head
+	if first := recs[0].Nanos; first < 0 {
+		recs = recs[:sort.Search(len(recs), func(i int) bool { return recs[i].Nanos > first+math.MaxInt64 })]
+	}
+	payload, err := s.encodeSegmentVerified(recs)
 	if err != nil {
 		s.sealFails.Add(1)
 		return
@@ -179,17 +185,17 @@ func (s *Store) sealLocked(d event.DeviceID, lg *deviceLog) {
 	lg.nextSeq++
 	lg.segs = append(lg.segs, wal.SegmentMeta{
 		Seq:      seq,
-		Count:    len(lg.head),
-		MinNanos: lg.head[0].Nanos,
-		MaxNanos: lg.head[len(lg.head)-1].Nanos,
+		Count:    len(recs),
+		MinNanos: recs[0].Nanos,
+		MaxNanos: recs[len(recs)-1].Nanos,
 		Bytes:    len(payload),
 	})
-	lg.segEvents += len(lg.head)
+	lg.segEvents += len(recs)
 	s.segCount++
-	s.segEvents += len(lg.head)
+	s.segEvents += len(recs)
 	s.segBytes += int64(len(payload))
 	s.seals.Add(1)
-	lg.head = nil
+	lg.head = append([]event.Rec(nil), lg.head[len(recs):]...) // nil when all sealed
 }
 
 // decodeSegmentRecs appends a segment's full decode to dst, borrowing the
@@ -246,20 +252,13 @@ func (s *Store) materializeLocked(d event.DeviceID, lg *deviceLog, out []event.R
 	return out, nil
 }
 
-// nanoTime bounds within which time.Time round-trips through UnixNano.
-// Stored events always fit (they round-trip through the WAL codec); query
-// windows are clamped so comparisons against segment metadata stay correct
-// for arbitrarily wide windows.
-var (
-	minNanoTime = time.Unix(0, math.MinInt64)
-	maxNanoTime = time.Unix(0, math.MaxInt64)
-)
-
+// clampedNanos is t in Unix nanoseconds clamped to the range a record holds,
+// so windows of any width compare correctly against segment metadata.
 func clampedNanos(t time.Time) int64 {
-	if t.Before(minNanoTime) {
+	if t.Before(event.MinTime) {
 		return math.MinInt64
 	}
-	if t.After(maxNanoTime) {
+	if t.After(event.MaxTime) {
 		return math.MaxInt64
 	}
 	return t.UnixNano()
@@ -269,7 +268,7 @@ func clampedNanos(t time.Time) int64 {
 // Unix nanoseconds of the event times inside it; ok is false when it holds
 // none (end before start, or a window wholly outside int64 nanoseconds).
 func windowNanos(start, end time.Time) (lo, hi int64, ok bool) {
-	if end.Before(start) || start.After(maxNanoTime) || end.Before(minNanoTime) {
+	if end.Before(start) || start.After(event.MaxTime) || end.Before(event.MinTime) {
 		return 0, 0, false
 	}
 	return clampedNanos(start), clampedNanos(end), true
@@ -297,12 +296,10 @@ func recsSorted(recs []event.Rec) bool {
 // scanBuf is the pooled scratch a segmented read assembles its window or
 // point-lookup neighborhood into. Pooled per call (Get/Put around each use),
 // so re-entrant reads — the fine stage scans candidate logs while holding
-// results of an outer scan — each get their own buffer. evs holds a point
-// lookup's neighborhood expanded into events; decoded accrues the encoded
-// bytes a point lookup actually decoded (cache misses only).
+// results of an outer scan — each get their own buffer. decoded accrues the
+// encoded bytes a point lookup actually decoded (cache misses only).
 type scanBuf struct {
 	recs          []event.Rec
-	evs           []event.Event
 	before, after []int // neighborhoodLocked's segment visit orders
 	runs          [][]event.Rec
 	decoded       int64
@@ -484,11 +481,13 @@ func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, tN in
 	return appendNeighborhood(buf, recs, tN), nil
 }
 
-// neighborhoodLocked assembles into bp the sorted set of records adjacent
-// to t across every source (head + segments): at least the two nearest
-// records on each side of t, drawn from whichever sources hold them.
+// neighborhoodLocked returns the records a point lookup at t reads: the
+// head itself when nothing is sealed, else the sorted set of records
+// adjacent to t across every source (head + segments), assembled into bp —
+// at least the two nearest records on each side of t, drawn from whichever
+// sources hold them.
 //
-// Timeline.At/APAt on time t only ever read the two events on each side of
+// event.At/APAt on time t only ever read the two records on each side of
 // it — validity truncation uses the immediate neighbors and gap bounds use
 // the straddling pair — so running them over this neighborhood reproduces
 // the flat-log answer exactly. Segments whose time range overlaps t are
@@ -501,14 +500,20 @@ func (s *Store) appendSegNeighborhood(d event.DeviceID, m wal.SegmentMeta, tN in
 // leaves it, the neighborhood is then already in event order and is not
 // sorted again. Caller holds a store lock and has sorted the head.
 func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Rec, error) {
+	if len(lg.segs) == 0 {
+		return lg.head, nil
+	}
 	s.pointLookups.Add(1)
 	bp.decoded = 0
-	defer func() { s.lookupDecodedBytes.Add(bp.decoded) }()
 	tN := clampedNanos(t)
 	var hb [4]event.Rec // two records on each side of t at most
 	head := appendNeighborhood(hb[:0], lg.head, tN)
-	buf := bp.recs[:0]
-	before, after := bp.before[:0], bp.after[:0]
+	buf, before, after := bp.recs[:0], bp.before[:0], bp.after[:0]
+	defer func() {
+		s.lookupDecodedBytes.Add(bp.decoded)
+		bp.recs, bp.before, bp.after = buf, before, after // pool what grew
+	}()
+	var err error
 	for i := range lg.segs {
 		m := &lg.segs[i]
 		switch {
@@ -529,10 +534,7 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 			}
 			after[j] = i
 		default:
-			var err error
-			buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
-			if err != nil {
-				bp.recs, bp.before, bp.after = buf, before, after
+			if buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp); err != nil {
 				return nil, err
 			}
 		}
@@ -542,10 +544,7 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 		if n >= 2 && lg.segs[i].MaxNanos < second {
 			break
 		}
-		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
-		if err != nil {
-			bp.recs, bp.before, bp.after = buf, before, after
+		if buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp); err != nil {
 			return nil, err
 		}
 	}
@@ -554,10 +553,7 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 		if n >= 2 && lg.segs[i].MinNanos > second {
 			break
 		}
-		var err error
-		buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp)
-		if err != nil {
-			bp.recs, bp.before, bp.after = buf, before, after
+		if buf, err = s.appendSegNeighborhood(d, lg.segs[i], tN, buf, bp); err != nil {
 			return nil, err
 		}
 	}
@@ -565,7 +561,6 @@ func (s *Store) neighborhoodLocked(d event.DeviceID, lg *deviceLog, t time.Time,
 	if !recsSorted(buf) {
 		slices.SortFunc(buf, event.Rec.Compare)
 	}
-	bp.recs, bp.before, bp.after = buf, before, after
 	return buf, nil
 }
 

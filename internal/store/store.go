@@ -19,11 +19,12 @@
 // — is an event.Rec: 24 bytes, no pointers, the device implicit in its log
 // and the AP an ordinal into the store's AP dictionary (apIDs). The
 // dictionary is the store's alone: segment payloads keep their own
-// per-segment dictionaries and the write-ahead log keeps strings. Events
-// come back as event.Event only where the API hands out copies (Events,
-// EventsBetween, CheckpointState) or around a point lookup's few
-// neighboring events (At, CurrentAP, LastEventAtOrBefore); the scan kernels
-// read the records in place (ScanEvents).
+// per-segment dictionaries and the write-ahead log keeps strings. The
+// records are the only in-memory timeline: the point lookups (At,
+// CurrentAP, LastEventAtOrBefore) and EstimateDeltas run internal/event's
+// record kernels over them in place, as the scan kernels do (ScanEvents),
+// and an event.Event is built only for an answer or where the API hands out
+// copies (Events, EventsBetween, CheckpointState).
 package store
 
 import (
@@ -307,7 +308,7 @@ func (s *Store) withDevice(d event.DeviceID, fn func(lg *deviceLog, delta time.D
 	return true
 }
 
-// EstimateDeltas derives δ(d) for every device from its own log (see
+// EstimateDeltas derives δ(d) for every device from its own records (see
 // event.EstimateDelta) and registers the results. Devices with too little
 // data keep the default. With a backend attached the estimated deltas are
 // logged and committed as one group; the returned error reports a logging
@@ -315,7 +316,6 @@ func (s *Store) withDevice(d event.DeviceID, fn func(lg *deviceLog, delta time.D
 func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error {
 	s.mu.Lock()
 	var recs []event.Rec
-	var evs []event.Event
 	for dev, lg := range s.logs {
 		s.ensureSorted(lg)
 		var err error
@@ -324,8 +324,7 @@ func (s *Store) EstimateDeltas(quantile float64, minD, maxD time.Duration) error
 			s.mu.Unlock()
 			return fmt.Errorf("store: materializing device %s: %w", dev, err)
 		}
-		evs = s.appendEvents(evs[:0], dev, recs)
-		d := event.EstimateDelta(evs, quantile, minD, maxD, s.defaultDelta)
+		d := event.EstimateDelta(recs, quantile, minD, maxD, s.defaultDelta)
 		if s.backend != nil {
 			if err := s.backend.AppendDelta(dev, d); err != nil {
 				s.mu.Unlock()
@@ -355,7 +354,7 @@ var ErrInvalidEvent = errors.New("store: invalid event")
 // keep times in: 1677-09-21 00:12:43.145224192 to 2262-04-11
 // 23:47:16.854775807 UTC, bounds included.
 func TimeFits(t time.Time) bool {
-	return !t.Before(minNanoTime) && !t.After(maxNanoTime)
+	return !t.Before(event.MinTime) && !t.After(event.MaxTime)
 }
 
 // ValidateEvents returns an ErrInvalidEvent error for the first event
@@ -557,45 +556,19 @@ func (s *Store) ScanEvents(d event.DeviceID, start, end time.Time, fn func(recs 
 // start ≤ t ≤ end, via binary search.
 func (s *Store) EventsBetween(d event.DeviceID, start, end time.Time) []event.Event {
 	var out []event.Event
-	s.ScanEvents(d, start, end, func(recs []event.Rec, aps []space.APID, _ time.Duration) {
-		if len(recs) == 0 {
-			return
-		}
-		out = make([]event.Event, len(recs))
-		for i, r := range recs {
-			out[i] = r.Event(d, aps)
+	s.ScanEvents(d, start, end, func(recs []event.Rec, _ []space.APID, _ time.Duration) {
+		if len(recs) > 0 {
+			out = s.appendEvents(make([]event.Event, 0, len(recs)), d, recs)
 		}
 	})
 	return out
 }
 
-// pointEventsLocked returns, as events in bp's pooled buffer, the events
-// adjacent to t across the device's log: the head's own neighbors when
-// nothing is sealed, the point-lookup neighborhood otherwise (see
-// neighborhoodLocked). Timeline.At and APAt only ever read the two events
-// on each side of t, so they answer over this handful exactly as over the
-// whole log. Caller holds a store lock and has sorted the head.
-func (s *Store) pointEventsLocked(d event.DeviceID, lg *deviceLog, t time.Time, bp *scanBuf) ([]event.Event, error) {
-	var nb []event.Rec
-	if len(lg.segs) == 0 {
-		nb = appendNeighborhood(bp.recs[:0], lg.head, clampedNanos(t))
-		bp.recs = nb
-	} else {
-		var err error
-		if nb, err = s.neighborhoodLocked(d, lg, t, bp); err != nil {
-			return nil, err
-		}
-	}
-	bp.evs = s.appendEvents(bp.evs[:0], d, nb)
-	return bp.evs, nil
-}
-
-// At classifies time t for device d as event.Timeline.At does: inside a
-// validity interval, inside a gap, or unknown (before first/after last
-// event, or an unknown device), with the validity or gap returned by value.
-// It is the store-level entry point the cleaning engine uses for every
-// query. Timeline.At only ever reads the two events on each side of t, so
-// it runs over those few events (see pointEventsLocked) instead of
+// At classifies time t for device d as event.At does: inside a validity
+// interval, inside a gap, or unknown (before first/after last event, or an
+// unknown device), with the validity or gap returned by value. It is the
+// store-level entry point the cleaning engine uses for every query. It
+// reads only the records around t (see neighborhoodLocked) instead of
 // materializing the history — for a segmented log at most a couple of
 // segment decodes, all through the bounded cache. A lookup that hits no
 // error allocates nothing.
@@ -611,15 +584,12 @@ func (s *Store) At(d event.DeviceID, t time.Time) (event.Validity, event.Gap, ev
 		}
 		bp := scanBufPool.Get().(*scanBuf)
 		defer scanBufPool.Put(bp)
-		evs, nerr := s.pointEventsLocked(d, lg, t, bp)
+		recs, nerr := s.neighborhoodLocked(d, lg, t, bp)
 		if nerr != nil {
 			err = fmt.Errorf("store: reading device %s at %v: %w", d, t, nerr)
 			return
 		}
-		// Timeline.At only reads the slice and returns copies, so the view
-		// never escapes the lock.
-		tl := event.Timeline{Device: d, Delta: delta, Events: evs}
-		v, g, w = tl.At(t)
+		v, g, w = event.At(d, recs, s.apIDs, delta, t)
 	})
 	return v, g, w, err
 }
@@ -633,24 +603,22 @@ func (s *Store) LastEventAtOrBefore(d event.DeviceID, t time.Time) (event.Event,
 	s.withDevice(d, func(lg *deviceLog, _ time.Duration) {
 		bp := scanBufPool.Get().(*scanBuf)
 		defer scanBufPool.Put(bp)
-		evs, err := s.pointEventsLocked(d, lg, t, bp)
+		recs, err := s.neighborhoodLocked(d, lg, t, bp)
 		if err != nil {
 			s.lookupErrors.Add(1)
 			return
 		}
-		idx := sort.Search(len(evs), func(i int) bool { return evs[i].Time.After(t) })
-		if idx == 0 {
-			return
+		if i := event.FirstAfter(recs, t); i > 0 {
+			e, found = recs[i-1].Event(d, s.apIDs), true
 		}
-		e, found = evs[idx-1], true
 	})
 	return e, found
 }
 
 // CurrentAP returns the AP the device is connected to at time t when t falls
 // inside a validity interval; ok is false otherwise. This is the "online"
-// test for neighbor devices at query time; it runs on the few events around
-// t (see pointEventsLocked) because the fine stage issues it once per
+// test for neighbor devices at query time; it reads only the records around
+// t (see neighborhoodLocked) because the fine stage issues it once per
 // candidate neighbor of every query, and allocates nothing. An unreadable
 // segment near t answers offline, counted in SegmentStats.LookupErrors.
 func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
@@ -662,13 +630,15 @@ func (s *Store) CurrentAP(d event.DeviceID, t time.Time) (space.APID, bool) {
 		}
 		bp := scanBufPool.Get().(*scanBuf)
 		defer scanBufPool.Put(bp)
-		evs, err := s.pointEventsLocked(d, lg, t, bp)
+		recs, err := s.neighborhoodLocked(d, lg, t, bp)
 		if err != nil {
 			s.lookupErrors.Add(1)
 			return
 		}
-		tl := event.Timeline{Device: d, Delta: delta, Events: evs}
-		ap, ok = tl.APAt(t)
+		var o uint32
+		if o, ok = event.APAt(recs, delta, t); ok {
+			ap = s.apIDs[o]
+		}
 	})
 	return ap, ok
 }
