@@ -59,12 +59,15 @@ func DefaultThresholds() Thresholds {
 	}
 }
 
+// DefaultHistoryDays is the default N: the days of connectivity history
+// the system learns from (8 weeks, the paper's plateau point in Fig. 8).
+const DefaultHistoryDays = 56
+
 // Options configures the coarse localizer.
 type Options struct {
 	Thresholds Thresholds
 	// HistoryDays is N, the number of past days of connectivity history
-	// used to extract training gaps. Default 56 (8 weeks, the paper's
-	// plateau point in Fig. 8).
+	// used to extract training gaps. Default DefaultHistoryDays.
 	HistoryDays int
 	// MaxPromotionsPerRound promotes the top-k most confident unlabeled
 	// gaps per self-training round instead of exactly one. 1 reproduces
@@ -86,7 +89,7 @@ func (o Options) withDefaults() Options {
 		o.Thresholds = DefaultThresholds()
 	}
 	if o.HistoryDays <= 0 {
-		o.HistoryDays = 56
+		o.HistoryDays = DefaultHistoryDays
 	}
 	if o.MaxPromotionsPerRound <= 0 {
 		o.MaxPromotionsPerRound = 1

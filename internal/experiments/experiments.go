@@ -20,6 +20,7 @@ import (
 
 	"locater"
 	"locater/internal/baseline"
+	"locater/internal/coarse"
 	"locater/internal/eval"
 	"locater/internal/sim"
 	"locater/internal/space"
@@ -39,8 +40,9 @@ type Params struct {
 	Queries int
 	// Seed drives dataset generation and query sampling.
 	Seed int64
-	// HistoryDays is the training window for LOCATER variants. Default 56
-	// (8 weeks, the paper's choice for the comparison experiments).
+	// HistoryDays is the history window N for LOCATER variants. Default
+	// coarse.DefaultHistoryDays (8 weeks, the paper's choice for the
+	// comparison experiments).
 	HistoryDays int
 	// Fast trades fidelity for speed in self-training (batch promotions,
 	// capped training gaps). Enabled by default.
@@ -62,7 +64,7 @@ func (p Params) WithDefaults() Params {
 		p.Seed = 1
 	}
 	if p.HistoryDays <= 0 {
-		p.HistoryDays = 56
+		p.HistoryDays = coarse.DefaultHistoryDays
 	}
 	return p
 }
@@ -146,14 +148,11 @@ func BuildSystem(ds *sim.Dataset, p Params, spec SystemSpec) (eval.System, error
 		historyDays = spec.HistoryDays
 	}
 	cfg := locater.Config{
-		Building:    ds.Building,
-		Variant:     spec.Variant,
-		Weights:     spec.Weights,
-		EnableCache: spec.Cache,
-		HistoryDays: historyDays,
-		// The affinity window tracks the coarse history window so the
-		// Fig. 8 sweep varies both stages' historical knowledge.
-		HistoryWindow:         time.Duration(historyDays) * 24 * time.Hour,
+		Building:              ds.Building,
+		Variant:               spec.Variant,
+		Weights:               spec.Weights,
+		EnableCache:           spec.Cache,
+		HistoryDays:           historyDays,
 		DisableStopConditions: spec.DisableStop,
 		TauLow:                spec.TauLow,
 		TauHigh:               spec.TauHigh,

@@ -203,7 +203,7 @@ func TestTimePreferredRoomsShiftPrior(t *testing.T) {
 	// a fresh scene with a lunch-time event.
 	lunch := t0.Add(3*time.Hour + 30*time.Minute) // 12:30
 	st2 := setupScene(t, b, map[event.DeviceID]space.APID{})
-	st2.IngestOne(event.Event{Device: "d1", Time: lunch, AP: "wap3"})
+	st2.Ingest([]event.Event{{Device: "d1", Time: lunch, AP: "wap3"}})
 	st2.SetDelta("d1", 10*time.Minute)
 	l2 := New(b, st2, fixedAffinity{}, nil, Options{})
 	res, err = l2.Locate("d1", g3, lunch)

@@ -44,9 +44,6 @@ type Options struct {
 	// UseStopConditions enables the loose early-termination conditions
 	// (Section 4.2). Disabling processes every neighbor (Fig. 11 ablation).
 	UseStopConditions bool
-	// HistoryWindow bounds the history used for device affinities.
-	// Default 8 weeks.
-	HistoryWindow time.Duration
 }
 
 // neighborWindow is how far around t_q to look for neighbor-device events
@@ -58,9 +55,6 @@ const neighborWindow = time.Hour
 func (o Options) withDefaults() Options {
 	if (o.Weights == Weights{}) {
 		o.Weights = DefaultWeights()
-	}
-	if o.HistoryWindow <= 0 {
-		o.HistoryWindow = 8 * 7 * 24 * time.Hour
 	}
 	return o
 }
@@ -145,13 +139,10 @@ type LocalEdge struct {
 	Weight   float64
 }
 
-// New creates a fine localizer. affinity may be nil (a store-backed provider
-// over opts.HistoryWindow is used); orderer may be nil (store order).
+// New creates a fine localizer. affinity is required (NewStoreAffinity
+// computes it from the store); orderer may be nil (store order).
 func New(b *space.Building, st *store.Store, affinity PairAffinityProvider, orderer NeighborOrderer, opts Options) *Localizer {
 	opts = opts.withDefaults()
-	if affinity == nil {
-		affinity = NewStoreAffinity(st, opts.HistoryWindow)
-	}
 	l := &Localizer{
 		opts:      opts,
 		building:  b,

@@ -23,7 +23,7 @@ func benchScene(b *testing.B, neighbors int, variant Variant, stop bool) (*Local
 		aff[pair("d1", d)] = 0.1 + 0.8*float64(i%7)/7
 	}
 	for d, ap := range conns {
-		if err := st.IngestOne(event.Event{Device: d, Time: t0, AP: ap}); err != nil {
+		if _, err := st.Ingest([]event.Event{{Device: d, Time: t0, AP: ap}}); err != nil {
 			b.Fatal(err)
 		}
 		if err := st.SetDelta(d, 10*time.Minute); err != nil {
@@ -168,7 +168,7 @@ func BenchmarkColdLocate(b *testing.B) {
 		for _, n := range []int{16, 64} {
 			b.Run(fmt.Sprintf("%s/neighbors=%d", variant, n), func(b *testing.B) {
 				bld, st, g3 := historyScene(b, n)
-				l := New(bld, st, nil, nil, Options{Variant: variant, UseStopConditions: false})
+				l := New(bld, st, NewStoreAffinity(st, 8*7*24*time.Hour), nil, Options{Variant: variant, UseStopConditions: false})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -232,7 +232,7 @@ func BenchmarkDFineCluster(b *testing.B) {
 			}
 		}
 		for d, ap := range conns {
-			if err := st.IngestOne(event.Event{Device: d, Time: t0, AP: ap}); err != nil {
+			if _, err := st.Ingest([]event.Event{{Device: d, Time: t0, AP: ap}}); err != nil {
 				b.Fatal(err)
 			}
 			if err := st.SetDelta(d, 10*time.Minute); err != nil {

@@ -35,7 +35,7 @@ func setupScene(t testing.TB, b *space.Building, conns map[event.DeviceID]space.
 	t.Helper()
 	st := store.New(0)
 	for d, ap := range conns {
-		if err := st.IngestOne(event.Event{Device: d, Time: t0, AP: ap}); err != nil {
+		if _, err := st.Ingest([]event.Event{{Device: d, Time: t0, AP: ap}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.SetDelta(d, 10*time.Minute); err != nil {

@@ -39,7 +39,7 @@ func TestBlockScanMatchesSliceOracle(t *testing.T) {
 			}
 			e := mk(devs[rng.Intn(len(devs))], off, aps[rng.Intn(len(aps))])
 			for _, s := range []*Store{seg, ora} {
-				if err := s.IngestOne(e); err != nil {
+				if _, err := s.Ingest([]event.Event{e}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -130,7 +130,7 @@ func TestSegmentDecodedOnce(t *testing.T) {
 	s := newSegmented(t, 2*DefaultSegmentBlockEvents, nil)
 	const n = 4*DefaultSegmentBlockEvents + 5
 	for i := 0; i < n; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestResidentBytesSplitHeapVsMmap(t *testing.T) {
 	}
 	s := newSegmented(t, 8, backend)
 	for i := 0; i < 64; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, fmt.Sprintf("ap%d", i%3))); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, fmt.Sprintf("ap%d", i%3))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestResidentBytesSplitHeapVsMmap(t *testing.T) {
 
 	mem := newSegmented(t, 8, nil)
 	for i := 0; i < 64; i++ {
-		if err := mem.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := mem.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}

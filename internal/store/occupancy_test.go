@@ -163,7 +163,7 @@ func TestActiveDevicesInteriorAndBoundaryBuckets(t *testing.T) {
 	s := New(0)
 	mustIngest := func(d event.DeviceID, at time.Time) {
 		t.Helper()
-		if err := s.IngestOne(event.Event{Device: d, AP: "ap", Time: at}); err != nil {
+		if _, err := s.Ingest([]event.Event{{Device: d, AP: "ap", Time: at}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,13 +190,13 @@ func TestActiveDevicesSortsOnlyDirtyLogs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d := event.DeviceID(fmt.Sprintf("d%03d", i))
 		for j := 0; j < 5; j++ {
-			if err := s.IngestOne(event.Event{Device: d, AP: "ap", Time: t0.Add(time.Duration(j) * time.Minute)}); err != nil {
+			if _, err := s.Ingest([]event.Event{{Device: d, AP: "ap", Time: t0.Add(time.Duration(j) * time.Minute)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Knock exactly one log out of order.
-	if err := s.IngestOne(event.Event{Device: "d042", AP: "ap", Time: t0.Add(-time.Hour)}); err != nil {
+	if _, err := s.Ingest([]event.Event{{Device: "d042", AP: "ap", Time: t0.Add(-time.Hour)}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(s.dirty); n != 1 {
@@ -228,11 +228,11 @@ func TestOccupancyStatsCounters(t *testing.T) {
 		t.Fatalf("empty index state: %+v", st)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.IngestOne(event.Event{
+		if _, err := s.Ingest([]event.Event{{
 			Device: event.DeviceID(fmt.Sprintf("d%d", i)),
 			AP:     space.APID(fmt.Sprintf("ap%d", i%2)),
 			Time:   t0.Add(time.Duration(i) * time.Hour),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestOccupancyStatsCounters(t *testing.T) {
 func TestActiveDevicesDuplicateEventsOneEntry(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 10; i++ {
-		if err := s.IngestOne(event.Event{Device: "d", AP: "ap", Time: t0.Add(time.Duration(i) * time.Second)}); err != nil {
+		if _, err := s.Ingest([]event.Event{{Device: "d", AP: "ap", Time: t0.Add(time.Duration(i) * time.Second)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -174,7 +174,7 @@ func TestNextIDMonotonicAcrossRecovery(t *testing.T) {
 	if got := recovered.CheckpointState().NextID; got != 502 {
 		t.Fatalf("recovered NextID = %d, want 502", got)
 	}
-	if err := recovered.IngestOne(event.Event{Device: "bb", Time: t0, AP: "ap1"}); err != nil {
+	if _, err := recovered.Ingest([]event.Event{{Device: "bb", Time: t0, AP: "ap1"}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := recovered.Events("bb")[0].ID; got != 502 {
@@ -191,7 +191,7 @@ func TestNextIDMonotonicAcrossRecovery(t *testing.T) {
 func TestCheckpointStateIsDeepCopy(t *testing.T) {
 	s := newSegmented(t, 4, nil)
 	for i := 0; i < 5; i++ {
-		if err := s.IngestOne(mk("aa", time.Duration(i)*time.Minute, "ap1")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("aa", time.Duration(i)*time.Minute, "ap1")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -141,7 +141,7 @@ func TestSealSpanningInt64Progresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < segMax; i++ {
-		if err := s.IngestOne(event.Event{Device: "d", Time: t0.Add(time.Duration(i) * time.Minute), AP: "c"}); err != nil {
+		if _, err := s.Ingest([]event.Event{{Device: "d", Time: t0.Add(time.Duration(i) * time.Minute), AP: "c"}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func TestSealRegistersSegments(t *testing.T) {
 	var want []event.Event
 	for i := 0; i < 11; i++ {
 		e := mk("d", time.Duration(i)*time.Minute, "x")
-		if err := s.IngestOne(e); err != nil {
+		if _, err := s.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,10 +105,10 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 	span := 6 * time.Hour
 	for i := 0; i < 400; i++ {
 		e := mk(devs[rng.Intn(len(devs))], time.Duration(rng.Int63n(int64(span))), aps[rng.Intn(len(aps))])
-		if err := seg.IngestOne(e); err != nil {
+		if _, err := seg.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ora.IngestOne(e); err != nil {
+		if _, err := ora.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestSegmentedMatchesSliceOracle(t *testing.T) {
 func TestScanEventsZeroCopyWindows(t *testing.T) {
 	s := newSegmented(t, 4, nil)
 	for i := 0; i < 10; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestScanEventsZeroCopyWindows(t *testing.T) {
 // TestConfigureSegmentsRejectsNonEmptyStore pins the configuration contract.
 func TestConfigureSegmentsRejectsNonEmptyStore(t *testing.T) {
 	s := New(0)
-	if err := s.IngestOne(mk("d", 0, "x")); err != nil {
+	if _, err := s.Ingest([]event.Event{mk("d", 0, "x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ConfigureSegments(SegmentConfig{MaxEvents: 4}); err == nil {
@@ -249,7 +249,7 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 	devs := []string{"d0", "d1"}
 	for i := 0; i < 37; i++ {
 		e := mk(devs[rng.Intn(2)], time.Duration(rng.Int63n(int64(3*time.Hour))), "x")
-		if err := s.IngestOne(e); err != nil {
+		if _, err := s.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		e := mk("d0", 4*time.Hour+time.Duration(i)*time.Minute, "y")
 		extra = append(extra, e)
-		if err := r.IngestOne(e); err != nil {
+		if _, err := r.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestCheckpointStateRestoreRoundTrip(t *testing.T) {
 // TestRestoreSegmentsRejectsNonEmptyStore pins the restore contract.
 func TestRestoreSegmentsRejectsNonEmptyStore(t *testing.T) {
 	s := newSegmented(t, 4, nil)
-	if err := s.IngestOne(mk("d", 0, "x")); err != nil {
+	if _, err := s.Ingest([]event.Event{mk("d", 0, "x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RestoreSegments(nil); err == nil {
@@ -464,7 +464,7 @@ func corruptSecondSegment(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -545,7 +545,7 @@ func TestSwallowedLookupErrorsCounted(t *testing.T) {
 func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
 	s := newSegmented(t, 8, nil)
 	for i := 0; i < 64; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Second, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Second, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -571,7 +571,7 @@ func TestRetainedReadsAreCopiesUnderIngest(t *testing.T) {
 				return
 			default:
 			}
-			if err := s.IngestOne(mk("d", time.Duration(i)*time.Second, "x")); err != nil {
+			if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Second, "x")}); err != nil {
 				writerErr.Store(err)
 				return
 			}
@@ -632,7 +632,7 @@ func TestCompactRuntSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		e := mk("d", time.Duration(rng.Int63n(int64(6*time.Hour))), "x")
-		if err := small.IngestOne(e); err != nil {
+		if _, err := small.Ingest([]event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -728,7 +728,7 @@ func TestCompactRuntSegments(t *testing.T) {
 func TestCompactRuntSegmentsRespectsMaxEvents(t *testing.T) {
 	s := newSegmented(t, 4, nil)
 	for i := 0; i < 16; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}

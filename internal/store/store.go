@@ -456,12 +456,6 @@ func (s *Store) Ingest(events []event.Event) (int, error) {
 	return len(batch), nil
 }
 
-// IngestOne adds a single event (streaming ingestion).
-func (s *Store) IngestOne(e event.Event) error {
-	_, err := s.Ingest([]event.Event{e})
-	return err
-}
-
 // ensureSorted re-sorts a head after out-of-order ingestion and maintains
 // the store's dirty-log set. Callers must hold the exclusive lock.
 func (s *Store) ensureSorted(lg *deviceLog) {

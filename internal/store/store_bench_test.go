@@ -46,22 +46,32 @@ func BenchmarkIngestBatch(b *testing.B) {
 	b.SetBytes(int64(len(evs)))
 }
 
+// benchDevices returns seedBench's device names, built outside the timed
+// loop.
+func benchDevices(n int) []event.DeviceID {
+	devs := make([]event.DeviceID, n)
+	for i := range devs {
+		devs[i] = event.DeviceID(fmt.Sprintf("d%03d", i))
+	}
+	return devs
+}
+
 func BenchmarkEventsBetween(b *testing.B) {
 	s := seedBench(b, 100000, 100)
+	devs := benchDevices(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dev := event.DeviceID(fmt.Sprintf("d%03d", i%100))
 		start := t0.Add(time.Duration(i%1000) * time.Hour)
-		s.EventsBetween(dev, start, start.Add(8*time.Hour))
+		s.EventsBetween(devs[i%100], start, start.Add(8*time.Hour))
 	}
 }
 
 func BenchmarkAt(b *testing.B) {
 	s := seedBench(b, 50000, 50)
+	devs := benchDevices(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dev := event.DeviceID(fmt.Sprintf("d%03d", i%50))
-		if _, _, _, err := s.At(dev, t0.Add(time.Duration(i%50000)*time.Minute)); err != nil {
+		if _, _, _, err := s.At(devs[i%50], t0.Add(time.Duration(i%50000)*time.Minute)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,10 +32,10 @@ func TestIngestAssignsIDs(t *testing.T) {
 	// Pre-set IDs preserved and sequence advances past them.
 	e := mk("a", 2*time.Minute, "x")
 	e.ID = 100
-	if err := s.IngestOne(e); err != nil {
+	if _, err := s.Ingest([]event.Event{e}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.IngestOne(mk("a", 3*time.Minute, "x")); err != nil {
+	if _, err := s.Ingest([]event.Event{mk("a", 3*time.Minute, "x")}); err != nil {
 		t.Fatal(err)
 	}
 	evs = s.Events("a")
@@ -60,7 +60,7 @@ func TestIngestValidation(t *testing.T) {
 func TestOutOfOrderIngest(t *testing.T) {
 	s := New(0)
 	for i := 10; i > 0; i-- {
-		if err := s.IngestOne(mk("d", time.Duration(i)*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestDeltas(t *testing.T) {
 func TestEstimateDeltas(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 30; i++ {
-		if err := s.IngestOne(mk("d", time.Duration(i)*4*time.Minute, "x")); err != nil {
+		if _, err := s.Ingest([]event.Event{mk("d", time.Duration(i)*4*time.Minute, "x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestBoundsAndCounts(t *testing.T) {
 func TestEventsBetween(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 10; i++ {
-		s.IngestOne(mk("d", time.Duration(i)*10*time.Minute, "x"))
+		s.Ingest([]event.Event{mk("d", time.Duration(i)*10*time.Minute, "x")})
 	}
 	got := s.EventsBetween("d", t0.Add(15*time.Minute), t0.Add(45*time.Minute))
 	if len(got) != 3 {
@@ -203,7 +203,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				dev := fmt.Sprintf("d%d", w)
-				s.IngestOne(mk(dev, time.Duration(i)*time.Minute, "x"))
+				s.Ingest([]event.Event{mk(dev, time.Duration(i)*time.Minute, "x")})
 				s.Events(event.DeviceID(dev))
 				s.ActiveDevicesAt(nil, t0, t0.Add(time.Hour))
 				s.NumEvents()
@@ -224,7 +224,7 @@ func TestConcurrentOutOfOrderReads(t *testing.T) {
 	s := New(0)
 	const devices = 8
 	for d := 0; d < devices; d++ {
-		s.IngestOne(mk(fmt.Sprintf("d%d", d), time.Hour, "x"))
+		s.Ingest([]event.Event{mk(fmt.Sprintf("d%d", d), time.Hour, "x")})
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -233,7 +233,7 @@ func TestConcurrentOutOfOrderReads(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			// Earlier than the seed event: marks the log unsorted.
 			dev := fmt.Sprintf("d%d", i%devices)
-			s.IngestOne(mk(dev, time.Duration(200-i)*time.Second, "x"))
+			s.Ingest([]event.Event{mk(dev, time.Duration(200-i)*time.Second, "x")})
 		}
 	}()
 	for w := 0; w < 4; w++ {
@@ -273,7 +273,7 @@ func TestEventsBetweenProperty(t *testing.T) {
 		s := New(0)
 		n := rng.Intn(60)
 		for i := 0; i < n; i++ {
-			s.IngestOne(mk("d", time.Duration(rng.Intn(10000))*time.Second, "x"))
+			s.Ingest([]event.Event{mk("d", time.Duration(rng.Intn(10000))*time.Second, "x")})
 		}
 		for trial := 0; trial < 20; trial++ {
 			a := t0.Add(time.Duration(rng.Intn(10000)) * time.Second)
@@ -308,7 +308,7 @@ func TestActiveDevicesProperty(t *testing.T) {
 		s := New(0)
 		for d := 0; d < 5; d++ {
 			for i := 0; i < rng.Intn(20); i++ {
-				s.IngestOne(mk(fmt.Sprintf("d%d", d), time.Duration(rng.Intn(10000))*time.Second, "x"))
+				s.Ingest([]event.Event{mk(fmt.Sprintf("d%d", d), time.Duration(rng.Intn(10000))*time.Second, "x")})
 			}
 		}
 		a := t0.Add(time.Duration(rng.Intn(10000)) * time.Second)

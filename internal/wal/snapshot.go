@@ -1,12 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,37 +44,6 @@ type SnapshotData struct {
 	Segments map[event.DeviceID][]SegmentMeta
 	// Labels are the crowd-sourced room-label counts.
 	Labels map[event.DeviceID]map[space.RoomID]int
-}
-
-// snapEncoder writes the snapshot body with sticky error handling.
-type snapEncoder struct {
-	w       io.Writer
-	scratch [binary.MaxVarintLen64]byte
-	err     error
-}
-
-func (e *snapEncoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.scratch[:], v)
-	_, e.err = e.w.Write(e.scratch[:n])
-}
-
-func (e *snapEncoder) varint(v int64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutVarint(e.scratch[:], v)
-	_, e.err = e.w.Write(e.scratch[:n])
-}
-
-func (e *snapEncoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
 }
 
 // WriteSnapshotV2 persists an incremental (format v2) checkpoint covering
@@ -126,86 +94,71 @@ func writeSnapshotFile(path string, lsn uint64, data *SnapshotData) error {
 		return fmt.Errorf("wal: creating snapshot: %w", err)
 	}
 	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-
-	if _, err := io.WriteString(bw, snapMagic); err != nil {
+	if _, err := f.Write(encodeSnapshot(lsn, data)); err != nil {
 		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-	// The CRC covers everything after the magic: the LSN and the body.
-	crc := crc32.New(castagnoli)
-	mw := io.MultiWriter(bw, crc)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], lsn)
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-
-	enc := &snapEncoder{w: mw}
-	enc.varint(data.NextID)
-
-	devs := sortedKeys(data.Deltas)
-	enc.uvarint(uint64(len(devs)))
-	for _, d := range devs {
-		enc.str(string(d))
-		enc.varint(int64(data.Deltas[d]))
-	}
-
-	evDevs := sortedKeys(data.Events)
-	enc.uvarint(uint64(len(evDevs)))
-	for _, d := range evDevs {
-		evs := data.Events[d]
-		enc.str(string(d))
-		enc.uvarint(uint64(len(evs)))
-		for _, e := range evs {
-			enc.varint(e.ID)
-			enc.varint(e.Time.UnixNano())
-			enc.str(string(e.AP))
-		}
-	}
-
-	segDevs := sortedKeys(data.Segments)
-	enc.uvarint(uint64(len(segDevs)))
-	for _, d := range segDevs {
-		metas := data.Segments[d]
-		enc.str(string(d))
-		enc.uvarint(uint64(len(metas)))
-		for _, m := range metas {
-			enc.uvarint(m.Seq)
-			enc.uvarint(uint64(m.Count))
-			enc.varint(m.MinNanos)
-			enc.varint(m.MaxNanos)
-			enc.uvarint(uint64(m.Bytes))
-		}
-	}
-
-	labDevs := sortedKeys(data.Labels)
-	enc.uvarint(uint64(len(labDevs)))
-	for _, d := range labDevs {
-		rooms := data.Labels[d]
-		roomIDs := sortedKeys(rooms)
-		enc.str(string(d))
-		enc.uvarint(uint64(len(roomIDs)))
-		for _, r := range roomIDs {
-			enc.str(string(r))
-			enc.uvarint(uint64(rooms[r]))
-		}
-	}
-	if enc.err != nil {
-		return fmt.Errorf("wal: writing snapshot: %w", enc.err)
-	}
-
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := bw.Write(sum[:]); err != nil {
-		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("wal: flushing snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing snapshot: %w", err)
 	}
 	return f.Close()
+}
+
+// encodeSnapshot returns a snapshot file's bytes: the magic, the LSN and the
+// body, then a CRC-32C over everything after the magic. Maps are written in
+// key order, so equal data encodes to equal bytes.
+func encodeSnapshot(lsn uint64, data *SnapshotData) []byte {
+	b := append([]byte(nil), snapMagic...)
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	b = binary.AppendVarint(b, data.NextID)
+
+	devs := sortedKeys(data.Deltas)
+	b = binary.AppendUvarint(b, uint64(len(devs)))
+	for _, d := range devs {
+		b = appendString(b, string(d))
+		b = binary.AppendVarint(b, int64(data.Deltas[d]))
+	}
+
+	evDevs := sortedKeys(data.Events)
+	b = binary.AppendUvarint(b, uint64(len(evDevs)))
+	for _, d := range evDevs {
+		evs := data.Events[d]
+		b = appendString(b, string(d))
+		b = binary.AppendUvarint(b, uint64(len(evs)))
+		for _, e := range evs {
+			b = binary.AppendVarint(b, e.ID)
+			b = binary.AppendVarint(b, e.Time.UnixNano())
+			b = appendString(b, string(e.AP))
+		}
+	}
+
+	segDevs := sortedKeys(data.Segments)
+	b = binary.AppendUvarint(b, uint64(len(segDevs)))
+	for _, d := range segDevs {
+		metas := data.Segments[d]
+		b = appendString(b, string(d))
+		b = binary.AppendUvarint(b, uint64(len(metas)))
+		for _, m := range metas {
+			b = binary.AppendUvarint(b, m.Seq)
+			b = binary.AppendUvarint(b, uint64(m.Count))
+			b = binary.AppendVarint(b, m.MinNanos)
+			b = binary.AppendVarint(b, m.MaxNanos)
+			b = binary.AppendUvarint(b, uint64(m.Bytes))
+		}
+	}
+
+	labDevs := sortedKeys(data.Labels)
+	b = binary.AppendUvarint(b, uint64(len(labDevs)))
+	for _, d := range labDevs {
+		rooms := data.Labels[d]
+		roomIDs := sortedKeys(rooms)
+		b = appendString(b, string(d))
+		b = binary.AppendUvarint(b, uint64(len(roomIDs)))
+		for _, r := range roomIDs {
+			b = appendString(b, string(r))
+			b = binary.AppendUvarint(b, uint64(rooms[r]))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(snapMagic):], castagnoli))
 }
 
 func sortedKeys[K ~string, V any](m map[K]V) []K {
@@ -346,26 +299,37 @@ func loadNewestSnapshot(dir string, rec *Recovered) (uint64, error) {
 	return 0, nil
 }
 
-// readSnapshotFile parses one snapshot into rec, overwriting its state.
+// readSnapshotFile parses one snapshot file into rec, overwriting its state.
 func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: reading snapshot: %w", err)
 	}
+	lsn, err := decodeSnapshot(data, rec)
+	if err != nil {
+		return 0, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+	}
+	return lsn, nil
+}
+
+// decodeSnapshot parses a snapshot file's bytes into rec, overwriting its
+// state, and returns the snapshot's LSN. The bytes come straight off disk,
+// so no count read from them sizes an allocation past the bytes left.
+func decodeSnapshot(data []byte, rec *Recovered) (uint64, error) {
 	if len(data) < len(snapMagic)+8+4 {
-		return 0, fmt.Errorf("wal: snapshot %s: bad header", filepath.Base(path))
+		return 0, errors.New("bad header")
 	}
 	switch string(data[:len(snapMagic)]) {
 	case snapMagic:
 	case retiredSnapMagic:
-		return 0, fmt.Errorf("wal: snapshot %s is format v1: %w", filepath.Base(path), ErrRetiredFormat)
+		return 0, fmt.Errorf("format v1: %w", ErrRetiredFormat)
 	default:
-		return 0, fmt.Errorf("wal: snapshot %s: bad header", filepath.Base(path))
+		return 0, errors.New("bad header")
 	}
 	body := data[len(snapMagic) : len(data)-4]
 	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != sum {
-		return 0, fmt.Errorf("wal: snapshot %s: CRC mismatch", filepath.Base(path))
+		return 0, errors.New("CRC mismatch")
 	}
 	lsn := binary.LittleEndian.Uint64(body[:8])
 
@@ -397,6 +361,10 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 			}
 			ev.Time = time.Unix(0, d.varint()).UTC()
 			ev.AP = space.APID(d.str())
+			if ev.ID == math.MaxInt64 {
+				// No ID follows it, so NextID cannot move past it.
+				d.fail("event ID")
+			}
 			rec.Events = append(rec.Events, ev)
 			if ev.ID >= rec.NextID {
 				rec.NextID = ev.ID + 1
@@ -408,7 +376,8 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	for i := uint64(0); i < nSegDevs && d.err == nil; i++ {
 		dev := event.DeviceID(d.str())
 		nSegs := d.uvarint()
-		metas := make([]SegmentMeta, 0, nSegs)
+		// Each entry takes at least five bytes.
+		metas := make([]SegmentMeta, 0, min(nSegs, uint64(d.remaining()/5)))
 		for j := uint64(0); j < nSegs && d.err == nil; j++ {
 			metas = append(metas, SegmentMeta{
 				Seq:      d.uvarint(),
@@ -427,7 +396,8 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	for i := uint64(0); i < nLabs && d.err == nil; i++ {
 		dev := event.DeviceID(d.str())
 		nRooms := d.uvarint()
-		m := make(map[space.RoomID]int, nRooms)
+		// Each entry takes at least two bytes.
+		m := make(map[space.RoomID]int, min(nRooms, uint64(d.remaining()/2)))
 		for j := uint64(0); j < nRooms && d.err == nil; j++ {
 			room := space.RoomID(d.str())
 			m[room] = int(d.uvarint())
@@ -438,10 +408,10 @@ func readSnapshotFile(path string, rec *Recovered) (uint64, error) {
 	}
 
 	if d.err != nil {
-		return 0, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), d.err)
+		return 0, d.err
 	}
 	if d.remaining() != 0 {
-		return 0, fmt.Errorf("wal: snapshot %s: %d trailing bytes", filepath.Base(path), d.remaining())
+		return 0, fmt.Errorf("%d trailing bytes", d.remaining())
 	}
 	return lsn, nil
 }

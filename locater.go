@@ -100,11 +100,13 @@ var ErrInvalidEvent = store.ErrInvalidEvent
 // parameters (the I/D variant, room-affinity weights, the N-day history, the
 // τ thresholds), whether the caching engine runs, how the cold tier is read
 // and whether feeds are cleansed; none of them selects between
-// implementations. Everything else is a constant: δ defaults to 10 minutes
-// per device (SetDelta and EstimateDeltas change it), the region-level τ
-// thresholds are 20 and 40 minutes, the cache tiers hold 65536 affinities,
-// 16384 results and 4096 coarse models, and the graph kernel's σ is one
-// hour.
+// implementations. As in the paper, one history window N serves both
+// stages: coarse training (Algorithm 1) and device affinity (Section 4.1)
+// read the same N days. Everything else is a constant: δ defaults to 10
+// minutes per device (SetDelta and EstimateDeltas change it), the
+// region-level τ thresholds are 20 and 40 minutes, the cache tiers hold
+// 65536 affinities, 16384 results and 4096 coarse models, and the graph
+// kernel's σ is one hour.
 type Config struct {
 	// Building is the space metadata (required).
 	Building *space.Building
@@ -116,8 +118,9 @@ type Config struct {
 	// DisableStopConditions turns off Algorithm 2's loose early
 	// termination (the Fig. 11 ablation). Default off (conditions used).
 	DisableStopConditions bool
-	// HistoryDays is the coarse stage's training window N in days.
-	// Default 56 (8 weeks).
+	// HistoryDays is the history window N in days: coarse training gaps
+	// and device affinities are drawn from the N days before the query.
+	// Default coarse.DefaultHistoryDays (56, 8 weeks; Fig. 8).
 	HistoryDays int
 	// TauLow/TauHigh are the inside/outside bootstrap thresholds
 	// (defaults 20 and 180 minutes; Fig. 7).
@@ -128,10 +131,6 @@ type Config struct {
 	// MaxTrainingGaps caps the gaps used to train per-device models
 	// (most recent kept; 0 = unlimited).
 	MaxTrainingGaps int
-
-	// HistoryWindow bounds the history scanned for device affinities.
-	// Default 8 weeks.
-	HistoryWindow time.Duration
 
 	// EnableCache turns on the caching engine: the global affinity graph,
 	// the bounded pairwise-affinity fallback cache, and the query result
@@ -161,6 +160,14 @@ type Config struct {
 	EnableCleansing bool
 }
 
+// historyDays is N with its default applied.
+func (c Config) historyDays() int {
+	if c.HistoryDays > 0 {
+		return c.HistoryDays
+	}
+	return coarse.DefaultHistoryDays
+}
+
 func (c Config) coarseOptions() coarse.Options {
 	th := coarse.DefaultThresholds()
 	if c.TauLow > 0 {
@@ -171,7 +178,7 @@ func (c Config) coarseOptions() coarse.Options {
 	}
 	return coarse.Options{
 		Thresholds:            th,
-		HistoryDays:           c.HistoryDays,
+		HistoryDays:           c.historyDays(),
 		MaxPromotionsPerRound: c.PromotionsPerRound,
 		MaxTrainingGaps:       c.MaxTrainingGaps,
 	}
@@ -182,7 +189,6 @@ func (c Config) fineOptions() fine.Options {
 		Weights:           c.Weights,
 		Variant:           c.Variant,
 		UseStopConditions: !c.DisableStopConditions,
-		HistoryWindow:     c.HistoryWindow,
 	}
 }
 
@@ -314,22 +320,18 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 
-	fineOpts := cfg.fineOptions()
-	var provider fine.PairAffinityProvider
+	// Device affinities read the same N days as coarse training; the
+	// caching engine wraps that one provider.
+	provider := fine.NewStoreAffinity(st, time.Duration(cfg.historyDays())*24*time.Hour)
 	var orderer fine.NeighborOrderer
 	if cfg.EnableCache {
 		s.graph = affgraph.New(affgraph.Options{})
-		window := fineOpts.HistoryWindow
-		if window <= 0 {
-			window = 8 * 7 * 24 * time.Hour
-		}
-		base := fine.NewStoreAffinity(st, window)
-		s.cached = affgraph.NewCachedAffinity(s.graph, base, time.Hour, 0)
+		s.cached = affgraph.NewCachedAffinity(s.graph, provider, time.Hour, 0)
 		provider = s.cached
 		orderer = s.graph
 		s.results = cache.New[resultKey, Result](resultCacheSize, hashResultKey)
 	}
-	s.fine = fine.New(cfg.Building, st, provider, orderer, fineOpts)
+	s.fine = fine.New(cfg.Building, st, provider, orderer, cfg.fineOptions())
 	// The label store is attached up front (an empty store is a no-op for
 	// the prior) so AddRoomLabel never has to swap the fine stage's
 	// pointer while concurrent queries read it.
@@ -399,24 +401,10 @@ func (s *System) Ingest(events []Event) error {
 	return err
 }
 
-// IngestOne adds one event (streaming ingestion). Validation, cleansing and
-// model maintenance match Ingest.
+// IngestOne adds one event (streaming ingestion): Ingest of a one-event
+// batch.
 func (s *System) IngestOne(e Event) error {
-	events := []Event{e}
-	if err := store.ValidateEvents(events); err != nil {
-		return err
-	}
-	if s.cleanser != nil {
-		events = s.cleanser.Clean(events)
-		if len(events) == 0 {
-			return nil
-		}
-	}
-	s.persistMu.RLock()
-	err := s.store.IngestOne(events[0])
-	s.persistMu.RUnlock()
-	s.observeWrite(events, err)
-	return err
+	return s.Ingest([]Event{e})
 }
 
 // observeWrite runs post-store model maintenance for an ingested batch: the
@@ -659,164 +647,6 @@ func (s *System) NumDevices() int { return s.store.NumDevices() }
 
 // NumQueries returns the number of Locate calls served.
 func (s *System) NumQueries() int { return int(s.queries.Load()) }
-
-// CacheTierStats reports one cache tier's bound and counters.
-type CacheTierStats struct {
-	// Size is the current number of resident entries; never exceeds
-	// Capacity.
-	Size     int `json:"size"`
-	Capacity int `json:"capacity"`
-	// Hits and Misses count lookups.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Evictions counts LRU removals at capacity; Invalidations counts
-	// write-triggered invalidation events (epoch bumps and per-key drops).
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-}
-
-func tierStats(st cache.Stats) CacheTierStats {
-	return CacheTierStats{
-		Size:          st.Size,
-		Capacity:      st.Capacity,
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
-	}
-}
-
-// OccupancyIndexStats reports the store's temporal occupancy index: its
-// bucket width, resident size, and lookup traffic. See store.OccupancyStats
-// for field documentation.
-type OccupancyIndexStats = store.OccupancyStats
-
-// SegmentTierStats reports the store's log-structured event layout: sealed
-// segment counts, encoded size, and seal/page-in/decode traffic. See
-// store.SegmentStats for field documentation.
-type SegmentTierStats = store.SegmentStats
-
-// CleanseStats reports the ingest-time cleansing stage's per-rule counters.
-// See cleanse.Stats for field documentation.
-type CleanseStats = cleanse.Stats
-
-// QuarantineEntry is one cleansing-rejected event with the rule that
-// rejected it. See cleanse.Entry.
-type QuarantineEntry = cleanse.Entry
-
-// CoarseMaintenanceStats / AffinityMaintenanceStats are the two model
-// tiers' write-path maintenance counters (see coarse.MaintenanceStats and
-// affgraph.MaintenanceStats).
-type (
-	CoarseMaintenanceStats   = coarse.MaintenanceStats
-	AffinityMaintenanceStats = affgraph.MaintenanceStats
-)
-
-// MaintenanceStats reports the write path's model-maintenance picture: the
-// coarse retraining writes cause, and how well the affinity tier's scoped
-// validation keeps cached affinities across writes.
-type MaintenanceStats struct {
-	Coarse   CoarseMaintenanceStats   `json:"coarse"`
-	Affinity AffinityMaintenanceStats `json:"affinity"`
-}
-
-// MaintenanceStats snapshots the write-path maintenance counters.
-func (s *System) MaintenanceStats() MaintenanceStats {
-	ms := MaintenanceStats{Coarse: s.coarse.MaintenanceStats()}
-	if s.cached != nil {
-		ms.Affinity = s.cached.MaintenanceStats()
-	}
-	return ms
-}
-
-// CleanseStats snapshots the cleansing stage's counters; zero when
-// Config.EnableCleansing is off.
-func (s *System) CleanseStats() CleanseStats {
-	if s.cleanser == nil {
-		return CleanseStats{}
-	}
-	return s.cleanser.Stats()
-}
-
-// CleansingEnabled reports whether Config.EnableCleansing is on.
-func (s *System) CleansingEnabled() bool { return s.cleanser != nil }
-
-// Quarantine returns the newest quarantined (cleansing-rejected) events,
-// newest first, at most limit (limit ≤ 0 returns the whole ring). Empty
-// when Config.EnableCleansing is off.
-func (s *System) Quarantine(limit int) []QuarantineEntry {
-	if s.cleanser == nil {
-		return nil
-	}
-	return s.cleanser.Quarantine(limit)
-}
-
-// CacheStats reports every cache tier's state: the global affinity graph's
-// edge count, the pairwise-affinity fallback cache, the coarse per-device
-// model cache and the closed-gap answers its models keep, and the query
-// result cache, plus the store's occupancy index and segmented event layout.
-// The coarse tiers, Occupancy, and Segments are live even when EnableCache
-// is off (the coarse stage always caches trained models, and the index and
-// segment tiers are store features);
-// Affinity and Results are zero then, and Enabled reports false.
-//
-// The JSON tags here and on the nested stats types are the wire schema of
-// GET /v1/stats ("caches"): internal/srv marshals this struct and
-// internal/client unmarshals into it.
-type CacheStats struct {
-	// Enabled reports whether the caching engine (Config.EnableCache) is on.
-	Enabled bool `json:"enabled"`
-	// GraphEdges is the number of distinct edges in the global affinity
-	// graph (bounded per edge, not evicted: graph knowledge accumulates).
-	GraphEdges int `json:"graph_edges"`
-	// Affinity is the pairwise-affinity fallback cache (graph-served
-	// lookups count toward its Hits).
-	Affinity CacheTierStats `json:"affinity"`
-	// CoarseModels is the coarse stage's per-device trained-model cache. Its
-	// Hits and Misses count only lookups that needed a model.
-	CoarseModels CacheTierStats `json:"coarse_models"`
-	// CoarseGapAnswers is the closed-gap answers the cached coarse models
-	// keep: Size answers are resident, and Hits/Misses count the closed-gap
-	// queries a cached model answered from memory or classified. The answers
-	// leave with their model, so Evictions and Invalidations stay zero.
-	CoarseGapAnswers CacheTierStats `json:"coarse_gap_answers"`
-	// Results is the whole-query result cache.
-	Results CacheTierStats `json:"results"`
-	// Occupancy is the store's temporal occupancy index (neighbor
-	// discovery).
-	Occupancy OccupancyIndexStats `json:"occupancy"`
-	// Segments is the store's log-structured event layout: sealed-segment
-	// shape plus the decoded-segment cache's traffic.
-	Segments SegmentTierStats `json:"segments"`
-	// Cleanse is the ingest-time cleansing stage's per-rule counters; zero
-	// when Config.EnableCleansing is off.
-	Cleanse CleanseStats `json:"cleanse"`
-	// Maintenance is the write path's model-maintenance counters (coarse
-	// training + affinity scoped validation).
-	Maintenance MaintenanceStats `json:"maintenance"`
-}
-
-// CacheStats reports the caching layer's per-tier sizes, bounds, and
-// hit/miss/eviction/invalidation counters.
-func (s *System) CacheStats() CacheStats {
-	cs := CacheStats{
-		CoarseModels:     tierStats(s.coarse.ModelCacheStats()),
-		CoarseGapAnswers: tierStats(s.coarse.GapAnswerStats()),
-		Occupancy:        s.store.OccupancyStats(),
-		Segments:         s.store.SegmentStats(),
-		Cleanse:          s.CleanseStats(),
-		Maintenance:      s.MaintenanceStats(),
-	}
-	if s.graph != nil {
-		cs.Enabled = true
-		cs.GraphEdges = s.graph.NumEdges()
-		cs.Affinity = tierStats(s.cached.Stats())
-	}
-	if s.results != nil {
-		cs.Results = tierStats(s.results.Stats())
-	}
-	return cs
-}
 
 // Query is one localization request Q = (device, t) for LocateBatch.
 type Query struct {

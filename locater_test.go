@@ -8,6 +8,7 @@ import (
 	"locater"
 	"locater/internal/eval"
 	"locater/internal/sim"
+	"locater/internal/space"
 )
 
 var simStart = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
@@ -390,5 +391,67 @@ func TestVariantsAgreeOnStrongPrior(t *testing.T) {
 	}
 	if !ri.Outside && ri.Region != rd.Region {
 		t.Errorf("variants disagree on region: %v vs %v", ri.Region, rd.Region)
+	}
+}
+
+// TestHistoryDaysBoundsAffinity checks that HistoryDays is the one history
+// window N: device affinity reads the same N days as coarse training. At
+// t_q the candidate c is online at wap4, whose region overlaps d's region
+// at wap3, but the two share no AP there; their only co-location is 20
+// days earlier. Under a 7-day N that co-location is out of reach, so
+// α({d, c}) = 0 and c is not a neighbor. The default N (0 selects 56)
+// sees it.
+func TestHistoryDaysBoundsAffinity(t *testing.T) {
+	b, err := space.NewBuilding(space.Config{
+		Name: "history",
+		Rooms: []space.Room{
+			{ID: "2059", Kind: space.Private},
+			{ID: "2061", Kind: space.Private},
+			{ID: "2065", Kind: space.Public},
+			{ID: "2068", Kind: space.Private},
+		},
+		AccessPoints: []space.AccessPoint{
+			{ID: "wap3", Coverage: []space.RoomID{"2059", "2061", "2065"}},
+			{ID: "wap4", Coverage: []space.RoomID{"2065", "2068"}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tq := simStart.Add(30*24*time.Hour + 11*time.Hour)
+	past := tq.Add(-20 * 24 * time.Hour)
+	events := []locater.Event{
+		{Device: "d", Time: past, AP: "wap3"},
+		{Device: "c", Time: past, AP: "wap3"},
+		{Device: "d", Time: tq, AP: "wap3"},
+		{Device: "c", Time: tq, AP: "wap4"},
+	}
+	locate := func(days int) locater.Result {
+		t.Helper()
+		sys, err := locater.New(locater.Config{Building: b, HistoryDays: days})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Ingest(events); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Locate("d", tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outside {
+			t.Fatalf("HistoryDays %d: d answered outside at an event", days)
+		}
+		return res
+	}
+	if res := locate(7); res.TotalNeighbors != 0 {
+		t.Errorf("HistoryDays 7: %d neighbors, want 0 (the only co-location is 20 days old)", res.TotalNeighbors)
+	}
+	def, full := locate(0), locate(56)
+	if def != full {
+		t.Errorf("HistoryDays 0 answered %+v, HistoryDays 56 %+v", def, full)
+	}
+	if full.TotalNeighbors != 1 {
+		t.Errorf("HistoryDays 56: %d neighbors, want 1", full.TotalNeighbors)
 	}
 }

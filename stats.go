@@ -4,6 +4,12 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"locater/internal/affgraph"
+	"locater/internal/cache"
+	"locater/internal/cleanse"
+	"locater/internal/coarse"
+	"locater/internal/store"
 )
 
 // latencyHist is a lock-free power-of-two-bucketed latency histogram:
@@ -160,4 +166,162 @@ func (m *queryMetrics) snapshot() QueryStats {
 // neighbors-processed distribution. Served under GET /v1/stats (query_stats).
 func (s *System) QueryStats() QueryStats {
 	return s.metrics.snapshot()
+}
+
+// CacheTierStats reports one cache tier's bound and counters.
+type CacheTierStats struct {
+	// Size is the current number of resident entries; never exceeds
+	// Capacity.
+	Size     int `json:"size"`
+	Capacity int `json:"capacity"`
+	// Hits and Misses count lookups.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Evictions counts LRU removals at capacity; Invalidations counts
+	// write-triggered invalidation events (epoch bumps and per-key drops).
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+}
+
+func tierStats(st cache.Stats) CacheTierStats {
+	return CacheTierStats{
+		Size:          st.Size,
+		Capacity:      st.Capacity,
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Evictions:     st.Evictions,
+		Invalidations: st.Invalidations,
+	}
+}
+
+// OccupancyIndexStats reports the store's temporal occupancy index: its
+// bucket width, resident size, and lookup traffic. See store.OccupancyStats
+// for field documentation.
+type OccupancyIndexStats = store.OccupancyStats
+
+// SegmentTierStats reports the store's log-structured event layout: sealed
+// segment counts, encoded size, and seal/page-in/decode traffic. See
+// store.SegmentStats for field documentation.
+type SegmentTierStats = store.SegmentStats
+
+// CleanseStats reports the ingest-time cleansing stage's per-rule counters.
+// See cleanse.Stats for field documentation.
+type CleanseStats = cleanse.Stats
+
+// QuarantineEntry is one cleansing-rejected event with the rule that
+// rejected it. See cleanse.Entry.
+type QuarantineEntry = cleanse.Entry
+
+// CoarseMaintenanceStats / AffinityMaintenanceStats are the two model
+// tiers' write-path maintenance counters (see coarse.MaintenanceStats and
+// affgraph.MaintenanceStats).
+type (
+	CoarseMaintenanceStats   = coarse.MaintenanceStats
+	AffinityMaintenanceStats = affgraph.MaintenanceStats
+)
+
+// MaintenanceStats reports the write path's model-maintenance picture: the
+// coarse retraining writes cause, and how well the affinity tier's scoped
+// validation keeps cached affinities across writes.
+type MaintenanceStats struct {
+	Coarse   CoarseMaintenanceStats   `json:"coarse"`
+	Affinity AffinityMaintenanceStats `json:"affinity"`
+}
+
+// MaintenanceStats snapshots the write-path maintenance counters.
+func (s *System) MaintenanceStats() MaintenanceStats {
+	ms := MaintenanceStats{Coarse: s.coarse.MaintenanceStats()}
+	if s.cached != nil {
+		ms.Affinity = s.cached.MaintenanceStats()
+	}
+	return ms
+}
+
+// CleanseStats snapshots the cleansing stage's counters; zero when
+// Config.EnableCleansing is off.
+func (s *System) CleanseStats() CleanseStats {
+	if s.cleanser == nil {
+		return CleanseStats{}
+	}
+	return s.cleanser.Stats()
+}
+
+// CleansingEnabled reports whether Config.EnableCleansing is on.
+func (s *System) CleansingEnabled() bool { return s.cleanser != nil }
+
+// Quarantine returns the newest quarantined (cleansing-rejected) events,
+// newest first, at most limit (limit ≤ 0 returns the whole ring). Empty
+// when Config.EnableCleansing is off.
+func (s *System) Quarantine(limit int) []QuarantineEntry {
+	if s.cleanser == nil {
+		return nil
+	}
+	return s.cleanser.Quarantine(limit)
+}
+
+// CacheStats reports every cache tier's state: the global affinity graph's
+// edge count, the pairwise-affinity fallback cache, the coarse per-device
+// model cache and the closed-gap answers its models keep, and the query
+// result cache, plus the store's occupancy index and segmented event layout.
+// The coarse tiers, Occupancy, and Segments are live even when EnableCache
+// is off (the coarse stage always caches trained models, and the index and
+// segment tiers are store features);
+// Affinity and Results are zero then, and Enabled reports false.
+//
+// The JSON tags here and on the nested stats types are the wire schema of
+// GET /v1/stats ("caches"): internal/srv marshals this struct and
+// internal/client unmarshals into it.
+type CacheStats struct {
+	// Enabled reports whether the caching engine (Config.EnableCache) is on.
+	Enabled bool `json:"enabled"`
+	// GraphEdges is the number of distinct edges in the global affinity
+	// graph (bounded per edge, not evicted: graph knowledge accumulates).
+	GraphEdges int `json:"graph_edges"`
+	// Affinity is the pairwise-affinity fallback cache (graph-served
+	// lookups count toward its Hits).
+	Affinity CacheTierStats `json:"affinity"`
+	// CoarseModels is the coarse stage's per-device trained-model cache. Its
+	// Hits and Misses count only lookups that needed a model.
+	CoarseModels CacheTierStats `json:"coarse_models"`
+	// CoarseGapAnswers is the closed-gap answers the cached coarse models
+	// keep: Size answers are resident, and Hits/Misses count the closed-gap
+	// queries a cached model answered from memory or classified. The answers
+	// leave with their model, so Evictions and Invalidations stay zero.
+	CoarseGapAnswers CacheTierStats `json:"coarse_gap_answers"`
+	// Results is the whole-query result cache.
+	Results CacheTierStats `json:"results"`
+	// Occupancy is the store's temporal occupancy index (neighbor
+	// discovery).
+	Occupancy OccupancyIndexStats `json:"occupancy"`
+	// Segments is the store's log-structured event layout: sealed-segment
+	// shape plus the decoded-segment cache's traffic.
+	Segments SegmentTierStats `json:"segments"`
+	// Cleanse is the ingest-time cleansing stage's per-rule counters; zero
+	// when Config.EnableCleansing is off.
+	Cleanse CleanseStats `json:"cleanse"`
+	// Maintenance is the write path's model-maintenance counters (coarse
+	// training + affinity scoped validation).
+	Maintenance MaintenanceStats `json:"maintenance"`
+}
+
+// CacheStats reports the caching layer's per-tier sizes, bounds, and
+// hit/miss/eviction/invalidation counters.
+func (s *System) CacheStats() CacheStats {
+	cs := CacheStats{
+		CoarseModels:     tierStats(s.coarse.ModelCacheStats()),
+		CoarseGapAnswers: tierStats(s.coarse.GapAnswerStats()),
+		Occupancy:        s.store.OccupancyStats(),
+		Segments:         s.store.SegmentStats(),
+		Cleanse:          s.CleanseStats(),
+		Maintenance:      s.MaintenanceStats(),
+	}
+	if s.graph != nil {
+		cs.Enabled = true
+		cs.GraphEdges = s.graph.NumEdges()
+		cs.Affinity = tierStats(s.cached.Stats())
+	}
+	if s.results != nil {
+		cs.Results = tierStats(s.results.Stats())
+	}
+	return cs
 }
